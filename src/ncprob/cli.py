@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import jsonschema
+import numpy as np
 
 from . import __version__
 from .circle import (
@@ -40,6 +42,8 @@ from .harness import (
 from .idiv import (
     FLOW_STEP,
     LevyTriple,
+    _dvoiculescu,
+    _voiculescu,
     boolean_idiv,
     classical_idiv_density,
     flow_map,
@@ -48,7 +52,7 @@ from .idiv import (
 )
 from .measures import CircleMeasure, FiniteAtomicMeasure, PARAMETER
 from .solvers import newton, upper_half_plane_guard
-from .transforms import ZR, stieltjes_invert
+from .transforms import ZR, eps_line_grid, stieltjes_invert
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -246,6 +250,8 @@ def _parse_window(text):
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"bad window {text!r}; expected lo:hi") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"window bounds must be finite, got {text!r}")
     if hi <= lo:
         raise ValidationError("window must satisfy lo < hi")
     return lo, hi
@@ -258,8 +264,8 @@ def _free_line_g(triple, eps):
     def g(z):
         guess = state.get("w", z)
         try:
-            w = newton(lambda v: v + _voic(triple, v) - z,
-                       lambda v: 1.0 + _dvoic(triple, v), guess,
+            w = newton(lambda v: v + _voiculescu(triple, v) - z,
+                       lambda v: 1.0 + _dvoiculescu(triple, v), guess,
                        tol=1e-12, guard=upper_half_plane_guard, label="free line")
         except NumericalError:
             w = free_idiv_eval(triple, z)
@@ -269,18 +275,23 @@ def _free_line_g(triple, eps):
     return g
 
 
-def _voic(triple, w):
-    acc = complex(triple.gamma)
-    for p, s in triple.sigma.atoms:
-        acc = acc + s * (1.0 + p * w) / (w - p)
-    return acc
+def _monotone_line_g(triple, eps, window, bins, step):
+    """G of the monotone law: the eps-line grid runs as one array flow.
 
+    Other points, such as stieltjes_invert's atom refinement, take the
+    scalar flow one at a time; every value is kept, since the refinement
+    asks for its refined peak twice.
+    """
+    grid = eps_line_grid(window, bins, eps)
+    values = flow_map(triple, 1.0, np.array(grid), step=step).tolist()
+    known = {z: 1.0 / f for z, f in zip(grid, values)}
 
-def _dvoic(triple, w):
-    acc = 0.0j
-    for p, s in triple.sigma.atoms:
-        acc = acc - s * (1.0 + p * p) / (w - p) ** 2
-    return acc
+    def g(z):
+        if z not in known:
+            known[z] = 1.0 / flow_map(triple, 1.0, z, step=step)
+        return known[z]
+
+    return g
 
 
 def _emit_atoms(args, out, engine, measure):
@@ -298,6 +309,8 @@ def cmd_idiv(args):
     out = args.output or "ncprob_idiv"
     lo, hi = _parse_window(args.x_window)
     eps = args.grid_eps
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"--grid-eps must be finite and positive, got {eps!r}")
     if args.op == "boolean":
         _emit_atoms(args, out, "boolean-idiv", boolean_idiv(triple))
         return EXIT_OK
@@ -309,7 +322,7 @@ def cmd_idiv(args):
             _write_svg(f"{out}_density.svg", keep)
         return EXIT_OK
     if args.op == "monotone":
-        g = lambda z: 1.0 / flow_map(triple, 1.0, z, step=args.flow_step)
+        g = _monotone_line_g(triple, eps, (lo, hi), args.bins, args.flow_step)
     else:  # free
         g = _free_line_g(triple, eps)
     inv = stieltjes_invert(g, eps, (lo, hi), args.bins)

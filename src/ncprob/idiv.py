@@ -44,12 +44,25 @@ class LevyTriple:
                    FiniteAtomicMeasure.from_pairs(sigma_pairs, role=PARAMETER))
 
 
+def _phi(triple):
+    """Phi of the triple as a closure that reads sigma's atoms and log m once.
+
+    It takes a complex scalar or, elementwise, an ndarray of points.
+    """
+    gamma, log_m, atoms = triple.gamma, math.log(triple.m), triple.sigma.atoms
+
+    def phi(z):
+        acc = -gamma - log_m * z
+        for p, s in atoms:
+            acc = acc + s * (1.0 + p * z) / (p - z)
+        return acc
+
+    return phi
+
+
 def phi_eval(triple, z):
     """Phi(z) = -gamma - log(m) z + sum s (1+pz)/(p-z)."""
-    acc = -triple.gamma - math.log(triple.m) * z
-    for p, s in triple.sigma.atoms:
-        acc = acc + s * (1.0 + p * z) / (p - z)
-    return acc
+    return _phi(triple)(z)
 
 
 def phi_deriv(triple, z):
@@ -65,31 +78,32 @@ def boolean_idiv(triple):
     return recover_measure(nev.to_rational())
 
 
+def _voiculescu(triple, w):
+    """The Voiculescu transform phi(w) = gamma + sum s (1+pw)/(w-p) of the free law.
+
+    This pair runs once per Newton iteration, so it zips sigma's fields
+    rather than rebuild the ``atoms`` tuple.
+    """
+    acc = complex(triple.gamma)
+    for p, s in zip(triple.sigma.positions, triple.sigma.weights):
+        acc = acc + s * (1.0 + p * w) / (w - p)
+    return acc
+
+
+def _dvoiculescu(triple, w):
+    acc = 0.0j
+    for p, s in zip(triple.sigma.positions, triple.sigma.weights):
+        acc = acc - s * (1.0 + p * p) / (w - p) ** 2
+    return acc
+
+
 def free_idiv_eval(triple, z, tol=1e-12):
     """F of the free law at z: solve w + phi(w) = z by Newton from w = z."""
     if abs(triple.m - 1.0) > 1e-12:
         raise ValidationError("the free family needs m = 1")
-
-    def voiculescu(w):
-        acc = complex(triple.gamma)
-        for p, s in triple.sigma.atoms:
-            acc = acc + s * (1.0 + p * w) / (w - p)
-        return acc
-
-    def dvoiculescu(w):
-        acc = 0.0j
-        for p, s in triple.sigma.atoms:
-            acc = acc - s * (1.0 + p * p) / (w - p) ** 2
-        return acc
-
-    def fun(w):
-        return w + voiculescu(w) - z
-
-    def dfun(w):
-        return 1.0 + dvoiculescu(w)
-
-    return newton(fun, dfun, z, tol=tol, guard=upper_half_plane_guard,
-                  label="free_idiv")
+    return newton(lambda w: w + _voiculescu(triple, w) - z,
+                  lambda w: 1.0 + _dvoiculescu(triple, w), z, tol=tol,
+                  guard=upper_half_plane_guard, label="free_idiv")
 
 
 def free_idiv(triple, points=ZR):
@@ -135,10 +149,26 @@ def classical_idiv_density(triple, t_max=64.0, n_samples=2**14):
     return xs, dens
 
 
-def _pole_distance(triple, w):
-    if triple.sigma.is_zero:
-        return math.inf
-    return min(abs(w - p) for p in triple.sigma.positions)
+def _pole_distance(poles, w):
+    near = math.inf
+    for p in poles:
+        d = abs(w - p)
+        if d < near:
+            near = d
+    return near
+
+
+def _rk4_step(phi, w, h, k1):
+    """One RK4 step of dF/dt = phi(F) from w, given k1 = phi(w); h may be per point."""
+    k2 = phi(w + 0.5 * h * k1)
+    k3 = phi(w + 0.5 * h * k2)
+    k4 = phi(w + h * k3)
+    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _below_floor(w, t, im0, log_m, exp=math.exp):
+    """Im F_t(z0) >= m^-t Im z0 holds on the exact flow; True where it fails."""
+    return w.imag < exp(-log_m * t) * im0 * (1.0 - 1e-7) - 1e-12
 
 
 def _rk4_leg(triple, w, t_from, t_to, step, im0, label):
@@ -148,38 +178,90 @@ def _rk4_leg(triple, w, t_from, t_to, step, im0, label):
     inside the distance to Phi's real poles (only relevant when starting
     near the real axis, e.g. on a density grid).
     """
-    t = t_from
+    phi = _phi(triple)
     log_m = math.log(triple.m)
+    poles = triple.sigma.positions
+    t = t_from
     while t < t_to - 1e-15:
-        speed = abs(phi_eval(triple, w))
+        k1 = phi(w)
+        speed = abs(k1)
         h = min(step, t_to - t)
         if speed > 0.0:
             h = min(h,
-                    0.2 * _pole_distance(triple, w) / speed,
+                    0.2 * _pole_distance(poles, w) / speed,
                     0.1 * max(1.0, abs(w)) / speed)
-        k1 = phi_eval(triple, w)
-        k2 = phi_eval(triple, w + 0.5 * h * k1)
-        k3 = phi_eval(triple, w + 0.5 * h * k2)
-        k4 = phi_eval(triple, w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = _rk4_step(phi, w, h, k1)
         t += h
-        floor = math.exp(-log_m * t) * im0
-        if w.imag < floor * (1.0 - 1e-7) - 1e-12:
+        if _below_floor(w, t, im0, log_m):
             raise FlowError(
                 f"{label}: Im F fell below m^-t Im z at t={t:.6f} (z0 im {im0})"
             )
     return w
 
 
+def _rk4_leg_array(triple, z, t_end, step):
+    """_rk4_leg from t = 0 for a 1-d array of start points, run in lockstep.
+
+    Each point keeps its own time, sub-step cap and floor check, and leaves
+    the active set once it reaches t_end.
+    """
+    phi = _phi(triple)
+    log_m = math.log(triple.m)
+    poles = np.array(triple.sigma.positions)
+    out = np.empty_like(z)
+    active = np.arange(z.size)
+    w, t, im0 = z, np.zeros(z.size), z.imag
+    while True:
+        done = t >= t_end - 1e-15
+        if done.any():
+            out[active[done]] = w[done]
+            keep = ~done
+            active, w, t, im0 = active[keep], w[keep], t[keep], im0[keep]
+        if not active.size:
+            return out
+        k1 = phi(w)
+        speed = np.abs(k1)
+        h = np.minimum(step, t_end - t)
+        near = np.abs(w[:, None] - poles).min(axis=1, initial=np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cap = np.minimum(0.2 * near / speed, 0.1 * np.maximum(1.0, np.abs(w)) / speed)
+        h = np.where(speed > 0.0, np.minimum(h, cap), h)
+        w = _rk4_step(phi, w, h, k1)
+        t = t + h
+        bad = _below_floor(w, t, im0, log_m, np.exp)
+        if bad.any():
+            i = np.argmax(bad)
+            raise FlowError(
+                f"flow from z0={complex(z[active[i]])!r}: Im F fell below m^-t Im z "
+                f"at t={t[i]:.6f}"
+            )
+
+
 def flow_map(triple, t_end, z, step=FLOW_STEP):
-    """F_t(z) by RK4 from F_0 = z."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValidationError("flow starts in the open upper half-plane")
+    """F_t(z) by RK4 from F_0 = z.
+
+    z is one point or an ndarray of points.  An ndarray is integrated in
+    lockstep by array arithmetic, which beats one scalar flow per point
+    beyond about a dozen points (a density grid, not ZR); a single point
+    takes the scalar leg.  Both legs share Phi, the RK4 step and the floor
+    check, and agree to rounding.
+    """
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex)
+        bad = ~(np.isfinite(z) & (z.imag > 0))
+        if bad.any():
+            raise ValidationError(
+                f"flow starts in the open upper half-plane; got {complex(z[bad][0])!r}")
+    else:
+        z = complex(z)
+        if not (cmath.isfinite(z) and z.imag > 0):
+            raise ValidationError(f"flow starts in the open upper half-plane; got {z!r}")
     if t_end < 0:
         raise ValidationError("backward flows are not supported")
     if t_end == 0:
         return z
+    if isinstance(z, np.ndarray):
+        return _rk4_leg_array(triple, z.ravel(), float(t_end), step).reshape(z.shape)
     return _rk4_leg(triple, z, 0.0, float(t_end), step, z.imag, "flow")
 
 
@@ -252,13 +334,10 @@ def flow_distance_bound(t1, t2, points=ZR, step=FLOW_STEP):
     def run(triple, z):
         t, w = 0.0, complex(z)
         states.append(w)
+        phi = _phi(triple)
         while t < 1.0 - 1e-15:
             h = min(step, 1.0 - t)
-            k1 = phi_eval(triple, w)
-            k2 = phi_eval(triple, w + 0.5 * h * k1)
-            k3 = phi_eval(triple, w + 0.5 * h * k2)
-            k4 = phi_eval(triple, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            w = _rk4_step(phi, w, h, phi(w))
             t += h
             states.append(w)
             if not (abs(w) < 1e6 and w.imag > 0):
@@ -267,7 +346,8 @@ def flow_distance_bound(t1, t2, points=ZR, step=FLOW_STEP):
 
     end1 = [run(t1, z) for z in points]
     end2 = [run(t2, z) for z in points]
-    eps = max(abs(phi_eval(t1, w) - phi_eval(t2, w)) for w in states)
+    phi1, phi2 = _phi(t1), _phi(t2)
+    eps = max(abs(phi1(w) - phi2(w)) for w in states)
     m1 = max(abs(phi_deriv(t2, w)) for w in states)
     factor = (math.expm1(m1) / m1) if m1 > 1e-12 else 1.0
     bound = factor * eps

@@ -5,6 +5,8 @@ import pytest
 
 from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
 from ncprob.errors import ValidationError
+from ncprob.idiv import LevyTriple, flow_map
+from ncprob.transforms import stieltjes_invert
 
 
 def run(args):
@@ -75,6 +77,35 @@ def test_idiv_monotone_density(tmp_path):
     assert (tmp_path / "mono_density.svg").exists()
     header = open(f"{out}_density.csv").readline()
     assert header.startswith("#")
+
+
+def test_idiv_monotone_sweep_matches_pointwise_flow(tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["idiv", "--op", "monotone", "--m", 0.8, "--gamma", 0.3, "--sigma", "1:0.3",
+                "--bins", 41, "--output", out]) == EXIT_OK
+    triple = LevyTriple.from_parts(0.8, 0.3, [(1.0, 0.3)])
+    ref = stieltjes_invert(lambda z: 1.0 / flow_map(triple, 1.0, z), 1e-3, (-6.0, 6.0), 41)
+    rows = [tuple(map(float, line.split(","))) for line in open(f"{out}_density.csv")
+            if not line.startswith("#")]
+    assert [x for x, _ in rows] == [x for x, _ in ref.density]
+    for (_, d), (_, d_ref) in zip(rows, ref.density):
+        assert abs(d - d_ref) <= 1e-12 * abs(d_ref)
+    atoms = read_json(f"{out}_atoms.json")["atoms"]
+    assert len(atoms) == 1
+    assert atoms == [list(a) for a in ref.atoms]
+
+
+@pytest.mark.parametrize("op", ["monotone", "free"])
+@pytest.mark.parametrize("flag, named", [
+    ("--x-window=0:inf", "window"), ("--x-window=nan:1", "window"),
+    ("--grid-eps=inf", "--grid-eps"), ("--grid-eps=nan", "--grid-eps"),
+    ("--grid-eps=0", "--grid-eps"),
+])
+def test_idiv_rejects_non_finite_window_and_eps(tmp_path, capsys, op, flag, named):
+    out = tmp_path / "bad"
+    assert run(["idiv", "--op", op, "--sigma", "0:1", flag, "--output", out]) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "bad_density.csv").exists()
 
 
 def test_idiv_free_density(tmp_path):

@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 
 from ncprob.errors import FlowError, ValidationError
@@ -20,7 +22,7 @@ from ncprob.idiv import (
     semigroup_defect,
 )
 from ncprob.measures import FiniteAtomicMeasure, PARAMETER
-from ncprob.transforms import ZR, e_transform, weak_distance
+from ncprob.transforms import ZR, e_transform, eps_line_grid, weak_distance
 
 GAUSSIAN = LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)])
 POISSON_TYPE = LevyTriple.from_parts(1.0, 0.5, [(1.0, 0.5)])
@@ -165,6 +167,8 @@ def test_flow_rejects_bad_inputs():
         flow_map(GAUSSIAN, -1.0, 1j)
     with pytest.raises(ValidationError):
         flow_map(GAUSSIAN, 1.0, 1.0 - 1j)
+    with pytest.raises(ValidationError):
+        flow_map(GAUSSIAN, 1.0, complex(0.0, math.inf))
 
 
 def test_semigroup_defect_small():
@@ -221,3 +225,39 @@ def test_flow_invariant_holds_on_stored_grids():
         floor = 0.7 ** (-t)
         for z0, v in zip(ZR, grid.values):
             assert v.imag >= floor * z0.imag * (1.0 - 1e-9)
+
+
+EPS_LINE = np.array(eps_line_grid((-6.0, 6.0), 301, 1e-3))
+
+
+@pytest.mark.parametrize("triple", [
+    GAUSSIAN,
+    LevyTriple.from_parts(0.8, 0.2, [(-1.1, 0.3), (0.9, 0.35)]),
+    LevyTriple.from_parts(0.6, 0.4, []),  # drift and dilation: no poles
+], ids=["gaussian", "two_atoms", "no_poles"])
+def test_flow_map_array_matches_scalar(triple):
+    got = flow_map(triple, 1.0, EPS_LINE)
+    assert got.shape == EPS_LINE.shape
+    # the lockstep leg integrates each point on its own, so every third point
+    # (x = 0, on the Gaussian's pole, among them) checks it at a third of the cost
+    for z, w in zip(EPS_LINE[::3], got[::3]):
+        ref = flow_map(triple, 1.0, complex(z))
+        assert abs(w - ref) <= 1e-14 * abs(ref)
+
+
+def test_flow_map_array_inputs():
+    z = EPS_LINE[:5]
+    assert np.array_equal(flow_map(GAUSSIAN, 0.0, z), z)
+    for bad in (0.5 + 0.0j, 0.5 - 1e-3j, complex(math.inf, 1.0), complex(0.0, math.nan)):
+        with pytest.raises(ValidationError):
+            flow_map(GAUSSIAN, 1.0, np.append(z, bad))
+
+
+def test_flow_map_array_error_names_start_point():
+    # with step 1 only the sub-step cap limits h: 0.1j jumps to t = 0.43 in one
+    # step and falls below the floor there, before the points with |z| > 1 do
+    steep = LevyTriple.from_parts(0.1, 0.0, [])
+    with pytest.raises(FlowError, match=re.escape("z0=0.1j")):
+        flow_map(steep, 1.0, np.array([10 + 10j, 0.1j, 3 + 1j]), step=1.0)
+    with pytest.raises(FlowError):
+        flow_map(steep, 1.0, 0.1j, step=1.0)
