@@ -19,7 +19,6 @@ from .convolutions import (
 )
 from .errors import (
     ConvergenceError,
-    DegreeCapExceeded,
     FlowError,
     NumericalError,
     RecoveryError,
@@ -45,7 +44,6 @@ from .idiv import (
     phi_eval,
 )
 from .measures import CircleMeasure, FiniteAtomicMeasure
-from .rational import Polynomial, RationalMap, partial_fractions, real_roots
 from .transforms import (
     NevanlinnaData,
     TransformGrid,
@@ -53,7 +51,6 @@ from .transforms import (
     cauchy_G,
     e_transform,
     f_transform,
-    nevanlinna_decompose,
     recover_measure,
     stieltjes_invert,
     voiculescu_phi,
@@ -66,14 +63,11 @@ __all__ = [
     "ArraySpec",
     "CircleMeasure",
     "ConvergenceError",
-    "DegreeCapExceeded",
     "FiniteAtomicMeasure",
     "FlowError",
     "LevyTriple",
     "NevanlinnaData",
     "NumericalError",
-    "Polynomial",
-    "RationalMap",
     "RecoveryError",
     "TransformGrid",
     "ValidationError",
@@ -99,10 +93,7 @@ __all__ = [
     "monotone_convolve",
     "monotone_idiv_flow",
     "monotone_power_grid",
-    "nevanlinna_decompose",
-    "partial_fractions",
     "phi_eval",
-    "real_roots",
     "recover_measure",
     "run_powers",
     "stieltjes_invert",

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
+from .harness import _k_of, _verdict
 from .measures import PARAMETER, CircleMeasure
 from .solvers import disk_guard, newton
 
@@ -391,12 +392,7 @@ class CircleArraySpec:
         object.__setattr__(self, "n_values", ns)
 
     def k_of(self, n):
-        if self.k_table is None:
-            return int(n)
-        table = dict(self.k_table)
-        if n not in table:
-            raise ValidationError(f"k_n table has no entry for n={n}")
-        return int(table[n])
+        return _k_of(self.k_table, n)
 
     def eta_of(self, n):
         return self.eta_factory(n)
@@ -450,16 +446,6 @@ def detect_rotation(spec, beta, n):
     return int(ell)
 
 
-def _eta_verdict(distances, tol):
-    if distances[-1] > tol:
-        return False
-    tail = distances[-3:]
-    for a, b in zip(tail, tail[1:]):
-        if b > 1.1 * a + 1e-9:
-            return False
-    return True
-
-
 def rotation_correction(spec, beta, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID):
     """Detect per-row rotations and compare corrected vs raw monotone powers.
 
@@ -487,8 +473,8 @@ def rotation_correction(spec, beta, tol=0.05, flow_step=FLOW_STEP, points=DISK_G
     return {
         "array": spec.name,
         "rows": rows,
-        "uncorrected_converged": _eta_verdict(raw_d, tol),
-        "corrected_converged": _eta_verdict(fix_d, tol),
+        "uncorrected_converged": _verdict(raw_d, tol),
+        "corrected_converged": _verdict(fix_d, tol),
         "tolerance": tol,
     }
 
@@ -524,8 +510,8 @@ def circle_equivalence(spec, beta, sigma, tol=0.05, flow_step=FLOW_STEP,
         rows_m.append({"n": n, "k": k, "distance": float(dist_m)})
         db.append(float(dist_b))
         dm.append(float(dist_m))
-    conv_b = _eta_verdict(db, tol)
-    conv_m = _eta_verdict(dm, tol)
+    conv_b = _verdict(db, tol)
+    conv_m = _verdict(dm, tol)
     return {
         "array": spec.name,
         "beta_condition": {"holds": beta_ok, "rows": beta_rows},

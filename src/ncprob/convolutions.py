@@ -1,10 +1,10 @@
 """The four additive convolutions and their k-fold powers.
 
 Single classical/Boolean/monotone convolutions of atomic measures are exact
-(measure algebra or rational algebra); free convolution and large monotone
-powers are evaluated pointwise on complex grids.  The hybrid split exists
-because the degree of a composed F-transform grows exponentially with the
-power, so exact algebra only serves small k.
+(measure algebra, or Nevanlinna data and symmetric eigen-solves), and so are
+Boolean powers, whose data only scale; free convolution and monotone powers
+are evaluated pointwise on complex grids.  The hybrid split exists because a
+k-fold monotone power of an n-atom measure has up to n^k atoms.
 """
 
 from __future__ import annotations
@@ -12,10 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .measures import FiniteAtomicMeasure
-from .rational import DEGREE_CAP, RationalMap
+from .measures import PARAMETER, FiniteAtomicMeasure
+from .rational import spectral_measure
 from .solvers import newton, upper_half_plane_guard
-from .transforms import ZR, TransformGrid, e_transform, f_transform, recover_measure
+from .transforms import (
+    ZR,
+    NevanlinnaData,
+    TransformGrid,
+    _measure_of_mass,
+    f_transform,
+    recover_measure,
+)
 
 #: iteration budget for the subordination fixed point
 _SUBORD_TOL = 1e-13
@@ -37,19 +44,27 @@ def classical_convolve(mu, nu):
 
 
 def boolean_convolve(mu, nu):
-    """Boolean convolution: E adds, mass multiplies."""
-    f = RationalMap.from_linear(1.0 / (mu.mass * nu.mass)) - e_transform(mu) - e_transform(nu)
-    return recover_measure(f)
+    """Boolean convolution: E adds, so the masses multiply and gamma, sigma add."""
+    a, b = f_transform(mu), f_transform(nu)
+    sigma = FiniteAtomicMeasure.from_pairs(a.sigma.atoms + b.sigma.atoms, role=PARAMETER)
+    return recover_measure(NevanlinnaData(a.m * b.m, a.gamma + b.gamma, sigma))
 
 
-def monotone_convolve(mu, nu, cap=DEGREE_CAP):
+def monotone_convolve(mu, nu):
     """Monotone convolution: F composes.  Mass multiplies.
 
-    Raises DegreeCapExceeded when the composed degree passes the cap; the
-    caller should fall back to monotone_power_grid / pointwise iteration.
+    With r = sqrt(v) for the weights v of nu, Sherman-Morrison gives
+    1/(F_nu(z) - x) = r^T (z - diag(y) - x r r^T)^{-1} r, so each atom
+    (x, w) of mu contributes the spectral measure of that rank-one update,
+    scaled by w: len(mu) eigen-solves of size len(nu).
     """
-    f = f_transform(mu).compose(f_transform(nu), cap=cap)
-    return recover_measure(f)
+    y = np.diag(nu.positions)
+    r = np.sqrt(np.asarray(nu.weights))
+    rr = np.outer(r, r)
+    parts = [spectral_measure(y + x * rr, r) for x in mu.positions]
+    xs = np.concatenate([e for e, _ in parts])
+    ws = np.concatenate([w * q for w, (_, q) in zip(mu.weights, parts)])
+    return _measure_of_mass(xs, ws, mu.mass * nu.mass)
 
 
 def free_convolve_F(f_mu, f_nu):
@@ -99,11 +114,11 @@ def free_convolve(mu, nu, points=ZR):
 
 
 def boolean_power(mu, k):
-    """k-fold Boolean power, exact for any k: F = z/m^k - k E."""
+    """k-fold Boolean power, exact for any k: the data scale to (m^k, k gamma, k sigma)."""
     if k < 1:
         raise ValidationError("power must be >= 1")
-    f = RationalMap.from_linear(1.0 / mu.mass**k) - float(k) * e_transform(mu)
-    return recover_measure(f)
+    f = f_transform(mu)
+    return recover_measure(NevanlinnaData(f.m**k, k * f.gamma, f.sigma.scale_mass(k)))
 
 
 def iterate_f(f_eval, k, z):
@@ -121,7 +136,7 @@ def iterate_f(f_eval, k, z):
 
 
 def monotone_power_grid(mu, k, points=ZR):
-    """k-fold monotone power: pointwise iteration of the exact rational F."""
+    """k-fold monotone power: pointwise iteration of the exact F."""
     if k < 1:
         raise ValidationError("power must be >= 1")
     f = f_transform(mu)
@@ -156,18 +171,14 @@ def free_power_eval(mu, k, z, tol=1e-12):
     """F of the k-fold free power at z, via phi-additivity.
 
     With v = F_mu^{-1}(w) the equation w + k phi(w) = z becomes
-    k v + (1-k) F_mu(v) = z, a rational equation solved by Newton from
-    v = z; the returned value is F_mu(v).
+    v + (k-1) E_mu(v) = z for a probability measure (E = z - F).  E comes
+    straight from the pole-residue form, so no two O(k) terms cancel, as
+    they would in k v + (1-k) F_mu(v).  Solved by Newton from v = z; the
+    returned value is F_mu(v).
     """
     f = f_transform(mu)
-
-    def fun(v):
-        return k * v + (1.0 - k) * f(v) - z
-
-    def dfun(v):
-        return k + (1.0 - k) * f.eval_with_derivative(v)[1]
-
-    v = newton(fun, dfun, z, tol=tol * max(1.0, abs(z)),
+    v = newton(lambda v: v + (k - 1) * f._e(v) - z,
+               lambda v: 1.0 + (k - 1) * f._e_prime(v), z, tol=tol * max(1.0, abs(z)),
                guard=upper_half_plane_guard, label="free_power")
     return complex(f(v))
 

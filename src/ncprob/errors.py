@@ -13,16 +13,12 @@ class ConvergenceError(NumericalError):
     """An iterative solver (Newton, fixed point) did not converge."""
 
 
-class DegreeCapExceeded(NumericalError):
-    """Exact rational composition would exceed the configured degree cap."""
-
-
 class FlowError(NumericalError):
     """An ODE flow violated its invariant or left its admissible region."""
 
 
 class RecoveryError(NumericalError):
-    """A rational map is not the transform of a positive measure."""
+    """Recovered atoms do not carry the mass of the transform they came from."""
 
 
 class ZeroMeanError(ValidationError):

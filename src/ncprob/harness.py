@@ -48,6 +48,16 @@ def _bernoulli():
     return FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
 
 
+def _k_of(k_table, n):
+    """k_n from a ((n, k), ...) table; k_n = n without one."""
+    if k_table is None:
+        return int(n)
+    table = dict(k_table)
+    if n not in table:
+        raise ValidationError(f"k_n table has no entry for n={n}")
+    return int(table[n])
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """One measure per row n, plus the power rule k_n and the target triple."""
@@ -70,12 +80,7 @@ class ArraySpec:
             raise ValidationError("k_n must be positive and strictly increasing")
 
     def k_of(self, n):
-        if self.k_table is None:
-            return int(n)
-        table = dict(self.k_table)
-        if n not in table:
-            raise ValidationError(f"k_n table has no entry for n={n}")
-        return int(table[n])
+        return _k_of(self.k_table, n)
 
     def measure(self, n):
         if self.measure_fn is None:

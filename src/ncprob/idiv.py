@@ -74,8 +74,7 @@ def phi_deriv(triple, z):
 
 def boolean_idiv(triple):
     """The Boolean law of the triple: exact atomic measure of mass m."""
-    nev = NevanlinnaData(triple.m, triple.gamma, triple.sigma)
-    return recover_measure(nev.to_rational())
+    return recover_measure(NevanlinnaData(triple.m, triple.gamma, triple.sigma))
 
 
 def _voiculescu(triple, w):

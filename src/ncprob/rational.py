@@ -1,338 +1,46 @@
-"""Real-coefficient polynomials and rational maps.
+"""Symmetric eigen-kernels behind the pole-residue form of atomic transforms.
 
-This is the exact carrier for the F/G/E-transforms of atomic measures: a
-single Boolean or monotone convolution stays inside this arithmetic, so the
-result is exact up to floating point.  Root finding goes through the
-companion matrix (np.roots) followed by one Newton polish step.
+The F-transform of an atomic measure is carried as Nevanlinna data
+(``transforms.NevanlinnaData``), F(z) = z/m - gamma + sum s (1+pz)/(p-z).
+Every exact step between measures and that form is a symmetric eigenproblem
+(Golub, *Some modified matrix eigenvalue problems*, SIAM Rev. 1973):
+
+- the poles p of F are the zeros of G, the eigenvalues of diag(x) compressed
+  against the unit vector sqrt(w/m);
+- the measure with G(z) = b^T (z - A)^{-1} b for a symmetric A has its atoms
+  at the eigenvalues of A and weights (q^T b)^2; an arrowhead A recovers a
+  measure from its data, a rank-one update of diag(y) composes F-transforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import numpy.polynomial.polynomial as npp
-
-from .errors import DegreeCapExceeded, ValidationError
-
-TRIM_REL = 1e-13
-ROOT_IMAG_TOL = 1e-8        # |Im| below this classifies a root as real
-ROOT_CLUSTER_TOL = 1e-7     # real roots closer than this form one multiple root
-CANCEL_TOL = 1e-9           # num/den roots closer than this are cancelled
-DEGREE_CAP = 64
-
-_PROBE_POINTS = tuple(complex(x, y) for y in (1.0, 2.0) for x in (-2.7, -1.1, 0.3, 1.3, 2.9))
 
 
-def _trim(coeffs):
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if c.size == 0:
-        raise ValidationError("empty coefficient list")
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("non-finite polynomial coefficient")
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return (0.0,)
-    keep = np.nonzero(np.abs(c) > TRIM_REL * scale)[0]
-    if keep.size == 0:
-        return (0.0,)
-    return tuple(float(v) for v in c[: keep[-1] + 1])
+def spectral_measure(a, b):
+    """Atoms and weights of the measure with G(z) = b^T (z - a)^{-1} b.
 
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial, coefficients ascending, leading coefficient non-zero."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @classmethod
-    def zero(cls):
-        return cls((0.0,))
-
-    @classmethod
-    def one(cls):
-        return cls((1.0,))
-
-    @classmethod
-    def identity(cls):
-        return cls((0.0, 1.0))
-
-    @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        c = npp.polyfromroots(np.asarray(roots, dtype=float)) * leading
-        return cls(tuple(c))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return self.coeffs == (0.0,)
-
-    @property
-    def leading(self):
-        return self.coeffs[-1]
-
-    def __call__(self, z):
-        return npp.polyval(z, self.coeffs)
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        return Polynomial(tuple(npp.polyadd(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        return Polynomial(tuple(npp.polysub(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial(tuple(np.asarray(self.coeffs) * float(other)))
-        return Polynomial(tuple(npp.polymul(self.coeffs, other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def derivative(self):
-        return Polynomial(tuple(npp.polyder(self.coeffs)))
-
-    def compose(self, other):
-        """self(other(z)), by Horner in polynomial arithmetic."""
-        acc = Polynomial((self.coeffs[-1],))
-        for c in self.coeffs[-2::-1]:
-            acc = acc * other + Polynomial((c,))
-        return acc
-
-
-def _as_poly(v):
-    if isinstance(v, Polynomial):
-        return v
-    return Polynomial((float(v),))
-
-
-def polynomial_divmod(a, b):
-    """Quotient and remainder of a / b, ascending coefficients."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = npp.polydiv(a.coeffs, b.coeffs)
-    return Polynomial(tuple(q)), Polynomial(tuple(r))
-
-
-def real_roots(p, imag_tol=ROOT_IMAG_TOL, cluster_tol=ROOT_CLUSTER_TOL):
-    """All real roots of p as (root, multiplicity) pairs, ascending.
-
-    Companion-matrix eigenvalues with one Newton polish step; a root is
-    classified real when |Im| <= imag_tol * max(1, |root|).
+    a is a real symmetric matrix; the atoms are its eigenvalues (ascending)
+    and the weights the squared projections of b on its eigenvectors.
     """
-    if p.degree < 1:
-        raise ValidationError("real_roots needs degree >= 1")
-    raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
-    dp = p.derivative()
-    polished = []
-    for r in raw:
-        for _ in range(3):  # Newton polish; quits once the step stalls
-            d = dp(r)
-            if abs(d) <= 1e-30:
-                break
-            step = p(r) / d
-            if abs(step) > 1.0 + abs(r):  # reject wild steps at clusters
-                break
-            r = r - step
-            if abs(step) <= 1e-15 * max(1.0, abs(r)):
-                break
-        polished.append(r)
-    reals = sorted(
-        r.real for r in polished if abs(r.imag) <= imag_tol * max(1.0, abs(r))
-    )
-    out = []
-    for r in reals:
-        if out and r - out[-1][0] <= cluster_tol:
-            x, m = out[-1]
-            out[-1] = ((x * m + r) / (m + 1), m + 1)
-        else:
-            out.append((r, 1))
-    return [(float(x), int(m)) for x, m in out]
+    evals, evecs = np.linalg.eigh(a)
+    return evals, (evecs.T @ b) ** 2
 
 
-def _deflate(coeffs, root):
-    """Divide ascending-coefficient poly by (z - root); drops the remainder."""
-    c = np.asarray(coeffs, dtype=float)
-    n = c.size - 1
-    out = np.empty(n)
-    acc = c[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = c[i] + acc * root
-    return tuple(out)
+def cauchy_zeros(x, u):
+    """Compress diag(x) against the unit vector u: returns (a, p, c).
 
-
-def _cancel_common_real_roots(num, den):
-    if num.degree == 0 or den.degree == 0:
-        return num, den
-    try:
-        nr = [r for r, m in real_roots(num) for _ in range(m)]
-        dr = [r for r, m in real_roots(den) for _ in range(m)]
-    except ValidationError:
-        return num, den
-    matched = []
-    used = [False] * len(dr)
-    for r in nr:
-        for j, s in enumerate(dr):
-            if not used[j] and abs(r - s) <= CANCEL_TOL * max(1.0, abs(r)):
-                used[j] = True
-                matched.append(0.5 * (r + s))
-                break
-    if not matched:
-        return num, den
-    nc, dc = num.coeffs, den.coeffs
-    for r in matched:
-        nc = _deflate(nc, r)
-        dc = _deflate(dc, r)
-    return Polynomial(nc), Polynomial(dc)
-
-
-@dataclass(frozen=True)
-class RationalMap:
-    """Ratio of two real polynomials, canonical with monic denominator."""
-
-    num: Polynomial
-    den: Polynomial
-
-    def __post_init__(self):
-        if self.den.is_zero:
-            raise ValidationError("denominator is identically zero")
-        num, den = _cancel_common_real_roots(self.num, self.den)
-        lead = den.leading
-        object.__setattr__(self, "num", num * (1.0 / lead))
-        object.__setattr__(self, "den", den * (1.0 / lead))
-
-    @classmethod
-    def identity(cls):
-        return cls(Polynomial.identity(), Polynomial.one())
-
-    @classmethod
-    def from_linear(cls, slope, intercept=0.0):
-        return cls(Polynomial((float(intercept), float(slope))), Polynomial.one())
-
-    @classmethod
-    def constant(cls, c):
-        return cls(Polynomial((float(c),)), Polynomial.one())
-
-    @property
-    def degree(self):
-        return max(self.num.degree, self.den.degree)
-
-    def __call__(self, z):
-        return self.num(z) / self.den(z)
-
-    def eval_with_derivative(self, z):
-        n, d = self.num(z), self.den(z)
-        dn, dd = self.num.derivative()(z), self.den.derivative()(z)
-        return n / d, (dn * d - n * dd) / (d * d)
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        return RationalMap(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other):
-        return _as_rational(other) + (-self)
-
-    def __neg__(self):
-        return RationalMap(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return RationalMap(self.num * float(other), self.den)
-        return RationalMap(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def compose(self, other, cap=DEGREE_CAP):
-        """Exact self(other(z)).  Raises DegreeCapExceeded past the cap."""
-        d = max(self.num.degree, self.den.degree)
-        result_degree = d * max(other.num.degree, other.den.degree)
-        if result_degree > cap:
-            raise DegreeCapExceeded(
-                f"composition degree {result_degree} exceeds cap {cap}"
-            )
-        p, q = other.num, other.den
-        # powers of p and q up to d
-        pk = [Polynomial.one()]
-        qk = [Polynomial.one()]
-        for _ in range(d):
-            pk.append(pk[-1] * p)
-            qk.append(qk[-1] * q)
-
-        def lift(poly):
-            acc = Polynomial.zero()
-            for i, c in enumerate(poly.coeffs):
-                if c != 0.0:
-                    acc = acc + c * (pk[i] * qk[d - i])
-            return acc
-
-        return RationalMap(lift(self.num), lift(self.den))
-
-
-def _as_rational(v):
-    if isinstance(v, RationalMap):
-        return v
-    if isinstance(v, Polynomial):
-        return RationalMap(v, Polynomial.one())
-    return RationalMap.constant(float(v))
-
-
-@dataclass(frozen=True)
-class PartialFractions:
-    """f(z) = slope*z + intercept + sum of residue/(z - pole)."""
-
-    slope: float
-    intercept: float
-    poles: tuple  # ((location, residue), ...)
-
-    def __call__(self, z):
-        acc = self.slope * z + self.intercept
-        for p, r in self.poles:
-            acc = acc + r / (z - p)
-        return acc
-
-
-def partial_fractions(f, check_tol=1e-10):
-    """Decompose f with deg(num) <= deg(den) + 1 and simple real poles.
-
-    The decomposition is verified against f on a fixed probe grid in the
-    upper half-plane; disagreement or non-real/multiple poles raise.
+    A Householder reflector H sends u to -+e_0, so H diag(x) H is
+    [[a, b^T], [b, B]] with a = sum u^2 x.  With B = V diag(p) V^T and
+    c = V^T b,
+        1 / sum u_j^2/(z - x_j) = z - a - sum c_k^2/(z - p_k),
+    so the p (ascending) are the zeros of the left-hand sum's reciprocal.
     """
-    if f.num.degree > f.den.degree + 1:
-        raise ValidationError("partial_fractions needs deg(num) <= deg(den) + 1")
-    q, r = polynomial_divmod(f.num, f.den)
-    if q.degree > 1:
-        raise ValidationError("polynomial part has degree > 1")
-    slope = q.coeffs[1] if q.degree >= 1 else 0.0
-    intercept = q.coeffs[0]
-    poles = []
-    if f.den.degree >= 1:
-        roots = real_roots(f.den)
-        if sum(m for _, m in roots) < f.den.degree:
-            raise ValidationError("denominator has non-real poles")
-        if any(m > 1 for _, m in roots):
-            raise ValidationError("denominator has multiple poles")
-        dden = f.den.derivative()
-        poles = [(p, float(np.real(r(p) / dden(p)))) for p, _ in roots]
-    pf = PartialFractions(float(slope), float(intercept), tuple(poles))
-    for z in _PROBE_POINTS:
-        fv = f(z)
-        if abs(pf(z) - fv) > check_tol * max(1.0, abs(fv)):
-            raise ValidationError("partial fraction decomposition failed probe check")
-    return pf
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = u.copy()
+    v[0] += 1.0 if v[0] >= 0.0 else -1.0
+    h = np.eye(x.size) - (2.0 / (v @ v)) * np.outer(v, v)
+    t = (h * x) @ h
+    p, vecs = np.linalg.eigh(t[1:, 1:])
+    return float(x @ (u * u)), p, vecs.T @ t[1:, 0]

@@ -1,9 +1,11 @@
 """Half-plane transforms G, F, E, phi and their inverses.
 
-G is the Cauchy transform, F = 1/G, E = z/mass - F.  For atomic measures F
-and E are exact rational maps; measures are recovered from rational
-F-transforms through poles and residues of G, and from sampled G-values
-through Stieltjes inversion on a line just above the real axis.
+G is the Cauchy transform, F = 1/G, E = z/mass - F.  For an atomic measure
+F is carried exactly in pole-residue (Nevanlinna) form; the measure comes
+back from that form by one symmetric eigen-solve, and from sampled G-values
+by Stieltjes inversion on a line just above the real axis.  Exact forms
+serve single convolutions; a k-fold power has up to n^k atoms, so powers are
+evaluated pointwise.
 
 The weak-convergence metric used throughout the package lives here: the
 maximum G-difference over a fixed ten-point grid ZR plus the mass gap.
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecoveryError, ValidationError
-from .measures import PARAMETER, STATE, FiniteAtomicMeasure
-from .rational import Polynomial, RationalMap, partial_fractions, real_roots
+from .measures import PARAMETER, FiniteAtomicMeasure
+from .rational import cauchy_zeros, spectral_measure
 from .solvers import newton, upper_half_plane_guard
 
 #: canonical evaluation grid: Im >= 1 keeps every engine well-conditioned
@@ -103,7 +105,11 @@ class StolzAngle:
 
 @dataclass(frozen=True)
 class NevanlinnaData:
-    """Canonical representation F(z) = z/m - gamma + sum s_j (1+p_j z)/(p_j - z)."""
+    """F(z) = z/m - gamma + sum s_j (1+p_j z)/(p_j - z): an atomic measure's F.
+
+    Calling the data evaluates F.  The pointwise engines do that millions of
+    times, so the sums zip sigma's fields and live on private names.
+    """
 
     m: float
     gamma: float
@@ -112,23 +118,26 @@ class NevanlinnaData:
     def __post_init__(self):
         if not (0.0 < self.m <= 1.0 + 1e-9):
             raise ValidationError(f"mass parameter m={self.m} outside (0, 1]")
+        if not math.isfinite(self.gamma):
+            raise ValidationError(f"non-finite gamma {self.gamma}")
         if self.sigma.role != PARAMETER:
             object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
 
-    def f_eval(self, z):
-        acc = z / self.m - self.gamma
-        for p, s in self.sigma.atoms:
-            acc = acc + s * (1.0 + p * z) / (p - z)
+    def __call__(self, z):
+        return z / self.m - self._e(z)
+
+    def _e(self, z):
+        """E(z) = z/m - F(z) = gamma - sum s (1+pz)/(p-z), free of cancellation."""
+        acc = self.gamma
+        for p, s in zip(self.sigma.positions, self.sigma.weights):
+            acc = acc - s * (1.0 + p * z) / (p - z)
         return acc
 
-    def to_rational(self):
-        num = Polynomial((-self.gamma, 1.0 / self.m))
-        den = Polynomial.one()
-        for p, s in self.sigma.atoms:
-            factor = Polynomial((p, -1.0))  # (p - z)
-            num = num * factor + s * Polynomial((1.0, p)) * den
-            den = den * factor
-        return RationalMap(num, den)
+    def _e_prime(self, z):
+        acc = 0.0
+        for p, s in zip(self.sigma.positions, self.sigma.weights):
+            acc = acc - s * (1.0 + p * p) / (p - z) ** 2
+        return acc
 
 
 def cauchy_G(mu, z):
@@ -143,21 +152,24 @@ def cauchy_G(mu, z):
 
 
 def f_transform(mu):
-    """Exact rational F = 1/G for an atomic measure."""
+    """F = 1/G of an atomic measure, as its Nevanlinna data.
+
+    The poles p of F are the zeros of G (``cauchy_zeros``); the arrow
+    entries c give the residues rho = c^2/m, so s = rho/(1+p^2), and gamma
+    follows from the first moment.
+    """
     if mu.is_zero:
         raise ValidationError("F-transform of the zero measure is undefined")
-    xs = list(mu.positions)
-    den_g = Polynomial.from_roots(xs)
-    num_g = Polynomial.zero()
-    for j, w in enumerate(mu.weights):
-        num_g = num_g + w * Polynomial.from_roots(xs[:j] + xs[j + 1 :])
-    return RationalMap(den_g, num_g)
+    m = mu.mass
+    a, p, c = cauchy_zeros(mu.positions, np.sqrt(np.asarray(mu.weights) / m))
+    s = c * c / m / (1.0 + p * p)
+    sigma = FiniteAtomicMeasure(tuple(p), tuple(s), PARAMETER)
+    return NevanlinnaData(m, a / m - float(p @ s), sigma)
 
 
 def e_transform(mu):
     """E = z/mass - F, additive under Boolean convolution."""
-    f = f_transform(mu)
-    return RationalMap.from_linear(1.0 / mu.mass) - f
+    return f_transform(mu)._e
 
 
 def voiculescu_phi(mu, z, tol=1e-12, max_iter=100):
@@ -169,65 +181,39 @@ def voiculescu_phi(mu, z, tol=1e-12, max_iter=100):
     if abs(mu.mass - 1.0) > 1e-12:
         raise ValidationError("voiculescu_phi needs a probability measure")
     f = f_transform(mu)
-
-    def fun(w):
-        return f(w) - z
-
-    def dfun(w):
-        return f.eval_with_derivative(w)[1]
-
-    w = newton(fun, dfun, z, tol=tol, max_iter=max_iter,
-               guard=upper_half_plane_guard, label="voiculescu_phi")
+    w = newton(lambda w: f(w) - z, lambda w: 1.0 / f.m - f._e_prime(w), z, tol=tol,
+               max_iter=max_iter, guard=upper_half_plane_guard, label="voiculescu_phi")
     return w - z
 
 
-def nevanlinna_decompose(f, m):
-    """Extract (m, gamma, sigma) from a rational F-transform of mass m."""
-    pf = partial_fractions(f)
-    if abs(pf.slope - 1.0 / m) > 1e-6 * max(1.0, 1.0 / m):
-        raise ValidationError(
-            f"slope {pf.slope} does not match 1/m = {1.0 / m}"
-        )
-    atoms = []
-    for p, r in pf.poles:
-        if r > 1e-12:
-            raise ValidationError(f"positive residue {r} at {p}: not an F-transform")
-        s = -r / (1.0 + p * p)
-        if s > 1e-14:
-            atoms.append((p, s))
-    sigma = FiniteAtomicMeasure.from_pairs(atoms, role=PARAMETER)
-    gamma = -pf.intercept - sum(p * s for p, s in atoms)
-    return NevanlinnaData(float(m), float(gamma), sigma)
+def recover_measure(nev):
+    """The atomic measure whose F-transform is the Nevanlinna data nev.
+
+    G = m e_0^T (z - A)^{-1} e_0 for the arrowhead A = [[m gamma', r^T],
+    [r, diag p]] with gamma' = gamma + sum s p and r = sqrt(m s (1+p^2)):
+    the atoms are A's eigenvalues, the weights m q_0^2.
+    """
+    m = nev.m
+    p = np.asarray(nev.sigma.positions)
+    s = np.asarray(nev.sigma.weights)
+    arrow = np.diag(np.concatenate(([m * (nev.gamma + p @ s)], p)))
+    arrow[0, 1:] = arrow[1:, 0] = np.sqrt(m * s * (1.0 + p * p))
+    e0 = np.zeros(p.size + 1)
+    e0[0] = math.sqrt(m)
+    xs, ws = spectral_measure(arrow, e0)
+    return _measure_of_mass(xs, ws, m)
 
 
-def recover_measure(f):
-    """Invert F = 1/G: atoms at real poles of G, weights from residues."""
-    if f.num.degree != f.den.degree + 1:
-        raise RecoveryError("numerator degree must exceed denominator degree by 1")
-    slope = f.num.leading  # denominator is monic
-    if slope <= 0:
-        raise RecoveryError("leading slope must be positive")
-    mass = 1.0 / slope
-    roots = real_roots(f.num)
-    if sum(m for _, m in roots) < f.num.degree:
-        raise RecoveryError("complex pole of G: not the F-transform of a measure")
-    if any(m > 1 for _, m in roots):
-        raise RecoveryError("multiple pole of G")
-    dnum = f.num.derivative()
-    atoms = []
-    for x, _ in roots:
-        w = float(np.real(f.den(x) / dnum(x)))
-        if w < -1e-12:
-            raise RecoveryError(f"negative residue {w} at {x}")
-        if w > 0:
-            atoms.append((x, w))
-    total = sum(w for _, w in atoms)
-    if abs(total - mass) > 1e-6 * max(1.0, mass):
-        raise RecoveryError(
-            f"residue mass {total} inconsistent with slope mass {mass}"
-        )
-    role = STATE if total <= 1.0 + 1e-9 else PARAMETER
-    return FiniteAtomicMeasure.from_pairs(atoms, role=role)
+def _measure_of_mass(xs, ws, mass):
+    """The atoms (xs, ws) as a measure of the given mass.
+
+    The weights must already sum to the mass (the guard of every recovery);
+    they are then rescaled by that sum's rounding error.
+    """
+    total = float(np.sum(ws))
+    if not abs(total - mass) <= 1e-6 * max(1.0, mass):
+        raise RecoveryError(f"residue mass {total} inconsistent with slope mass {mass}")
+    return FiniteAtomicMeasure(tuple(xs), tuple(ws / total * mass))
 
 
 @dataclass(frozen=True)
@@ -356,8 +342,7 @@ def stolz_tail_estimate(mu, k_n, y, m_limit=None):
     mass^{k_n}).
     """
     f = f_transform(mu)
-    nev = nevanlinna_decompose(f, mu.mass)
-    sig = nev.sigma
+    sig = f.sigma
     left_tail = k_n * sum(w for p, w in sig.atoms if abs(p) > y)
     right_tail = 2.0 * k_n * sum(
         w * (1.0 + p * p) / (p * p + y * y) for p, w in sig.atoms

@@ -44,8 +44,8 @@ from ncprob.measures import CircleMeasure, FiniteAtomicMeasure, PARAMETER
 from ncprob.transforms import (
     TransformGrid,
     ZR,
+    cauchy_G,
     f_transform,
-    nevanlinna_decompose,
     recover_measure,
     weak_distance,
 )
@@ -181,8 +181,7 @@ def test_criterion_7_exact_algebra_oracles():
     for _ in range(25):
         mu = random_state_measure(rng, 5)
         f = f_transform(mu)
-        nev = nevanlinna_decompose(f, mu.mass)
-        assert max(abs(nev.f_eval(z) - f(z)) for z in ZR) <= 1e-9
+        assert max(abs(f(z) - 1.0 / cauchy_G(mu, z)) for z in ZR) <= 1e-9
 
     bb = monotone_convolve(BERNOULLI, BERNOULLI)
     s5 = math.sqrt(5.0)

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from ncprob import cli
 from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
-from ncprob.errors import ValidationError
+from ncprob.errors import RecoveryError, ValidationError
 from ncprob.idiv import LevyTriple, flow_map
 from ncprob.transforms import stieltjes_invert
 
@@ -221,14 +222,36 @@ def test_circle_run_rotated(tmp_path):
     assert rep["grids"]["disk"][0] == [0.4, 0.0]
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    # 9-atom measures compose past the rational degree cap
-    atoms = [[float(k), 1.0 / 9.0] for k in range(9)]
-    ma = tmp_path / "wide.json"
-    ma.write_text(json.dumps(atoms))
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failing(mu, nu):
+        raise RecoveryError("residue mass 0.5 inconsistent with slope mass 1.0")
+
+    monkeypatch.setattr(cli, "monotone_convolve", failing)
+    ma = tmp_path / "b.json"
+    ma.write_text(json.dumps([[-1.0, 0.5], [1.0, 0.5]]))
     assert run(["convolve", "--op", "monotone", "--a", ma, "--b", ma,
                 "--output", tmp_path / "x"]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_convolve_monotone_nine_by_nine(tmp_path):
+    # 81 atoms, checked against G_mu(F_nu(z)) from plain atom sums
+    atoms = [[float(k), 1.0 / 9.0] for k in range(9)]
+    ma = tmp_path / "wide.json"
+    ma.write_text(json.dumps(atoms))
+    out = tmp_path / "wide"
+    assert run(["convolve", "--op", "monotone", "--a", ma, "--b", ma,
+                "--output", out]) == EXIT_OK
+    got = read_json(f"{out}_atoms.json")["atoms"]
+    assert len(got) == 81
+    assert sum(w for _, w in got) == pytest.approx(1.0, abs=1e-12)
+
+    def g(pairs, z):
+        return sum(w / (z - x) for x, w in pairs)
+
+    for z in (complex(x, y) for y in (0.5, 1.0, 2.0) for x in (-1.0, 4.0, 9.0)):
+        want = g(atoms, 1.0 / g(atoms, z))
+        assert abs(g(got, z) - want) <= 1e-12 * abs(want)
 
 
 def test_bp_check_disagreement_exit_code(tmp_path):

@@ -1,6 +1,8 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from conftest import random_probability_measure, random_state_measure
@@ -16,6 +18,7 @@ from ncprob.convolutions import (
     monotone_power_grid,
 )
 from ncprob.errors import ValidationError
+from ncprob.harness import ArraySpec
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import (
     CPLUS1_SAMPLES,
@@ -62,7 +65,6 @@ def test_boolean_examples(bernoulli):
 
 
 def test_mass_multiplicative(rng):
-    # root-finding limits the composed monotone path to ~1e-10 relative
     for _ in range(10):
         mu, nu = random_state_measure(rng, 3), random_state_measure(rng, 3)
         assert boolean_convolve(mu, nu).mass == pytest.approx(mu.mass * nu.mass, rel=1e-10)
@@ -240,3 +242,61 @@ def test_composition_contracts_cauchy_norm(rng):
         f = f_transform(random_probability_measure(rng))
         for z in CPLUS1_SAMPLES:
             assert abs(cauchy_G(rho, f(z))) <= sup + 1e-12
+
+
+def _g_sum(pairs, z):
+    return sum(w / (z - x) for x, w in pairs)
+
+
+def test_clustered_atoms_exact_algebra():
+    # 4-8 atoms uniform on [-3, 3] with no minimum gap, sub-probability
+    # masses; oracles from atom sums: G_mu(F_nu(z)) and E_mu + E_nu
+    rng = np.random.default_rng(7)
+    probes = [complex(x, y) for y in (0.5, 1.0, 2.0) for x in (-3.0, -1.0, 0.0, 1.0, 3.0)]
+    for _ in range(50):
+        pair = []
+        for _ in range(2):
+            n = int(rng.integers(4, 9))
+            w = rng.uniform(0.1, 1.0, n)
+            w = w / w.sum() * rng.uniform(0.3, 1.0)
+            pair.append(FiniteAtomicMeasure.from_pairs(zip(rng.uniform(-3.0, 3.0, n), w)))
+        mu, nu = pair
+        mass = mu.mass * nu.mass
+        mono, boole = monotone_convolve(mu, nu), boolean_convolve(mu, nu)
+        assert abs(mono.mass - mass) <= 1e-12 and abs(boole.mass - mass) <= 1e-12
+        for z in probes:
+            gm, gn = _g_sum(mu.atoms, z), _g_sum(nu.atoms, z)
+            want_mono = _g_sum(mu.atoms, 1.0 / gn)
+            e_sum = (z / mu.mass - 1.0 / gm) + (z / nu.mass - 1.0 / gn)
+            want_bool = 1.0 / (z / mass - e_sum)
+            assert abs(_g_sum(mono.atoms, z) - want_mono) <= 1e-12 * abs(want_mono)
+            assert abs(_g_sum(boole.atoms, z) - want_bool) <= 1e-12 * abs(want_bool)
+
+
+def _kesten_mckay_g(z, k):
+    """G of the k-fold free power of the symmetric Bernoulli law."""
+    s = cmath.sqrt(z * z - 4.0 * (k - 1))
+    roots = [((k - 2) * z + sign * k * s) / (2.0 * (k * k - z * z)) for sign in (1, -1)]
+    return min(roots, key=lambda g: g.imag)   # the branch with Im G < 0
+
+
+def _mp_free_power_f(mu, k, z):
+    """F of the k-fold free power, solving k v + (1-k) F(v) = z at 50 digits from v = z."""
+    with mpmath.workdps(50):
+        def f(v):
+            return 1 / sum(w / (v - x) for x, w in mu.atoms)
+
+        v = mpmath.findroot(lambda v: k * v + (1 - k) * f(v) - z, mpmath.mpc(z))
+        return complex(f(v))
+
+
+def test_free_power_large_k(bernoulli):
+    # rows k = n = 2048, 4096 of the fixed Bernoulli and poisson(1.0) arrays
+    for k in (2048, 4096):
+        grid = free_power_grid(ArraySpec.fixed().measure(k), k)
+        for z, v in zip(grid.points, grid.values):
+            assert abs(1.0 / v - _kesten_mckay_g(z, k)) <= 1e-10 * abs(_kesten_mckay_g(z, k))
+        row = ArraySpec.poisson(1.0).measure(k)
+        grid = free_power_grid(row, k)
+        for z, v in zip(grid.points, grid.values):
+            assert abs(v - _mp_free_power_f(row, k, z)) <= 1e-10 * abs(v)

@@ -1,184 +1,178 @@
+"""The eigen-kernels of the pole-residue form, against closed forms and atom sums."""
+
 import math
 
 import numpy as np
 import pytest
 
-from ncprob.errors import DegreeCapExceeded, ValidationError
-from ncprob.rational import (
-    Polynomial,
-    RationalMap,
-    partial_fractions,
-    polynomial_divmod,
-    real_roots,
-)
+from ncprob.convolutions import monotone_convolve
+from ncprob.errors import ValidationError
+from ncprob.measures import PARAMETER, FiniteAtomicMeasure
+from ncprob.rational import cauchy_zeros, spectral_measure
+from ncprob.transforms import NevanlinnaData, f_transform, recover_measure
+
+PROBES = tuple(complex(x, y) for y in (0.5, 1.0, 2.0) for x in (-3.0, -1.5, 0.0, 1.5, 3.0))
 
 
-def poly(*coeffs):
-    return Polynomial(tuple(coeffs))
+def g_sum(pairs, z):
+    """G from the atom sum, independent of the package's transforms."""
+    return sum(w / (z - x) for x, w in pairs)
 
 
-def rmap(num, den):
-    return RationalMap(Polynomial(tuple(num)), Polynomial(tuple(den)))
+def assert_g_close(measure, oracle, rel=1e-12):
+    for z in PROBES:
+        want = oracle(z)
+        assert abs(g_sum(measure.atoms, z) - want) <= rel * abs(want)
+
+
+def uniform_measure(rng, n, mass=1.0):
+    """n atoms uniform on [-3, 3] with no minimum gap."""
+    w = rng.uniform(0.1, 1.0, n)
+    return FiniteAtomicMeasure.from_pairs(zip(rng.uniform(-3.0, 3.0, n), w / w.sum() * mass))
 
 
 def test_real_roots_simple():
-    roots = real_roots(poly(-2.0, 0.0, 1.0))
-    assert [m for _, m in roots] == [1, 1]
-    assert roots[0][0] == pytest.approx(-math.sqrt(2.0), abs=1e-12)
-    assert roots[1][0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # G = 1/(z - 2/z) = z/(z^2 - 2): atoms at the roots of z^2 - 2
+    r2 = math.sqrt(2.0)
+    xs, ws = spectral_measure(np.array([[0.0, r2], [r2, 0.0]]), np.array([1.0, 0.0]))
+    assert xs == pytest.approx([-r2, r2], abs=1e-15)
+    assert ws == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_real_roots_none():
-    assert real_roots(poly(1.0, 0.0, 1.0)) == []
+    # the G of a single atom never vanishes
+    a, p, c = cauchy_zeros([1.7], [1.0])
+    assert a == 1.7
+    assert p.size == 0 and c.size == 0
 
 
 def test_real_roots_golden_ratio():
-    # quadratic-formula oracle for z^2 - z - 1
-    expected = [(1.0 - math.sqrt(5.0)) / 2.0, (1.0 + math.sqrt(5.0)) / 2.0]
-    roots = real_roots(poly(-1.0, -1.0, 1.0))
-    for (got, mult), want in zip(roots, expected):
-        assert mult == 1
-        assert got == pytest.approx(want, abs=1e-12)
+    # quadratic-formula oracle for z^2 - z - 1; residues of z/(z^2 - z - 1)
+    xs, ws = spectral_measure(np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+    s5 = math.sqrt(5.0)
+    roots = [(1.0 - s5) / 2.0, (1.0 + s5) / 2.0]
+    assert xs == pytest.approx(roots, abs=1e-15)
+    assert ws == pytest.approx([r / (2.0 * r - 1.0) for r in roots], abs=1e-15)
 
 
 def test_real_roots_random_products(rng):
+    # zeros of G interlace the atoms, and 1/G = z - a - sum c^2/(z - p)
     for _ in range(30):
         n = int(rng.integers(2, 9))
-        xs = np.sort(rng.uniform(-5, 5, n))
-        while np.any(np.diff(xs) < 0.05):
-            xs = np.sort(rng.uniform(-5, 5, n))
-        p = Polynomial.from_roots(xs)
-        roots = real_roots(p)
-        assert len(roots) == n
-        for (got, mult), want in zip(roots, xs):
-            assert mult == 1
-            assert abs(got - want) <= 1e-8
+        x = np.sort(rng.uniform(-5, 5, n))
+        w = rng.uniform(0.1, 1.0, n)
+        u = np.sqrt(w / w.sum())
+        a, p, c = cauchy_zeros(x, u)
+        assert np.all(x[:-1] < p) and np.all(p < x[1:])
+        for z in PROBES:
+            g = np.sum(u * u / (z - x))
+            assert abs((z - a - np.sum(c * c / (z - p))) * g - 1.0) <= 1e-12
 
 
 def test_real_roots_multiplicity():
-    p = Polynomial.from_roots([1.0, 1.0, -2.0])
-    roots = real_roots(p)
-    assert [(round(r, 6), m) for r, m in roots] == [(-2.0, 1), (1.0, 2)]
+    # a double eigenvalue carries its eigenspace's weight as one atom
+    xs, ws = spectral_measure(np.diag([1.0, 1.0, -2.0]), np.full(3, 1.0 / math.sqrt(3.0)))
+    mu = FiniteAtomicMeasure(tuple(xs), tuple(ws))
+    assert mu.atoms == ((-2.0, pytest.approx(1.0 / 3.0)), (1.0, pytest.approx(2.0 / 3.0)))
 
 
 def test_degree_zero_rejected():
+    # the zero measure has G = 0 and no F-transform
     with pytest.raises(ValidationError):
-        real_roots(poly(3.0))
+        f_transform(FiniteAtomicMeasure.zero())
 
 
 def test_compose_linear():
-    f = RationalMap.from_linear(1.0, -2.0)   # z - 2
-    g = RationalMap.from_linear(1.0, -3.0)   # z - 3
-    h = f.compose(g)
-    assert h.num.coeffs == pytest.approx((-5.0, 1.0))
-    assert h.den.coeffs == (1.0,)
+    # (z - 2) o (z - 3) = z - 5
+    d = monotone_convolve(FiniteAtomicMeasure.dirac(2.0), FiniteAtomicMeasure.dirac(3.0))
+    assert d.atoms == ((pytest.approx(5.0), pytest.approx(1.0)),)
 
 
-def test_compose_self_symbolic():
+def test_compose_self_symbolic(bernoulli):
     # (z - 1/z) o (z - 1/z) = (z^4 - 3 z^2 + 1)/(z^3 - z), expanded by hand
-    f = rmap([-1.0, 0.0, 1.0], [0.0, 1.0])
-    h = f.compose(f)
-    assert h.num.coeffs == pytest.approx((1.0, 0.0, -3.0, 0.0, 1.0))
-    assert h.den.coeffs == pytest.approx((0.0, -1.0, 0.0, 1.0))
+    bb = monotone_convolve(bernoulli, bernoulli)
+    assert_g_close(bb, lambda z: (z**3 - z) / (z**4 - 3.0 * z**2 + 1.0), rel=1e-14)
 
 
-def test_compose_identity():
-    f = rmap([1.0, 2.0, 1.0], [0.5, 1.0])
-    h = RationalMap.identity().compose(f)
-    assert h.num.coeffs == pytest.approx(f.num.coeffs)
-    assert h.den.coeffs == pytest.approx(f.den.coeffs)
+def test_compose_identity(rng):
+    # F of delta_0 is the identity on both sides of the composition
+    d0 = FiniteAtomicMeasure.dirac(0.0)
+    for _ in range(10):
+        mu = uniform_measure(rng, int(rng.integers(1, 9)))
+        assert_g_close(monotone_convolve(d0, mu), lambda z: g_sum(mu.atoms, z))
+        assert_g_close(monotone_convolve(mu, d0), lambda z: g_sum(mu.atoms, z))
 
 
 def test_compose_associative(rng):
     for _ in range(10):
-        maps = []
-        for _ in range(3):
-            c = rng.uniform(-2, 2, 5)
-            maps.append(rmap([c[0], c[1], c[2]], [c[3], 1.0, 0.3 * c[4]]))
-        f, g, h = maps
-        left = f.compose(g, cap=256).compose(h, cap=256)
-        right = f.compose(g.compose(h, cap=256), cap=256)
-        assert len(left.num.coeffs) == len(right.num.coeffs)
-        scale = max(abs(v) for v in left.num.coeffs)
-        for a, b in zip(left.num.coeffs, right.num.coeffs):
-            assert abs(a - b) <= 1e-9 * scale
-        for a, b in zip(left.den.coeffs, right.den.coeffs):
-            assert abs(a - b) <= 1e-9 * scale
+        a, b, c = (uniform_measure(rng, 3, rng.uniform(0.3, 1.0)) for _ in range(3))
+        left = monotone_convolve(monotone_convolve(a, b), c)
+        right = monotone_convolve(a, monotone_convolve(b, c))
+        assert len(left.positions) == len(right.positions) == 27
+        assert_g_close(left, lambda z: g_sum(right.atoms, z))
 
 
-def test_compose_degree_cap():
-    f9 = rmap([0.0] * 9 + [1.0], [1.0])  # z^9: composed degree 81 > 64
-    with pytest.raises(DegreeCapExceeded):
-        f9.compose(f9, cap=64)
+def test_compose_within_cap(rng):
+    # 64 atoms from two 8-atom measures, against G_mu(F_nu(z))
+    for _ in range(3):
+        mu, nu = uniform_measure(rng, 8), uniform_measure(rng, 8)
+        conv = monotone_convolve(mu, nu)
+        assert len(conv.positions) == 64
+        assert_g_close(conv, lambda z: g_sum(mu.atoms, 1.0 / g_sum(nu.atoms, z)))
 
 
-def test_compose_within_cap():
-    f = rmap([0.0] * 8 + [1.0], [1.0])
-    h = f.compose(f, cap=64)
-    assert h.num.degree == 64
+def test_compose_has_no_degree_cap():
+    # three 9-atom measures composed: 729 atoms from 9 eigen-solves of size 81
+    mu = FiniteAtomicMeasure.from_pairs([(float(k), 1.0 / 9.0) for k in range(9)])
+    conv = monotone_convolve(mu, monotone_convolve(mu, mu))
+    assert len(conv.positions) == 729
+    assert conv.mass == pytest.approx(1.0, abs=1e-12)
+
+    def oracle(z):
+        f = 1.0 / g_sum(mu.atoms, z)
+        return g_sum(mu.atoms, 1.0 / g_sum(mu.atoms, f))
+
+    assert_g_close(conv, oracle, rel=1e-11)
 
 
-def test_canonical_monic_denominator():
-    f = rmap([2.0, 4.0], [4.0, 2.0])
-    assert f.den.leading == 1.0
-    assert f(1j) == pytest.approx((2.0 + 4.0j) / (4.0 + 2.0j))
+def test_partial_fractions_examples(bernoulli):
+    # z - 1/z: one pole at 0 with residue -1, so sigma = delta_0
+    nev = f_transform(bernoulli)
+    assert nev.sigma.atoms == ((pytest.approx(0.0, abs=1e-15), pytest.approx(1.0)),)
 
+    # (z^2 - 2)/z: sigma = 2 delta_0
+    pm = FiniteAtomicMeasure.from_pairs([(-math.sqrt(2.0), 0.5), (math.sqrt(2.0), 0.5)])
+    assert f_transform(pm).sigma.atoms == ((pytest.approx(0.0, abs=1e-15), pytest.approx(2.0)),)
 
-def test_common_real_roots_cancelled():
-    num = Polynomial.from_roots([1.0, 2.0])
-    den = Polynomial.from_roots([1.0, 3.0])
-    f = RationalMap(num, den)
-    assert f.num.degree == 1
-    assert f.den.degree == 1
-    assert f(5j) == pytest.approx((5j - 2.0) / (5j - 3.0))
-
-
-def test_partial_fractions_examples():
-    pf = partial_fractions(rmap([-1.0, 0.0, 1.0], [0.0, 1.0]))  # z - 1/z
-    assert pf.slope == pytest.approx(1.0)
-    assert pf.intercept == pytest.approx(0.0)
-    assert pf.poles == ((0.0, pytest.approx(-1.0)),)
-
-    pf2 = partial_fractions(rmap([-2.0, 0.0, 1.0], [0.0, 1.0]))  # (z^2-2)/z
-    assert pf2.slope == pytest.approx(1.0)
-    assert pf2.poles == ((0.0, pytest.approx(-2.0)),)
-
-    pf3 = partial_fractions(rmap([1.0], [-1.0, 0.0, 1.0]))  # 1/(z^2-1)
-    assert pf3.slope == 0.0 and pf3.intercept == pytest.approx(0.0)
-    poles = dict((round(p, 9), r) for p, r in pf3.poles)
-    assert poles[-1.0] == pytest.approx(-0.5, abs=1e-12)
-    assert poles[1.0] == pytest.approx(0.5, abs=1e-12)
+    # G = (z + 1/2)/(z^2 - 1): F = z - 1/2 + (3/4)/(-1/2 - z), so
+    # s = (3/4)/(1 + 1/4) = 0.6 at p = -1/2 and gamma = 1/2 - s p = 0.8
+    nev3 = f_transform(FiniteAtomicMeasure.from_pairs([(-1.0, 0.25), (1.0, 0.75)]))
+    assert nev3.gamma == pytest.approx(0.8, abs=1e-15)
+    assert nev3.sigma.atoms == ((pytest.approx(-0.5), pytest.approx(0.6)),)
 
 
 def test_partial_fractions_resummation(rng):
-    for _ in range(5):
-        ps = np.sort(rng.uniform(-4, 4, 4))
-        while np.any(np.diff(ps) < 0.2):
-            ps = np.sort(rng.uniform(-4, 4, 4))
-        rs = rng.uniform(0.2, 1.5, 4)
-        den = Polynomial.from_roots(ps)
-        num = Polynomial.zero()
-        for j, r in enumerate(rs):
-            num = num + r * Polynomial.from_roots([p for i, p in enumerate(ps) if i != j])
-        num = num + Polynomial((0.3, 1.2)) * den
-        f = RationalMap(num, den)
-        pf = partial_fractions(f)
-        zs = rng.uniform(-3, 3, 50) + 1j * rng.uniform(1.0, 3.0, 50)
-        for z in zs:
-            assert abs(pf(z) - f(z)) <= 1e-10
+    # random data resum to a measure whose 1/G is the pole-residue form
+    for _ in range(20):
+        n = int(rng.integers(0, 7))
+        sigma = FiniteAtomicMeasure.from_pairs(
+            zip(rng.uniform(-4, 4, n), rng.uniform(0.05, 1.5, n)), role=PARAMETER)
+        m, gamma = rng.uniform(0.2, 1.0), rng.uniform(-2.0, 2.0)
+        nev = NevanlinnaData(m, gamma, sigma)
+        mu = recover_measure(nev)
+        assert len(mu.positions) == n + 1
+        assert mu.mass == pytest.approx(m, rel=1e-14)
+        for z in PROBES:
+            want = z / m - gamma + sum(s * (1.0 + p * z) / (p - z) for p, s in sigma.atoms)
+            assert abs(1.0 / g_sum(mu.atoms, z) - want) <= 1e-12 * abs(want)
+            assert abs(nev(z) - want) <= 1e-14 * abs(want)
 
 
 def test_partial_fractions_rejects_bad_inputs():
+    zero = FiniteAtomicMeasure.zero()
     with pytest.raises(ValidationError):
-        partial_fractions(rmap([1.0], [1.0, 0.0, 1.0]))   # complex poles
+        NevanlinnaData(1.0, math.inf, zero)
     with pytest.raises(ValidationError):
-        partial_fractions(RationalMap(Polynomial((1.0,)),
-                                      Polynomial.from_roots([1.0, 1.0])))
+        NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((math.nan,), (1.0,), PARAMETER))
     with pytest.raises(ValidationError):
-        partial_fractions(rmap([0.0, 0.0, 0.0, 1.0], [0.0, 1.0]))  # z^3/z
-
-
-def test_polynomial_divmod():
-    q, r = polynomial_divmod(poly(-2.0, 0.0, 1.0), poly(0.0, 1.0))
-    assert q.coeffs == (0.0, 1.0)
-    assert r.coeffs == (-2.0,)
+        NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((0.0,), (-0.5,), PARAMETER))

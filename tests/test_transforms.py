@@ -7,7 +7,7 @@ import pytest
 from conftest import random_probability_measure, random_state_measure
 from ncprob.errors import ConvergenceError, RecoveryError, ValidationError
 from ncprob.measures import PARAMETER, FiniteAtomicMeasure
-from ncprob.rational import Polynomial, RationalMap
+from ncprob import transforms
 from ncprob.transforms import (
     CPLUS1_SAMPLES,
     NevanlinnaData,
@@ -17,7 +17,6 @@ from ncprob.transforms import (
     e_transform,
     f_transform,
     maassen_bound_check,
-    nevanlinna_decompose,
     recover_measure,
     stieltjes_invert,
     stolz_tail_estimate,
@@ -44,9 +43,9 @@ def test_cauchy_bound(rng):
 
 
 def test_f_transform_examples(bernoulli):
-    f = f_transform(FiniteAtomicMeasure.dirac(2.0))
-    assert f.num.coeffs == pytest.approx((-2.0, 1.0))
-    assert f.den.coeffs == (1.0,)
+    f = f_transform(FiniteAtomicMeasure.dirac(2.0))   # z - 2
+    assert (f.m, f.gamma) == (1.0, 2.0)
+    assert f.sigma.is_zero
     assert e_transform(FiniteAtomicMeasure.dirac(2.0))(5j) == pytest.approx(2.0)
 
     fb = f_transform(bernoulli)          # z - 1/z, checked against 1/G
@@ -81,47 +80,48 @@ def test_voiculescu_phi_examples(bernoulli):
 
 
 def test_nevanlinna_examples(bernoulli):
-    nev = nevanlinna_decompose(f_transform(bernoulli), 1.0)
+    nev = f_transform(bernoulli)
     assert nev.m == 1.0
     assert nev.gamma == pytest.approx(0.0, abs=1e-14)
-    assert nev.sigma.atoms == ((0.0, pytest.approx(1.0)),)
+    assert nev.sigma.atoms == ((pytest.approx(0.0, abs=1e-14), pytest.approx(1.0)),)
 
-    nev2 = nevanlinna_decompose(f_transform(FiniteAtomicMeasure.dirac(1.5)), 1.0)
+    nev2 = f_transform(FiniteAtomicMeasure.dirac(1.5))
     assert nev2.gamma == pytest.approx(1.5)
     assert nev2.sigma.is_zero
 
-    nev3 = nevanlinna_decompose(
-        f_transform(FiniteAtomicMeasure.dirac(0.0, 0.5)), 0.5)
+    nev3 = f_transform(FiniteAtomicMeasure.dirac(0.0, 0.5))
     assert (nev3.m, nev3.gamma) == (0.5, pytest.approx(0.0))
     assert nev3.sigma.is_zero
 
 
 def test_nevanlinna_roundtrip(rng):
+    # oracle: F = 1/G from the atom sum; the data survive a trip through
+    # the recovered measure
     for _ in range(20):
         mu = random_state_measure(rng)
-        f = f_transform(mu)
-        nev = nevanlinna_decompose(f, mu.mass)
+        nev = f_transform(mu)
         for z in ZR:
-            assert abs(nev.f_eval(z) - f(z)) <= 1e-9
-        rebuilt = nev.to_rational()
+            assert abs(nev(z) - 1.0 / cauchy_G(mu, z)) <= 1e-9
+        rebuilt = f_transform(recover_measure(nev))
         for z in ZR:
-            assert abs(rebuilt(z) - f(z)) <= 1e-9
+            assert abs(rebuilt(z) - nev(z)) <= 1e-9
 
 
 def test_nevanlinna_rejects_positive_residue():
-    bad = RationalMap(Polynomial((1.0, 0.0, 1.0)), Polynomial((0.0, 1.0)))  # z + 1/z
+    # z + 1/z has residue +1 at 0: sigma would need weight -1
     with pytest.raises(ValidationError):
-        nevanlinna_decompose(bad, 1.0)
+        NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((0.0,), (-1.0,), PARAMETER))
 
 
 def test_recover_examples(bernoulli):
-    mu = recover_measure(RationalMap(Polynomial((-2.0, 0.0, 1.0)), Polynomial((0.0, 1.0))))
+    two = FiniteAtomicMeasure.dirac(0.0, 2.0, PARAMETER)
+    mu = recover_measure(NevanlinnaData(1.0, 0.0, two))   # F = z - 2/z
     r2 = math.sqrt(2.0)
     assert mu.positions == (pytest.approx(-r2), pytest.approx(r2))
     assert mu.weights == (pytest.approx(0.5), pytest.approx(0.5))
     assert recover_measure(f_transform(FiniteAtomicMeasure.dirac(1.2))).atoms == (
         (pytest.approx(1.2), pytest.approx(1.0)),)
-    quarter = recover_measure(RationalMap.from_linear(4.0))
+    quarter = recover_measure(NevanlinnaData(0.25, 0.0, FiniteAtomicMeasure.zero()))  # 4z
     assert quarter.atoms == ((0.0, pytest.approx(0.25)),)
 
 
@@ -136,12 +136,18 @@ def test_recover_roundtrip(rng):
             assert abs(a - b) <= 1e-8
 
 
-def test_recover_rejects_non_transforms():
-    complex_poles = RationalMap(Polynomial((1.0, 0.0, 1.0)), Polynomial((0.0, 1.0)))
+def test_recover_rejects_non_transforms(monkeypatch):
+    zero = FiniteAtomicMeasure.zero()
+    for m in (-1.0, 0.0, 1.5):   # F = z/m needs m in (0, 1]
+        with pytest.raises(ValidationError):
+            NevanlinnaData(m, 0.0, zero)
+    with pytest.raises(ValidationError):
+        NevanlinnaData(1.0, math.nan, zero)
+    # the mass guard: eigen-weights that miss the slope mass raise
+    monkeypatch.setattr(transforms, "spectral_measure",
+                        lambda a, b: (np.linalg.eigvalsh(a), np.full(len(a), 0.25)))
     with pytest.raises(RecoveryError):
-        recover_measure(complex_poles)  # G = z/(z^2+1) has poles at +-i
-    with pytest.raises(RecoveryError):
-        recover_measure(RationalMap.from_linear(-1.0))
+        recover_measure(NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure.dirac(0.0, 1.0, PARAMETER)))
 
 
 def test_stieltjes_atoms_and_density():
