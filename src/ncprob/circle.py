@@ -19,8 +19,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
 from .harness import _k_of, _verdict
+from .idiv import _check_flow_args, _rk4_step
 from .measures import PARAMETER, CircleMeasure
 from .solvers import disk_guard, newton
 
@@ -76,11 +79,8 @@ class CircleGenerator:
             )
 
     def a_eval(self, z):
-        acc = 1j * self.beta
-        for t, w in self.sigma.atoms:
-            zeta = cmath.exp(1j * t)
-            acc = acc - w * (1.0 + zeta * z) / (1.0 - zeta * z)
-        return z * acc
+        """A(z) = z(i beta - H(z)) at one point or, elementwise, an ndarray."""
+        return z * (1j * self.beta - _herglotz_sum(self.sigma, z))
 
     @property
     def mean_rate(self):
@@ -88,18 +88,37 @@ class CircleGenerator:
         return 1j * self.beta - self.sigma.mass
 
 
+def _herglotz_sum(sigma, z):
+    """H(z) = integral (1+zeta z)/(1-zeta z) dsigma at one point or an ndarray."""
+    acc = 0.0j
+    for zeta, w in sigma.unit_atoms:
+        u = zeta * z
+        acc = acc + w * (1.0 + u) / (1.0 - u)
+    return acc
+
+
+def _herglotz_deriv(sigma, z):
+    """H'(z) = integral 2 zeta/(1-zeta z)^2 dsigma."""
+    acc = 0.0j
+    for zeta, w in sigma.unit_atoms:
+        acc = acc + w * 2.0 * zeta / (1.0 - zeta * z) ** 2
+    return acc
+
+
 def psi(mu, z):
-    """psi(z) = integral of z zeta/(1 - z zeta) dmu."""
-    if abs(z) >= 1.0:
+    """psi(z) = integral of z zeta/(1 - z zeta) dmu at one point or an ndarray."""
+    if np.any(abs(z) >= 1.0):
         raise ValidationError("psi needs |z| < 1")
-    return sum(w * z * zeta / (1.0 - z * zeta)
-               for zeta, (t, w) in zip(mu.points, mu.atoms))
+    acc = 0
+    for zeta, w in mu.unit_atoms:
+        acc = acc + w * z * zeta / (1.0 - z * zeta)
+    return acc
 
 
 def eta(mu, z):
     """eta = psi/(1 + psi); |eta(z)| <= |z| on the disk."""
     p = psi(mu, z)
-    if abs(1.0 + p) < 1e-300:
+    if np.any(abs(1.0 + p) < 1e-300):
         raise ValidationError("1 + psi vanished (impossible for |z| < 1)")
     return p / (1.0 + p)
 
@@ -110,8 +129,9 @@ def eta_fn(mu):
 
 def _eta_deriv_atomic(mu, z):
     p = psi(mu, z)
-    dp = sum(w * zeta / (1.0 - z * zeta) ** 2
-             for zeta, (t, w) in zip(mu.points, mu.atoms))
+    dp = 0
+    for zeta, w in mu.unit_atoms:
+        dp = dp + w * zeta / (1.0 - z * zeta) ** 2
     return dp / (1.0 + p) ** 2
 
 
@@ -209,24 +229,16 @@ def mult_free(a, b, points=DISK_GRID, n_continuation=24):
     return DiskGrid.sample(one_point, points)
 
 
-def _herglotz_sum(sigma, z):
-    acc = 0.0j
-    for t, w in sigma.atoms:
-        zeta = cmath.exp(1j * t)
-        acc = acc + w * (1.0 + zeta * z) / (1.0 - zeta * z)
-    return acc
-
-
 def boolean_idiv_eta(gamma, sigma):
-    """eta(z) = gamma z exp(-integral (1+zeta z)/(1-zeta z) dsigma)."""
+    """eta(z) = gamma z exp(-integral (1+zeta z)/(1-zeta z) dsigma), z a point or an ndarray."""
     gamma = complex(gamma)
     if abs(abs(gamma) - 1.0) > 1e-9:
         raise ValidationError("gamma must lie on the unit circle")
-    return lambda z: gamma * z * cmath.exp(-_herglotz_sum(sigma, z))
+    return lambda z: gamma * z * np.exp(-_herglotz_sum(sigma, z))
 
 
 def circle_boolean_idiv(gamma, sigma, points=DISK_GRID):
-    return DiskGrid.sample(boolean_idiv_eta(gamma, sigma), points)
+    return DiskGrid(points, boolean_idiv_eta(gamma, sigma)(np.array(points, dtype=complex)))
 
 
 def circle_free_idiv(gamma, sigma, points=DISK_GRID, n_continuation=24):
@@ -240,10 +252,7 @@ def circle_free_idiv(gamma, sigma, points=DISK_GRID, n_continuation=24):
 
     def dinv(w):
         s = cmath.exp(_herglotz_sum(sigma, w))
-        ds = s * sum(
-            wt * 2.0 * cmath.exp(1j * t) / (1.0 - cmath.exp(1j * t) * w) ** 2
-            for t, wt in sigma.atoms
-        )
+        ds = s * _herglotz_deriv(sigma, w)
         return gamma * (s + w * ds)
 
     start_scale = cmath.exp(-_herglotz_sum(sigma, 0.0)) / gamma
@@ -284,31 +293,42 @@ def circle_classical_idiv_fourier(gamma, sigma, p):
     return gamma**p * cmath.exp(acc)
 
 
-def _rk4_disk_leg(gen, w, t_from, t_to, step, r0):
-    t = t_from
+def _disk_points(points):
+    """The start points as a 1-d complex ndarray, each finite and inside the unit disk."""
+    z = np.array(points, dtype=complex).ravel()
+    bad = ~(np.isfinite(z) & (np.abs(z) < 1.0))
+    if bad.any():
+        raise ValidationError(
+            f"disk flow starts inside the unit disk; got {complex(z[bad][0])!r}")
+    return z
+
+
+def _rk4_disk_leg(gen, w, t_from, t_to, step, r0, z0):
+    """Integrate d eta/dt = A(eta) from t_from to t_to for an ndarray of points.
+
+    The step is fixed, so every point shares t and h; |eta_t| <= r0 is
+    checked per point, and a failure names the start point z0.
+    """
+    t, limit = t_from, r0 * (1.0 + 1e-9)
     while t < t_to - 1e-15:
         h = min(step, t_to - t)
-        k1 = gen.a_eval(w)
-        k2 = gen.a_eval(w + 0.5 * h * k1)
-        k3 = gen.a_eval(w + 0.5 * h * k2)
-        k4 = gen.a_eval(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = _rk4_step(gen.a_eval, w, h, gen.a_eval(w))
         t += h
-        if abs(w) > r0 * (1.0 + 1e-9):
-            raise FlowError(f"disk flow violated |eta_t(z)| <= |z| at t={t:.6f}")
+        bad = np.abs(w) > limit
+        if bad.any():
+            i = np.argmax(bad)
+            raise FlowError(f"disk flow from z0={complex(z0[i])!r} violated "
+                            f"|eta_t(z)| <= |z| at t={t:.6f}")
     return w
 
 
 def circle_flow_map(gen, t_end, z, step=FLOW_STEP):
-    """eta_t(z) by RK4 from eta_0 = id."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValidationError("disk flow starts inside the unit disk")
-    if t_end < 0:
-        raise ValidationError("backward flows are not supported")
-    if t_end == 0:
-        return z
-    return _rk4_disk_leg(gen, z, 0.0, float(t_end), step, abs(z))
+    """eta_t(z) by RK4 from eta_0 = id; z is one point or an ndarray, run in lockstep."""
+    t_end = _check_flow_args(t_end, step)
+    z0 = _disk_points(z)
+    w = z0 if t_end == 0 else _rk4_disk_leg(gen, z0, 0.0, t_end, step, np.abs(z0), z0)
+    shape = np.shape(z)
+    return w.reshape(shape) if shape else complex(w[0])
 
 
 @dataclass(frozen=True)
@@ -325,61 +345,70 @@ def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     Composed legs run at the stated step, the direct reference at step/2, so
     the defect measures the integrator-limited semigroup deviation.
     """
-    worst = 0.0
-    for z in points:
-        z = complex(z)
-        direct = _rk4_disk_leg(gen, z, 0.0, t_end, 0.5 * step, abs(z))
-        half = _rk4_disk_leg(gen, z, 0.0, 0.5 * t_end, step, abs(z))
-        comp = _rk4_disk_leg(gen, half, 0.0, 0.5 * t_end, step, abs(half))
-        worst = max(worst, abs(direct - comp))
-    return worst
+    t_end = _check_flow_args(t_end, step)
+    z = _disk_points(points)
+    r0 = np.abs(z)
+    direct = _rk4_disk_leg(gen, z, 0.0, t_end, 0.5 * step, r0, z)
+    half = _rk4_disk_leg(gen, z, 0.0, 0.5 * t_end, step, r0, z)
+    comp = _rk4_disk_leg(gen, half, 0.0, 0.5 * t_end, step, np.abs(half), z)
+    return float(np.abs(direct - comp).max(initial=0.0))
 
 
 def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     """Integrate the disk flow; the derivative at 0 is tracked analytically."""
+    t_end = _check_flow_args(t_end, step)
     if step > 1e-2:
         raise ValidationError("flow step must be <= 1e-2")
-    times = (0.0, 0.5 * t_end, float(t_end))
-    cols = [[], [], []]
-    for z in points:
-        z = complex(z)
-        half = _rk4_disk_leg(gen, z, 0.0, times[1], step, abs(z))
-        full = _rk4_disk_leg(gen, half, times[1], times[2], step, abs(z))
-        cols[0].append(z)
-        cols[1].append(half)
-        cols[2].append(full)
-    grids = tuple(DiskGrid(tuple(points), tuple(v)) for v in cols)
+    times = (0.0, 0.5 * t_end, t_end)
+    z = _disk_points(points)
+    r0 = np.abs(z)
+    half = _rk4_disk_leg(gen, z, 0.0, times[1], step, r0, z)
+    full = _rk4_disk_leg(gen, half, times[1], times[2], step, r0, z)
+    grids = tuple(DiskGrid(tuple(points), v) for v in (z, half, full))
     means = tuple(cmath.exp(gen.mean_rate * t) for t in times)
     return CircleFlowResult(times, grids, means, float(step))
 
 
 def boolean_power_eta(e, k, points=DISK_GRID):
-    """k-fold multiplicative Boolean power: eta(z) = z (eta(z)/z)^k."""
-    return DiskGrid.sample(lambda z: z * (e(z) / z) ** k, points)
+    """k-fold multiplicative Boolean power: eta(z) = z (eta(z)/z)^k.
+
+    e takes an ndarray of grid points and is evaluated once on the grid.
+    """
+    z = np.array(points, dtype=complex)
+    return DiskGrid(points, z * (e(z) / z) ** k)
 
 
 def monotone_power_eta(e, k, points=DISK_GRID):
-    """k-fold multiplicative monotone power: iterate eta."""
+    """k-fold multiplicative monotone power: iterate eta k times on the grid.
 
-    def it(z):
-        w = complex(z)
-        for _ in range(k):
-            nxt = complex(e(w))
-            if abs(nxt) > abs(w) * (1.0 + 1e-9):
-                raise FlowError("eta iteration grew the modulus")
-            w = nxt
-        return w
-
-    return DiskGrid.sample(it, points)
+    e takes an ndarray of grid points; the whole grid is iterated as one
+    array, and |eta(w)| <= |w| is checked per point at every iteration.
+    """
+    z = np.array(points, dtype=complex)
+    w, r = z, np.abs(z)
+    for j in range(1, k + 1):
+        nxt = e(w)
+        r_next = np.abs(nxt)
+        bad = r_next > r * (1.0 + 1e-9)
+        if bad.any():
+            i = np.argmax(bad)
+            raise FlowError(f"eta iteration from z0={complex(z[i])!r} grew the "
+                            f"modulus at iteration {j}")
+        w, r = nxt, r_next
+    return DiskGrid(points, w)
 
 
 @dataclass(frozen=True)
 class CircleArraySpec:
-    """One eta-evaluator per row n, with its mean and the target generator."""
+    """One eta-evaluator per row n, with its mean and the target generator.
+
+    Each row's eta callable takes an ndarray of grid points and returns the
+    ndarray of eta values, so a row's powers run the whole grid at once.
+    """
 
     name: str
     n_values: tuple
-    eta_factory: object          # n -> callable z -> eta_n(z)
+    eta_factory: object          # n -> callable eta_n, taking an ndarray of grid points
     mean_fn: object              # n -> complex mean of row n
     generator: CircleGenerator   # target (beta, sigma)
     k_table: tuple = None
@@ -456,16 +485,17 @@ def rotation_correction(spec, beta, tol=0.05, flow_step=FLOW_STEP, points=DISK_G
     target = circle_monotone_flow(
         spec.generator, 1.0, flow_step, points
     ).grids[-1]
+    size = len(points)
     rows, raw_d, fix_d = [], [], []
     for n in spec.n_values:
         k = spec.k_of(n)
         ell = detect_rotation(spec, beta, n)
         e = spec.eta_of(n)
-        lam = cmath.exp(2j * math.pi * ell / k)
-        raw = eta_distance(monotone_power_eta(e, k, points), target)
-        fixed = eta_distance(
-            monotone_power_eta(lambda z: lam * e(z), k, points), target
-        )
+        # uncorrected (lambda = 1) and corrected powers iterate as one array
+        lam = np.repeat([1.0, cmath.exp(2j * math.pi * ell / k)], size)
+        both = monotone_power_eta(lambda z: lam * e(z), k, tuple(points) * 2).values
+        raw = eta_distance(both[:size], target.values)
+        fixed = eta_distance(both[size:], target.values)
         rows.append({"n": n, "k": k, "ell": ell,
                      "uncorrected": float(raw), "corrected": float(fixed)})
         raw_d.append(float(raw))
@@ -495,7 +525,7 @@ def circle_equivalence(spec, beta, sigma, tol=0.05, flow_step=FLOW_STEP,
                        points=DISK_GRID):
     """Boolean vs monotone verdict agreement on the circle under the drift condition."""
     gamma = cmath.exp(1j * beta)
-    bool_target = DiskGrid.sample(boolean_idiv_eta(gamma, sigma), points)
+    bool_target = circle_boolean_idiv(gamma, sigma, points)
     mono_target = circle_monotone_flow(
         CircleGenerator(beta, sigma), 1.0, flow_step, points
     ).grids[-1]

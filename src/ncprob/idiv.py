@@ -245,23 +245,37 @@ def flow_map(triple, t_end, z, step=FLOW_STEP):
     takes the scalar leg.  Both legs share Phi, the RK4 step and the floor
     check, and agree to rounding.
     """
+    t_end = _check_flow_args(t_end, step)
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
-        bad = ~(np.isfinite(z) & (z.imag > 0))
-        if bad.any():
-            raise ValidationError(
-                f"flow starts in the open upper half-plane; got {complex(z[bad][0])!r}")
-    else:
-        z = complex(z)
-        if not (cmath.isfinite(z) and z.imag > 0):
-            raise ValidationError(f"flow starts in the open upper half-plane; got {z!r}")
+        _check_line_points(z)
+        return z if t_end == 0 else _rk4_leg_array(triple, z.ravel(), t_end, step).reshape(z.shape)
+    z = complex(z)
+    _check_line_points(np.array([z]))
+    return z if t_end == 0 else _rk4_leg(triple, z, 0.0, t_end, step, z.imag, "flow")
+
+
+def _check_flow_args(t_end, step):
+    """Reject flow arguments that would loop forever or integrate nothing; returns float t_end.
+
+    Shared by the line and the disk flows: a non-finite or negative t_end,
+    or a non-finite or non-positive step, raises ValidationError.
+    """
+    t_end, step = float(t_end), float(step)
+    if not math.isfinite(t_end):
+        raise ValidationError(f"flow end time must be finite; got {t_end!r}")
     if t_end < 0:
         raise ValidationError("backward flows are not supported")
-    if t_end == 0:
-        return z
-    if isinstance(z, np.ndarray):
-        return _rk4_leg_array(triple, z.ravel(), float(t_end), step).reshape(z.shape)
-    return _rk4_leg(triple, z, 0.0, float(t_end), step, z.imag, "flow")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValidationError(f"flow step must be finite and positive; got {step!r}")
+    return t_end
+
+
+def _check_line_points(z):
+    bad = ~(np.isfinite(z) & (z.imag > 0))
+    if bad.any():
+        raise ValidationError(
+            f"flow starts in the open upper half-plane; got {complex(z[bad][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -275,11 +289,11 @@ class FlowResult:
 
 def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
     """Integrate the generator flow; the time-one grid is the monotone law."""
+    t_end = _check_flow_args(t_end, step)
     if step > 1e-2:
         raise ValidationError("flow step must be <= 1e-2")
-    if t_end < 0:
-        raise ValidationError("backward flows are not supported")
-    times = (0.0, 0.5 * t_end, float(t_end))
+    _check_line_points(np.array(points, dtype=complex))
+    times = (0.0, 0.5 * t_end, t_end)
     snapshots = [[], [], []]
     for z in points:
         z = complex(z)
@@ -302,6 +316,8 @@ def semigroup_defect(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
     step/2, so the defect is a real quantity (integrator-limited semigroup
     deviation) rather than a bit-identical replay.
     """
+    t_end = _check_flow_args(t_end, step)
+    _check_line_points(np.array(points, dtype=complex))
     worst = 0.0
     for z in points:
         z = complex(z)

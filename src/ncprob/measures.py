@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -213,6 +214,11 @@ class CircleMeasure:
     def points(self):
         """Atom locations as unit complex numbers."""
         return tuple(cmath.exp(1j * t) for t in self.angles)
+
+    @cached_property
+    def unit_atoms(self):
+        """(e^{i theta}, weight) pairs, computed once per measure for the disk sums."""
+        return tuple(zip(self.points, self.weights))
 
     def moment(self, p):
         """Integral of zeta^p: sum of w * e^{i p theta}."""

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,20 @@ from ncprob.measures import FiniteAtomicMeasure
 @pytest.fixture
 def bernoulli():
     return FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+
+
+@pytest.fixture
+def no_hang():
+    """Fail the test, instead of hanging, if it runs longer than five seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError("call did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 import cmath
 import math
+import re
 
+import mpmath
+import numpy as np
 import pytest
 import sympy
 
@@ -31,7 +34,7 @@ from ncprob.circle import (
     rotation_correction,
     sigma_transform,
 )
-from ncprob.errors import ValidationError, ZeroMeanError
+from ncprob.errors import FlowError, ValidationError, ZeroMeanError
 from ncprob.measures import PARAMETER, CircleMeasure
 
 TWO_ATOM = CircleMeasure.from_pairs([(0.0, 0.5), (math.pi, 0.5)])  # eta = z^2
@@ -269,3 +272,112 @@ def test_rotation_detection_branch():
     for n in (16, 32):
         ell = detect_rotation(spec, 0.3, n)
         assert (ell + n // 2) % n == 0
+
+
+@pytest.mark.parametrize("engine", ["circle_flow_map", "circle_monotone_flow",
+                                    "circle_semigroup_defect"])
+@pytest.mark.parametrize("t_end, step", [
+    (math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3),
+    (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
+])
+def test_disk_flows_reject_non_finite_time_and_bad_step(no_hang, engine, t_end, step):
+    # unchecked, t_end = inf or step = 0 loops forever, t_end = nan returns
+    # z unchanged and step = nan returns a nan grid
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    call = {"circle_flow_map": lambda: circle_flow_map(gen, t_end, 0.2, step=step),
+            "circle_monotone_flow": lambda: circle_monotone_flow(gen, t_end, step),
+            "circle_semigroup_defect": lambda: circle_semigroup_defect(gen, t_end, step)}
+    with pytest.raises(ValidationError):
+        call[engine]()
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), 1.0, 0.6 + 0.8j])
+def test_disk_flows_reject_start_points_off_the_open_disk(no_hang, bad):
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    for call in (lambda: circle_flow_map(gen, 1.0, bad),
+                 lambda: circle_flow_map(gen, 1.0, np.array([0.1, bad])),
+                 lambda: circle_monotone_flow(gen, 1.0, points=(0.1, bad)),
+                 lambda: circle_semigroup_defect(gen, 1.0, points=(0.1, bad))):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_circle_flow_map_scalar_and_array_forms():
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5), (1.0, 0.3)]))
+    z = np.array(DISK_GRID).reshape(4, 4)
+    got = circle_flow_map(gen, 0.25, z)
+    assert got.shape == (4, 4)
+    one = circle_flow_map(gen, 0.25, DISK_GRID[5])
+    assert isinstance(one, complex)
+    assert abs(one - got.ravel()[5]) <= 1e-15
+    assert np.array_equal(circle_flow_map(gen, 0.0, z), z)
+    assert np.array_equal(circle_flow_map(gen, 0.25, list(DISK_GRID)), got.ravel())
+
+
+def test_disk_flow_error_names_start_point():
+    # a strong field at step 0.3 overshoots past the origin on the outer ring
+    gen = CircleGenerator(0.0, param([(0.0, 5.0)]))
+    points = np.array([0.05, 0.4, 0.3])
+    with pytest.raises(FlowError, match=re.escape("z0=(0.4+0j)") + ".*t=0.300000"):
+        circle_flow_map(gen, 1.0, points, step=0.3)
+    # at the largest allowed step a forty times stronger field does the same
+    stiff = CircleGenerator(0.0, param([(0.0, 200.0)]))
+    with pytest.raises(FlowError, match=re.escape("z0=(0.4+0j)") + ".*t=0.010000"):
+        circle_monotone_flow(stiff, 1.0, 1e-2, points=(0.05, 0.4))
+
+
+def test_monotone_power_error_names_start_point_and_iteration():
+    # eta halves every point but doubles those inside radius 0.06: the inner
+    # ring (radius 0.2) gets there after two halvings and grows on the third
+    def e(w):
+        return w * np.where(np.abs(w) < 0.06, 2.0, 0.5)
+
+    with pytest.raises(FlowError, match=re.escape(f"z0={DISK_GRID[8]!r}") + ".*iteration 3"):
+        monotone_power_eta(e, 5)
+
+
+def _mp_flow(gen, z, t_end=1.0):
+    """eta_t(z) of d eta/dt = A(eta) by mpmath's Taylor-series ODE solver at 20 digits."""
+    with mpmath.workdps(20):
+        atoms = [(mpmath.expj(t), mpmath.mpf(w)) for t, w in gen.sigma.atoms]
+
+        def field(t, w):
+            acc = mpmath.mpc(0, gen.beta)
+            for zeta, w_atom in atoms:
+                acc -= w_atom * (1 + zeta * w) / (1 - zeta * w)
+            return w * acc
+
+        return complex(mpmath.odefun(field, 0, mpmath.mpc(z))(t_end))
+
+
+@pytest.mark.parametrize("gen", [
+    CircleGenerator(0.3, param([(math.pi, 0.5)])),
+    CircleGenerator(-0.7, param([(1.0, 0.4), (4.0, 0.25)])),
+])
+def test_disk_flow_matches_mpmath_ode_oracle(gen):
+    for z in (DISK_GRID[0], DISK_GRID[3], DISK_GRID[13]):
+        assert abs(circle_flow_map(gen, 1.0, z, step=1e-3) - _mp_flow(gen, z)) <= 1e-12
+
+
+def _per_point_power(e, k, points=DISK_GRID):
+    """Reference monotone power: one scalar eta call per point and iteration."""
+    out = []
+    for z in points:
+        w = complex(z)
+        for _ in range(k):
+            w = complex(e(w))
+        out.append(w)
+    return out
+
+
+def test_monotone_power_array_matches_per_point_iteration():
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5), (2.0, 0.2)]))
+    spec = CircleArraySpec.semigroup(gen, (256,), rotation_ell=1)
+    e = spec.eta_of(256)
+    grid = monotone_power_eta(e, 256)
+    assert eta_distance(grid.values, _per_point_power(e, 256)) <= 1e-13
+    mu = CircleMeasure.from_pairs([(0.05, 0.7), (6.2, 0.3)])
+    custom = CircleArraySpec.from_measures({64: mu}, gen)
+    e = custom.eta_of(64)
+    grid = monotone_power_eta(e, 64)
+    assert eta_distance(grid.values, _per_point_power(e, 64)) <= 1e-13

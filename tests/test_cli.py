@@ -267,3 +267,13 @@ def test_bp_check_disagreement_exit_code(tmp_path):
     rep = read_json(out)
     assert rep["result"]["agreement"] is True
     assert rep["result"]["all_converged"] is False
+
+
+@pytest.mark.parametrize("flag", ["--flow-step=0", "--flow-step=nan", "--t-end=inf",
+                                  "--t-end=nan"])
+def test_flow_rejects_unending_arguments(tmp_path, capsys, no_hang, flag):
+    # unchecked, --flow-step 0 and --t-end inf never return
+    out = tmp_path / "flow.csv"
+    assert run(["flow", "--sigma", "0:1", flag, "--output", out]) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()

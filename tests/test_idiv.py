@@ -261,3 +261,26 @@ def test_flow_map_array_error_names_start_point():
         flow_map(steep, 1.0, np.array([10 + 10j, 0.1j, 3 + 1j]), step=1.0)
     with pytest.raises(FlowError):
         flow_map(steep, 1.0, 0.1j, step=1.0)
+
+
+@pytest.mark.parametrize("engine", ["flow_map", "monotone_idiv_flow", "semigroup_defect"])
+@pytest.mark.parametrize("t_end, step", [
+    (math.inf, 1e-3), (math.nan, 1e-3), (-math.inf, 1e-3),
+    (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
+])
+def test_flows_reject_non_finite_time_and_bad_step(no_hang, engine, t_end, step):
+    # unchecked, t_end = inf or step = 0 loops forever and t_end = nan
+    # returns the start point unchanged
+    call = {"flow_map": lambda: flow_map(GAUSSIAN, t_end, 1j, step=step),
+            "monotone_idiv_flow": lambda: monotone_idiv_flow(GAUSSIAN, t_end, step),
+            "semigroup_defect": lambda: semigroup_defect(GAUSSIAN, t_end, step)}[engine]
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(0.0, math.inf)])
+def test_flows_reject_non_finite_start_points(no_hang, bad):
+    for call in (lambda: monotone_idiv_flow(GAUSSIAN, 1.0, points=(1j, bad)),
+                 lambda: semigroup_defect(GAUSSIAN, 1.0, points=(1j, bad))):
+        with pytest.raises(ValidationError):
+            call()
