@@ -257,22 +257,63 @@ def _parse_window(text):
     return lo, hi
 
 
-def _free_line_g(triple, eps):
-    """G of the free law on the eps-line, warm-starting Newton along the sweep."""
-    state = {}
+def _free_line_g(triple, eps, window, bins):
+    """G of the free law on the eps-line: w + phi(w) = z solved by Newton.
+
+    The grid is solved by continuation along the sweep, each point from the
+    last one's solution.  Other points, such as stieltjes_invert's atom
+    refinement, start from the nearest grid solution, so a value does not
+    depend on the order of the calls; every value is kept.
+    """
+    grid = eps_line_grid(window, bins, eps)
+    xs = np.array([z.real for z in grid])
+    solved = []
+    z0 = w0 = grid[0]
+    for z in grid:
+        w0 = _free_solve(triple, z, z0, w0)
+        solved.append(w0)
+        z0 = z
+    known = {z: 1.0 / w for z, w in zip(grid, solved)}
 
     def g(z):
-        guess = state.get("w", z)
-        try:
-            w = newton(lambda v: v + _voiculescu(triple, v) - z,
-                       lambda v: 1.0 + _dvoiculescu(triple, v), guess,
-                       tol=1e-12, guard=upper_half_plane_guard, label="free line")
-        except NumericalError:
-            w = free_idiv_eval(triple, z)
-        state["w"] = w
-        return 1.0 / w
+        if z not in known:
+            i = int(np.argmin(np.abs(xs - z.real)))
+            known[z] = 1.0 / _free_solve(triple, z, grid[i], solved[i])
+        return known[z]
 
     return g
+
+
+def _free_newton(triple, z, start):
+    return newton(lambda v: v + _voiculescu(triple, v) - z,
+                  lambda v: 1.0 + _dvoiculescu(triple, v), start,
+                  tol=1e-12, guard=upper_half_plane_guard, label="free line")
+
+
+def _free_solve(triple, z, z0, w0):
+    """w + phi(w) = z from w0, the solution at a nearby z0.
+
+    Newton starts from w0, then from w = z.  If both leave the half-plane
+    or stall, the segment from z0 to z is followed in 2, 4, ..., 64 equal
+    steps, each solved from the last.
+    """
+    try:
+        return _free_newton(triple, z, w0)
+    except NumericalError:
+        pass
+    try:
+        return free_idiv_eval(triple, z)
+    except NumericalError as exc:
+        failure = exc
+    for n in (2, 4, 8, 16, 32, 64):
+        w = w0
+        try:
+            for zk in np.linspace(z0, z, n + 1)[1:].tolist():
+                w = _free_newton(triple, zk, w)
+        except NumericalError:
+            continue
+        return w
+    raise failure
 
 
 def _monotone_line_g(triple, eps, window, bins, step):
@@ -324,7 +365,7 @@ def cmd_idiv(args):
     if args.op == "monotone":
         g = _monotone_line_g(triple, eps, (lo, hi), args.bins, args.flow_step)
     else:  # free
-        g = _free_line_g(triple, eps)
+        g = _free_line_g(triple, eps, (lo, hi), args.bins)
     inv = stieltjes_invert(g, eps, (lo, hi), args.bins)
     _write_csv(f"{out}_density.csv", _provenance(args, args.op) + ["x,density"],
                inv.density)

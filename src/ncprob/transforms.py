@@ -222,13 +222,39 @@ class InversionResult:
     atoms: tuple    # ((position, weight), ...)
 
 
-def _golden_max(fn, lo, hi, iters=60):
+#: relative slack under which the Poisson-kernel bound drops an atom candidate;
+#: computed G-values meet the bound with far more room than this
+DROP_SLACK = 1e-6
+
+
+def _harnack(r):
+    """sup over t of P(x - t)/P(y - t) for P(u) = 1/(1 + u^2) and x - y = r >= 0.
+
+    Harnack's inequality for the Poisson kernel: the supremum is attained at
+    y - t = (sqrt(r^2 + 4) - r)/2.
+    """
+    return 1.0 + 0.5 * (r * r + r * math.sqrt(r * r + 4.0))
+
+
+def _golden_max(fn, lo, hi, eps, floor, iters=60):
+    """Golden-section search for the peak of fn(x) = eps |Im G(x + i eps)| on [lo, hi].
+
+    Returns (x, fn(x)), or None once a Poisson-kernel bound shows that fn
+    stays below floor on the whole bracket: for G of a positive measure,
+    fn(x) <= fn(y) _harnack(|x - y|/eps), and every point of [a, b] lies
+    within max(c - a, b - d, (d - c)/2) of an interior point c or d.  The
+    search's final x lies in every bracket, so a full search would have
+    returned a peak below floor.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
+        reach = max(c - a, b - d, 0.5 * (d - c)) / eps
+        if max(fc, fd) * _harnack(reach) <= floor * (1.0 - DROP_SLACK):
+            return None
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -255,6 +281,14 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     a 10x larger eps -- a sharp density bump fails this).  The weight is
     -eps Im G at the refined peak.  With a plain grid as input no
     refinement is possible, so only atoms wider than a bin are found.
+
+    The refinement assumes g is G of a positive measure mu.  Then
+    a(x) = integral of eps^2/((x - t)^2 + eps^2) dmu(t), and Harnack's
+    inequality for the Poisson kernel gives a(x) <= C(|x - y|/eps) a(y) with
+    C(r) = 1 + (r^2 + r sqrt(r^2 + 4))/2.  A candidate is dropped as soon as
+    this bound, taken from the search's two interior points, proves that its
+    peak cannot pass the threshold test; candidates that stay run the full
+    search, so the atoms found are those of the full search.
     """
     if isinstance(g, TransformGrid):
         if g.kind != "G":
@@ -282,18 +316,20 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
             continue
         if i > 0 and a[i] == a[i - 1]:  # plateau: keep leftmost only
             continue
+        floor = max(atom_threshold, 0.5 * float(np.max(a[max(0, i - half): i + half + 1])))
         if g_fn is None:
-            local = np.max(a[max(0, i - half): i + half + 1])
-            if a[i] <= max(atom_threshold, 0.5 * local):
+            if a[i] <= floor:
                 continue
             atoms.append((float(xs[i]), float(a[i])))
             continue
-        x_star, peak = _golden_max(
+        refined = _golden_max(
             lambda x: eps * abs(g_fn(complex(x, eps)).imag),
-            xs[i] - dx, xs[i] + dx,
+            xs[i] - dx, xs[i] + dx, eps, floor,
         )
-        neighbourhood = float(np.max(a[max(0, i - half): i + half + 1]))
-        if peak <= max(atom_threshold, 0.5 * neighbourhood):
+        if refined is None:
+            continue
+        x_star, peak = refined
+        if peak <= floor:
             continue
         coarse = (10.0 * eps) * abs(g_fn(complex(x_star, 10.0 * eps)).imag)
         if not (0.8 * peak <= coarse <= 1.2 * peak):

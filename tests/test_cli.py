@@ -1,12 +1,14 @@
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from ncprob import cli
+from ncprob import cli, transforms
 from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
 from ncprob.errors import RecoveryError, ValidationError
-from ncprob.idiv import LevyTriple, flow_map
+from ncprob.idiv import FLOW_STEP, LevyTriple, flow_map
 from ncprob.transforms import stieltjes_invert
 
 
@@ -96,6 +98,55 @@ def test_idiv_monotone_sweep_matches_pointwise_flow(tmp_path):
     assert atoms == [list(a) for a in ref.atoms]
 
 
+def _plain_golden_max(fn, lo, hi, iters=60):
+    """The golden-section search with no early exit."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 6])
+def test_monotone_sweep_early_exit_matches_plain_search(monkeypatch, seed):
+    """Only candidates whose full search peaks below the atom test are dropped.
+
+    Seed 6 has a candidate that peaks at 0.0988, just under the 0.1 threshold.
+    """
+    rng = np.random.default_rng(seed)
+    sigma = [(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 0.4))]
+    triple = LevyTriple.from_parts(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3), sigma)
+    eps, window, bins = 1e-3, (-6.0, 6.0), 301
+    g = cli._monotone_line_g(triple, eps, window, bins, FLOW_STEP)
+    early_exit = transforms._golden_max
+    searches = []
+
+    def both(fn, lo, hi, eps, floor, iters=60):
+        found = early_exit(fn, lo, hi, eps, floor, iters)
+        searches.append((found, _plain_golden_max(fn, lo, hi, iters), floor))
+        return found
+
+    monkeypatch.setattr(transforms, "_golden_max", both)
+    inv = stieltjes_invert(g, eps, window, bins)
+    dropped = [(plain, floor) for found, plain, floor in searches if found is None]
+    assert dropped
+    assert all(plain[1] <= floor for plain, floor in dropped)
+    assert all(found == plain for found, plain, _ in searches if found is not None)
+    monkeypatch.setattr(transforms, "_golden_max",
+                        lambda fn, lo, hi, eps, floor, iters=60: _plain_golden_max(fn, lo, hi, iters))
+    assert stieltjes_invert(g, eps, window, bins) == inv
+
+
 @pytest.mark.parametrize("op", ["monotone", "free"])
 @pytest.mark.parametrize("flag, named", [
     ("--x-window=0:inf", "window"), ("--x-window=nan:1", "window"),
@@ -119,6 +170,50 @@ def test_idiv_free_density(tmp_path):
     mid = min(xs_ds, key=lambda p: abs(p[0]))
     # semicircle density at 0 is 1/pi
     assert mid[1] == pytest.approx(1.0 / math.pi, abs=2e-3)
+
+
+def _free_line_w(gamma, sigma, z):
+    """The root in C+ of w + phi(w) = z: numpy roots of its polynomial form,
+    polished by mpmath at 30 digits."""
+    poly = np.polymul([1.0, gamma - z], np.poly([p for p, _ in sigma]))
+    for j, (p, s) in enumerate(sigma):
+        rest = np.poly([q for k, (q, _) in enumerate(sigma) if k != j])
+        poly = np.polyadd(poly, np.polymul([s * p, s], rest))
+    roots = np.roots(poly)
+    upper = roots[roots.imag > 0]
+    assert upper.size == 1
+    with mpmath.workdps(30):
+        w = mpmath.findroot(
+            lambda v: v + gamma + sum(s * (1 + p * v) / (v - p) for p, s in sigma) - z,
+            mpmath.mpc(upper[0]))
+    return complex(w)
+
+
+@pytest.mark.parametrize("gamma, sigma", [
+    (-0.22, [(-0.53, 0.39), (0.6, 0.36)]),  # used to fail in the atom refinement
+    (0.3, [(-1.0, 0.4), (2.0, 0.3)]),       # used to fail on the grid
+])
+def test_idiv_free_sweep_of_multi_atom_triples(tmp_path, gamma, sigma):
+    out = tmp_path / "free"
+    assert run(["idiv", "--op", "free", f"--gamma={gamma!r}",
+                "--sigma=" + ",".join(f"{p!r}:{s!r}" for p, s in sigma),
+                "--bins", 301, "--output", out]) == EXIT_OK
+    rows = [tuple(map(float, line.split(","))) for line in open(f"{out}_density.csv")
+            if not line.startswith("#")]
+    for x, d in rows[::20]:
+        w = _free_line_w(gamma, sigma, complex(x, 1e-3))
+        assert abs(d + (1.0 / w).imag / math.pi) <= 1e-10
+
+
+def test_free_line_g_does_not_depend_on_call_order():
+    triple = LevyTriple.from_parts(1.0, -0.22, [(-0.53, 0.39), (0.6, 0.36)])
+    line = (triple, 1e-3, (-6.0, 6.0), 301)
+    points = [complex(-0.4321, 1e-3), complex(0.2345, 1e-3), complex(0.2345, 1e-2),
+              complex(1.111, 1e-3)]
+    first = [cli._free_line_g(*line)(z) for z in points]
+    g = cli._free_line_g(*line)
+    after = [g(z) for z in reversed(points)][::-1]
+    assert [repr(v) for v in after] == [repr(v) for v in first]
 
 
 def test_flow_csv(tmp_path):

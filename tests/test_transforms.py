@@ -15,6 +15,7 @@ from ncprob.transforms import (
     ZR,
     cauchy_G,
     e_transform,
+    eps_line_grid,
     f_transform,
     maassen_bound_check,
     recover_measure,
@@ -150,6 +151,24 @@ def test_recover_rejects_non_transforms(monkeypatch):
         recover_measure(NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure.dirac(0.0, 1.0, PARAMETER)))
 
 
+def _g_arcsine(z):
+    s = cmath.sqrt(z * z - 4.0)
+    return 1.0 / (s if s.imag > 0 else -s)
+
+
+def _invert_counting_off_grid(g, window, bins, eps=1e-3):
+    """stieltjes_invert of g, and how many of its calls to g were off the grid."""
+    grid = set(eps_line_grid(window, bins, eps))
+    off_grid = []
+
+    def counted(z):
+        if z not in grid:
+            off_grid.append(z)
+        return g(z)
+
+    return stieltjes_invert(counted, eps, window, bins), len(off_grid)
+
+
 def test_stieltjes_atoms_and_density():
     res = stieltjes_invert(lambda z: 1.0 / z, 1e-3, (-2.0, 2.0), 400)
     assert len(res.atoms) == 1
@@ -162,14 +181,34 @@ def test_stieltjes_atoms_and_density():
     assert res_half.atoms[0][0] == pytest.approx(1.0, abs=1e-6)
     assert res_half.atoms[0][1] == pytest.approx(0.5, abs=1e-3)
 
-    def g_arcsine(z):
-        s = cmath.sqrt(z * z - 4.0)
-        return 1.0 / (s if s.imag > 0 else -s)
-
-    res_arc = stieltjes_invert(g_arcsine, 1e-3, (-3.0, 3.0), 601)
+    res_arc, off_grid = _invert_counting_off_grid(_g_arcsine, (-3.0, 3.0), 601)
     assert res_arc.atoms == ()
+    # the two edge peaks are dropped by the Poisson-kernel bound long before
+    # the 63 evaluations of a full refinement each (126 in all)
+    assert off_grid <= 12
     at0 = [d for x, d in res_arc.density if abs(x) < 1e-9][0]
     assert abs(at0 - 1.0 / (2.0 * math.pi)) <= 1e-3
+
+
+def test_harnack_constant_is_the_poisson_kernel_ratio_supremum():
+    """C(r) against a brute-force sup over u of (1 + u^2)/(1 + (u + r)^2)."""
+    for r in np.linspace(0.1, 20.0, 24):
+        lo, hi = -r - 5.0, 5.0
+        for _ in range(4):  # zoom in on the grid maximum
+            u = np.linspace(lo, hi, 20001)
+            ratio = (1.0 + u * u) / (1.0 + (u + r) ** 2)
+            j = int(np.argmax(ratio))
+            lo, hi = u[max(j - 2, 0)], u[min(j + 2, u.size - 1)]
+        assert abs(transforms._harnack(r) - ratio[j]) <= 1e-9 * ratio[j]
+
+
+def test_stieltjes_threshold_straddle():
+    """Atoms of weight 0.1005 and 0.0995 on an arcsine law: only the first passes 0.1."""
+    res, off_grid = _invert_counting_off_grid(
+        lambda z: 0.1005 / (z + 3.0) + 0.0995 / (z - 3.0) + 0.8 * _g_arcsine(z), (-4.0, 4.0), 401)
+    assert res.atoms == ((-2.999999999989588, 0.10050021742628586),)  # as the full search
+    # a full refinement of every candidate makes 254 off-grid calls
+    assert off_grid <= 100
 
 
 def test_stieltjes_grid_input(bernoulli):
