@@ -42,8 +42,6 @@ from .harness import (
 from .idiv import (
     FLOW_STEP,
     LevyTriple,
-    _dvoiculescu,
-    _voiculescu,
     boolean_idiv,
     classical_idiv_density,
     flow_map,
@@ -51,7 +49,6 @@ from .idiv import (
     monotone_idiv_flow,
 )
 from .measures import CircleMeasure, FiniteAtomicMeasure, PARAMETER
-from .solvers import newton, upper_half_plane_guard
 from .transforms import ZR, eps_line_grid, stieltjes_invert
 
 EXIT_OK = 0
@@ -257,82 +254,32 @@ def _parse_window(text):
     return lo, hi
 
 
-def _free_line_g(triple, eps, window, bins):
-    """G of the free law on the eps-line: w + phi(w) = z solved by Newton.
+def _line_g(f, eps, window, bins):
+    """G = 1/F on the eps-line: F runs once on the whole grid as an ndarray.
 
-    The grid is solved by continuation along the sweep, each point from the
-    last one's solution.  Other points, such as stieltjes_invert's atom
-    refinement, start from the nearest grid solution, so a value does not
-    depend on the order of the calls; every value is kept.
+    Other points, such as stieltjes_invert's atom refinement, take F one at
+    a time.  Every value is kept, so the grid's values are looked up when
+    stieltjes_invert asks for them and no point is solved twice.
     """
     grid = eps_line_grid(window, bins, eps)
-    xs = np.array([z.real for z in grid])
-    solved = []
-    z0 = w0 = grid[0]
-    for z in grid:
-        w0 = _free_solve(triple, z, z0, w0)
-        solved.append(w0)
-        z0 = z
-    known = {z: 1.0 / w for z, w in zip(grid, solved)}
+    known = {z: 1.0 / w for z, w in zip(grid, f(np.array(grid)).tolist())}
 
     def g(z):
         if z not in known:
-            i = int(np.argmin(np.abs(xs - z.real)))
-            known[z] = 1.0 / _free_solve(triple, z, grid[i], solved[i])
+            known[z] = 1.0 / f(z)
         return known[z]
 
     return g
 
 
-def _free_newton(triple, z, start):
-    return newton(lambda v: v + _voiculescu(triple, v) - z,
-                  lambda v: 1.0 + _dvoiculescu(triple, v), start,
-                  tol=1e-12, guard=upper_half_plane_guard, label="free line")
-
-
-def _free_solve(triple, z, z0, w0):
-    """w + phi(w) = z from w0, the solution at a nearby z0.
-
-    Newton starts from w0, then from w = z.  If both leave the half-plane
-    or stall, the segment from z0 to z is followed in 2, 4, ..., 64 equal
-    steps, each solved from the last.
-    """
-    try:
-        return _free_newton(triple, z, w0)
-    except NumericalError:
-        pass
-    try:
-        return free_idiv_eval(triple, z)
-    except NumericalError as exc:
-        failure = exc
-    for n in (2, 4, 8, 16, 32, 64):
-        w = w0
-        try:
-            for zk in np.linspace(z0, z, n + 1)[1:].tolist():
-                w = _free_newton(triple, zk, w)
-        except NumericalError:
-            continue
-        return w
-    raise failure
+def _free_line_g(triple, eps, window, bins):
+    """G of the free law: one eigen-solve for the grid, then one per point."""
+    return _line_g(lambda z: free_idiv_eval(triple, z), eps, window, bins)
 
 
 def _monotone_line_g(triple, eps, window, bins, step):
-    """G of the monotone law: the eps-line grid runs as one array flow.
-
-    Other points, such as stieltjes_invert's atom refinement, take the
-    scalar flow one at a time; every value is kept, since the refinement
-    asks for its refined peak twice.
-    """
-    grid = eps_line_grid(window, bins, eps)
-    values = flow_map(triple, 1.0, np.array(grid), step=step).tolist()
-    known = {z: 1.0 / f for z, f in zip(grid, values)}
-
-    def g(z):
-        if z not in known:
-            known[z] = 1.0 / flow_map(triple, 1.0, z, step=step)
-        return known[z]
-
-    return g
+    """G of the monotone law: one array flow for the grid, then a scalar flow per point."""
+    return _line_g(lambda z: flow_map(triple, 1.0, z, step=step), eps, window, bins)
 
 
 def _emit_atoms(args, out, engine, measure):

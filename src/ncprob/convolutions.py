@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .measures import PARAMETER, FiniteAtomicMeasure
-from .rational import spectral_measure
-from .solvers import newton, upper_half_plane_guard
+from .rational import spectral_measure, upper_root
 from .transforms import (
     ZR,
     NevanlinnaData,
@@ -167,20 +166,19 @@ def classical_power_cf(mu, k):
     return cf
 
 
-def free_power_eval(mu, k, z, tol=1e-12):
-    """F of the k-fold free power at z, via phi-additivity.
+def free_power_eval(mu, k, z):
+    """F of the k-fold free power at z, a point or an ndarray, via phi-additivity.
 
     With v = F_mu^{-1}(w) the equation w + k phi(w) = z becomes
-    v + (k-1) E_mu(v) = z for a probability measure (E = z - F).  E comes
-    straight from the pole-residue form, so no two O(k) terms cancel, as
-    they would in k v + (1-k) F_mu(v).  Solved by Newton from v = z; the
+    v + (k-1) E_mu(v) = z for a probability measure (E = z - F).  In the
+    pole-residue form E = gamma' + sum c/(v - p), so v is
+    ``rational.upper_root`` at a = z - (k-1) gamma' with weights (k-1) c;
+    no two O(k) terms cancel, as they would in k v + (1-k) F_mu(v).  The
     returned value is F_mu(v).
     """
     f = f_transform(mu)
-    v = newton(lambda v: v + (k - 1) * f._e(v) - z,
-               lambda v: 1.0 + (k - 1) * f._e_prime(v), z, tol=tol * max(1.0, abs(z)),
-               guard=upper_half_plane_guard, label="free_power")
-    return complex(f(v))
+    g, p, c = f._secular
+    return f(upper_root(z, (k - 1) * g, p, (k - 1) * c))
 
 
 def free_power_grid(mu, k, points=ZR):
@@ -189,5 +187,5 @@ def free_power_grid(mu, k, points=ZR):
         raise ValidationError("free powers need a probability measure")
     if k < 1:
         raise ValidationError("power must be >= 1")
-    values = tuple(free_power_eval(mu, k, z) for z in points)
-    return TransformGrid(tuple(points), values, "F", mass=1.0)
+    values = free_power_eval(mu, k, np.array(points, dtype=complex))
+    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=1.0)

@@ -1,10 +1,11 @@
 """The four infinitely divisible families indexed by (m, gamma, sigma).
 
 One Levy triple generates all four laws: Boolean (exact atomic measure),
-free (Newton inversion of w + phi(w) = z), classical (characteristic
-function, FFT density on request), and monotone (the time-one map of the
-ODE flow dF/dt = Phi(F) with Phi(z) = -gamma - log(m) z + integral of
-(1+xz)/(x-z) dsigma).
+free (F(z) is the root in C+ of w + phi(w) = z, an eigenvalue of one
+arrowhead matrix per point, solved for a whole grid at once), classical
+(characteristic function, FFT density on request), and monotone (the
+time-one map of the ODE flow dF/dt = Phi(F) with Phi(z) = -gamma - log(m) z
++ integral of (1+xz)/(x-z) dsigma).
 """
 
 from __future__ import annotations
@@ -16,32 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError, ValidationError
-from .measures import PARAMETER, FiniteAtomicMeasure
-from .solvers import newton, upper_half_plane_guard
+from .rational import upper_root
 from .transforms import NevanlinnaData, TransformGrid, ZR, recover_measure
 
 #: default RK4 step for flow integration
 FLOW_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class LevyTriple:
-    """(m, gamma, sigma) with m in (0, 1], sigma a parameter measure."""
-
-    m: float
-    gamma: float
-    sigma: FiniteAtomicMeasure
-
-    def __post_init__(self):
-        if not (0.0 < self.m <= 1.0 + 1e-12):
-            raise ValidationError(f"m={self.m} outside (0, 1]")
-        if self.sigma.role != PARAMETER:
-            object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
-
-    @classmethod
-    def from_parts(cls, m, gamma, sigma_pairs):
-        return cls(float(m), float(gamma),
-                   FiniteAtomicMeasure.from_pairs(sigma_pairs, role=PARAMETER))
+#: the triple (m, gamma, sigma) is the carrier of an atomic F-transform
+LevyTriple = NevanlinnaData
 
 
 def _phi(triple):
@@ -74,39 +58,23 @@ def phi_deriv(triple, z):
 
 def boolean_idiv(triple):
     """The Boolean law of the triple: exact atomic measure of mass m."""
-    return recover_measure(NevanlinnaData(triple.m, triple.gamma, triple.sigma))
+    return recover_measure(triple)
 
 
-def _voiculescu(triple, w):
-    """The Voiculescu transform phi(w) = gamma + sum s (1+pw)/(w-p) of the free law.
+def free_idiv_eval(triple, z):
+    """F of the free law at z, a point or an ndarray: the root in C+ of w + phi(w) = z.
 
-    This pair runs once per Newton iteration, so it zips sigma's fields
-    rather than rebuild the ``atoms`` tuple.
+    With phi(w) = gamma' + sum c/(w - p) from the triple's secular data this
+    is ``rational.upper_root`` at a = z - gamma'.
     """
-    acc = complex(triple.gamma)
-    for p, s in zip(triple.sigma.positions, triple.sigma.weights):
-        acc = acc + s * (1.0 + p * w) / (w - p)
-    return acc
-
-
-def _dvoiculescu(triple, w):
-    acc = 0.0j
-    for p, s in zip(triple.sigma.positions, triple.sigma.weights):
-        acc = acc - s * (1.0 + p * p) / (w - p) ** 2
-    return acc
-
-
-def free_idiv_eval(triple, z, tol=1e-12):
-    """F of the free law at z: solve w + phi(w) = z by Newton from w = z."""
     if abs(triple.m - 1.0) > 1e-12:
         raise ValidationError("the free family needs m = 1")
-    return newton(lambda w: w + _voiculescu(triple, w) - z,
-                  lambda w: 1.0 + _dvoiculescu(triple, w), z, tol=tol,
-                  guard=upper_half_plane_guard, label="free_idiv")
+    return upper_root(z, *triple._secular)
 
 
 def free_idiv(triple, points=ZR):
-    return TransformGrid.sample(lambda z: free_idiv_eval(triple, z), points, "F", mass=1.0)
+    values = free_idiv_eval(triple, np.array(points, dtype=complex))
+    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=1.0)
 
 
 def _cf_integrand(t, x):

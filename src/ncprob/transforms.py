@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import RecoveryError, ValidationError
-from .measures import PARAMETER, FiniteAtomicMeasure
+from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
 from .rational import cauchy_zeros, spectral_measure
 from .solvers import newton, upper_half_plane_guard
 
@@ -105,9 +106,12 @@ class StolzAngle:
 
 @dataclass(frozen=True)
 class NevanlinnaData:
-    """F(z) = z/m - gamma + sum s_j (1+p_j z)/(p_j - z): an atomic measure's F.
+    """The triple (m, gamma, sigma) with m in (0, 1] and sigma a parameter measure.
 
-    Calling the data evaluates F.  The pointwise engines do that millions of
+    As the data of an atomic measure's F it reads
+    F(z) = z/m - gamma + sum s_j (1+p_j z)/(p_j - z), and calling the data
+    evaluates F.  As a Levy triple it indexes the four infinitely divisible
+    families (``idiv``).  The pointwise engines evaluate F millions of
     times, so the sums zip sigma's fields and live on private names.
     """
 
@@ -116,12 +120,17 @@ class NevanlinnaData:
     sigma: FiniteAtomicMeasure
 
     def __post_init__(self):
-        if not (0.0 < self.m <= 1.0 + 1e-9):
+        if not (0.0 < self.m <= 1.0 + MASS_TOL):
             raise ValidationError(f"mass parameter m={self.m} outside (0, 1]")
         if not math.isfinite(self.gamma):
             raise ValidationError(f"non-finite gamma {self.gamma}")
         if self.sigma.role != PARAMETER:
             object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
+
+    @classmethod
+    def from_parts(cls, m, gamma, sigma_pairs):
+        return cls(float(m), float(gamma),
+                   FiniteAtomicMeasure.from_pairs(sigma_pairs, role=PARAMETER))
 
     def __call__(self, z):
         return z / self.m - self._e(z)
@@ -138,6 +147,17 @@ class NevanlinnaData:
         for p, s in zip(self.sigma.positions, self.sigma.weights):
             acc = acc - s * (1.0 + p * p) / (p - z) ** 2
         return acc
+
+    @cached_property
+    def _secular(self):
+        """(gamma', p, c) with E(z) = gamma' + sum c/(z - p), p and c as arrays.
+
+        gamma' = gamma + sum s p and c = s (1 + p^2); the free engines solve
+        their secular equations from these (``rational.upper_root``).
+        """
+        p = np.asarray(self.sigma.positions)
+        s = np.asarray(self.sigma.weights)
+        return self.gamma + float(p @ s), p, s * (1.0 + p * p)
 
 
 def cauchy_G(mu, z):
@@ -279,7 +299,7 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     refined peak is an atom when it exceeds the 0.1 threshold, dominates
     half its local neighbourhood, and is eps-stable (value within 20% under
     a 10x larger eps -- a sharp density bump fails this).  The weight is
-    -eps Im G at the refined peak.  With a plain grid as input no
+    the refined peak itself, -eps Im G there.  With a plain grid as input no
     refinement is possible, so only atoms wider than a bin are found.
 
     The refinement assumes g is G of a positive measure mu.  Then
@@ -334,8 +354,7 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
         coarse = (10.0 * eps) * abs(g_fn(complex(x_star, 10.0 * eps)).imag)
         if not (0.8 * peak <= coarse <= 1.2 * peak):
             continue  # not eps-stable: a sharp density bump, not an atom
-        weight = -eps * g_fn(complex(x_star, eps)).imag
-        atoms.append((float(x_star), float(weight)))
+        atoms.append((float(x_star), float(peak)))
     density = tuple((float(x), float(d)) for x, d in zip(xs, dens))
     return InversionResult(density, tuple(atoms))
 

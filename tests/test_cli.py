@@ -160,6 +160,16 @@ def test_idiv_rejects_non_finite_window_and_eps(tmp_path, capsys, op, flag, name
     assert not (tmp_path / "bad_density.csv").exists()
 
 
+@pytest.mark.parametrize("op", ["monotone", "classical", "free", "boolean"])
+@pytest.mark.parametrize("flag", ["--gamma=nan", "--gamma=inf", "--gamma=-inf",
+                                  "--m=1.00000001"])
+def test_idiv_rejects_non_finite_gamma_and_mass_above_one(tmp_path, op, flag):
+    out = tmp_path / "bad"
+    assert run(["idiv", "--op", op, "--sigma", "0:1", flag, "--bins", 21,
+                "--output", out]) == EXIT_VALIDATION
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_idiv_free_density(tmp_path):
     out = tmp_path / "free"
     assert run(["idiv", "--m", 1, "--gamma", 0, "--sigma", "0:1",

@@ -1,14 +1,20 @@
 """The eigen-kernels of the pole-residue form, against closed forms and atom sums."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncprob import rational
+from ncprob.cli import EXIT_NUMERICAL, main
 from ncprob.convolutions import monotone_convolve
-from ncprob.errors import ValidationError
+from ncprob.errors import ConvergenceError, ValidationError
+from ncprob.idiv import free_idiv_eval
 from ncprob.measures import PARAMETER, FiniteAtomicMeasure
-from ncprob.rational import cauchy_zeros, spectral_measure
+from ncprob.rational import cauchy_zeros, spectral_measure, upper_root
 from ncprob.transforms import NevanlinnaData, f_transform, recover_measure
 
 PROBES = tuple(complex(x, y) for y in (0.5, 1.0, 2.0) for x in (-3.0, -1.5, 0.0, 1.5, 3.0))
@@ -176,3 +182,61 @@ def test_partial_fractions_rejects_bad_inputs():
         NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((math.nan,), (1.0,), PARAMETER))
     with pytest.raises(ValidationError):
         NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((0.0,), (-0.5,), PARAMETER))
+
+
+def _mp_secular(a, p, c):
+    return lambda w: w - a + sum(ck / (w - pk) for pk, ck in zip(p, c))
+
+
+#: gamma, then sigma's 1-4 atoms as (gap to the previous atom, weight), then
+#: where the atoms start: positions at least 0.05 apart in [-3, 8]
+triples = st.tuples(
+    st.floats(-2.0, 2.0),
+    st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 1.0)), min_size=1, max_size=4),
+    st.floats(-3.0, 0.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(triples, st.floats(-6.0, 6.0), st.floats(1e-4, 10.0), st.sampled_from([1, 2, 64, 4096]))
+def test_upper_root_is_the_only_root_in_the_upper_half_plane(triple, x, y, k):
+    """The free law of the triple (1, k gamma, k sigma) at z = x + iy.
+
+    Its F(z) solves w - a + sum c/(w - p) = 0 with a = z - k gamma' and
+    weights k c.  The arrowhead has exactly one eigenvalue in C+, and the
+    kernel's root matches a 30-digit mpmath root of the same equation.
+    """
+    gamma, atoms, start = triple
+    p = start + np.cumsum([gap for gap, _ in atoms])
+    s = np.array([w for _, w in atoms])
+    c = k * s * (1.0 + p * p)
+    shift = k * (gamma + float(p @ s))
+    z = complex(x, y)
+    arrow = np.diag(np.concatenate(([z - shift], p))).astype(complex)
+    arrow[0, 1:] = arrow[1:, 0] = 1j * np.sqrt(c)
+    assert (np.linalg.eigvals(arrow).imag > 0.0).sum() == 1
+    w = upper_root(z, shift, p, c)
+    with mpmath.workdps(30):
+        a = mpmath.mpc(z) - mpmath.mpf(shift)
+        exact = mpmath.findroot(_mp_secular(a, [mpmath.mpf(v) for v in p],
+                                            [mpmath.mpf(v) for v in c]), mpmath.mpc(w))
+    assert exact.imag > 0
+    assert abs(w - complex(exact)) <= 1e-12 * abs(w)
+
+
+def test_upper_root_fails_loudly_without_a_root_in_the_upper_half_plane(monkeypatch, tmp_path, capsys):
+    """An eigen-solve that returns no root in C+ raises, naming z; the CLI exits 3."""
+    eigvals = np.linalg.eigvals
+
+    def lower(a):
+        e = eigvals(a)
+        return e.real - 1j * np.abs(e.imag)
+
+    monkeypatch.setattr(rational.np.linalg, "eigvals", lower)
+    triple = NevanlinnaData.from_parts(1.0, 0.3, [(-1.0, 0.4), (2.0, 0.3)])
+    z = complex(0.25, 1e-3)
+    with pytest.raises(ConvergenceError, match=re.escape(repr(z))):
+        free_idiv_eval(triple, np.array([z, 2j]))
+    assert main(["idiv", "--op", "free", "--sigma", "0:1", "--bins", "21",
+                 "--output", str(tmp_path / "free")]) == EXIT_NUMERICAL
+    assert "upper half-plane at z=" in capsys.readouterr().err

@@ -211,6 +211,31 @@ def test_stieltjes_threshold_straddle():
     assert off_grid <= 100
 
 
+def test_stieltjes_evaluates_each_refined_peak_once(monkeypatch):
+    """Outside the golden search, g runs on the grid and once at 10 eps per surviving peak."""
+    eps, window, bins = 1e-3, (-2.0, 2.0), 401
+    calls, in_search = [], []
+    golden_max = transforms._golden_max
+
+    def counted_search(fn, *args, **kwargs):
+        def counted(x):
+            in_search.append(x)
+            return fn(x)
+        return golden_max(counted, *args, **kwargs)
+
+    def g(z):
+        calls.append(z)
+        return 0.5 / (z + 1.0) + 0.5 / (z - 1.0)
+
+    monkeypatch.setattr(transforms, "_golden_max", counted_search)
+    res = stieltjes_invert(g, eps, window, bins)
+    assert len(res.atoms) == 2
+    assert len(calls) == bins + len(in_search) + len(res.atoms)
+    for x, weight in res.atoms:
+        assert calls.count(complex(x, eps)) == 1
+        assert weight == pytest.approx(0.5, abs=1e-3)
+
+
 def test_stieltjes_grid_input(bernoulli):
     eps = 1e-2
     pts = tuple(complex(x, eps) for x in np.linspace(-2, 2, 801))
