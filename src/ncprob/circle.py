@@ -16,6 +16,7 @@ machinery repairs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -369,6 +370,16 @@ def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     return CircleFlowResult(times, grids, means, float(step))
 
 
+@functools.lru_cache(maxsize=1)
+def _time_one_grid(gen, step, points):
+    """The time-one disk flow of gen on points, the monotone target.
+
+    circle_equivalence and rotation_correction both compare against it; a
+    circle-run calls them in turn, and the second reads the cached grid.
+    """
+    return circle_monotone_flow(gen, 1.0, step, points).grids[-1]
+
+
 def boolean_power_eta(e, k, points=DISK_GRID):
     """k-fold multiplicative Boolean power: eta(z) = z (eta(z)/z)^k.
 
@@ -482,9 +493,7 @@ def rotation_correction(spec, beta, tol=0.05, flow_step=FLOW_STEP, points=DISK_G
     (n, detected l, uncorrected and corrected distances) plus convergence
     verdicts for both sequences.
     """
-    target = circle_monotone_flow(
-        spec.generator, 1.0, flow_step, points
-    ).grids[-1]
+    target = _time_one_grid(spec.generator, flow_step, tuple(points))
     size = len(points)
     rows, raw_d, fix_d = [], [], []
     for n in spec.n_values:
@@ -526,9 +535,7 @@ def circle_equivalence(spec, beta, sigma, tol=0.05, flow_step=FLOW_STEP,
     """Boolean vs monotone verdict agreement on the circle under the drift condition."""
     gamma = cmath.exp(1j * beta)
     bool_target = circle_boolean_idiv(gamma, sigma, points)
-    mono_target = circle_monotone_flow(
-        CircleGenerator(beta, sigma), 1.0, flow_step, points
-    ).grids[-1]
+    mono_target = _time_one_grid(CircleGenerator(beta, sigma), flow_step, tuple(points))
     beta_ok, beta_rows = beta_condition_check(spec, beta, tol)
     rows_b, rows_m, db, dm = [], [], [], []
     for n in spec.n_values:

@@ -14,7 +14,6 @@ import math
 import sys
 
 import jsonschema
-import numpy as np
 
 from . import __version__
 from .circle import (
@@ -48,8 +47,8 @@ from .idiv import (
     free_idiv_eval,
     monotone_idiv_flow,
 )
-from .measures import CircleMeasure, FiniteAtomicMeasure, PARAMETER
-from .transforms import ZR, eps_line_grid, stieltjes_invert
+from .measures import MASS_TOL, CircleMeasure, FiniteAtomicMeasure, PARAMETER
+from .transforms import ZR, stieltjes_invert
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -80,7 +79,6 @@ _CIRCLE_ARRAY_SCHEMA = {
             "minItems": 2, "maxItems": 2}},
         "rotation_ell": {"oneOf": [{"type": "integer"}, {"enum": ["half"]}]},
         "n_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "k_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
     },
     "required": ["family", "beta", "sigma"],
 }
@@ -103,7 +101,7 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "space": {"enum": ["real", "circle"]},
-        "array": {"oneOf": [_ARRAY_SCHEMA, _CIRCLE_ARRAY_SCHEMA]},
+        "array": {"type": "object"},
         "triple": _TRIPLE_SCHEMA,
         "generator": {
             "type": "object",
@@ -120,6 +118,10 @@ SCENARIO_SCHEMA = {
         "flow_step": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-2},
     },
     "required": ["space", "array"],
+    # the space picks the array schema, so a rejected field is named as such
+    "if": {"properties": {"space": {"const": "circle"}}},
+    "then": {"properties": {"array": _CIRCLE_ARRAY_SCHEMA}},
+    "else": {"properties": {"array": _ARRAY_SCHEMA}},
 }
 
 
@@ -254,34 +256,6 @@ def _parse_window(text):
     return lo, hi
 
 
-def _line_g(f, eps, window, bins):
-    """G = 1/F on the eps-line: F runs once on the whole grid as an ndarray.
-
-    Other points, such as stieltjes_invert's atom refinement, take F one at
-    a time.  Every value is kept, so the grid's values are looked up when
-    stieltjes_invert asks for them and no point is solved twice.
-    """
-    grid = eps_line_grid(window, bins, eps)
-    known = {z: 1.0 / w for z, w in zip(grid, f(np.array(grid)).tolist())}
-
-    def g(z):
-        if z not in known:
-            known[z] = 1.0 / f(z)
-        return known[z]
-
-    return g
-
-
-def _free_line_g(triple, eps, window, bins):
-    """G of the free law: one eigen-solve for the grid, then one per point."""
-    return _line_g(lambda z: free_idiv_eval(triple, z), eps, window, bins)
-
-
-def _monotone_line_g(triple, eps, window, bins, step):
-    """G of the monotone law: one array flow for the grid, then a scalar flow per point."""
-    return _line_g(lambda z: flow_map(triple, 1.0, z, step=step), eps, window, bins)
-
-
 def _emit_atoms(args, out, engine, measure):
     if args.format == "csv":
         _write_csv(f"{out}_atoms.csv",
@@ -310,9 +284,9 @@ def cmd_idiv(args):
             _write_svg(f"{out}_density.svg", keep)
         return EXIT_OK
     if args.op == "monotone":
-        g = _monotone_line_g(triple, eps, (lo, hi), args.bins, args.flow_step)
+        g = lambda z: 1.0 / flow_map(triple, 1.0, z, step=args.flow_step)
     else:  # free
-        g = _free_line_g(triple, eps, (lo, hi), args.bins)
+        g = lambda z: 1.0 / free_idiv_eval(triple, z)
     inv = stieltjes_invert(g, eps, (lo, hi), args.bins)
     _write_csv(f"{out}_density.csv", _provenance(args, args.op) + ["x,density"],
                inv.density)
@@ -375,7 +349,7 @@ def cmd_limit_run(args):
         "grids": {"zr": _grid_json(ZR), "t_grid": list(T_GRID)},
         "version": __version__,
     }
-    if triple.m < 1.0 - 1e-12:
+    if triple.m < 1.0 - MASS_TOL:
         report["result"] = subprobability_equivalence(spec, triple, tol, step)
     else:
         ops = scenario.get("ops", ["classical", "free", "boolean", "monotone"])
@@ -444,13 +418,20 @@ def _add_triple_args(p):
                    help="atoms as pos:weight,pos:weight ('' for zero)")
 
 
-def _add_common(p):
-    p.add_argument("--grid-eps", dest="grid_eps", type=float, default=1e-3)
-    p.add_argument("--flow-step", dest="flow_step", type=float, default=FLOW_STEP)
-    p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--output", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--svg", action="store_true")
+_OPTIONS = {
+    "grid-eps": {"type": float, "default": 1e-3},
+    "flow-step": {"type": float, "default": FLOW_STEP},
+    "tolerance": {"type": float, "default": 0.05},
+    "output": {"type": str, "default": None},
+    "format": {"choices": ["json", "csv"], "default": "json"},
+    "svg": {"action": "store_true"},
+}
+
+
+def _add_options(p, *names):
+    """The shared options, each on the subcommands that read it."""
+    for name in names:
+        p.add_argument("--" + name, dest=name.replace("-", "_"), **_OPTIONS[name])
 
 
 def build_parser():
@@ -468,38 +449,38 @@ def build_parser():
                    required=True)
     p.add_argument("--x-window", dest="x_window", type=str, default="-6:6")
     p.add_argument("--bins", type=int, default=400)
-    _add_common(p)
-    p.set_defaults(func=cmd_idiv)
+    _add_options(p, "grid-eps", "flow-step", "output", "format", "svg")
 
     p = sub.add_parser("convolve", help="convolve two atomic measures")
     p.add_argument("--op", choices=["classical", "free", "boolean", "monotone"],
                    required=True)
     p.add_argument("--a", required=True, help="measure JSON [[pos, weight], ...]")
     p.add_argument("--b", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_convolve)
+    _add_options(p, "output", "format")
 
     p = sub.add_parser("flow", help="dump flow snapshots as CSV")
     _add_triple_args(p)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_flow)
+    _add_options(p, "flow-step", "output")
 
-    for name, fn in (("limit-run", cmd_limit_run), ("bp-check", cmd_bp_check),
-                     ("circle-run", cmd_circle_run)):
+    for name in ("limit-run", "bp-check", "circle-run"):
         p = sub.add_parser(name)
         p.add_argument("scenario", help="scenario JSON path")
-        _add_common(p)
-        p.set_defaults(func=fn)
+        _add_options(p, "tolerance", "flow-step", "output")
 
     return parser
 
 
+#: built once; argparse parsers keep no state between parse_args calls
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # the command is looked up at call time, so a wrapped cmd_* takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValidationError, jsonschema.ValidationError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .idiv import (
     monotone_idiv_flow,
     phi_eval,
 )
-from .measures import PARAMETER, FiniteAtomicMeasure
+from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
 from .transforms import TransformGrid, ZR, f_transform, stolz_tail_estimate, weak_distance
 
 DEFAULT_NS = (16, 32, 64, 128, 256)
@@ -317,7 +317,7 @@ def bp_crosscheck(spec, tol=0.05, flow_step=FLOW_STEP):
     triple = spec.limit
     if triple is None:
         raise ValidationError("bp_crosscheck needs the array's target triple")
-    if abs(triple.m - 1.0) > 1e-12:
+    if abs(triple.m - 1.0) > MASS_TOL:
         raise ValidationError("bp_crosscheck needs a mass-1 triple")
     cond_rows = []
     for n in spec.n_values:

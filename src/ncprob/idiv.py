@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError, ValidationError
+from .measures import MASS_TOL
 from .rational import upper_root
 from .transforms import NevanlinnaData, TransformGrid, ZR, recover_measure
 
@@ -67,7 +68,7 @@ def free_idiv_eval(triple, z):
     With phi(w) = gamma' + sum c/(w - p) from the triple's secular data this
     is ``rational.upper_root`` at a = z - gamma'.
     """
-    if abs(triple.m - 1.0) > 1e-12:
+    if abs(triple.m - 1.0) > MASS_TOL:
         raise ValidationError("the free family needs m = 1")
     return upper_root(z, *triple._secular)
 
@@ -87,7 +88,7 @@ def _cf_integrand(t, x):
 
 def classical_idiv_cf(triple):
     """Characteristic-function evaluator of the classical law (m = 1)."""
-    if abs(triple.m - 1.0) > 1e-12:
+    if abs(triple.m - 1.0) > MASS_TOL:
         raise ValidationError("the classical family needs m = 1")
     atoms = triple.sigma.atoms
     gamma = triple.gamma

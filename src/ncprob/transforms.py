@@ -40,27 +40,28 @@ CPLUS1_SAMPLES = tuple(
 
 
 def eps_line_grid(x_window, n_points, eps):
-    """Points x + i*eps across a window; used for density evaluation."""
+    """The ndarray of points x + i*eps across a window; used for density evaluation."""
     lo, hi = float(x_window[0]), float(x_window[1])
     if not (hi > lo and eps > 0):
         raise ValidationError("bad inversion window")
-    return tuple(complex(x, eps) for x in np.linspace(lo, hi, int(n_points)))
+    z = np.linspace(lo, hi, int(n_points)).astype(complex)
+    z.imag = eps  # set, not added: x keeps its sign bit, as in complex(x, eps)
+    return z
+
+
+#: lowest imaginary part of a TransformGrid point; keeps metric evaluations
+#: well-conditioned
+GRID_FLOOR = 0.25
 
 
 @dataclass(frozen=True)
 class TransformGrid:
-    """Sampled transform values on a fixed complex grid.
-
-    Points must stay above the configured imaginary-part floor (default
-    0.25, which keeps metric evaluations well-conditioned); density grids
-    on the eps-line lower the floor explicitly.
-    """
+    """Sampled transform values on a fixed complex grid with Im z >= GRID_FLOOR."""
 
     points: tuple
     values: tuple
     kind: str  # "G" | "F" | "E"
     mass: float | None = None
-    floor: float = 0.25
 
     def __post_init__(self):
         if self.kind not in ("G", "F", "E"):
@@ -69,15 +70,15 @@ class TransformGrid:
             raise ValidationError("points/values length mismatch")
         object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        if any(p.imag < self.floor for p in self.points):
+        if any(p.imag < GRID_FLOOR for p in self.points):
             raise ValidationError(
-                f"grid point below the imaginary-part floor {self.floor}")
+                f"grid point below the imaginary-part floor {GRID_FLOOR}")
         if any(not (abs(v) < math.inf) for v in self.values):
             raise ValidationError("non-finite grid value")
 
     @classmethod
-    def sample(cls, fn, points, kind, mass=None, floor=0.25):
-        return cls(tuple(points), tuple(fn(z) for z in points), kind, mass, floor)
+    def sample(cls, fn, points, kind, mass=None):
+        return cls(tuple(points), tuple(fn(z) for z in points), kind, mass)
 
     def g_values(self):
         if self.kind == "G":
@@ -287,11 +288,23 @@ def _golden_max(fn, lo, hi, eps, floor, iters=60):
     return x, fn(x)
 
 
+def _peak_candidates(a):
+    """Indices of the local maxima of a: a[i] > a[i-1], a[i] >= a[i+1], a[i] >= 1e-4.
+
+    The strict left test keeps only the leftmost bin of a plateau.
+    """
+    peak = a >= 1e-4
+    peak[1:] &= a[1:] > a[:-1]
+    peak[:-1] &= a[:-1] >= a[1:]
+    return np.flatnonzero(peak)
+
+
 def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     """Density and atoms of a measure from its G-values near the real axis.
 
-    g is either a callable G(z) or a TransformGrid of kind G sampled on the
-    line Im z = eps.  density(x) = -Im G(x + i eps)/pi.
+    g is G: it takes the ndarray ``eps_line_grid(x_window, n_bins, eps)``
+    once and returns the ndarray of its values, and it takes single points
+    for the atom refinement.  density(x) = -Im G(x + i eps)/pi.
 
     Atom search: every local maximum of a(x) = eps |Im G(x + i eps)| is
     refined by a golden-section search between its neighbouring bins (the
@@ -299,8 +312,7 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     refined peak is an atom when it exceeds the 0.1 threshold, dominates
     half its local neighbourhood, and is eps-stable (value within 20% under
     a 10x larger eps -- a sharp density bump fails this).  The weight is
-    the refined peak itself, -eps Im G there.  With a plain grid as input no
-    refinement is possible, so only atoms wider than a bin are found.
+    the refined peak itself, -eps Im G there.
 
     The refinement assumes g is G of a positive measure mu.  Then
     a(x) = integral of eps^2/((x - t)^2 + eps^2) dmu(t), and Harnack's
@@ -310,40 +322,19 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     peak cannot pass the threshold test; candidates that stay run the full
     search, so the atoms found are those of the full search.
     """
-    if isinstance(g, TransformGrid):
-        if g.kind != "G":
-            raise ValidationError("stieltjes_invert needs a G-grid")
-        pts = g.points
-        if any(abs(p.imag - eps) > 1e-15 * max(1.0, eps) for p in pts):
-            raise ValidationError("grid must be sampled on the line Im z = eps")
-        xs = np.array([p.real for p in pts])
-        vals = np.array(g.values)
-        g_fn = None
-    else:
-        pts = eps_line_grid(x_window, n_bins, eps)
-        xs = np.array([p.real for p in pts])
-        g_fn = g
-        vals = np.array([g(p) for p in pts])
+    pts = eps_line_grid(x_window, n_bins, eps)
+    xs = pts.real
+    vals = np.asarray(g(pts), dtype=complex)
     dens = -vals.imag / math.pi
     a = eps * np.abs(vals.imag)
     dx = xs[1] - xs[0] if len(xs) > 1 else 0.0
 
     atoms = []
     half = max(3, int(0.05 * len(xs)))
-    for i in range(len(xs)):
-        lo, hi = max(0, i - 1), min(len(xs), i + 2)
-        if a[i] < np.max(a[lo:hi]) or a[i] < 1e-4:
-            continue
-        if i > 0 and a[i] == a[i - 1]:  # plateau: keep leftmost only
-            continue
+    for i in _peak_candidates(a):
         floor = max(atom_threshold, 0.5 * float(np.max(a[max(0, i - half): i + half + 1])))
-        if g_fn is None:
-            if a[i] <= floor:
-                continue
-            atoms.append((float(xs[i]), float(a[i])))
-            continue
         refined = _golden_max(
-            lambda x: eps * abs(g_fn(complex(x, eps)).imag),
+            lambda x: eps * abs(g(complex(x, eps)).imag),
             xs[i] - dx, xs[i] + dx, eps, floor,
         )
         if refined is None:
@@ -351,7 +342,7 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
         x_star, peak = refined
         if peak <= floor:
             continue
-        coarse = (10.0 * eps) * abs(g_fn(complex(x_star, 10.0 * eps)).imag)
+        coarse = (10.0 * eps) * abs(g(complex(x_star, 10.0 * eps)).imag)
         if not (0.8 * peak <= coarse <= 1.2 * peak):
             continue  # not eps-stable: a sharp density bump, not an atom
         atoms.append((float(x_star), float(peak)))

@@ -5,11 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from ncprob import cli, transforms
+from ncprob import circle, cli, transforms
 from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
 from ncprob.errors import RecoveryError, ValidationError
-from ncprob.idiv import FLOW_STEP, LevyTriple, flow_map
-from ncprob.transforms import stieltjes_invert
+from ncprob.idiv import FLOW_STEP, LevyTriple, flow_map, free_idiv_eval
+from ncprob.transforms import eps_line_grid, stieltjes_invert
 
 
 def run(args):
@@ -127,7 +127,7 @@ def test_monotone_sweep_early_exit_matches_plain_search(monkeypatch, seed):
     sigma = [(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 0.4))]
     triple = LevyTriple.from_parts(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3), sigma)
     eps, window, bins = 1e-3, (-6.0, 6.0), 301
-    g = cli._monotone_line_g(triple, eps, window, bins, FLOW_STEP)
+    g = lambda z: 1.0 / flow_map(triple, 1.0, z, step=FLOW_STEP)
     early_exit = transforms._golden_max
     searches = []
 
@@ -215,15 +215,13 @@ def test_idiv_free_sweep_of_multi_atom_triples(tmp_path, gamma, sigma):
         assert abs(d + (1.0 / w).imag / math.pi) <= 1e-10
 
 
-def test_free_line_g_does_not_depend_on_call_order():
+def test_free_sweep_grid_values_match_single_points():
+    """The sweep evaluates F once on the whole eps-line; each value is the single-point one."""
     triple = LevyTriple.from_parts(1.0, -0.22, [(-0.53, 0.39), (0.6, 0.36)])
-    line = (triple, 1e-3, (-6.0, 6.0), 301)
-    points = [complex(-0.4321, 1e-3), complex(0.2345, 1e-3), complex(0.2345, 1e-2),
-              complex(1.111, 1e-3)]
-    first = [cli._free_line_g(*line)(z) for z in points]
-    g = cli._free_line_g(*line)
-    after = [g(z) for z in reversed(points)][::-1]
-    assert [repr(v) for v in after] == [repr(v) for v in first]
+    grid = eps_line_grid((-6.0, 6.0), 301, 1e-3)
+    on_grid = free_idiv_eval(triple, grid)
+    assert isinstance(on_grid, np.ndarray) and on_grid.shape == grid.shape
+    assert on_grid.tolist() == [free_idiv_eval(triple, z) for z in grid.tolist()]
 
 
 def test_flow_csv(tmp_path):
@@ -382,3 +380,85 @@ def test_flow_rejects_unending_arguments(tmp_path, capsys, no_hang, flag):
     assert run(["flow", "--sigma", "0:1", flag, "--output", out]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("op", ["monotone", "classical", "free", "boolean"])
+@pytest.mark.parametrize("m, code", [("1.0000000005", EXIT_OK),
+                                     ("1.000000002", EXIT_VALIDATION)])
+def test_idiv_mass_one_slack_is_the_carriers(tmp_path, op, m, code):
+    """Every op takes m within MASS_TOL of 1 as m = 1, and rejects m beyond it."""
+    assert run(["idiv", "--op", op, "--sigma", "0:1", "--m", m, "--bins", 21,
+                "--output", tmp_path / "run"]) == code
+
+
+def test_limit_run_and_bp_check_take_mass_within_slack_as_one(tmp_path):
+    triple = {"m": 1.0 - 5e-10, "gamma": 0.0, "sigma": [[0.0, 1.0]]}
+    scenario = bernoulli_scenario(tmp_path, triple=triple)
+    out = tmp_path / "rep.json"
+    assert run(["limit-run", scenario, "--output", out]) == EXIT_OK
+    assert set(read_json(out)["result"]["ops"]) == {"classical", "free", "boolean",
+                                                    "monotone"}
+    assert run(["bp-check", scenario, "--output", out]) == EXIT_OK
+
+
+def test_circle_run_rejects_k_values(tmp_path, capsys):
+    """Circle rows are flow roots at time 1/n, so k_n = n and there is no table to set."""
+    path = tmp_path / "circ.json"
+    path.write_text(json.dumps({
+        "space": "circle",
+        "array": {"family": "semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
+                  "n_values": [16, 32, 64], "k_values": [160, 320, 640]}}))
+    assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert "k_values" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_circle_run_integrates_the_time_one_target_once(tmp_path, monkeypatch):
+    flows = []
+    flow = circle.circle_monotone_flow
+
+    def counted(*args, **kwargs):
+        flows.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(circle, "circle_monotone_flow", counted)
+    circle._time_one_grid.cache_clear()
+    path = tmp_path / "circ.json"
+    path.write_text(json.dumps({
+        "space": "circle",
+        "array": {"family": "rotated_semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
+                  "rotation_ell": 1, "n_values": [16, 32]}}))
+    assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_OK
+    assert len(flows) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag.split('=')[0]}")
+    for argv, flags in [
+        (["convolve", "--op", "boolean", "--a", "a.json", "--b", "b.json"],
+         ["--grid-eps=1e-3", "--flow-step=1e-3", "--tolerance=0.05", "--svg"]),
+        (["flow"], ["--grid-eps=1e-3", "--tolerance=0.05", "--format=csv", "--svg"]),
+        (["limit-run", "s.json"], ["--grid-eps=1e-3", "--format=csv", "--svg"]),
+        (["bp-check", "s.json"], ["--grid-eps=1e-3", "--format=csv", "--svg"]),
+        (["circle-run", "s.json"], ["--grid-eps=1e-3", "--format=csv", "--svg"]),
+        (["idiv", "--op", "boolean"], ["--tolerance=0.05"]),
+    ]
+    for flag in flags
+])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("circle-run", {"space": "circle", "array": {"family": "bernoulli_clt"}}),
+    ("bp-check", {"space": "real",
+                  "array": {"family": "semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]]}}),
+])
+def test_array_must_belong_to_the_scenario_space(tmp_path, capsys, command, scenario):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(scenario))
+    assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err

@@ -157,14 +157,18 @@ def _g_arcsine(z):
 
 
 def _invert_counting_off_grid(g, window, bins, eps=1e-3):
-    """stieltjes_invert of g, and how many of its calls to g were off the grid."""
-    grid = set(eps_line_grid(window, bins, eps))
+    """stieltjes_invert of a pointwise g, and how many points it asked for off the grid.
+
+    An ndarray call counts as its points, which g evaluates one at a time.
+    """
+    grid = set(eps_line_grid(window, bins, eps).tolist())
     off_grid = []
 
     def counted(z):
-        if z not in grid:
-            off_grid.append(z)
-        return g(z)
+        points = np.atleast_1d(z).tolist()
+        off_grid.extend(p for p in points if p not in grid)
+        values = [g(p) for p in points]
+        return np.array(values) if isinstance(z, np.ndarray) else values[0]
 
     return stieltjes_invert(counted, eps, window, bins), len(off_grid)
 
@@ -224,7 +228,7 @@ def test_stieltjes_evaluates_each_refined_peak_once(monkeypatch):
         return golden_max(counted, *args, **kwargs)
 
     def g(z):
-        calls.append(z)
+        calls.extend(np.atleast_1d(z).tolist())
         return 0.5 / (z + 1.0) + 0.5 / (z - 1.0)
 
     monkeypatch.setattr(transforms, "_golden_max", counted_search)
@@ -236,12 +240,38 @@ def test_stieltjes_evaluates_each_refined_peak_once(monkeypatch):
         assert weight == pytest.approx(0.5, abs=1e-3)
 
 
-def test_stieltjes_grid_input(bernoulli):
-    eps = 1e-2
-    pts = tuple(complex(x, eps) for x in np.linspace(-2, 2, 801))
-    grid = TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), pts, "G", floor=0.0)
-    res = stieltjes_invert(grid, eps, (-2.0, 2.0))
-    assert len(res.atoms) == 2
+def _peak_candidates_per_bin(a):
+    """The candidate rule as a loop over bins: a local maximum of at least 1e-4,
+    and of a plateau only its leftmost bin."""
+    found = []
+    for i in range(len(a)):
+        lo, hi = max(0, i - 1), min(len(a), i + 2)
+        if a[i] < np.max(a[lo:hi]) or a[i] < 1e-4:
+            continue
+        if i > 0 and a[i] == a[i - 1]:
+            continue
+        found.append(i)
+    return found
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_peak_candidates_match_the_per_bin_rule(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct levels, so plateaus, ties and values below 1e-4 are common
+    levels = np.array([0.0, 5e-5, 1e-4, 0.02, 0.3, 0.3 + 1e-12, 1.0])
+    a = levels[rng.integers(0, levels.size, size=200)]
+    a[rng.integers(0, 200, size=20)] = rng.uniform(0.0, 1.0, size=20)
+    got = transforms._peak_candidates(a)
+    assert got.tolist() == _peak_candidates_per_bin(a)
+    for n in (1, 2, 3):
+        assert transforms._peak_candidates(a[:n]).tolist() == _peak_candidates_per_bin(a[:n])
+
+
+def test_eps_line_grid_is_an_ndarray_of_complex_points():
+    grid = eps_line_grid((-1.0, -0.0), 5, 1e-3)
+    assert isinstance(grid, np.ndarray) and grid.dtype == complex
+    assert grid.tolist() == [complex(x, 1e-3) for x in np.linspace(-1.0, -0.0, 5)]
+    assert math.copysign(1.0, grid[-1].real) == -1.0  # as in complex(-0.0, eps)
 
 
 def test_weak_distance_examples(bernoulli):
@@ -267,7 +297,6 @@ def test_grid_floor_invariant(bernoulli):
     low = (complex(0.0, 0.1),)
     with pytest.raises(ValidationError):
         TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), low, "G")
-    TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), low, "G", floor=0.05)
 
 
 def test_weak_distance_grid_needs_zr(bernoulli):
