@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
-from .harness import _k_of, _verdict
+from .harness import _verdict
 from .idiv import _check_flow_args, _rk4_step
 from .measures import PARAMETER, CircleMeasure
 from .solvers import disk_guard, newton
@@ -34,6 +34,9 @@ DISK_GRID = tuple(
 )
 
 FLOW_STEP = 1e-3
+
+#: radial continuation steps of the circle free laws' inverse solves
+N_CONTINUATION = 24
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,29 +83,33 @@ class CircleGenerator:
             )
 
     def a_eval(self, z):
-        """A(z) = z(i beta - H(z)) at one point or, elementwise, an ndarray."""
-        return z * (1j * self.beta - _herglotz_sum(self.sigma, z))
+        """A(z) = z(i beta - H(z)) = z(A'(0) - 2 psi_sigma(z)), a point or an ndarray."""
+        return z * (self.mean_rate - 2.0 * _psi(self.sigma, z))
 
-    @property
+    @functools.cached_property
     def mean_rate(self):
         """A'(0) = i beta - sigma(T): the exponential rate of the flow mean."""
         return 1j * self.beta - self.sigma.mass
 
 
-def _herglotz_sum(sigma, z):
-    """H(z) = integral (1+zeta z)/(1-zeta z) dsigma at one point or an ndarray."""
-    acc = 0.0j
-    for zeta, w in sigma.unit_atoms:
-        u = zeta * z
-        acc = acc + w * (1.0 + u) / (1.0 - u)
+def _psi(mu, z):
+    """psi(z) = integral z zeta/(1 - z zeta) dmu at one point or, elementwise, an ndarray.
+
+    The Herglotz integral is H = sigma(T) + 2 psi_sigma.  psi is summed itself:
+    (H - sigma(T))/2 would lose its relative digits near z = 0.
+    """
+    acc = 0
+    for zeta, w in mu.unit_atoms:
+        u = z * zeta
+        acc = acc + w * u / (1.0 - u)
     return acc
 
 
-def _herglotz_deriv(sigma, z):
-    """H'(z) = integral 2 zeta/(1-zeta z)^2 dsigma."""
-    acc = 0.0j
-    for zeta, w in sigma.unit_atoms:
-        acc = acc + w * 2.0 * zeta / (1.0 - zeta * z) ** 2
+def _psi_deriv(mu, z):
+    """psi'(z) = integral zeta/(1 - z zeta)^2 dmu; H' = 2 psi'_sigma."""
+    acc = 0
+    for zeta, w in mu.unit_atoms:
+        acc = acc + w * zeta / (1.0 - z * zeta) ** 2
     return acc
 
 
@@ -110,10 +117,7 @@ def psi(mu, z):
     """psi(z) = integral of z zeta/(1 - z zeta) dmu at one point or an ndarray."""
     if np.any(abs(z) >= 1.0):
         raise ValidationError("psi needs |z| < 1")
-    acc = 0
-    for zeta, w in mu.unit_atoms:
-        acc = acc + w * z * zeta / (1.0 - z * zeta)
-    return acc
+    return _psi(mu, z)
 
 
 def eta(mu, z):
@@ -129,11 +133,8 @@ def eta_fn(mu):
 
 
 def _eta_deriv_atomic(mu, z):
-    p = psi(mu, z)
-    dp = 0
-    for zeta, w in mu.unit_atoms:
-        dp = dp + w * zeta / (1.0 - z * zeta) ** 2
-    return dp / (1.0 + p) ** 2
+    """eta' = psi'/(1 + psi)^2."""
+    return _psi_deriv(mu, z) / (1.0 + psi(mu, z)) ** 2
 
 
 def _eta_with_deriv(obj):
@@ -187,7 +188,7 @@ def _invert_eta(e, de, target, w0):
                   guard=disk_guard(1.0), label="eta inverse")
 
 
-def mult_free(a, b, points=DISK_GRID, n_continuation=24):
+def mult_free(a, b, points=DISK_GRID):
     """Sigma multiplies: eta of the product by radial analytic continuation.
 
     Per grid point the relation eta^{-1}(w) = eta_a^{-1}(w) eta_b^{-1}(w)/w
@@ -208,11 +209,11 @@ def mult_free(a, b, points=DISK_GRID, n_continuation=24):
 
     def one_point(zeta):
         # q(w) = eta_a^{-1}(w) eta_b^{-1}(w) / w ~ w/(mean_a mean_b) near 0
-        w = means[0] * means[1] * zeta / n_continuation
+        w = means[0] * means[1] * zeta / N_CONTINUATION
         ua = _invert_eta(ea, dea, w, w / means[0])
         ub = _invert_eta(eb, deb, w, w / means[1])
-        for j in range(1, n_continuation + 1):
-            target = zeta * j / n_continuation
+        for j in range(1, N_CONTINUATION + 1):
+            target = zeta * j / N_CONTINUATION
             for _ in range(80):
                 ua = _invert_eta(ea, dea, w, ua)
                 ub = _invert_eta(eb, deb, w, ub)
@@ -231,37 +232,41 @@ def mult_free(a, b, points=DISK_GRID, n_continuation=24):
 
 
 def boolean_idiv_eta(gamma, sigma):
-    """eta(z) = gamma z exp(-integral (1+zeta z)/(1-zeta z) dsigma), z a point or an ndarray."""
+    """eta(z) = gamma z exp(-H(z)) = gamma e^{-sigma(T)} z exp(-2 psi_sigma(z)).
+
+    z is a point or an ndarray.
+    """
     gamma = complex(gamma)
     if abs(abs(gamma) - 1.0) > 1e-9:
         raise ValidationError("gamma must lie on the unit circle")
-    return lambda z: gamma * z * np.exp(-_herglotz_sum(sigma, z))
+    scale = gamma * math.exp(-sigma.mass)
+    return lambda z: scale * z * np.exp(-2.0 * _psi(sigma, z))
 
 
 def circle_boolean_idiv(gamma, sigma, points=DISK_GRID):
     return DiskGrid(points, boolean_idiv_eta(gamma, sigma)(np.array(points, dtype=complex)))
 
 
-def circle_free_idiv(gamma, sigma, points=DISK_GRID, n_continuation=24):
-    """eta of the free law: invert eta^{-1}(w) = w gamma exp(integral...)."""
+def circle_free_idiv(gamma, sigma, points=DISK_GRID):
+    """eta of the free law: invert eta^{-1}(w) = gamma w exp(H(w)).
+
+    With H = sigma(T) + 2 psi_sigma that is gamma e^{sigma(T)} w exp(2 psi_sigma(w)).
+    """
     gamma = complex(gamma)
     if abs(abs(gamma) - 1.0) > 1e-9:
         raise ValidationError("gamma must lie on the unit circle")
+    scale = gamma * math.exp(sigma.mass)
 
     def inv(w):
-        return w * gamma * cmath.exp(_herglotz_sum(sigma, w))
+        return scale * w * cmath.exp(2.0 * _psi(sigma, w))
 
     def dinv(w):
-        s = cmath.exp(_herglotz_sum(sigma, w))
-        ds = s * _herglotz_deriv(sigma, w)
-        return gamma * (s + w * ds)
-
-    start_scale = cmath.exp(-_herglotz_sum(sigma, 0.0)) / gamma
+        return scale * cmath.exp(2.0 * _psi(sigma, w)) * (1.0 + 2.0 * w * _psi_deriv(sigma, w))
 
     def one_point(zeta):
-        w = start_scale * zeta / n_continuation
-        for j in range(1, n_continuation + 1):
-            target = zeta * j / n_continuation
+        w = zeta / (scale * N_CONTINUATION)
+        for j in range(1, N_CONTINUATION + 1):
+            target = zeta * j / N_CONTINUATION
             w = newton(lambda v: inv(v) - target, dinv, w, tol=1e-13,
                        guard=disk_guard(1.0), label="circle free idiv")
         return w
@@ -415,6 +420,8 @@ class CircleArraySpec:
 
     Each row's eta callable takes an ndarray of grid points and returns the
     ndarray of eta values, so a row's powers run the whole grid at once.
+    Row n is raised to the power k_n = n: the rows of ``semigroup`` are
+    flow roots at time 1/n.
     """
 
     name: str
@@ -422,17 +429,12 @@ class CircleArraySpec:
     eta_factory: object          # n -> callable eta_n, taking an ndarray of grid points
     mean_fn: object              # n -> complex mean of row n
     generator: CircleGenerator   # target (beta, sigma)
-    k_table: tuple = None
-    construction_ell: object = 0  # rotation index used to build the array: int or n -> int
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValidationError("n_values must be strictly increasing")
         object.__setattr__(self, "n_values", ns)
-
-    def k_of(self, n):
-        return _k_of(self.k_table, n)
 
     def eta_of(self, n):
         return self.eta_factory(n)
@@ -442,7 +444,7 @@ class CircleArraySpec:
 
     @classmethod
     def semigroup(cls, gen, n_values, flow_step=FLOW_STEP, rotation_ell=0):
-        """Rows eta_n = flow at time 1/k_n, optionally rotated by e^{2 pi i l/k_n}.
+        """Rows eta_n = flow at time 1/n, optionally rotated by e^{2 pi i l/n}.
 
         rotation_ell is an integer or a per-row callable n -> integer
         (e.g. n//2 for the lambda_n = -1 witness).
@@ -450,10 +452,9 @@ class CircleArraySpec:
         ell_of = rotation_ell if callable(rotation_ell) else (lambda n: int(rotation_ell))
 
         def factory(n):
-            k = n
-            lam = cmath.exp(2j * math.pi * ell_of(n) / k)
+            lam = cmath.exp(2j * math.pi * ell_of(n) / n)
             return lambda z: lam * circle_flow_map(
-                gen, 1.0 / k, z, step=min(flow_step, 0.5 / k)
+                gen, 1.0 / n, z, step=min(flow_step, 0.5 / n)
             )
 
         def mean(n):
@@ -461,8 +462,7 @@ class CircleArraySpec:
 
         rotated = any(ell_of(n) != 0 for n in n_values)
         name = "rotated_semigroup" if rotated else "semigroup"
-        return cls(name, tuple(n_values), factory, mean, gen,
-                   construction_ell=ell_of)
+        return cls(name, tuple(n_values), factory, mean, gen)
 
     @classmethod
     def from_measures(cls, measures, gen, n_values=None):
@@ -477,9 +477,8 @@ class CircleArraySpec:
 
 
 def detect_rotation(spec, beta, n):
-    """The integer l minimizing |k_n arg(mean_n) + 2 pi l - beta|."""
-    k = spec.k_of(n)
-    x = k * cmath.phase(spec.mean_of(n))
+    """The integer l minimizing |k_n arg(mean_n) + 2 pi l - beta|, with k_n = n."""
+    x = n * cmath.phase(spec.mean_of(n))
     ell = round((beta - x) / TWO_PI)
     if abs(x + TWO_PI * ell - beta) > math.pi + 1e-9:
         raise ConvergenceError("rotation detection is branch-ambiguous")
@@ -497,15 +496,14 @@ def rotation_correction(spec, beta, tol=0.05, flow_step=FLOW_STEP, points=DISK_G
     size = len(points)
     rows, raw_d, fix_d = [], [], []
     for n in spec.n_values:
-        k = spec.k_of(n)
         ell = detect_rotation(spec, beta, n)
         e = spec.eta_of(n)
         # uncorrected (lambda = 1) and corrected powers iterate as one array
-        lam = np.repeat([1.0, cmath.exp(2j * math.pi * ell / k)], size)
-        both = monotone_power_eta(lambda z: lam * e(z), k, tuple(points) * 2).values
+        lam = np.repeat([1.0, cmath.exp(2j * math.pi * ell / n)], size)
+        both = monotone_power_eta(lambda z: lam * e(z), n, tuple(points) * 2).values
         raw = eta_distance(both[:size], target.values)
         fixed = eta_distance(both[size:], target.values)
-        rows.append({"n": n, "k": k, "ell": ell,
+        rows.append({"n": n, "k": n, "ell": ell,
                      "uncorrected": float(raw), "corrected": float(fixed)})
         raw_d.append(float(raw))
         fix_d.append(float(fixed))
@@ -522,9 +520,8 @@ def beta_condition_check(spec, beta, tol=0.05):
     """k_n * Im(mean_n) -> beta: the drift condition for verdict transfer."""
     rows = []
     for n in spec.n_values:
-        k = spec.k_of(n)
-        val = k * spec.mean_of(n).imag
-        rows.append({"n": n, "k": k, "k_im_mean": float(val),
+        val = n * spec.mean_of(n).imag
+        rows.append({"n": n, "k": n, "k_im_mean": float(val),
                      "gap": float(abs(val - beta))})
     ok = rows[-1]["gap"] <= tol
     return ok, rows
@@ -539,12 +536,11 @@ def circle_equivalence(spec, beta, sigma, tol=0.05, flow_step=FLOW_STEP,
     beta_ok, beta_rows = beta_condition_check(spec, beta, tol)
     rows_b, rows_m, db, dm = [], [], [], []
     for n in spec.n_values:
-        k = spec.k_of(n)
         e = spec.eta_of(n)
-        dist_b = eta_distance(boolean_power_eta(e, k, points), bool_target)
-        dist_m = eta_distance(monotone_power_eta(e, k, points), mono_target)
-        rows_b.append({"n": n, "k": k, "distance": float(dist_b)})
-        rows_m.append({"n": n, "k": k, "distance": float(dist_m)})
+        dist_b = eta_distance(boolean_power_eta(e, n, points), bool_target)
+        dist_m = eta_distance(monotone_power_eta(e, n, points), mono_target)
+        rows_b.append({"n": n, "k": n, "distance": float(dist_b)})
+        rows_m.append({"n": n, "k": n, "distance": float(dist_m)})
         db.append(float(dist_b))
         dm.append(float(dist_m))
     conv_b = _verdict(db, tol)

@@ -9,6 +9,7 @@ iteration order, canonical grids embedded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -158,10 +159,7 @@ def _real_spec(array):
     else:
         spec = ArraySpec.fixed(n_values=ns)
     table = _k_table(array)
-    if table is not None:
-        spec = ArraySpec(spec.name, spec.n_values, spec.measure_fn,
-                         spec.f_eval_fn, spec.mass_fn, table, spec.limit)
-    return spec
+    return spec if table is None else dataclasses.replace(spec, k_table=table)
 
 
 def _circle_spec(array, flow_step):
@@ -369,9 +367,7 @@ def cmd_bp_check(args):
     step = scenario.get("flow_step", args.flow_step)
     spec = _real_spec(scenario["array"])
     if "triple" in scenario:
-        spec = ArraySpec(spec.name, spec.n_values, spec.measure_fn,
-                         spec.f_eval_fn, spec.mass_fn, spec.k_table,
-                         _triple_from(scenario["triple"]))
+        spec = dataclasses.replace(spec, limit=_triple_from(scenario["triple"]))
     result = bp_crosscheck(spec, tol, step)
     report = {
         "scenario": scenario,

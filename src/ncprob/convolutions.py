@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .measures import PARAMETER, FiniteAtomicMeasure
+from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
 from .rational import spectral_measure, upper_root
 from .transforms import (
     ZR,
@@ -106,7 +106,7 @@ def free_convolve_F(f_mu, f_nu):
 def free_convolve(mu, nu, points=ZR):
     """Free convolution of two probability measures, sampled on a grid."""
     for m in (mu, nu):
-        if abs(m.mass - 1.0) > 1e-12:
+        if abs(m.mass - 1.0) > MASS_TOL:
             raise ValidationError("free convolution needs probability measures")
     fn = free_convolve_F(f_transform(mu), f_transform(nu))
     return TransformGrid.sample(fn, points, "F", mass=1.0)
@@ -183,7 +183,7 @@ def free_power_eval(mu, k, z):
 
 def free_power_grid(mu, k, points=ZR):
     """k-fold free power of a probability measure on a grid."""
-    if abs(mu.mass - 1.0) > 1e-12:
+    if abs(mu.mass - 1.0) > MASS_TOL:
         raise ValidationError("free powers need a probability measure")
     if k < 1:
         raise ValidationError("power must be >= 1")

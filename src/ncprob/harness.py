@@ -20,7 +20,6 @@ from .convolutions import (
     classical_power_cf,
     free_power_grid,
     iterate_f,
-    monotone_power_grid,
 )
 from .errors import NumericalError, ValidationError
 from .idiv import (
@@ -48,16 +47,6 @@ def _bernoulli():
     return FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
 
 
-def _k_of(k_table, n):
-    """k_n from a ((n, k), ...) table; k_n = n without one."""
-    if k_table is None:
-        return int(n)
-    table = dict(k_table)
-    if n not in table:
-        raise ValidationError(f"k_n table has no entry for n={n}")
-    return int(table[n])
-
-
 @dataclass(frozen=True)
 class ArraySpec:
     """One measure per row n, plus the power rule k_n and the target triple."""
@@ -80,7 +69,13 @@ class ArraySpec:
             raise ValidationError("k_n must be positive and strictly increasing")
 
     def k_of(self, n):
-        return _k_of(self.k_table, n)
+        """k_n from the ((n, k), ...) table; k_n = n without one."""
+        if self.k_table is None:
+            return int(n)
+        table = dict(self.k_table)
+        if n not in table:
+            raise ValidationError(f"k_n table has no entry for n={n}")
+        return int(table[n])
 
     def measure(self, n):
         if self.measure_fn is None:
@@ -280,16 +275,12 @@ def run_powers(spec, op, target, tol=0.05, flow_step=FLOW_STEP):
             elif op == "boolean":
                 power = boolean_power(spec.measure(n), k)
                 dist = weak_distance(power, target)
-            else:  # monotone
-                mu = spec.measure(n)
-                if mu is not None:
-                    power = monotone_power_grid(mu, k)
-                else:
-                    fe = spec.f_eval(n)
-                    power = TransformGrid(
-                        ZR, tuple(iterate_f(fe, k, z) for z in ZR), "F",
-                        mass=spec.mass_of(n) ** k,
-                    )
+            else:  # monotone: f_transform of an atomic row, or the row's own F
+                fe = spec.f_eval(n)
+                power = TransformGrid(
+                    ZR, tuple(iterate_f(fe, k, z) for z in ZR), "F",
+                    mass=spec.mass_of(n) ** k,
+                )
                 dist = weak_distance(power, target)
         except (NumericalError, ValidationError) as exc:
             raise type(exc)(f"{exc} (op={op}, row n={n}, k={k})") from exc

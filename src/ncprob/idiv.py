@@ -30,19 +30,12 @@ LevyTriple = NevanlinnaData
 
 
 def _phi(triple):
-    """Phi of the triple as a closure that reads sigma's atoms and log m once.
+    """Phi = -E - z log m of the triple as a closure; log m is taken once.
 
     It takes a complex scalar or, elementwise, an ndarray of points.
     """
-    gamma, log_m, atoms = triple.gamma, math.log(triple.m), triple.sigma.atoms
-
-    def phi(z):
-        acc = -gamma - log_m * z
-        for p, s in atoms:
-            acc = acc + s * (1.0 + p * z) / (p - z)
-        return acc
-
-    return phi
+    e, log_m = triple._e, math.log(triple.m)
+    return lambda z: -e(z) - log_m * z
 
 
 def phi_eval(triple, z):
@@ -51,10 +44,8 @@ def phi_eval(triple, z):
 
 
 def phi_deriv(triple, z):
-    acc = complex(-math.log(triple.m))
-    for p, s in triple.sigma.atoms:
-        acc = acc + s * (1.0 + p * p) / (p - z) ** 2
-    return acc
+    """Phi'(z) = -E'(z) - log m."""
+    return -triple._e_prime(z) - math.log(triple.m)
 
 
 def boolean_idiv(triple):
@@ -102,12 +93,17 @@ def classical_idiv_cf(triple):
     return cf
 
 
-def classical_idiv_density(triple, t_max=64.0, n_samples=2**14):
+#: the FFT density samples the characteristic function at N_FFT points of [-T_MAX, T_MAX)
+T_MAX = 64.0
+N_FFT = 2**14
+
+
+def classical_idiv_density(triple):
     """Density grid by FFT inversion of the characteristic function."""
     cf = classical_idiv_cf(triple)
-    n = int(n_samples)
-    dt = 2.0 * t_max / n
-    ts = -t_max + dt * np.arange(n)
+    n = N_FFT
+    dt = 2.0 * T_MAX / n
+    ts = -T_MAX + dt * np.arange(n)
     vals = np.array([cf(t) for t in ts])
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     spec = np.fft.fft(vals * signs)

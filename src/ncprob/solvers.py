@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from .errors import ConvergenceError
 
+#: Newton iterations before a solve gives up
+MAX_ITER = 100
 
-def newton(f, df, z0, tol=1e-12, max_iter=100, guard=None, label="newton"):
-    """Solve f(w) = 0 from w = z0.  |f(w)| <= tol on success.
+
+def newton(f, df, z0, tol=1e-12, guard=None, label="newton"):
+    """Solve f(w) = 0 from w = z0 in at most MAX_ITER steps.  |f(w)| <= tol on success.
 
     guard(w, w_next) may shrink a step to keep the iterate in an open domain
     (upper half-plane, disk); it returns the admissible next iterate.
     """
     w = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         fw = f(w)
         if abs(fw) <= tol:
             return w

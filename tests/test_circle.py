@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
+from ncprob import circle
 from ncprob.circle import (
     CircleArraySpec,
     CircleGenerator,
@@ -31,6 +32,7 @@ from ncprob.circle import (
     mult_boolean,
     mult_free,
     mult_monotone,
+    psi,
     rotation_correction,
     sigma_transform,
 )
@@ -116,6 +118,50 @@ def test_boolean_idiv_formulas():
     g2 = circle_boolean_idiv(1.0, param([(math.pi, s)]))
     for z, v in zip(g2.points, g2.values):
         assert v == pytest.approx(z * cmath.exp(-s * (1.0 - z) / (1.0 + z)), abs=1e-13)
+
+
+def _mp_disk_sums(mu, beta, z):
+    """psi, psi', A, boolean eta and eta' of mu (as sigma for A and eta) at z, 30 digits.
+
+    A and the Boolean eta read the Herglotz integral
+    H = integral (1+zeta z)/(1-zeta z) dmu directly, not through psi.
+    """
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        ps, dps, h = mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0)
+        for t, w in mu.atoms:
+            zeta, w = mpmath.expj(mpmath.mpf(t)), mpmath.mpf(w)
+            ps += w * z * zeta / (1 - z * zeta)
+            dps += w * zeta / (1 - z * zeta) ** 2
+            h += w * (1 + zeta * z) / (1 - zeta * z)
+        a = z * (1j * mpmath.mpf(beta) - h)
+        eta_b = mpmath.expj(mpmath.mpf(beta)) * z * mpmath.exp(-h)
+        return [complex(v) for v in (ps, dps, a, eta_b, dps / (1 + ps) ** 2)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_disk_sums_match_a_30_digit_oracle(seed):
+    """psi, psi', a_eval, boolean_idiv_eta and eta' to 1e-12 relative, |z| from 1e-8 to 0.99.
+
+    Near z = 0 psi ~ z mean(mu): summing psi itself keeps its relative
+    digits there, which sigma_transform's Newton solve relies on.
+    """
+    rng = np.random.default_rng(8000 + seed)
+    for _ in range(5):
+        n = int(rng.integers(1, 5))
+        mu = param(zip(rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.1, 1.0, n)))
+        beta = float(rng.uniform(-1.0, 1.0))
+        gen = CircleGenerator(beta, mu)
+        radii = np.concatenate((10.0 ** np.linspace(-8.0, -1.0, 8), [0.5, 0.9, 0.99]))
+        pts = radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size))
+        sums = (lambda z: psi(mu, z), lambda z: circle._psi_deriv(mu, z), gen.a_eval,
+                circle.boolean_idiv_eta(cmath.exp(1j * beta), mu),
+                lambda z: circle._eta_deriv_atomic(mu, z))
+        on_array = [f(pts) for f in sums]
+        for i, z in enumerate(pts.tolist()):
+            for f, arr, want in zip(sums, on_array, _mp_disk_sums(mu, beta, z)):
+                assert abs(f(z) - want) <= 1e-12 * abs(want), (z, f)
+                assert abs(arr[i] - want) <= 1e-12 * abs(want), (z, f)
 
 
 def test_free_idiv_trivial_and_products():

@@ -7,8 +7,10 @@ import pytest
 
 from ncprob import circle, cli, transforms
 from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
+from ncprob.convolutions import free_convolve
 from ncprob.errors import RecoveryError, ValidationError
 from ncprob.idiv import FLOW_STEP, LevyTriple, flow_map, free_idiv_eval
+from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import eps_line_grid, stieltjes_invert
 
 
@@ -152,6 +154,8 @@ def test_monotone_sweep_early_exit_matches_plain_search(monkeypatch, seed):
     ("--x-window=0:inf", "window"), ("--x-window=nan:1", "window"),
     ("--grid-eps=inf", "--grid-eps"), ("--grid-eps=nan", "--grid-eps"),
     ("--grid-eps=0", "--grid-eps"),
+    ("--bins=-5", "at least 2 points"), ("--bins=0", "at least 2 points"),
+    ("--bins=1", "at least 2 points"),
 ])
 def test_idiv_rejects_non_finite_window_and_eps(tmp_path, capsys, op, flag, named):
     out = tmp_path / "bad"
@@ -255,6 +259,23 @@ def test_convolve_free_grid(tmp_path):
     blob = read_json(f"{out}_grid.json")
     assert blob["kind"] == "F" and blob["mass"] == 1.0
     assert len(blob["grid"]) == 10
+
+
+def test_convolve_takes_mass_within_slack_as_one(tmp_path):
+    """Three atoms of weight 0.3333333333 (mass 1 - 1e-10) are a probability measure to all ops."""
+    pairs = [[-1.0, 0.3333333333], [0.5, 0.3333333333], [2.0, 0.3333333333]]
+    ma = tmp_path / "a.json"
+    ma.write_text(json.dumps(pairs))
+    for op in ("classical", "boolean", "monotone", "free"):
+        assert run(["convolve", "--op", op, "--a", ma, "--b", ma,
+                    "--output", tmp_path / op]) == EXIT_OK
+    mu = FiniteAtomicMeasure.from_pairs(pairs)
+    unit = mu.scale_mass(1.0 / mu.mass)
+    want = free_convolve(unit, unit)
+    got = read_json(tmp_path / "free_grid.json")["values"]
+    assert len(got) == len(want.values)
+    for (re_f, im_f), f in zip(got, want.values):
+        assert abs(complex(re_f, im_f) - f) <= 1e-8 * abs(f)
 
 
 def test_bp_check_exit_and_determinism(tmp_path):

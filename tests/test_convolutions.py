@@ -26,6 +26,7 @@ from ncprob.transforms import (
     ZR,
     cauchy_G,
     f_transform,
+    voiculescu_phi,
     weak_distance,
 )
 
@@ -155,6 +156,19 @@ def test_free_needs_probability(rng):
         free_convolve(half, half)
     with pytest.raises(ValidationError):
         free_power_grid(half, 3)
+
+
+def test_free_ops_take_mass_within_slack_as_one():
+    """A measure of mass 1 - 1e-10 is a probability measure to the free ops, as to the carrier."""
+    mu = FiniteAtomicMeasure.from_pairs([(-1.0, 0.3333333333), (0.5, 0.3333333333),
+                                         (2.0, 0.3333333333)])
+    unit = mu.scale_mass(1.0 / mu.mass)
+    pairs = [(free_convolve(mu, mu).values, free_convolve(unit, unit).values),
+             (free_power_grid(mu, 4).values, free_power_grid(unit, 4).values),
+             ([voiculescu_phi(mu, 5j)], [voiculescu_phi(unit, 5j)])]
+    for got, want in pairs:
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-8 * abs(b)
 
 
 def test_boolean_power_examples(bernoulli):

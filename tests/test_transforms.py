@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import random_probability_measure, random_state_measure
 from ncprob.errors import ConvergenceError, RecoveryError, ValidationError
 from ncprob.measures import PARAMETER, FiniteAtomicMeasure
 from ncprob import transforms
+from ncprob.idiv import phi_deriv, phi_eval
 from ncprob.transforms import (
     CPLUS1_SAMPLES,
     NevanlinnaData,
@@ -272,6 +274,48 @@ def test_eps_line_grid_is_an_ndarray_of_complex_points():
     assert isinstance(grid, np.ndarray) and grid.dtype == complex
     assert grid.tolist() == [complex(x, 1e-3) for x in np.linspace(-1.0, -0.0, 5)]
     assert math.copysign(1.0, grid[-1].real) == -1.0  # as in complex(-0.0, eps)
+
+
+def _mp_line_sums(nev, z):
+    """F, E, E', Phi, Phi' of the data at z in 30-digit arithmetic, from sigma's form.
+
+    E = gamma - sum s (1+pz)/(p-z) and E' = -sum s (1+p^2)/(p-z)^2: the sums
+    as (m, gamma, sigma) state them, not the secular form the package reads.
+    """
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        e, de = mpmath.mpf(nev.gamma), mpmath.mpf(0)
+        for p, s in nev.sigma.atoms:
+            p, s = mpmath.mpf(p), mpmath.mpf(s)
+            e -= s * (1 + p * z) / (p - z)
+            de -= s * (1 + p * p) / (p - z) ** 2
+        log_m = mpmath.log(mpmath.mpf(nev.m))
+        return [complex(v) for v in (z / nev.m - e, e, de, -e - log_m * z, -de - log_m)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_line_sums_match_a_30_digit_oracle(seed):
+    """F, E, E', Phi and Phi' of 1-4-atom triples, a point or an ndarray, to 1e-12 relative.
+
+    The points run from Im z = 1e-4 beside each atom of sigma out to |z| = 1e3.
+    """
+    rng = np.random.default_rng(7000 + seed)
+    for _ in range(5):
+        n = int(rng.integers(1, 5))
+        m = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 1.0))
+        nev = NevanlinnaData.from_parts(m, rng.uniform(-1.0, 1.0),
+                                        zip(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 1.5, n)))
+        pts = [complex(p, 1e-4) for p in nev.sigma.positions]
+        pts += [complex(p + 1e-2, 1e-3) for p in nev.sigma.positions]
+        pts += [complex(x, y)
+                for x, y in zip(rng.uniform(-5.0, 5.0, 6), 10.0 ** rng.uniform(-1, 1, 6))]
+        pts += [1e3j, complex(1e3, 1.0), complex(-700.0, 700.0)]
+        sums = (nev, nev._e, nev._e_prime, lambda z: phi_eval(nev, z), lambda z: phi_deriv(nev, z))
+        on_array = [f(np.array(pts)) for f in sums]
+        for i, z in enumerate(pts):
+            for f, arr, want in zip(sums, on_array, _mp_line_sums(nev, z)):
+                assert abs(f(z) - want) <= 1e-12 * abs(want), (z, f)
+                assert abs(arr[i] - want) <= 1e-12 * abs(want), (z, f)
 
 
 def test_weak_distance_examples(bernoulli):
