@@ -310,31 +310,38 @@ def _disk_points(points):
 
 
 def _rk4_disk_leg(gen, w, t_from, t_to, step, r0, z0):
-    """Integrate d eta/dt = A(eta) from t_from to t_to for an ndarray of points.
+    """Integrate d eta/dt = A(eta) from t_from to t_to for one point or an ndarray.
 
     The step is fixed, so every point shares t and h; |eta_t| <= r0 is
-    checked per point, and a failure names the start point z0.
+    checked per point, and a failure names the start point z0.  r0 is an
+    ndarray or a numpy scalar, so the check has .any() for a point too.
     """
     t, limit = t_from, r0 * (1.0 + 1e-9)
     while t < t_to - 1e-15:
         h = min(step, t_to - t)
         w = _rk4_step(gen.a_eval, w, h, gen.a_eval(w))
         t += h
-        bad = np.abs(w) > limit
+        bad = abs(w) > limit
         if bad.any():
             i = np.argmax(bad)
-            raise FlowError(f"disk flow from z0={complex(z0[i])!r} violated "
+            raise FlowError(f"disk flow from z0={complex(np.ravel(z0)[i])!r} violated "
                             f"|eta_t(z)| <= |z| at t={t:.6f}")
     return w
 
 
 def circle_flow_map(gen, t_end, z, step=FLOW_STEP):
-    """eta_t(z) by RK4 from eta_0 = id; z is one point or an ndarray, run in lockstep."""
+    """eta_t(z) by RK4 from eta_0 = id.
+
+    z is one point, integrated as a Python complex, or an ndarray, run in
+    lockstep; both go through the same leg.
+    """
     t_end = _check_flow_args(t_end, step)
-    z0 = _disk_points(z)
-    w = z0 if t_end == 0 else _rk4_disk_leg(gen, z0, 0.0, t_end, step, np.abs(z0), z0)
     shape = np.shape(z)
-    return w.reshape(shape) if shape else complex(w[0])
+    z0 = _disk_points(z)
+    if not shape:
+        z0 = complex(z0[0])
+    w = z0 if t_end == 0 else _rk4_disk_leg(gen, z0, 0.0, t_end, step, np.abs(z0), z0)
+    return w.reshape(shape) if shape else w
 
 
 @dataclass(frozen=True)
@@ -373,16 +380,6 @@ def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     grids = tuple(DiskGrid(tuple(points), v) for v in (z, half, full))
     means = tuple(cmath.exp(gen.mean_rate * t) for t in times)
     return CircleFlowResult(times, grids, means, float(step))
-
-
-@functools.lru_cache(maxsize=1)
-def _time_one_grid(gen, step, points):
-    """The time-one disk flow of gen on points, the monotone target.
-
-    circle_equivalence and rotation_correction both compare against it; a
-    circle-run calls them in turn, and the second reads the cached grid.
-    """
-    return circle_monotone_flow(gen, 1.0, step, points).grids[-1]
 
 
 def boolean_power_eta(e, k, points=DISK_GRID):
@@ -485,37 +482,6 @@ def detect_rotation(spec, beta, n):
     return int(ell)
 
 
-def rotation_correction(spec, beta, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID):
-    """Detect per-row rotations and compare corrected vs raw monotone powers.
-
-    The target is the time-one flow of the spec's generator.  Returns rows
-    (n, detected l, uncorrected and corrected distances) plus convergence
-    verdicts for both sequences.
-    """
-    target = _time_one_grid(spec.generator, flow_step, tuple(points))
-    size = len(points)
-    rows, raw_d, fix_d = [], [], []
-    for n in spec.n_values:
-        ell = detect_rotation(spec, beta, n)
-        e = spec.eta_of(n)
-        # uncorrected (lambda = 1) and corrected powers iterate as one array
-        lam = np.repeat([1.0, cmath.exp(2j * math.pi * ell / n)], size)
-        both = monotone_power_eta(lambda z: lam * e(z), n, tuple(points) * 2).values
-        raw = eta_distance(both[:size], target.values)
-        fixed = eta_distance(both[size:], target.values)
-        rows.append({"n": n, "k": n, "ell": ell,
-                     "uncorrected": float(raw), "corrected": float(fixed)})
-        raw_d.append(float(raw))
-        fix_d.append(float(fixed))
-    return {
-        "array": spec.name,
-        "rows": rows,
-        "uncorrected_converged": _verdict(raw_d, tol),
-        "corrected_converged": _verdict(fix_d, tol),
-        "tolerance": tol,
-    }
-
-
 def beta_condition_check(spec, beta, tol=0.05):
     """k_n * Im(mean_n) -> beta: the drift condition for verdict transfer."""
     rows = []
@@ -527,25 +493,42 @@ def beta_condition_check(spec, beta, tol=0.05):
     return ok, rows
 
 
-def circle_equivalence(spec, beta, sigma, tol=0.05, flow_step=FLOW_STEP,
-                       points=DISK_GRID):
-    """Boolean vs monotone verdict agreement on the circle under the drift condition."""
-    gamma = cmath.exp(1j * beta)
-    bool_target = circle_boolean_idiv(gamma, sigma, points)
-    mono_target = _time_one_grid(CircleGenerator(beta, sigma), flow_step, tuple(points))
-    beta_ok, beta_rows = beta_condition_check(spec, beta, tol)
-    rows_b, rows_m, db, dm = [], [], [], []
+def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
+                   correct=True):
+    """The Boolean/monotone equivalence and the rotation correction, one pass per row.
+
+    Both compare the rows' k_n-th powers with the laws of gen = (beta,
+    sigma): the Boolean powers with the Boolean law of (e^{i beta}, sigma),
+    the monotone powers with gen's time-one flow, integrated once.  Row n's
+    monotone pass iterates the grid twice over as one array: the lambda = 1
+    half is the monotone row and the uncorrected column, the
+    lambda = e^{2 pi i l/n} half, with l detected from beta, the corrected
+    column.  With correct False the pass runs the lambda = 1 half alone and
+    the correction report is None.  Returns (equivalence, correction).
+    """
+    size = len(points)
+    bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma, points)
+    mono_target = circle_monotone_flow(gen, 1.0, flow_step, points).grids[-1].values
+    beta_ok, beta_rows = beta_condition_check(spec, gen.beta, tol)
+    rows_b, rows_m, rows_c = [], [], []
     for n in spec.n_values:
         e = spec.eta_of(n)
-        dist_b = eta_distance(boolean_power_eta(e, n, points), bool_target)
-        dist_m = eta_distance(monotone_power_eta(e, n, points), mono_target)
-        rows_b.append({"n": n, "k": n, "distance": float(dist_b)})
-        rows_m.append({"n": n, "k": n, "distance": float(dist_m)})
-        db.append(float(dist_b))
-        dm.append(float(dist_m))
-    conv_b = _verdict(db, tol)
-    conv_m = _verdict(dm, tol)
-    return {
+        lams = [1.0]
+        if correct:
+            ell = detect_rotation(spec, gen.beta, n)
+            lams.append(cmath.exp(2j * math.pi * ell / n))
+        lam = np.repeat(np.array(lams, dtype=complex), size)
+        powers = monotone_power_eta(lambda z: lam * e(z), n, tuple(points) * len(lams)).values
+        dist_b = float(eta_distance(boolean_power_eta(e, n, points), bool_target))
+        dist_m = float(eta_distance(powers[:size], mono_target))
+        rows_b.append({"n": n, "k": n, "distance": dist_b})
+        rows_m.append({"n": n, "k": n, "distance": dist_m})
+        if correct:
+            rows_c.append({"n": n, "k": n, "ell": ell, "uncorrected": dist_m,
+                           "corrected": float(eta_distance(powers[size:], mono_target))})
+    conv_b = _verdict([r["distance"] for r in rows_b], tol)
+    conv_m = _verdict([r["distance"] for r in rows_m], tol)
+    equivalence = {
         "array": spec.name,
         "beta_condition": {"holds": beta_ok, "rows": beta_rows},
         "ops": {
@@ -556,3 +539,11 @@ def circle_equivalence(spec, beta, sigma, tol=0.05, flow_step=FLOW_STEP,
         "both_converged": conv_b and conv_m,
         "tolerance": tol,
     }
+    correction = None if not correct else {
+        "array": spec.name,
+        "rows": rows_c,
+        "uncorrected_converged": conv_m,
+        "corrected_converged": _verdict([r["corrected"] for r in rows_c], tol),
+        "tolerance": tol,
+    }
+    return equivalence, correction

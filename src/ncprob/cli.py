@@ -21,8 +21,7 @@ from .circle import (
     DISK_GRID,
     CircleArraySpec,
     CircleGenerator,
-    circle_equivalence,
-    rotation_correction,
+    circle_reports,
 )
 from .convolutions import (
     boolean_convolve,
@@ -126,10 +125,17 @@ SCENARIO_SCHEMA = {
 }
 
 
+#: built once: jsonschema.validate would re-check the schema on every load
+_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
 def _load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         scenario = json.load(fh)
-    jsonschema.validate(scenario, SCENARIO_SCHEMA)
+    # the error jsonschema.validate raises, so messages read the same
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(scenario))
+    if error is not None:
+        raise error
     return scenario
 
 
@@ -167,8 +173,9 @@ def _circle_spec(array, flow_step):
     sigma = CircleMeasure.from_json_pairs(array["sigma"], role=PARAMETER)
     gen = CircleGenerator(float(array["beta"]), sigma)
     ell = array.get("rotation_ell", 0)
-    if array["family"] == "semigroup":
-        ell = 0
+    if array["family"] == "semigroup" and "rotation_ell" in array:
+        raise ValidationError("array.rotation_ell belongs to rotated_semigroup; "
+                              "a semigroup array is not rotated")
     if ell == "half":
         ell = lambda n: n // 2
     return CircleArraySpec.semigroup(gen, ns, flow_step=flow_step, rotation_ell=ell)
@@ -394,15 +401,16 @@ def cmd_circle_run(args):
         )
     else:
         gen = spec.generator
-    result = circle_equivalence(spec, gen.beta, gen.sigma, tol, step)
+    rotated = scenario["array"]["family"] == "rotated_semigroup"
+    result, correction = circle_reports(spec, gen, tol, step, correct=rotated)
     report = {
         "scenario": scenario,
         "grids": {"disk": _grid_json(DISK_GRID)},
         "result": result,
         "version": __version__,
     }
-    if scenario["array"]["family"] == "rotated_semigroup":
-        report["rotation_correction"] = rotation_correction(spec, gen.beta, tol, step)
+    if rotated:
+        report["rotation_correction"] = correction
     _dump_json(report, args.output)
     return EXIT_OK
 

@@ -15,11 +15,10 @@ from conftest import random_state_measure
 from ncprob.circle import (
     CircleArraySpec,
     CircleGenerator,
-    circle_equivalence,
     circle_flow_map,
+    circle_reports,
     circle_semigroup_defect,
     detect_rotation,
-    rotation_correction,
 )
 from ncprob.convolutions import (
     free_convolve,
@@ -220,7 +219,7 @@ def test_criterion_9_rotation_correction():
     gen = CircleGenerator(0.3, CircleMeasure.from_pairs([(0.5, 0.9)], role=PARAMETER))
     ns = (16, 32, 64, 128, 256)
     spec = CircleArraySpec.semigroup(gen, ns, rotation_ell=lambda n: n // 2)
-    rep = rotation_correction(spec, 0.3)
+    _, rep = circle_reports(spec, gen)
     by_n = {row["n"]: row for row in rep["rows"]}
     assert by_n[256]["uncorrected"] >= 0.1
     assert by_n[256]["corrected"] <= 0.05
@@ -235,7 +234,7 @@ def test_criterion_10_beta_equivalence():
     sigma = CircleMeasure.from_pairs([(math.pi, 0.5)], role=PARAMETER)
     gen = CircleGenerator(0.3, sigma)
     spec = CircleArraySpec.semigroup(gen, (16, 32, 64, 128, 256))
-    rep = circle_equivalence(spec, 0.3, sigma)
+    rep, _ = circle_reports(spec, gen, correct=False)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
     assert rep["ops"]["boolean"]["rows"][-1]["distance"] <= 0.05

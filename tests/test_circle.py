@@ -18,11 +18,11 @@ from ncprob.circle import (
     boolean_power_eta,
     circle_boolean_idiv,
     circle_classical_idiv_fourier,
-    circle_equivalence,
     circle_flow_map,
     circle_free_idiv,
     circle_mean,
     circle_monotone_flow,
+    circle_reports,
     circle_semigroup_defect,
     detect_rotation,
     eta,
@@ -33,7 +33,6 @@ from ncprob.circle import (
     mult_free,
     mult_monotone,
     psi,
-    rotation_correction,
     sigma_transform,
 )
 from ncprob.errors import FlowError, ValidationError, ZeroMeanError
@@ -265,7 +264,7 @@ def test_rotated_array_fixed_ell():
     # rotate by e^{2 pi i/k}: detect -1, corrected converges, raw stalls
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     spec = CircleArraySpec.semigroup(gen, (16, 32, 64), rotation_ell=1)
-    rep = rotation_correction(spec, 0.3)
+    _, rep = circle_reports(spec, gen)
     assert [row["ell"] for row in rep["rows"]] == [-1, -1, -1]
     assert rep["corrected_converged"]
     assert not rep["uncorrected_converged"]
@@ -276,7 +275,7 @@ def test_rotated_array_fixed_ell():
 def test_unrotated_array_identity_correction():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     spec = CircleArraySpec.semigroup(gen, (16, 32))
-    rep = rotation_correction(spec, 0.3)
+    _, rep = circle_reports(spec, gen)
     assert [row["ell"] for row in rep["rows"]] == [0, 0]
     assert rep["corrected_converged"] and rep["uncorrected_converged"]
 
@@ -296,7 +295,7 @@ def test_circle_equivalence_semigroup():
     sig = param([(math.pi, 0.5)])
     gen = CircleGenerator(0.3, sig)
     spec = CircleArraySpec.semigroup(gen, (16, 32, 64, 128, 256))
-    rep = circle_equivalence(spec, 0.3, sig)
+    rep, _ = circle_reports(spec, gen, correct=False)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
 
@@ -307,7 +306,7 @@ def test_circle_equivalence_dirac_array():
     gen = CircleGenerator(beta, CircleMeasure.zero())
     measures = {n: CircleMeasure.dirac(beta / n) for n in (16, 32, 64)}
     spec = CircleArraySpec.from_measures(measures, gen)
-    rep = circle_equivalence(spec, beta, CircleMeasure.zero())
+    rep, _ = circle_reports(spec, gen, correct=False)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
 
@@ -360,12 +359,28 @@ def test_circle_flow_map_scalar_and_array_forms():
     assert np.array_equal(circle_flow_map(gen, 0.25, list(DISK_GRID)), got.ravel())
 
 
+def test_one_point_disk_flow_runs_the_shared_leg_on_a_complex(monkeypatch):
+    seen = []
+    leg = circle._rk4_disk_leg
+
+    def spy(gen, w, *args):
+        seen.append(type(w))
+        return leg(gen, w, *args)
+
+    monkeypatch.setattr(circle, "_rk4_disk_leg", spy)
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    circle_flow_map(gen, 0.25, DISK_GRID[5])
+    circle_flow_map(gen, 0.25, np.array(DISK_GRID))
+    assert seen == [complex, np.ndarray]
+
+
 def test_disk_flow_error_names_start_point():
     # a strong field at step 0.3 overshoots past the origin on the outer ring
     gen = CircleGenerator(0.0, param([(0.0, 5.0)]))
     points = np.array([0.05, 0.4, 0.3])
-    with pytest.raises(FlowError, match=re.escape("z0=(0.4+0j)") + ".*t=0.300000"):
-        circle_flow_map(gen, 1.0, points, step=0.3)
+    for z in (points, 0.4):
+        with pytest.raises(FlowError, match=re.escape("z0=(0.4+0j)") + ".*t=0.300000"):
+            circle_flow_map(gen, 1.0, z, step=0.3)
     # at the largest allowed step a forty times stronger field does the same
     stiff = CircleGenerator(0.0, param([(0.0, 200.0)]))
     with pytest.raises(FlowError, match=re.escape("z0=(0.4+0j)") + ".*t=0.010000"):

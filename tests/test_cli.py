@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -434,23 +436,99 @@ def test_circle_run_rejects_k_values(tmp_path, capsys):
     assert not (tmp_path / "rep.json").exists()
 
 
-def test_circle_run_integrates_the_time_one_target_once(tmp_path, monkeypatch):
-    flows = []
-    flow = circle.circle_monotone_flow
-
-    def counted(*args, **kwargs):
-        flows.append(args)
-        return flow(*args, **kwargs)
-
-    monkeypatch.setattr(circle, "circle_monotone_flow", counted)
-    circle._time_one_grid.cache_clear()
+def circle_scenario(tmp_path, array, **extra):
     path = tmp_path / "circ.json"
-    path.write_text(json.dumps({
-        "space": "circle",
-        "array": {"family": "rotated_semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
-                  "rotation_ell": 1, "n_values": [16, 32]}}))
+    path.write_text(json.dumps({"space": "circle", "array": array, **extra}))
+    return path
+
+
+ROTATED = {"family": "rotated_semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
+           "rotation_ell": 1, "n_values": [16, 32]}
+
+
+def test_circle_run_makes_one_pass_per_row(tmp_path, monkeypatch):
+    """One time-one flow per run, one monotone power per row for both sections."""
+    calls = {"circle_monotone_flow": 0, "monotone_power_eta": 0}
+
+    def counted(name):
+        fn = getattr(circle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(circle, name, counted(name))
+    path = circle_scenario(tmp_path, ROTATED)
     assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_OK
-    assert len(flows) == 1
+    assert calls == {"circle_monotone_flow": 1, "monotone_power_eta": 2}
+    assert "rotation_correction" in read_json(tmp_path / "rep.json")
+
+
+@pytest.mark.parametrize("array, extra", [
+    (ROTATED, {}),
+    ({**ROTATED, "rotation_ell": "half"}, {}),
+    (ROTATED, {"generator": {"beta": 0.3, "sigma": [[2.5, 0.4]]}}),
+], ids=["ell_1", "ell_half", "generator"])
+def test_circle_run_uncorrected_column_is_the_monotone_row(tmp_path, array, extra):
+    out = tmp_path / "rep.json"
+    assert run(["circle-run", circle_scenario(tmp_path, array, **extra),
+                "--output", out]) == EXIT_OK
+    rep = read_json(out)
+    mono = rep["result"]["ops"]["monotone"]
+    fix = rep["rotation_correction"]
+    assert [r["uncorrected"] for r in fix["rows"]] == [r["distance"] for r in mono["rows"]]
+    assert fix["uncorrected_converged"] is mono["converged"]
+
+
+def test_circle_run_corrects_towards_the_scenario_generator(tmp_path):
+    """Rotation detection and both sections measure against the one named law.
+
+    The array's own generator sits at sigma = [[1.0, 0.5]]; the scenario
+    names another, so the corrected powers settle 0.13 away from it.
+    """
+    array = {**ROTATED, "n_values": [16, 32, 64]}
+    path = circle_scenario(tmp_path, array,
+                           generator={"beta": 0.3, "sigma": [[2.5, 0.4]]})
+    out = tmp_path / "rep.json"
+    assert run(["circle-run", path, "--output", out]) == EXIT_OK
+    rep = read_json(out)
+    mono = [r["distance"] for r in rep["result"]["ops"]["monotone"]["rows"]]
+    assert mono == pytest.approx([0.083294, 0.083296, 0.083308], abs=1e-6)
+    fix = rep["rotation_correction"]
+    assert [r["ell"] for r in fix["rows"]] == [-1, -1, -1]
+    assert [r["uncorrected"] for r in fix["rows"]] == mono
+    assert [r["corrected"] for r in fix["rows"]] == pytest.approx([0.129736] * 3, abs=1e-6)
+    assert fix["corrected_converged"] is False
+
+
+def test_circle_run_rejects_rotation_ell_on_a_semigroup_array(tmp_path, capsys):
+    array = {**ROTATED, "family": "semigroup"}
+    out = tmp_path / "rep.json"
+    assert run(["circle-run", circle_scenario(tmp_path, array),
+                "--output", out]) == EXIT_VALIDATION
+    assert "rotation_ell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_schema_is_a_valid_schema():
+    """The validator is built once at import, without re-checking the schema."""
+    cli._VALIDATOR.check_schema(cli.SCENARIO_SCHEMA)
+
+
+def test_readme_scenarios_run(tmp_path):
+    """Both JSON scenario blocks of the README run through the CLI."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    for i, block in enumerate(blocks):
+        scenario = json.loads(block)
+        path = tmp_path / f"readme-{i}.json"
+        path.write_text(block)
+        command = "limit-run" if scenario["space"] == "real" else "circle-run"
+        assert run([command, path, "--output", tmp_path / f"rep-{i}.json"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv, flag", [
