@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
 from .harness import _verdict
-from .idiv import _check_flow_args, _rk4_step
+from .idiv import FLOW_STEP, _check_flow_args, _rk4_step
 from .measures import PARAMETER, CircleMeasure
 from .solvers import disk_guard, newton
 
@@ -33,12 +33,9 @@ DISK_GRID = tuple(
     r * cmath.exp(2j * math.pi * j / 8.0) for r in (0.4, 0.2) for j in range(8)
 )
 
-FLOW_STEP = 1e-3
-
-#: radial continuation steps of the circle free laws' inverse solves
-N_CONTINUATION = 24
-
 TWO_PI = 2.0 * math.pi
+
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,8 @@ class DiskGrid:
 
     @classmethod
     def sample(cls, fn, points=DISK_GRID):
-        return cls(tuple(points), tuple(fn(z) for z in points))
+        """fn evaluated once, on the ndarray of the points."""
+        return cls(tuple(points), fn(np.array(points, dtype=complex)))
 
 
 def eta_distance(a, b):
@@ -105,6 +103,14 @@ def _psi(mu, z):
     return acc
 
 
+def _psi_over_z(mu, z):
+    """psi(z)/z = integral zeta/(1 - z zeta) dmu, summed itself so it is finite at z = 0."""
+    acc = 0
+    for zeta, w in mu.unit_atoms:
+        acc = acc + w * zeta / (1.0 - z * zeta)
+    return acc
+
+
 def _psi_deriv(mu, z):
     """psi'(z) = integral zeta/(1 - z zeta)^2 dmu; H' = 2 psi'_sigma."""
     acc = 0
@@ -137,16 +143,24 @@ def _eta_deriv_atomic(mu, z):
     return _psi_deriv(mu, z) / (1.0 + psi(mu, z)) ** 2
 
 
-def _eta_with_deriv(obj):
-    """(eta, eta') callables from a CircleMeasure or a plain eta callable."""
+def _eta_of(obj):
+    """The eta callable of a CircleMeasure, or obj itself if it is one."""
+    return eta_fn(obj) if isinstance(obj, CircleMeasure) else obj
+
+
+def _h_of(obj):
+    """h = eta/z of an eta callable, or of a CircleMeasure as (psi/z)/(1 + psi), finite at 0."""
     if isinstance(obj, CircleMeasure):
-        return eta_fn(obj), lambda z: _eta_deriv_atomic(obj, z)
-    h = 1e-6
+        return lambda z: _psi_over_z(obj, z) / (1.0 + _psi(obj, z))
+    return lambda z: obj(z) / z
 
-    def deriv(z):
-        return (obj(z + h) - obj(z - h)) / (2.0 * h)
 
-    return obj, deriv
+def _unit(gamma):
+    """gamma as a complex, checked to lie on the unit circle."""
+    gamma = complex(gamma)
+    if abs(abs(gamma) - 1.0) > 1e-9:
+        raise ValidationError("gamma must lie on the unit circle")
+    return gamma
 
 
 def circle_mean(mu):
@@ -163,72 +177,65 @@ def sigma_transform(mu, z):
         raise ValidationError("Sigma evaluated outside |z| <= 0.2 |mean|")
     if z == 0:
         return 1.0 / mean
-    e, de = _eta_with_deriv(mu)
-    u = newton(lambda w: e(w) - z, de, z / mean, tol=1e-13,
-               guard=disk_guard(1.0), label="sigma_transform")
+    u = newton(lambda w: eta(mu, w) - z, lambda w: _eta_deriv_atomic(mu, w), z / mean,
+               tol=1e-13, guard=disk_guard(1.0), label="sigma_transform")
     return u / z
 
 
 def mult_boolean(a, b, points=DISK_GRID):
     """eta(z)/z multiplies."""
-    ea, _ = _eta_with_deriv(a)
-    eb, _ = _eta_with_deriv(b)
+    ea, eb = _eta_of(a), _eta_of(b)
     return DiskGrid.sample(lambda z: ea(z) * eb(z) / z, points)
 
 
 def mult_monotone(a, b, points=DISK_GRID):
     """eta composes (left factor outside)."""
-    ea, _ = _eta_with_deriv(a)
-    eb, _ = _eta_with_deriv(b)
+    ea, eb = _eta_of(a), _eta_of(b)
     return DiskGrid.sample(lambda z: ea(eb(z)), points)
 
 
-def _invert_eta(e, de, target, w0):
-    return newton(lambda w: e(w) - target, de, w0, tol=1e-13,
-                  guard=disk_guard(1.0), label="eta inverse")
+def _disk_fixed_point(f, z):
+    """The solution of w = f(w) at every point of the ndarray z, iterated from w = z.
+
+    f is evaluated on the whole array and sends the unit disk into |w| <= |z|
+    pointwise, so by Earle-Hamilton each point has one fixed point, which the
+    iteration reaches at a rate of at most r = max |z|.  A point has settled
+    once its step is below 4 eps/(1 - r), a bound on the rounding of the
+    last steps, and either no longer shrinks (rounding is all that is left)
+    or shrinks so fast that the geometric tail of the steps left,
+    step^2/(last - step), is below eps r.  The cap is twice the iterations a
+    contraction by r needs to shrink a unit error to eps.
+    """
+    r = float(np.abs(z).max(initial=0.0))
+    if r == 0.0:
+        return z
+    tol = 4.0 * EPS / (1.0 - r)
+    cap = 2 * math.ceil(math.log(EPS) / math.log(r))
+    w, last = z, np.nan
+    settled = np.zeros(z.shape, dtype=bool)
+    for _ in range(cap):
+        nxt = f(w)
+        step = np.abs(nxt - w)
+        settled |= (step <= tol) & ((step >= last) | (step * step <= EPS * r * (last - step)))
+        if settled.all():
+            return nxt
+        w, last = nxt, step
+    i = int(np.argmin(settled))
+    raise ConvergenceError(f"disk fixed point from z0={complex(z[i])!r} did not settle in "
+                           f"{cap} iterations (last step {step[i]:.3e}, bound {tol:.3e})")
 
 
 def mult_free(a, b, points=DISK_GRID):
-    """Sigma multiplies: eta of the product by radial analytic continuation.
+    """eta of the free product by subordination (Belinschi-Bercovici).
 
-    Per grid point the relation eta^{-1}(w) = eta_a^{-1}(w) eta_b^{-1}(w)/w
-    is inverted by Newton, walking the target radially out from zero with
-    warm starts for the two inner inverses.
+    With h = eta/z, eta(z) = omega h_a(omega) where omega = z h_b(z h_a(omega)).
+    |h| <= 1 on the disk, so that map sends it into |omega| <= |z| and the
+    iteration from omega = z converges at every grid point, for zero means too.
     """
-    means = []
-    for m in (a, b):
-        if isinstance(m, CircleMeasure):
-            mean = circle_mean(m)
-            if abs(mean) < 1e-14:
-                raise ZeroMeanError("multiplicative free convolution needs non-zero means")
-            means.append(mean)
-        else:
-            means.append((m(1e-5) / 1e-5))
-    ea, dea = _eta_with_deriv(a)
-    eb, deb = _eta_with_deriv(b)
-
-    def one_point(zeta):
-        # q(w) = eta_a^{-1}(w) eta_b^{-1}(w) / w ~ w/(mean_a mean_b) near 0
-        w = means[0] * means[1] * zeta / N_CONTINUATION
-        ua = _invert_eta(ea, dea, w, w / means[0])
-        ub = _invert_eta(eb, deb, w, w / means[1])
-        for j in range(1, N_CONTINUATION + 1):
-            target = zeta * j / N_CONTINUATION
-            for _ in range(80):
-                ua = _invert_eta(ea, dea, w, ua)
-                ub = _invert_eta(eb, deb, w, ub)
-                res = ua * ub / w - target
-                if abs(res) <= 1e-12:
-                    break
-                dq = (ub / dea(ua) + ua / deb(ub)) / w - ua * ub / (w * w)
-                w = w - res / dq
-                if abs(w) >= 1.0:
-                    raise ConvergenceError("free product inverse left the disk")
-            else:
-                raise ConvergenceError("free product continuation stalled")
-        return w
-
-    return DiskGrid.sample(one_point, points)
+    ha, hb = _h_of(a), _h_of(b)
+    z = _disk_points(points)
+    omega = _disk_fixed_point(lambda w: z * hb(z * ha(w)), z)
+    return DiskGrid(points, omega * ha(omega))
 
 
 def boolean_idiv_eta(gamma, sigma):
@@ -236,10 +243,7 @@ def boolean_idiv_eta(gamma, sigma):
 
     z is a point or an ndarray.
     """
-    gamma = complex(gamma)
-    if abs(abs(gamma) - 1.0) > 1e-9:
-        raise ValidationError("gamma must lie on the unit circle")
-    scale = gamma * math.exp(-sigma.mass)
+    scale = _unit(gamma) * math.exp(-sigma.mass)
     return lambda z: scale * z * np.exp(-2.0 * _psi(sigma, z))
 
 
@@ -248,30 +252,14 @@ def circle_boolean_idiv(gamma, sigma, points=DISK_GRID):
 
 
 def circle_free_idiv(gamma, sigma, points=DISK_GRID):
-    """eta of the free law: invert eta^{-1}(w) = gamma w exp(H(w)).
+    """eta of the free law: the w solving gamma w exp(H(w)) = z.
 
-    With H = sigma(T) + 2 psi_sigma that is gamma e^{sigma(T)} w exp(2 psi_sigma(w)).
+    With H = sigma(T) + 2 psi_sigma, w = (z/gamma) e^{-sigma(T)} exp(-2 psi_sigma(w)),
+    and Re H >= 0 sends the disk into |w| <= |z|: a fixed point on the whole grid.
     """
-    gamma = complex(gamma)
-    if abs(abs(gamma) - 1.0) > 1e-9:
-        raise ValidationError("gamma must lie on the unit circle")
-    scale = gamma * math.exp(sigma.mass)
-
-    def inv(w):
-        return scale * w * cmath.exp(2.0 * _psi(sigma, w))
-
-    def dinv(w):
-        return scale * cmath.exp(2.0 * _psi(sigma, w)) * (1.0 + 2.0 * w * _psi_deriv(sigma, w))
-
-    def one_point(zeta):
-        w = zeta / (scale * N_CONTINUATION)
-        for j in range(1, N_CONTINUATION + 1):
-            target = zeta * j / N_CONTINUATION
-            w = newton(lambda v: inv(v) - target, dinv, w, tol=1e-13,
-                       guard=disk_guard(1.0), label="circle free idiv")
-        return w
-
-    return DiskGrid.sample(one_point, points)
+    z = _disk_points(points)
+    scale = z * (math.exp(-sigma.mass) / _unit(gamma))
+    return DiskGrid(points, _disk_fixed_point(lambda w: scale * np.exp(-2.0 * _psi(sigma, w)), z))
 
 
 def _fourier_integrand(p, angle):
@@ -284,9 +272,7 @@ def _fourier_integrand(p, angle):
 
 def circle_classical_idiv_fourier(gamma, sigma, p):
     """Fourier coefficient gamma^p exp(integral (zeta^p - 1 - ip Im zeta)/(1 - Re zeta))."""
-    gamma = complex(gamma)
-    if abs(abs(gamma) - 1.0) > 1e-9:
-        raise ValidationError("gamma must lie on the unit circle")
+    gamma = _unit(gamma)
     p = int(p)
     if any(1.0 - math.cos(t) < 1e-12 for t in sigma.angles):
         # extension value -p^2 must agree with continuation just off zeta = 1
@@ -300,12 +286,12 @@ def circle_classical_idiv_fourier(gamma, sigma, p):
 
 
 def _disk_points(points):
-    """The start points as a 1-d complex ndarray, each finite and inside the unit disk."""
+    """The points as a 1-d complex ndarray, each finite and inside the unit disk."""
     z = np.array(points, dtype=complex).ravel()
     bad = ~(np.isfinite(z) & (np.abs(z) < 1.0))
     if bad.any():
         raise ValidationError(
-            f"disk flow starts inside the unit disk; got {complex(z[bad][0])!r}")
+            f"disk points lie inside the unit disk; got {complex(z[bad][0])!r}")
     return z
 
 

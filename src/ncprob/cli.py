@@ -81,6 +81,9 @@ _CIRCLE_ARRAY_SCHEMA = {
         "n_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
     },
     "required": ["family", "beta", "sigma"],
+    # without l a rotated array would run unrotated
+    "if": {"properties": {"family": {"const": "rotated_semigroup"}}},
+    "then": {"required": ["rotation_ell"]},
 }
 
 _TRIPLE_SCHEMA = {
@@ -176,6 +179,9 @@ def _circle_spec(array, flow_step):
     if array["family"] == "semigroup" and "rotation_ell" in array:
         raise ValidationError("array.rotation_ell belongs to rotated_semigroup; "
                               "a semigroup array is not rotated")
+    if array["family"] == "rotated_semigroup" and ell == 0:
+        raise ValidationError("array.rotation_ell must be non-zero: l = 0 leaves "
+                              "a rotated_semigroup array unrotated")
     if ell == "half":
         ell = lambda n: n // 2
     return CircleArraySpec.semigroup(gen, ns, flow_step=flow_step, rotation_ell=ell)

@@ -124,12 +124,6 @@ class FiniteAtomicMeasure:
         """mu(x^2) mu(R) - mu(x)^2; reduces to variance for probability mass."""
         return self.moment(2) * self.mass - self.mean**2
 
-    @property
-    def support_width(self):
-        if len(self.positions) < 2:
-            return 0.0
-        return self.positions[-1] - self.positions[0]
-
     def dilate(self, s):
         """Pushforward under x -> s*x.  Mass preserved; s must be non-zero."""
         s = float(s)

@@ -35,7 +35,7 @@ from ncprob.circle import (
     psi,
     sigma_transform,
 )
-from ncprob.errors import FlowError, ValidationError, ZeroMeanError
+from ncprob.errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
 from ncprob.measures import PARAMETER, CircleMeasure
 
 TWO_ATOM = CircleMeasure.from_pairs([(0.0, 0.5), (math.pi, 0.5)])  # eta = z^2
@@ -178,6 +178,139 @@ def test_free_idiv_trivial_and_products():
 
     for z, v in zip(g2.points, g2.values):
         assert inv(v) == pytest.approx(z, abs=1e-11)
+
+
+def random_state(rng, max_atoms=4):
+    """A circle probability measure of 1-max_atoms atoms at uniform angles, no minimum gap."""
+    n = int(rng.integers(1, max_atoms + 1))
+    ws = rng.uniform(0.05, 1.0, n)
+    return CircleMeasure.from_pairs(zip(rng.uniform(0.0, 2.0 * math.pi, n), ws / ws.sum()))
+
+
+def test_free_product_taylor_coefficients_are_the_free_moments():
+    """eta = m1 z + (m2 - m1^2) z^2 + ..., with m1 = a1 b1, m2 = a2 b1^2 + a1^2 b2 - a1^2 b1^2.
+
+    The coefficients are read off a 64-point DFT of the product on the ring
+    of radius 0.05, where the aliased z^66 term is below 1e-80.
+    """
+    rng = np.random.default_rng(9100)
+    r, n = 0.05, 64
+    ring = tuple(r * np.exp(2j * np.pi * np.arange(n) / n))
+    for _ in range(30):
+        a, b = random_state(rng), random_state(rng)
+        coef = np.fft.fft(mult_free(a, b, ring).values) / n
+        a1, a2, b1, b2 = a.moment(1), a.moment(2), b.moment(1), b.moment(2)
+        m1 = a1 * b1
+        m2 = a2 * b1 ** 2 + a1 ** 2 * b2 - a1 ** 2 * b1 ** 2
+        assert abs(coef[1] / r - m1) <= 2e-15
+        assert abs(coef[2] / r ** 2 - (m2 - m1 ** 2)) <= 1e-14
+
+
+def test_free_product_of_symmetric_bernoulli_laws_is_haar():
+    """The zero-mean +-1 law (eta = z^2) times itself is Haar measure: eta = 0."""
+    grid = mult_free(TWO_ATOM, TWO_ATOM)
+    assert max(abs(v) for v in grid.values) <= 1e-30
+
+
+def test_free_product_with_a_dirac_rotates():
+    """delta_theta boxtimes mu has eta(z) = eta_mu(e^{i theta} z), in either order."""
+    rng = np.random.default_rng(9200)
+    for _ in range(10):
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        mu = random_state(rng)
+        want = eta(mu, np.exp(1j * theta) * np.array(DISK_GRID))
+        for grid in (mult_free(CircleMeasure.dirac(theta), mu),
+                     mult_free(mu, CircleMeasure.dirac(theta))):
+            assert eta_distance(grid.values, want) <= 1e-15
+
+
+def test_free_product_takes_eta_callables():
+    rng = np.random.default_rng(9300)
+    a, b = random_state(rng), random_state(rng)
+    assert eta_distance(mult_free(eta_fn(a), eta_fn(b)), mult_free(a, b)) <= 1e-15
+
+
+def _mp_free_idiv(gamma, sigma, z, w0):
+    """The w solving gamma w exp(H(w)) = z, by mpmath.findroot at 30 digits from w0."""
+    with mpmath.workdps(30):
+        atoms = [(mpmath.expj(t), mpmath.mpf(w)) for t, w in sigma.atoms]
+
+        def f(w):
+            h = mpmath.fsum(wt * (1 + zeta * w) / (1 - zeta * w) for zeta, wt in atoms)
+            return gamma * w * mpmath.exp(h) - z
+
+        return complex(mpmath.findroot(f, mpmath.mpc(w0)))
+
+
+@pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
+def test_free_idiv_matches_a_30_digit_root(mass):
+    """Grid points at |z| from 0.05 to 0.99; the gap bound is the fixed point's rounding."""
+    rng = np.random.default_rng(9400 + int(mass * 100))
+    for _ in range(2):
+        n = int(rng.integers(1, 4))
+        ws = rng.uniform(0.1, 1.0, n)
+        sigma = param(zip(rng.uniform(0.0, 2.0 * math.pi, n), ws / ws.sum() * mass))
+        gamma = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        radii = np.array([0.05, 0.4, 0.9, 0.99])
+        points = tuple(radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size)))
+        grid = circle_free_idiv(gamma, sigma, points)
+        for z, v in zip(points, grid.values):
+            assert abs(v - _mp_free_idiv(gamma, sigma, z, v)) <= 4e-15, (mass, z)
+
+
+def ring8(r):
+    """The angles of DISK_GRID's outer ring at radius r."""
+    return tuple(r * np.exp(2j * np.pi * np.arange(8) / 8))
+
+
+def test_free_products_settle_near_the_circle(no_hang, monkeypatch):
+    """Ten random products converge at |z| = 0.4, 0.9 and 0.99, each within
+    log(eps)/log |z| iterations, half the loop's cap.
+    """
+    calls = []
+    loop = circle._disk_fixed_point
+
+    def counted(f, z):
+        calls.append(0)
+
+        def g(w):
+            calls[-1] += 1
+            return f(w)
+
+        return loop(g, z)
+
+    monkeypatch.setattr(circle, "_disk_fixed_point", counted)
+    rng = np.random.default_rng(6)
+    pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
+    for r in (0.4, 0.9, 0.99):
+        for a, b in pairs:
+            grid = mult_free(a, b, ring8(r))
+            assert all(abs(v) <= r + 1e-15 for v in grid.values)
+        assert max(calls) <= math.log(circle.EPS) / math.log(r), r
+        calls.clear()
+
+
+def test_fixed_point_failure_names_a_start_point(no_hang, monkeypatch):
+    """A map that only rotates never settles: the loop stops at its cap and says where."""
+    loop = circle._disk_fixed_point
+    monkeypatch.setattr(circle, "_disk_fixed_point", lambda f, z: loop(lambda w: 1j * w, z))
+    for call in (lambda: mult_free(HAAR4, TWO_ATOM),
+                 lambda: circle_free_idiv(1.0, param([(1.0, 0.5)]))):
+        with pytest.raises(ConvergenceError,
+                           match=re.escape(f"z0={DISK_GRID[0]!r}") + " did not settle in 80 "):
+            call()
+
+
+def test_disk_grid_sample_evaluates_the_grid_as_one_array():
+    seen = []
+
+    def e(z):
+        seen.append(np.shape(z))
+        return 0.5 * z
+
+    grid = DiskGrid.sample(e)
+    assert seen == [(len(DISK_GRID),)]
+    assert grid.values == tuple(0.5 * z for z in DISK_GRID)
 
 
 def test_fourier_examples():

@@ -513,6 +513,19 @@ def test_circle_run_rejects_rotation_ell_on_a_semigroup_array(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("array", [
+    {key: value for key, value in ROTATED.items() if key != "rotation_ell"},
+    {**ROTATED, "rotation_ell": 0},
+], ids=["missing", "zero"])
+def test_circle_run_rejects_a_rotated_array_without_a_rotation(tmp_path, capsys, array):
+    """l = 0 (also by leaving rotation_ell out) would run the rotated array unrotated."""
+    out = tmp_path / "rep.json"
+    assert run(["circle-run", circle_scenario(tmp_path, array),
+                "--output", out]) == EXIT_VALIDATION
+    assert "rotation_ell" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scenario_schema_is_a_valid_schema():
     """The validator is built once at import, without re-checking the schema."""
     cli._VALIDATOR.check_schema(cli.SCENARIO_SCHEMA)
