@@ -43,8 +43,8 @@ from .idiv import (
     LevyTriple,
     boolean_idiv,
     classical_idiv_density,
-    flow_map,
     free_idiv_eval,
+    monotone_idiv_eval,
     monotone_idiv_flow,
 )
 from .measures import MASS_TOL, CircleMeasure, FiniteAtomicMeasure, PARAMETER
@@ -250,8 +250,7 @@ def _provenance(args, op):
     return [
         f"ncprob {__version__} idiv",
         f"op={op} m={args.m!r} gamma={args.gamma!r} sigma={args.sigma!r}",
-        f"grid_eps={args.grid_eps!r} flow_step={args.flow_step!r} "
-        f"x_window={args.x_window} bins={args.bins}",
+        f"grid_eps={args.grid_eps!r} x_window={args.x_window} bins={args.bins}",
     ]
 
 
@@ -295,7 +294,7 @@ def cmd_idiv(args):
             _write_svg(f"{out}_density.svg", keep)
         return EXIT_OK
     if args.op == "monotone":
-        g = lambda z: 1.0 / flow_map(triple, 1.0, z, step=args.flow_step)
+        g = lambda z: 1.0 / monotone_idiv_eval(triple, z)
     else:  # free
         g = lambda z: 1.0 / free_idiv_eval(triple, z)
     inv = stieltjes_invert(g, eps, (lo, hi), args.bins)
@@ -459,7 +458,7 @@ def build_parser():
                    required=True)
     p.add_argument("--x-window", dest="x_window", type=str, default="-6:6")
     p.add_argument("--bins", type=int, default=400)
-    _add_options(p, "grid-eps", "flow-step", "output", "format", "svg")
+    _add_options(p, "grid-eps", "output", "format", "svg")
 
     p = sub.add_parser("convolve", help="convolve two atomic measures")
     p.add_argument("--op", choices=["classical", "free", "boolean", "monotone"],

@@ -154,6 +154,46 @@ class NevanlinnaData:
         gamma, p, c = self._secular
         return gamma, tuple(zip(p.tolist(), c.tolist()))
 
+    @cached_property
+    def _abel(self):
+        """(q, r, k): the partial fractions of 1/Phi, or None when Phi = 0.
+
+        Phi(z) = -gamma' + lam z + sum c/(p - z) with lam = -log m (0 for
+        m >= 1), and 1/Phi = sum r/(z - q) + [-1/gamma' if m = 1] +
+        [-z/S + const if m = 1 and gamma' = 0], S = sum c; k = 1/(2S) in that
+        last case and 0 otherwise.  The zeros q of Phi are real and simple
+        (Phi' > 0 on the line): the eigenvalues of the arrowhead
+        [[gamma'/lam, sqrt(c/lam)^T], [sqrt(c/lam), diag p]] for m < 1, and
+        of diag(p) - sqrt(c) sqrt(c)^T/gamma' for m = 1.  An eigenvalue
+        carries an error of rounding times the matrix norm, S/|gamma'| here,
+        so below |gamma'| = 1e-8 S the start is the zeros of sum c/(p - z)
+        (``cauchy_zeros``), which gamma' moves by O(gamma'/S), and a far
+        zero near a - S/gamma'.  Each start is polished by two Newton steps
+        on Phi; r = 1/Phi'(q).  Lists of Python floats, for the scalar
+        flows.
+        """
+        gamma, p, c = self._secular
+        lam, s = max(-math.log(self.m), 0.0), float(c.sum())
+        if not p.size:  # Phi = lam z - gamma'
+            if lam > 0.0:
+                return [gamma / lam], [1.0 / lam], 0.0
+            return None if gamma == 0.0 else ([], [], 0.0)
+        if lam > 0.0:
+            arrow = np.diag(np.concatenate(([gamma / lam], p)))
+            arrow[0, 1:] = arrow[1:, 0] = np.sqrt(c / lam)
+            q = np.linalg.eigvalsh(arrow)
+        elif abs(gamma) >= 1e-8 * s:
+            q = np.linalg.eigvalsh(np.diag(p) - np.outer(np.sqrt(c), np.sqrt(c)) / gamma)
+        else:
+            # the zeros of sum c/(p - z), and a far one near a - S/gamma'
+            a, q, _ = cauchy_zeros(p, np.sqrt(c / s))
+            if gamma != 0.0:
+                q = np.append(q, a - s / gamma)
+        for _ in range(2):
+            q = q - (lam * q - self._e(q)) / (lam - self._e_prime(q))
+        k = 0.5 / s if lam == 0.0 and gamma == 0.0 else 0.0
+        return q.tolist(), (1.0 / (lam - self._e_prime(q))).tolist(), k
+
     def _e(self, z):
         """E(z) = gamma' + sum c/(z - p) at one point or, elementwise, an ndarray."""
         acc, pairs = self._pairs
