@@ -40,6 +40,8 @@ from .idiv import (
     flow_distance_bound,
     flow_map,
     free_idiv,
+    monotone_idiv,
+    monotone_idiv_eval,
     monotone_idiv_flow,
     phi_eval,
 )
@@ -91,6 +93,8 @@ __all__ = [
     "free_idiv",
     "free_power_grid",
     "monotone_convolve",
+    "monotone_idiv",
+    "monotone_idiv_eval",
     "monotone_idiv_flow",
     "monotone_power_grid",
     "phi_eval",

@@ -346,12 +346,20 @@ def cmd_flow(args):
     return EXIT_OK
 
 
-def cmd_limit_run(args):
-    scenario = _load_scenario(args.scenario)
+def _real_scenario(path, command):
+    """A real-line scenario for limit-run or bp-check; flow_step is the disk flow's."""
+    scenario = _load_scenario(path)
     if scenario["space"] != "real":
-        raise ValidationError("limit-run handles real-line scenarios; use circle-run")
+        raise ValidationError(f"{command} handles real-line scenarios; use circle-run")
+    if "flow_step" in scenario:
+        raise ValidationError("flow_step belongs to circle scenarios: a real-line scenario "
+                              "reads its monotone law from the Abel equation, not an RK4 flow")
+    return scenario
+
+
+def cmd_limit_run(args):
+    scenario = _real_scenario(args.scenario, "limit-run")
     tol = scenario.get("tolerance", args.tolerance)
-    step = scenario.get("flow_step", args.flow_step)
     spec = _real_spec(scenario["array"])
     triple = _triple_from(scenario["triple"]) if "triple" in scenario else spec.limit
     report = {
@@ -360,11 +368,11 @@ def cmd_limit_run(args):
         "version": __version__,
     }
     if triple.m < 1.0 - MASS_TOL:
-        report["result"] = subprobability_equivalence(spec, triple, tol, step)
+        report["result"] = subprobability_equivalence(spec, triple, tol)
     else:
         ops = scenario.get("ops", ["classical", "free", "boolean", "monotone"])
         report["result"] = {
-            "ops": {op: run_powers(spec, op, triple, tol, step).to_dict() for op in ops},
+            "ops": {op: run_powers(spec, op, triple, tol).to_dict() for op in ops},
             "tolerance": tol,
         }
     _dump_json(report, args.output)
@@ -372,15 +380,12 @@ def cmd_limit_run(args):
 
 
 def cmd_bp_check(args):
-    scenario = _load_scenario(args.scenario)
-    if scenario["space"] != "real":
-        raise ValidationError("bp-check handles real-line scenarios")
+    scenario = _real_scenario(args.scenario, "bp-check")
     tol = scenario.get("tolerance", args.tolerance)
-    step = scenario.get("flow_step", args.flow_step)
     spec = _real_spec(scenario["array"])
     if "triple" in scenario:
         spec = dataclasses.replace(spec, limit=_triple_from(scenario["triple"]))
-    result = bp_crosscheck(spec, tol, step)
+    result = bp_crosscheck(spec, tol)
     report = {
         "scenario": scenario,
         "grids": {"zr": _grid_json(ZR), "t_grid": list(T_GRID)},
@@ -472,10 +477,11 @@ def build_parser():
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     _add_options(p, "flow-step", "output")
 
-    for name in ("limit-run", "bp-check", "circle-run"):
+    # of the scenario commands only circle-run integrates a flow by RK4 (on the disk)
+    for name, step in (("limit-run", ()), ("bp-check", ()), ("circle-run", ("flow-step",))):
         p = sub.add_parser(name)
         p.add_argument("scenario", help="scenario JSON path")
-        _add_options(p, "tolerance", "flow-step", "output")
+        _add_options(p, "tolerance", *step, "output")
 
     return parser
 

@@ -29,7 +29,7 @@ from .idiv import (
     classical_idiv_cf,
     flow_map,
     free_idiv,
-    monotone_idiv_flow,
+    monotone_idiv,
     phi_eval,
 )
 from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
@@ -240,14 +240,14 @@ def _verdict(distances, tol):
     return True
 
 
-def _resolve_target(op, target, flow_step):
+def _resolve_target(op, target):
     if isinstance(target, LevyTriple):
         if op == "boolean":
             return boolean_idiv(target)
         if op == "free":
             return free_idiv(target)
         if op == "monotone":
-            return monotone_idiv_flow(target, 1.0, flow_step).grids[-1]
+            return monotone_idiv(target)
         if op == "classical":
             return classical_idiv_cf(target)
     return target
@@ -257,37 +257,41 @@ def _cf_distance(cf_a, cf_b):
     return max(abs(cf_a(t) - cf_b(t)) for t in T_GRID)
 
 
-def run_powers(spec, op, target, tol=0.05, flow_step=FLOW_STEP):
-    """Distances of the k_n-fold op-powers of the array to the target law."""
+def _power_distance(spec, op, n, k, target):
+    """Distance of row n's k-fold op-power to the resolved target."""
+    if op == "classical":
+        return _cf_distance(classical_power_cf(spec.measure(n), k), target)
+    if op == "free":
+        power = free_power_grid(spec.measure(n), k)
+    elif op == "boolean":
+        power = boolean_power(spec.measure(n), k)
+    else:  # monotone: f_transform of an atomic row, or the row's own F
+        fe = spec.f_eval(n)
+        power = TransformGrid(
+            ZR, tuple(iterate_f(fe, k, z) for z in ZR), "F",
+            mass=spec.mass_of(n) ** k,
+        )
+    return weak_distance(power, target)
+
+
+def run_powers(spec, op, target, tol=0.05):
+    """Distances of the k_n-fold op-powers of the array to the target law.
+
+    A failure names the op and where it arose: the target, or the row.
+    """
     if op not in OPS:
         raise ValidationError(f"unknown convolution {op!r}")
-    target = _resolve_target(op, target, flow_step)
-    ns, ks, dists = [], [], []
-    for n in spec.n_values:
-        k = spec.k_of(n)
-        try:
-            if op == "classical":
-                power = classical_power_cf(spec.measure(n), k)
-                dist = _cf_distance(power, target)
-            elif op == "free":
-                power = free_power_grid(spec.measure(n), k)
-                dist = weak_distance(power, target)
-            elif op == "boolean":
-                power = boolean_power(spec.measure(n), k)
-                dist = weak_distance(power, target)
-            else:  # monotone: f_transform of an atomic row, or the row's own F
-                fe = spec.f_eval(n)
-                power = TransformGrid(
-                    ZR, tuple(iterate_f(fe, k, z) for z in ZR), "F",
-                    mass=spec.mass_of(n) ** k,
-                )
-                dist = weak_distance(power, target)
-        except (NumericalError, ValidationError) as exc:
-            raise type(exc)(f"{exc} (op={op}, row n={n}, k={k})") from exc
-        ns.append(n)
-        ks.append(k)
-        dists.append(float(dist))
-    return ConvergenceReport(op, tuple(ns), tuple(ks), tuple(dists), _verdict(dists, tol))
+    ns = spec.n_values
+    ks = tuple(spec.k_of(n) for n in ns)
+    where, dists = "target", []
+    try:
+        target = _resolve_target(op, target)
+        for n, k in zip(ns, ks):
+            where = f"row n={n}, k={k}"
+            dists.append(float(_power_distance(spec, op, n, k, target)))
+    except (NumericalError, ValidationError) as exc:
+        raise type(exc)(f"{exc} (op={op}, {where})") from exc
+    return ConvergenceReport(op, ns, ks, tuple(dists), _verdict(dists, tol))
 
 
 def chernoff_residual(spec, triple, n):
@@ -297,7 +301,7 @@ def chernoff_residual(spec, triple, n):
     return max(abs(k * (fe(z) - z) - phi_eval(triple, z)) for z in ZR)
 
 
-def bp_crosscheck(spec, tol=0.05, flow_step=FLOW_STEP):
+def bp_crosscheck(spec, tol=0.05):
     """Run all four power sequences of one array against one triple's laws.
 
     The triple is the array's limit field (mass 1 required: free and
@@ -324,7 +328,7 @@ def bp_crosscheck(spec, tol=0.05, flow_step=FLOW_STEP):
         cond_rows[-1]["gamma_gap"] <= tol
         and cond_rows[-1]["sigma_distance"] <= tol
     )
-    reports = {op: run_powers(spec, op, triple, tol, flow_step) for op in OPS}
+    reports = {op: run_powers(spec, op, triple, tol) for op in OPS}
     flags = [r.converged for r in reports.values()] + [cond_converged]
     return {
         "array": spec.name,
@@ -336,7 +340,7 @@ def bp_crosscheck(spec, tol=0.05, flow_step=FLOW_STEP):
     }
 
 
-def subprobability_equivalence(spec, triple=None, tol=0.05, flow_step=FLOW_STEP):
+def subprobability_equivalence(spec, triple=None, tol=0.05):
     """Boolean vs monotone verdict agreement for sub-probability rows.
 
     The target triple (m, gamma, sigma) is explicit input; the row masses
@@ -353,8 +357,8 @@ def subprobability_equivalence(spec, triple=None, tol=0.05, flow_step=FLOW_STEP)
         raise ValidationError(
             f"mass^k = {mhat} at the horizon does not approach m = {triple.m}"
         )
-    rep_b = run_powers(spec, "boolean", triple, tol, flow_step)
-    rep_m = run_powers(spec, "monotone", triple, tol, flow_step)
+    rep_b = run_powers(spec, "boolean", triple, tol)
+    rep_m = run_powers(spec, "monotone", triple, tol)
     return {
         "array": spec.name,
         "mass_limit": {"target": triple.m, "observed": mhat},

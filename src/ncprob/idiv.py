@@ -5,9 +5,10 @@ free (F(z) is the root in C+ of w + phi(w) = z, an eigenvalue of one
 arrowhead matrix per point, solved for a whole grid at once), classical
 (characteristic function, FFT density on request), and monotone (the
 time-one map of the ODE flow dF/dt = Phi(F) with Phi(z) = -gamma - log(m) z
-+ integral of (1+xz)/(x-z) dsigma; the monotone law itself is read from the
-Abel equation of that flow, the flow snapshots and the scenario commands
-integrate it by RK4).
++ integral of (1+xz)/(x-z) dsigma; the monotone law itself, on a density
+grid or as the target of the real-line scenario commands, is read from the
+Abel equation of that flow, while the flow snapshots and the flow-root rows
+integrate it by fixed-step RK4).
 """
 
 from __future__ import annotations
@@ -319,6 +320,12 @@ def monotone_idiv_eval(triple, z):
         raise FlowError(f"flow from z0={complex(np.atleast_1d(z)[i])!r}: "
                         f"|Psi(F_1) - Psi(z0) - 1| = {residual[i]:.3e}")
     return w.reshape(shape) if shape is not None else w
+
+
+def monotone_idiv(triple, points=ZR):
+    """The monotone law on a grid: F_1 from ``monotone_idiv_eval``, of mass m."""
+    values = monotone_idiv_eval(triple, np.array(points, dtype=complex))
+    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=triple.m)
 
 
 def _check_flow_args(t_end, step):

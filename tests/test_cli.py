@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ncprob import circle, cli, transforms
+from ncprob import circle, cli, idiv, transforms
 from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
 from ncprob.convolutions import free_convolve
 from ncprob.errors import RecoveryError, ValidationError
@@ -31,7 +31,6 @@ def bernoulli_scenario(tmp_path, **overrides):
         "array": {"family": "bernoulli_clt", "n_values": [16, 32, 64]},
         "triple": {"m": 1.0, "gamma": 0.0, "sigma": [[0.0, 1.0]]},
         "tolerance": 0.05,
-        "flow_step": 0.001,
     }
     scenario.update(overrides)
     path = tmp_path / "scenario.json"
@@ -559,8 +558,10 @@ def test_readme_scenarios_run(tmp_path):
         (["convolve", "--op", "boolean", "--a", "a.json", "--b", "b.json"],
          ["--grid-eps=1e-3", "--flow-step=1e-3", "--tolerance=0.05", "--svg"]),
         (["flow"], ["--grid-eps=1e-3", "--tolerance=0.05", "--format=csv", "--svg"]),
-        (["limit-run", "s.json"], ["--grid-eps=1e-3", "--format=csv", "--svg"]),
-        (["bp-check", "s.json"], ["--grid-eps=1e-3", "--format=csv", "--svg"]),
+        (["limit-run", "s.json"], ["--grid-eps=1e-3", "--flow-step=1e-3", "--format=csv",
+                                   "--svg"]),
+        (["bp-check", "s.json"], ["--grid-eps=1e-3", "--flow-step=1e-3", "--format=csv",
+                                  "--svg"]),
         (["circle-run", "s.json"], ["--grid-eps=1e-3", "--format=csv", "--svg"]),
         (["idiv", "--op", "boolean"], ["--tolerance=0.05"]),
         (["idiv", "--op", "monotone"], ["--flow-step=1e-3"]),
@@ -572,6 +573,40 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv, flag):
         run(argv + [flag])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + flag.split("=")[0] in capsys.readouterr().err
+
+
+def test_flow_step_is_a_circle_scenario_key(tmp_path, capsys):
+    # real-line scenarios read the monotone law from the Abel equation, so no
+    # step of theirs is read; the disk flow of circle-run still takes one
+    out = tmp_path / "rep.json"
+    for command in ("limit-run", "bp-check"):
+        scenario = bernoulli_scenario(tmp_path, flow_step=0.001)
+        assert run([command, scenario, "--output", out]) == EXIT_VALIDATION
+        assert "flow_step" in capsys.readouterr().err
+        assert not out.exists()
+    path = tmp_path / "circ.json"
+    path.write_text(json.dumps({
+        "space": "circle", "flow_step": 0.002,
+        "array": {"family": "semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
+                  "n_values": [16, 32]},
+    }))
+    assert run(["circle-run", path, "--output", out]) == EXIT_OK
+    assert read_json(out)["scenario"]["flow_step"] == 0.002
+
+
+def test_a_failing_target_names_its_op(tmp_path, capsys, no_hang, monkeypatch):
+    abel_corrector = idiv._abel_corrector
+
+    def unsettled(triple, z):
+        correct, d = abel_corrector(triple, z)
+        return (lambda w, t, i=None: correct(w, t, i) + 1e-6), d
+
+    monkeypatch.setattr(idiv, "_abel_corrector", unsettled)
+    scenario = bernoulli_scenario(tmp_path)
+    assert run(["bp-check", scenario, "--output", tmp_path / "rep.json"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"flow from z0={transforms.ZR[0]!r}" in err
+    assert err.rstrip().endswith("(op=monotone, target)")
 
 
 @pytest.mark.parametrize("command, scenario", [

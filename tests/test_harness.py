@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from conftest import mp_time_one
 from ncprob.errors import ValidationError
 from ncprob.harness import (
     ArraySpec,
     DEFAULT_NS,
+    _resolve_target,
     bp_crosscheck,
     chernoff_residual,
     condition_e,
@@ -79,6 +81,42 @@ def test_monotone_clt_against_closed_form():
     # decreasing in n over the horizon
     for a, b in zip(rep.distances, rep.distances[1:]):
         assert b < a
+
+
+@pytest.mark.parametrize("spec", [ArraySpec.bernoulli_clt(), ArraySpec.fixed()],
+                         ids=lambda spec: spec.name)
+def test_monotone_target_is_the_arcsine_law(spec):
+    """The monotone law of (1, 0, delta_0), the grid run_powers compares against.
+
+    Measured: 4.4e-16 from sqrt(z^2 - 2) on ZR (RK4 at step 1e-3: 9.8e-15).
+    """
+    target, want = _resolve_target("monotone", spec.limit), arcsine_sqrt2_grid()
+    assert (target.points, target.kind, target.mass) == (want.points, "F", 1.0)
+    assert max(abs(a - b) for a, b in zip(target.values, want.values)) <= 2e-15
+
+
+@pytest.mark.parametrize("spec", [
+    ArraySpec.poisson(1.0),
+    ArraySpec.damped_poisson(0.5, 0.2),
+    ArraySpec.damped_poisson(2.0, 1.5),
+    ArraySpec.damped_poisson(1.0, math.log(100.0)),
+], ids=lambda spec: spec.name)
+def test_monotone_target_matches_50_digit_oracle(spec):
+    """The limit triples of the Poisson arrays, with m down to 0.01.
+
+    0.01 is the least mass^k that subprobability_equivalence accepts.  Far
+    out, F_1 moves by Phi(F_1) ~ -log(m) F_1 per unit of Psi, so the rounding
+    of Psi costs a relative error that grows with |log m|.  Measured over 29
+    damped triples: at most 2.1e-16 relative at m = 1 and 3.1e-14 at
+    m = 0.01 (RK4 at step 1e-3: 1.8e-11).
+    """
+    triple = spec.limit
+    target = _resolve_target("monotone", triple)
+    assert target.mass == triple.m
+    bound = 1e-15 * (1.0 - 20.0 * math.log(triple.m))
+    for z, w in zip(target.points, target.values):
+        ref = mp_time_one(triple.m, triple.gamma, triple.sigma.atoms, z, w)
+        assert abs(w - ref) <= bound * abs(ref)
 
 
 def test_poisson_boolean_power_converges():

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import mp_phi, mp_time_one
 from ncprob import idiv
 from ncprob.errors import FlowError, ValidationError
 from ncprob.idiv import (
@@ -292,41 +293,6 @@ def test_flows_reject_non_finite_start_points(no_hang, bad):
 
 # --- the monotone law from the Abel equation -----------------------------------
 
-def _mp_phi(m, gamma, sigma):
-    """Phi(w) = -gamma - log(m) w + sum s (1 + p w)/(p - w) at the working precision,
-    summed as -(gamma + sum s p) - log(m) w + sum s (1 + p^2)/(p - w)."""
-    atoms = [(mpmath.mpf(p), mpmath.mpf(s)) for p, s in sigma]
-    g = gamma + mpmath.fsum(p * s for p, s in atoms)
-    lam, poles = -mpmath.log(m), [(p, s * (1 + p * p)) for p, s in atoms]
-    return lambda w: lam * w - g + mpmath.fsum(c / (p - w) for p, c in poles)
-
-
-def _mp_time_one(m, gamma, sigma, z, w0):
-    """F_1(z) at 50 digits, with no use of the zeros of Phi.
-
-    D(w) = Psi(w) - Psi(z) is the integral of 1/Phi along the segment from z
-    to w (1/Phi is analytic in C+), by Gauss-Legendre on pieces that grow
-    tenfold from Im z; findroot solves D(w) = 1 by Newton from w0, and stops
-    once a step is below 1e-15, which leaves the root within about the
-    square of that.  Each quadrature's error estimate must be below 1e-25.
-    """
-    with mpmath.workdps(50):
-        phi = _mp_phi(m, gamma, sigma)
-        z = mpmath.mpc(z)
-
-        def d(w):
-            cuts = [0]
-            while cuts[-1] < 1:
-                cuts.append(min(1, 10 * max(cuts[-1], z.imag / abs(w - z))))
-            val, err = mpmath.quad(lambda u: (w - z) / phi(z + u * (w - z)), cuts,
-                                   method="gauss-legendre", maxdegree=5, error=True)
-            assert err < 1e-25
-            return val - 1
-
-        return complex(mpmath.findroot(d, mpmath.mpc(w0), df=lambda w: 1 / phi(w),
-                                       solver="newton", tol=1e-15, verify=False))
-
-
 def _seeded_triple(seed, n_atoms):
     """m = 1 for odd seeds, else m in (0.5, 1); gamma in (-0.5, 0.5); atoms at least 0.3 apart."""
     rng = np.random.default_rng(seed)
@@ -349,7 +315,7 @@ def test_monotone_idiv_eval_matches_50_digit_oracle(seed):
     points = [complex(p + 0.05, 1e-3) for p, _ in sigma] + [1 + 1j, 10j, -6 + 8j]
     grid = monotone_idiv_eval(triple, np.array(points))
     for z, w in zip(points, grid):
-        ref = _mp_time_one(m, gamma, sigma, z, w)
+        ref = mp_time_one(m, gamma, sigma, z, w)
         assert abs(w - ref) <= 1e-12 * abs(ref)
         assert abs(monotone_idiv_eval(triple, z) - ref) <= 1e-12 * abs(ref)
 
@@ -369,7 +335,7 @@ def test_monotone_idiv_eval_near_the_far_zero_limit(m, gamma):
     triple = LevyTriple.from_parts(m, gamma, sigma)
     points = [complex(-0.95, 1e-3), 2 + 2j]
     for z, w in zip(points, monotone_idiv_eval(triple, np.array(points))):
-        ref = _mp_time_one(m, gamma, sigma, z, w)
+        ref = mp_time_one(m, gamma, sigma, z, w)
         assert abs(w - ref) <= 1e-12 * abs(ref)
 
 
@@ -452,7 +418,7 @@ def _mp_monotone_atom(m, gamma, sigma):
     if any(p == 0.0 for p, _ in sigma):
         return None
     with mpmath.workdps(30):
-        phi = _mp_phi(m, gamma, sigma)
+        phi = mp_phi(m, gamma, sigma)
         phi0 = phi(mpmath.mpf(0))
         if phi0 == 0:
             return 0.0, float(mpmath.exp(-mpmath.diff(phi, 0)))
