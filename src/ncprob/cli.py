@@ -1,7 +1,8 @@
 """Command-line front end: scenario files in, reports/densities/flow traces out.
 
 Subcommands: idiv | convolve | flow | limit-run | bp-check | circle-run.
-Exit codes: 0 ok, 2 validation failure, 3 numerical failure.  Reports are
+Exit codes: 0 ok, 2 validation failure, 3 numerical failure, 4 bp-check
+verdicts that disagree (the report is written).  Reports are
 byte-identical across reruns of the same scenario: no wall clock, fixed
 iteration order, canonical grids embedded.
 """
@@ -53,6 +54,7 @@ from .transforms import ZR, stieltjes_invert
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_DISAGREEMENT = 4
 
 _ARRAY_SCHEMA = {
     "type": "object",
@@ -266,14 +268,13 @@ def _parse_window(text):
     return lo, hi
 
 
-def _emit_atoms(args, out, engine, measure):
+def _emit_atoms(args, out, engine, atoms, **fields):
+    """(position, weight) pairs as {out}_atoms.csv or, with extra fields, .json."""
     if args.format == "csv":
         _write_csv(f"{out}_atoms.csv",
-                   [f"ncprob {__version__} {engine}", "position,weight"],
-                   measure.to_json_pairs())
+                   [f"ncprob {__version__} {engine}", "position,weight"], atoms)
     else:
-        _dump_json({"engine": engine, "atoms": measure.to_json_pairs(),
-                    "mass": measure.mass}, f"{out}_atoms.json")
+        _dump_json({"engine": engine, "atoms": atoms, **fields}, f"{out}_atoms.json")
 
 
 def cmd_idiv(args):
@@ -284,7 +285,8 @@ def cmd_idiv(args):
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"--grid-eps must be finite and positive, got {eps!r}")
     if args.op == "boolean":
-        _emit_atoms(args, out, "boolean-idiv", boolean_idiv(triple))
+        law = boolean_idiv(triple)
+        _emit_atoms(args, out, "boolean-idiv", law.to_json_pairs(), mass=law.mass)
         return EXIT_OK
     if args.op == "classical":
         xs, dens = classical_idiv_density(triple)
@@ -300,8 +302,7 @@ def cmd_idiv(args):
     inv = stieltjes_invert(g, eps, (lo, hi), args.bins)
     _write_csv(f"{out}_density.csv", _provenance(args, args.op) + ["x,density"],
                inv.density)
-    _dump_json({"engine": f"{args.op}-idiv", "atoms": [list(a) for a in inv.atoms]},
-               f"{out}_atoms.json")
+    _emit_atoms(args, out, f"{args.op}-idiv", [list(a) for a in inv.atoms])
     if args.svg:
         _write_svg(f"{out}_density.svg", inv.density)
     return EXIT_OK
@@ -316,6 +317,9 @@ def cmd_convolve(args):
     mu, nu = _load_measure(args.a), _load_measure(args.b)
     out = args.output or "ncprob_convolve"
     if args.op == "free":
+        if args.format == "csv":
+            raise ValidationError("--format csv does not apply to --op free: "
+                                  "its transform grid is written as JSON only")
         grid = free_convolve(mu, nu)
         _dump_json(
             {"engine": "free-subordination", "grid": _grid_json(grid.points),
@@ -325,7 +329,8 @@ def cmd_convolve(args):
         return EXIT_OK
     fn = {"classical": classical_convolve, "boolean": boolean_convolve,
           "monotone": monotone_convolve}[args.op]
-    _emit_atoms(args, out, f"{args.op}-convolve", fn(mu, nu))
+    conv = fn(mu, nu)
+    _emit_atoms(args, out, f"{args.op}-convolve", conv.to_json_pairs(), mass=conv.mass)
     return EXIT_OK
 
 
@@ -393,7 +398,7 @@ def cmd_bp_check(args):
         "version": __version__,
     }
     _dump_json(report, args.output)
-    return EXIT_OK if result["agreement"] else EXIT_NUMERICAL
+    return EXIT_OK if result["agreement"] else EXIT_DISAGREEMENT
 
 
 def cmd_circle_run(args):

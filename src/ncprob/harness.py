@@ -49,13 +49,15 @@ def _bernoulli():
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """One measure per row n, plus the power rule k_n and the target triple."""
+    """One measure per row n, plus the power rule k_n and the target triple.
+
+    A row without a measure is the target's flow root: the generator flow
+    of ``limit`` at t = 1/k_n, of mass m^(1/k_n).
+    """
 
     name: str
     n_values: tuple
     measure_fn: object = None      # n -> FiniteAtomicMeasure, or None
-    f_eval_fn: object = None       # n -> callable z -> F_{mu_n}(z)
-    mass_fn: object = None         # n -> float
     k_table: tuple = None          # ((n, k), ...) or None for k_n = n
     limit: LevyTriple = None       # target triple for this array
 
@@ -83,14 +85,16 @@ class ArraySpec:
         return self.measure_fn(n)
 
     def f_eval(self, n):
-        if self.f_eval_fn is not None:
-            return self.f_eval_fn(n)
-        return f_transform(self.measure(n))
+        """F of row n: of its measure, or the limit's flow at t = 1/k_n."""
+        mu = self.measure(n)
+        if mu is not None:
+            return f_transform(mu)
+        t = 1.0 / self.k_of(n)
+        return lambda z: flow_map(self.limit, t, z, step=min(FLOW_STEP, 0.5 * t))
 
     def mass_of(self, n):
-        if self.mass_fn is not None:
-            return self.mass_fn(n)
-        return self.measure(n).mass
+        mu = self.measure(n)
+        return mu.mass if mu is not None else self.limit.m ** (1.0 / self.k_of(n))
 
     # --- shipped families -------------------------------------------------
 
@@ -170,24 +174,13 @@ class ArraySpec:
         )
 
     @classmethod
-    def flow_root(cls, triple, n_values=DEFAULT_NS, flow_step=FLOW_STEP):
+    def flow_root(cls, triple, n_values=DEFAULT_NS):
         """Rows given by the flow map g_n = F_{1/k_n} of a generator triple.
 
         These rows have no atomic representation; only monotone powers and
         generator diagnostics apply.
         """
-
-        def fe(n):
-            k = n  # identity k-rule for flow roots
-            return lambda z: flow_map(triple, 1.0 / k, z, step=min(flow_step, 0.5 / k))
-
-        return cls(
-            name="flow_root",
-            n_values=tuple(n_values),
-            f_eval_fn=fe,
-            mass_fn=lambda n: triple.m ** (1.0 / n),
-            limit=triple,
-        )
+        return cls(name="flow_root", n_values=tuple(n_values), limit=triple)
 
 
 def condition_e(spec, n):

@@ -146,42 +146,41 @@ def _below_floor(w, t, im0, log_m, exp=math.exp):
     return w.imag < exp(-log_m * t) * im0 * (1.0 - 1e-7) - 1e-12
 
 
-def _rk4_leg(triple, w, t_from, t_to, step, im0, label, correct=None):
-    """Integrate dF/dt = Phi(F) from t_from to t_to.
+def _rk4_leg(triple, z, t_end, step, hook=None):
+    """Integrate dF/dt = Phi(F) from F_0 = z to t_end.
 
     Fixed RK4 step, with a deterministic sub-step cap keeping each move well
     inside the distance to Phi's real poles (only relevant when starting
-    near the real axis, e.g. on a density grid).  correct(w, t), when
-    given, moves each step's end onto the exact flow (``_abel_corrector``).
+    near the real axis, e.g. on a density grid).  hook(w, t), when given,
+    sees each step's end and returns the point to go on from
+    (``_abel_corrector`` moves it onto the exact flow).
     """
     phi = _phi(triple)
     log_m = math.log(triple.m)
     poles = triple.sigma.positions
-    t = t_from
-    while t < t_to - 1e-15:
+    w, t = z, 0.0
+    while t < t_end - 1e-15:
         k1 = phi(w)
         speed = abs(k1)
-        h = min(step, t_to - t)
+        h = min(step, t_end - t)
         if speed > 0.0:
             h = min(h,
                     0.2 * _pole_distance(poles, w) / speed,
                     0.1 * max(1.0, abs(w)) / speed)
         w = _rk4_step(phi, w, h, k1)
         t += h
-        if correct is not None:
-            w = correct(w, t)
-        if _below_floor(w, t, im0, log_m):
-            raise FlowError(
-                f"{label}: Im F fell below m^-t Im z at t={t:.6f} (z0 im {im0})"
-            )
+        if hook is not None:
+            w = hook(w, t)
+        if _below_floor(w, t, z.imag, log_m):
+            raise FlowError(f"flow from z0={z!r}: Im F fell below m^-t Im z at t={t:.6f}")
     return w
 
 
-def _rk4_leg_array(triple, z, t_end, step, correct=None):
-    """_rk4_leg from t = 0 for a 1-d array of start points, run in lockstep.
+def _rk4_leg_array(triple, z, t_end, step, hook=None):
+    """_rk4_leg for a 1-d array of start points, run in lockstep.
 
     Each point keeps its own time, sub-step cap and floor check, and leaves
-    the active set once it reaches t_end.  correct(w, t, i) is called with
+    the active set once it reaches t_end.  hook(w, t, i) is called with
     the indices i into z of the points still running.
     """
     phi = _phi(triple)
@@ -207,8 +206,8 @@ def _rk4_leg_array(triple, z, t_end, step, correct=None):
         h = np.where(speed > 0.0, np.minimum(h, cap), h)
         w = _rk4_step(phi, w, h, k1)
         t = t + h
-        if correct is not None:
-            w = correct(w, t, active)
+        if hook is not None:
+            w = hook(w, t, active)
         bad = _below_floor(w, t, im0, log_m, np.exp)
         if bad.any():
             i = np.argmax(bad)
@@ -234,7 +233,7 @@ def flow_map(triple, t_end, z, step=FLOW_STEP):
         return z if t_end == 0 else _rk4_leg_array(triple, z.ravel(), t_end, step).reshape(z.shape)
     z = complex(z)
     _check_line_points(np.array([z]))
-    return z if t_end == 0 else _rk4_leg(triple, z, 0.0, t_end, step, z.imag, "flow")
+    return z if t_end == 0 else _rk4_leg(triple, z, t_end, step)
 
 
 #: Log(1 + x) - x is summed as its Taylor series (to x^14) below this |x|,
@@ -310,7 +309,7 @@ def monotone_idiv_eval(triple, z):
         return z.reshape(shape) if shape is not None else z
     correct, d = _abel_corrector(triple, z)
     if shape is None:
-        w = _rk4_leg(triple, z, 0.0, 1.0, ABEL_STEP, z.imag, f"flow from z0={z!r}", correct)
+        w = _rk4_leg(triple, z, 1.0, ABEL_STEP, correct)
     else:
         w = _rk4_leg_array(triple, z, 1.0, ABEL_STEP, correct)
     residual = np.atleast_1d(abs(d(w) - 1.0))
@@ -361,20 +360,21 @@ class FlowResult:
 
 
 def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
-    """Integrate the generator flow; the time-one grid is the monotone law."""
+    """Integrate the generator flow; the time-one grid is the monotone law.
+
+    Each point takes ``flow_map`` to t_end/2 and the result ``flow_map``
+    for the rest, so the midpoint snapshot is on the way.
+    """
     t_end = _check_flow_args(t_end, step)
     if step > 1e-2:
         raise ValidationError("flow step must be <= 1e-2")
-    _check_line_points(np.array(points, dtype=complex))
     times = (0.0, 0.5 * t_end, t_end)
     snapshots = [[], [], []]
     for z in points:
-        z = complex(z)
-        half = _rk4_leg(triple, z, 0.0, times[1], step, z.imag, "flow")
-        full = _rk4_leg(triple, half, times[1], times[2], step, z.imag, "flow")
-        snapshots[0].append(z)
+        half = flow_map(triple, times[1], z, step)
+        snapshots[0].append(complex(z))
         snapshots[1].append(half)
-        snapshots[2].append(full)
+        snapshots[2].append(flow_map(triple, times[1], half, step))
     grids = tuple(
         TransformGrid(tuple(points), tuple(vals), "F", mass=triple.m**t)
         for t, vals in zip(times, snapshots)
@@ -389,14 +389,10 @@ def semigroup_defect(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
     step/2, so the defect is a real quantity (integrator-limited semigroup
     deviation) rather than a bit-identical replay.
     """
-    t_end = _check_flow_args(t_end, step)
-    _check_line_points(np.array(points, dtype=complex))
     worst = 0.0
     for z in points:
-        z = complex(z)
-        direct = _rk4_leg(triple, z, 0.0, t_end, 0.5 * step, z.imag, "flow")
-        half = _rk4_leg(triple, z, 0.0, 0.5 * t_end, step, z.imag, "flow")
-        comp = _rk4_leg(triple, half, 0.0, 0.5 * t_end, step, half.imag, "flow")
+        direct = flow_map(triple, t_end, z, 0.5 * step)
+        comp = flow_map(triple, 0.5 * t_end, flow_map(triple, 0.5 * t_end, z, step), step)
         worst = max(worst, abs(direct - comp))
     return worst
 
@@ -409,39 +405,33 @@ class DistanceBound:
     observed: float
 
 
-def flow_distance_bound(t1, t2, points=ZR, step=FLOW_STEP):
+def flow_distance_bound(t1, t2):
     """Perturbation bound for two generator flows over the unit time interval.
 
-    epsilon = max |Phi_1 - Phi_2| over the enclosing compact C (all RK4
-    states of both flows started from the grid); m1 = max |Phi_2'| over C;
-    the observed time-one distance must stay within twice
+    Both flows run from ZR at FLOW_STEP; the leg's hook collects every RK4
+    state into the enclosing compact C and stops a flow that escapes to
+    |w| >= 1e6.  epsilon = max |Phi_1 - Phi_2| over C; m1 = max |Phi_2'|
+    over C; the observed time-one distance must stay within twice
     (e^{m1} - 1)/m1 * epsilon, else this raises.
     """
-    states = []
+    states = list(ZR)
 
-    def run(triple, z):
-        t, w = 0.0, complex(z)
+    def collect(w, t):
+        if not abs(w) < 1e6:
+            raise FlowError(f"flow escaped the admissible region at t={t:.6f}")
         states.append(w)
-        phi = _phi(triple)
-        while t < 1.0 - 1e-15:
-            h = min(step, 1.0 - t)
-            w = _rk4_step(phi, w, h, phi(w))
-            t += h
-            states.append(w)
-            if not (abs(w) < 1e6 and w.imag > 0):
-                raise FlowError("flow escaped the admissible region")
         return w
 
-    end1 = [run(t1, z) for z in points]
-    end2 = [run(t2, z) for z in points]
-    phi1, phi2 = _phi(t1), _phi(t2)
-    eps = max(abs(phi1(w) - phi2(w)) for w in states)
-    m1 = max(abs(phi_deriv(t2, w)) for w in states)
+    end1, end2 = (np.array([_rk4_leg(triple, z, 1.0, FLOW_STEP, collect) for z in ZR])
+                  for triple in (t1, t2))
+    c = np.array(states)
+    eps = float(np.abs(_phi(t1)(c) - _phi(t2)(c)).max())
+    m1 = float(np.abs(phi_deriv(t2, c)).max())
     factor = (math.expm1(m1) / m1) if m1 > 1e-12 else 1.0
     bound = factor * eps
-    observed = max(abs(a - b) for a, b in zip(end1, end2))
+    observed = float(np.abs(end1 - end2).max())
     if observed > 2.0 * bound + 1e-15:
         raise FlowError(
             f"observed flow distance {observed} exceeds twice the bound {bound}"
         )
-    return DistanceBound(float(eps), float(m1), float(bound), float(observed))
+    return DistanceBound(eps, m1, bound, observed)

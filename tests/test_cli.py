@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from ncprob import circle, cli, idiv, transforms
-from ncprob.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_sigma_arg
+from ncprob.cli import (
+    EXIT_DISAGREEMENT,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    main,
+    parse_sigma_arg,
+)
 from ncprob.convolutions import free_convolve
 from ncprob.errors import RecoveryError, ValidationError
 from ncprob.idiv import LevyTriple, flow_map, free_idiv_eval, monotone_idiv_eval
@@ -61,6 +68,28 @@ def test_idiv_boolean_atoms_csv_format(tmp_path):
     rows = [line.strip() for line in open(f"{out}_atoms.csv")
             if not line.startswith("#")]
     assert rows == ["-1.0,0.5", "1.0,0.5"]
+
+
+@pytest.mark.parametrize("op", ["free", "monotone"])
+def test_idiv_sweep_atoms_csv_format(tmp_path, op):
+    # a small far sigma atom leaves both laws an atom of weight about 0.89 near 0
+    base = ["idiv", "--op", op, "--sigma", "3:0.1", "--bins", 41]
+    assert run(base + ["--output", tmp_path / "j"]) == EXIT_OK
+    assert run(base + ["--output", tmp_path / "c", "--format", "csv"]) == EXIT_OK
+    assert not (tmp_path / "c_atoms.json").exists()
+    atoms = read_json(tmp_path / "j_atoms.json")["atoms"]
+    rows = [[float(v) for v in line.split(",")] for line in open(tmp_path / "c_atoms.csv")
+            if not line.startswith("#")]
+    assert rows == atoms and atoms
+
+
+def test_convolve_free_rejects_csv_format(tmp_path, capsys):
+    ma = tmp_path / "a.json"
+    ma.write_text(json.dumps([[-1.0, 0.5], [1.0, 0.5]]))
+    assert run(["convolve", "--op", "free", "--a", ma, "--b", ma, "--format", "csv",
+                "--output", tmp_path / "fc"]) == EXIT_VALIDATION
+    assert "--format" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fc_*"))
 
 
 def test_idiv_boolean_pure_drift(tmp_path):
@@ -389,18 +418,19 @@ def test_convolve_monotone_nine_by_nine(tmp_path):
 
 
 def test_bp_check_disagreement_exit_code(tmp_path):
-    # fixed array: all four fail, so verdicts agree and exit is 0; force a
-    # disagreement via a wrong target for only the boolean side is not
-    # constructible, so check the all-fail agreement path instead
-    scenario = bernoulli_scenario(
-        tmp_path,
-        array={"family": "fixed_bernoulli", "n_values": [16, 32, 64]},
-    )
-    out = tmp_path / "fixed.json"
-    assert run(["bp-check", scenario, "--output", out]) == EXIT_OK
-    rep = read_json(out)
-    assert rep["result"]["agreement"] is True
-    assert rep["result"]["all_converged"] is False
+    # at tolerance 1e-9 the Boolean powers of the Bernoulli array reach their
+    # limit exactly, while the other ops and condition E stay above it
+    scenario = tmp_path / "tight.json"
+    scenario.write_text(json.dumps({
+        "space": "real", "array": {"family": "bernoulli_clt", "n_values": [16, 32, 64]},
+        "tolerance": 1e-9}))
+    out = tmp_path / "tight-report.json"
+    assert run(["bp-check", scenario, "--output", out]) == EXIT_DISAGREEMENT
+    result = read_json(out)["result"]
+    assert result["agreement"] is False
+    assert result["ops"]["boolean"]["converged"] is True
+    assert not any(result["ops"][op]["converged"] for op in ("classical", "free", "monotone"))
+    assert result["condition_e"]["converged"] is False
 
 
 @pytest.mark.parametrize("flag", ["--flow-step=0", "--flow-step=nan", "--t-end=inf",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -216,6 +217,17 @@ def test_flow_root_power_matches_flow():
     rep = run_powers(spec, "monotone", GAUSSIAN)
     assert rep.converged
     assert rep.distances[-1] <= 1e-4
+
+
+def test_flow_root_rows_follow_the_k_table():
+    # row n is the limit's flow at t = 1/k_n, so k_n-fold powers land on the time-one map
+    damped = LevyTriple.from_parts(0.8, 0.1, [(0.0, 0.5)])
+    spec = dataclasses.replace(ArraySpec.flow_root(damped, n_values=(16, 32)),
+                               k_table=((16, 32), (32, 64)))
+    assert spec.mass_of(16) == 0.8 ** (1.0 / 32)
+    rep = run_powers(spec, "monotone", damped)
+    assert rep.ks == (32, 64)
+    assert max(rep.distances) <= 1e-12
 
 
 def test_reports_reproducible():

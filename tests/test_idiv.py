@@ -264,7 +264,7 @@ def test_flow_map_array_error_names_start_point():
     steep = LevyTriple.from_parts(0.1, 0.0, [])
     with pytest.raises(FlowError, match=re.escape("z0=0.1j")):
         flow_map(steep, 1.0, np.array([10 + 10j, 0.1j, 3 + 1j]), step=1.0)
-    with pytest.raises(FlowError):
+    with pytest.raises(FlowError, match=re.escape("flow from z0=0.1j:")):
         flow_map(steep, 1.0, 0.1j, step=1.0)
 
 
