@@ -10,7 +10,8 @@ measures.
 Monotone convolution semigroups on the circle solve d eta/dt = A(eta) with
 A(z) = z(i beta - integral (1+zeta z)/(1-zeta z) dsigma); the k_n-th roots
 sampled from such a flow are the arrays whose powers the rotation-correction
-machinery repairs.
+machinery repairs.  A run's k_n-fold powers and its time-one flow are
+iterated together as the lanes of one array pass (``disk_powers``).
 """
 
 from __future__ import annotations
@@ -295,6 +296,16 @@ def _disk_points(points):
     return z
 
 
+def _schedule(t_from, t_to, step):
+    """The (h, t) of each RK4 step of a fixed-step leg: h = step, the last one ends it at t_to."""
+    out, t = [], t_from
+    while t < t_to - 1e-15:
+        h = min(step, t_to - t)
+        t += h
+        out.append((h, t))
+    return out
+
+
 def _rk4_disk_leg(gen, w, t_from, t_to, step, r0, z0):
     """Integrate d eta/dt = A(eta) from t_from to t_to for one point or an ndarray.
 
@@ -302,11 +313,9 @@ def _rk4_disk_leg(gen, w, t_from, t_to, step, r0, z0):
     checked per point, and a failure names the start point z0.  r0 is an
     ndarray or a numpy scalar, so the check has .any() for a point too.
     """
-    t, limit = t_from, r0 * (1.0 + 1e-9)
-    while t < t_to - 1e-15:
-        h = min(step, t_to - t)
+    limit = r0 * (1.0 + 1e-9)
+    for h, t in _schedule(t_from, t_to, step):
         w = _rk4_step(gen.a_eval, w, h, gen.a_eval(w))
-        t += h
         bad = abs(w) > limit
         if bad.any():
             i = np.argmax(bad)
@@ -353,11 +362,16 @@ def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     return float(np.abs(direct - comp).max(initial=0.0))
 
 
-def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
-    """Integrate the disk flow; the derivative at 0 is tracked analytically."""
+def _check_disk_flow_args(t_end, step):
     t_end = _check_flow_args(t_end, step)
     if step > 1e-2:
         raise ValidationError("flow step must be <= 1e-2")
+    return t_end
+
+
+def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
+    """Integrate the disk flow; the derivative at 0 is tracked analytically."""
+    t_end = _check_disk_flow_args(t_end, step)
     times = (0.0, 0.5 * t_end, t_end)
     z = _disk_points(points)
     r0 = np.abs(z)
@@ -377,24 +391,170 @@ def boolean_power_eta(e, k, points=DISK_GRID):
     return DiskGrid(points, z * (e(z) / z) ** k)
 
 
-def monotone_power_eta(e, k, points=DISK_GRID):
-    """k-fold multiplicative monotone power: iterate eta k times on the grid.
+@dataclass(frozen=True)
+class DiskFlowRoot:
+    """eta = lam * eta_t of gen's flow, by fixed-step RK4 legs from 0 to each of ``times``.
 
-    e takes an ndarray of grid points; the whole grid is iterated as one
-    array, and |eta(w)| <= |w| is checked per point at every iteration.
+    A row of ``CircleArraySpec.semigroup`` is the root at t = 1/n; the
+    time-one target of ``circle_reports`` runs the two legs, to 1/2 and to
+    1, of ``circle_monotone_flow``.  Calling it evaluates eta; a k-fold
+    power runs its step schedule in ``disk_powers``.
     """
-    z = np.array(points, dtype=complex)
-    w, r = z, np.abs(z)
-    for j in range(1, k + 1):
-        nxt = e(w)
-        r_next = np.abs(nxt)
-        bad = r_next > r * (1.0 + 1e-9)
-        if bad.any():
-            i = np.argmax(bad)
-            raise FlowError(f"eta iteration from z0={complex(z[i])!r} grew the "
-                            f"modulus at iteration {j}")
-        w, r = nxt, r_next
-    return DiskGrid(points, w)
+
+    gen: CircleGenerator
+    times: tuple
+    step: float
+    lam: complex = 1.0
+
+    @functools.cached_property
+    def schedule(self):
+        """The (h, t) of each RK4 step of one application, leg after leg."""
+        starts = (0.0,) + tuple(self.times[:-1])
+        return tuple(ht for t0, t1 in zip(starts, self.times)
+                     for ht in _schedule(t0, t1, self.step))
+
+    def __call__(self, z):
+        shape = np.shape(z)
+        z0 = _disk_points(z)
+        w, r0, t0 = z0, np.abs(z0), 0.0
+        for t1 in self.times:
+            w = _rk4_disk_leg(self.gen, w, t0, t1, self.step, r0, z0)
+            t0 = t1
+        return self.lam * (w.reshape(shape) if shape else complex(w[0]))
+
+
+class _DiskLanes:
+    """Rows (eta, k, z, where, lam) as lanes: each point of z iterates w -> lam * eta(w) k times.
+
+    The lanes are sorted by their tick counts ``ticks``, descending, so the
+    lanes still running at tick s are a prefix.  Rows whose eta is a
+    DiskFlowRoot of one generator share a kernel: a lane takes one RK4 step
+    a tick on its root's schedule, and each of its iterations ends in
+    lam * (eta.lam * w), the order of the composed maps.  Any other eta runs
+    its rows as a kernel of its own, one call a tick.  Each RK4 step keeps
+    |w| <= r (1 + 1e-9), with r the modulus at the start of the iteration,
+    and so does each iteration's end.  A failed guard clears the lane's
+    sticky flag ``ok``; a strict kernel, and every kernel of a callable,
+    whose lanes cannot run on past a failure, raises at once instead.
+    """
+
+    def __init__(self, rows, strict):
+        eta = rows[0][0]
+        self.rows, self.strict, self._a = rows, strict, 0
+        self.flow = isinstance(eta, DiskFlowRoot)
+        period = [len(row[0].schedule) if self.flow else 1 for row in rows]
+        sizes = [np.size(row[2]) for row in rows]
+        ticks = np.repeat([row[1] * p for row, p in zip(rows, period)], sizes)
+        self.order = np.argsort(-ticks, kind="stable")
+        self.ticks = ticks[self.order]
+        self.row = np.repeat(np.arange(len(rows)), sizes)[self.order]
+        self.z = np.concatenate([np.ravel(row[2]) for row in rows]).astype(complex)[self.order]
+        self.w = self.z.copy()
+        self.ok = np.ones(self.z.size, dtype=bool)
+        self.lim = np.abs(self.z) * (1.0 + 1e-9)
+        self.lam = np.array([complex(row[4]) for row in rows])[self.row]
+        if not self.flow:
+            self.strict, self.eta = True, eta
+            return
+        self.gen = eta.gen
+        lam_row = np.array([complex(row[0].lam) for row in rows])[self.row]
+        # the h of every lane at every tick, and the rows each tick ends an iteration of
+        self.h = np.zeros((int(self.ticks[0]), self.z.size))
+        self.ends = [[] for _ in range(self.h.shape[0])]
+        for r, (row, p) in enumerate(zip(rows, period)):
+            lanes = np.flatnonzero(self.row == r)
+            lo, hi = int(lanes[0]), int(lanes[-1]) + 1
+            self.h[:row[1] * p, lo:hi] = np.tile([h for h, _ in row[0].schedule], row[1])[:, None]
+            block = (lo, self.w[lo:hi], lam_row[lo:hi], self.lam[lo:hi], self.lim[lo:hi],
+                     self.ok[lo:hi])
+            for j in range(1, row[1] + 1):
+                self.ends[j * p - 1].append(block)
+
+    def values(self):
+        """Each row's lanes in the row's own order, shaped like its z."""
+        out = np.empty_like(self.w)
+        out[self.order] = self.w
+        splits = np.cumsum([np.size(row[2]) for row in self.rows])[:-1]
+        return [v.reshape(np.shape(row[2])) for v, row in zip(np.split(out, splits), self.rows)]
+
+    def _step(self, s, a):
+        """Advance the first a lanes through tick s."""
+        if a != self._a:
+            self._a, self._v = a, (self.w[:a], self.lim[:a], self.ok[:a], self.lam[:a])
+        w, lim, ok, lam = self._v
+        if not self.flow:
+            self._end(s, 0, w, lam * self.eta(w), lim, ok)
+            return
+        a_eval = self.gen.a_eval
+        w[...] = _rk4_step(a_eval, w, self.h[s, :a], a_eval(w))
+        inside = np.abs(w) <= lim
+        if self.strict and not inside.all():
+            i = int(np.argmin(inside))
+            schedule = self.rows[self.row[i]][0].schedule
+            p = len(schedule)
+            raise FlowError(f"disk flow from z0={complex(self.z[i])!r} violated |eta_t(z)| <= "
+                            f"|z| at t={schedule[s % p][1]:.6f} of iteration {s // p + 1} "
+                            f"({self.rows[self.row[i]][3]})")
+        ok &= inside
+        for lo, w_g, lam_row, lam_g, lim_g, ok_g in self.ends[s]:
+            self._end(s, lo, w_g, lam_g * (lam_row * w_g), lim_g, ok_g)
+
+    def _end(self, s, lo, w, x, lim, ok):
+        """An iteration's end at tick s: w = x, whose modulus may not pass lim."""
+        r = np.abs(x)
+        inside = r <= lim
+        if self.strict and not inside.all():
+            i = lo + int(np.argmin(inside))
+            p = len(self.rows[self.row[i]][0].schedule) if self.flow else 1
+            raise FlowError(f"eta iteration from z0={complex(self.z[i])!r} grew the modulus "
+                            f"at iteration {(s + 1) // p} ({self.rows[self.row[i]][3]})")
+        ok &= inside
+        w[...] = x
+        np.multiply(r, 1.0 + 1e-9, out=lim)
+
+
+def _drive(kernels):
+    """Step the kernels to the end of their ticks; False once a guard has failed.
+
+    The sticky flags are read only where some lane finishes.
+    """
+    start = 0
+    # a failed lane runs on to the next finish as nan or inf, which stays silent
+    with np.errstate(all="ignore"):
+        for end in sorted({int(t) for ker in kernels for t in ker.ticks}):
+            active = [(ker, int(np.count_nonzero(ker.ticks > start))) for ker in kernels]
+            active = [(ker, a) for ker, a in active if a]
+            for s in range(start, end):
+                for ker, a in active:
+                    ker._step(s, a)
+            if not all(ker.ok.all() for ker, _ in active):
+                return False
+            start = end
+    return True
+
+
+def disk_powers(rows):
+    """k iterations of w -> lam * eta(w) for every row (eta, k, z, where, lam), as one pass.
+
+    The rows of the DiskFlowRoots of one generator share one kernel, and the
+    rows of any other eta one per eta (``_DiskLanes``).  Once a guard has
+    failed, the pass runs again with strict kernels, which raise at the
+    first failure a FlowError naming its start point, its iteration and the
+    row's where.  Returns one array per row, shaped like its z.
+    """
+    rows, groups = list(rows), {}
+    for i, (eta, *_) in enumerate(rows):
+        key = (DiskFlowRoot, id(eta.gen)) if isinstance(eta, DiskFlowRoot) else id(eta)
+        groups.setdefault(key, []).append(i)
+    for strict in (False, True):
+        kernels = [_DiskLanes([rows[i] for i in idx], strict) for idx in groups.values()]
+        if _drive(kernels):
+            break
+    out = [None] * len(rows)
+    for idx, ker in zip(groups.values(), kernels):
+        for i, v in zip(idx, ker.values()):
+            out[i] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -402,9 +562,10 @@ class CircleArraySpec:
     """One eta-evaluator per row n, with its mean and the target generator.
 
     Each row's eta callable takes an ndarray of grid points and returns the
-    ndarray of eta values, so a row's powers run the whole grid at once.
-    Row n is raised to the power k_n = n: the rows of ``semigroup`` are
-    flow roots at time 1/n.
+    ndarray of eta values.  Row n is raised to the power k_n = n: the rows
+    of ``semigroup`` are DiskFlowRoots at time 1/n, whose powers
+    ``disk_powers`` runs as RK4 lanes, and any other row's eta is called
+    once per iteration on the whole grid.
     """
 
     name: str
@@ -432,13 +593,12 @@ class CircleArraySpec:
         rotation_ell is an integer or a per-row callable n -> integer
         (e.g. n//2 for the lambda_n = -1 witness).
         """
+        _check_flow_args(1.0, flow_step)
         ell_of = rotation_ell if callable(rotation_ell) else (lambda n: int(rotation_ell))
 
         def factory(n):
             lam = cmath.exp(2j * math.pi * ell_of(n) / n)
-            return lambda z: lam * circle_flow_map(
-                gen, 1.0 / n, z, step=min(flow_step, 0.5 / n)
-            )
+            return DiskFlowRoot(gen, (1.0 / n,), min(flow_step, 0.5 / n), lam)
 
         def mean(n):
             return cmath.exp(2j * math.pi * ell_of(n) / n) * cmath.exp(gen.mean_rate / n)
@@ -481,37 +641,41 @@ def beta_condition_check(spec, beta, tol=0.05):
 
 def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
                    correct=True):
-    """The Boolean/monotone equivalence and the rotation correction, one pass per row.
+    """The Boolean/monotone equivalence and the rotation correction, from one lane pass.
 
     Both compare the rows' k_n-th powers with the laws of gen = (beta,
     sigma): the Boolean powers with the Boolean law of (e^{i beta}, sigma),
-    the monotone powers with gen's time-one flow, integrated once.  Row n's
-    monotone pass iterates the grid twice over as one array: the lambda = 1
-    half is the monotone row and the uncorrected column, the
-    lambda = e^{2 pi i l/n} half, with l detected from beta, the corrected
-    column.  With correct False the pass runs the lambda = 1 half alone and
-    the correction report is None.  Returns (equivalence, correction).
+    the monotone powers with gen's time-one flow.  The monotone powers and
+    that flow are the lanes of one ``disk_powers`` pass: row n's grid runs
+    with lambda = 1, the monotone row and the uncorrected column, and with
+    lambda = e^{2 pi i l/n}, l detected from beta, the corrected column;
+    the flow runs the two legs of ``circle_monotone_flow``.  With correct
+    False only the lambda = 1 lanes run and the correction report is None.
+    Returns (equivalence, correction).
     """
-    size = len(points)
+    _check_disk_flow_args(1.0, flow_step)
+    z = _disk_points(points)
     bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma, points)
-    mono_target = circle_monotone_flow(gen, 1.0, flow_step, points).grids[-1].values
     beta_ok, beta_rows = beta_condition_check(spec, gen.beta, tol)
-    rows_b, rows_m, rows_c = [], [], []
-    for n in spec.n_values:
-        e = spec.eta_of(n)
-        lams = [1.0]
+    rows = [(DiskFlowRoot(gen, (0.5, 1.0), flow_step), 1, z, "time-one target", 1.0)]
+    etas, ells = [spec.eta_of(n) for n in spec.n_values], []
+    for n, e in zip(spec.n_values, etas):
+        rows.append((e, n, z, f"row n={n}, k={n}", 1.0))
         if correct:
-            ell = detect_rotation(spec, gen.beta, n)
-            lams.append(cmath.exp(2j * math.pi * ell / n))
-        lam = np.repeat(np.array(lams, dtype=complex), size)
-        powers = monotone_power_eta(lambda z: lam * e(z), n, tuple(points) * len(lams)).values
+            ells.append(detect_rotation(spec, gen.beta, n))
+            rows.append((e, n, z, f"row n={n}, k={n}, l={ells[-1]}",
+                         cmath.exp(2j * math.pi * ells[-1] / n)))
+    mono_target, *powers = (tuple(v.tolist()) for v in disk_powers(rows))
+    per_row = 2 if correct else 1
+    rows_b, rows_m, rows_c = [], [], []
+    for i, (n, e) in enumerate(zip(spec.n_values, etas)):
         dist_b = float(eta_distance(boolean_power_eta(e, n, points), bool_target))
-        dist_m = float(eta_distance(powers[:size], mono_target))
+        dist_m = float(eta_distance(powers[per_row * i], mono_target))
         rows_b.append({"n": n, "k": n, "distance": dist_b})
         rows_m.append({"n": n, "k": n, "distance": dist_m})
         if correct:
-            rows_c.append({"n": n, "k": n, "ell": ell, "uncorrected": dist_m,
-                           "corrected": float(eta_distance(powers[size:], mono_target))})
+            rows_c.append({"n": n, "k": n, "ell": ells[i], "uncorrected": dist_m,
+                           "corrected": float(eta_distance(powers[2 * i + 1], mono_target))})
     conv_b = _verdict([r["distance"] for r in rows_b], tol)
     conv_m = _verdict([r["distance"] for r in rows_m], tol)
     equivalence = {

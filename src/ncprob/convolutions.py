@@ -4,7 +4,10 @@ Single classical/Boolean/monotone convolutions of atomic measures are exact
 (measure algebra, or Nevanlinna data and symmetric eigen-solves), and so are
 Boolean powers, whose data only scale; free convolution and monotone powers
 are evaluated pointwise on complex grids.  The hybrid split exists because a
-k-fold monotone power of an n-atom measure has up to n^k atoms.
+k-fold monotone power of an n-atom measure has up to n^k atoms.  A monotone
+power composes the exact F k times at each grid point through the line's one
+k-fold iterator, ``transforms.f_powers``, which runs every row of a
+triangular array in one call.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .transforms import (
     NevanlinnaData,
     TransformGrid,
     _measure_of_mass,
+    f_powers,
     f_transform,
     recover_measure,
 )
@@ -27,10 +31,6 @@ from .transforms import (
 _SUBORD_TOL = 1e-13
 _SUBORD_MAX = 500
 _CROSS_TOL = 1e-10
-
-#: overflow guard on iterated F-evaluation
-_ITER_OVERFLOW = 1e12
-
 
 def classical_convolve(mu, nu):
     """Atoms at x_i + y_j with weights w_i v_j, merged."""
@@ -120,27 +120,12 @@ def boolean_power(mu, k):
     return recover_measure(NevanlinnaData(f.m**k, k * f.gamma, f.sigma.scale_mass(k)))
 
 
-def iterate_f(f_eval, k, z):
-    """k-fold composition of an F-evaluator at a single point."""
-    w = complex(z)
-    im_prev = w.imag
-    for _ in range(k):
-        w = complex(f_eval(w))
-        if abs(w) > _ITER_OVERFLOW:
-            raise ConvergenceError(f"iterated F overflow at z={z}")
-        if w.imag < im_prev * (1.0 - 1e-12) - 1e-15:
-            raise ConvergenceError("iterated F decreased the imaginary part")
-        im_prev = w.imag
-    return w
-
-
 def monotone_power_grid(mu, k, points=ZR):
-    """k-fold monotone power: pointwise iteration of the exact F."""
+    """k-fold monotone power: the exact F composed k times at each point (``f_powers``)."""
     if k < 1:
         raise ValidationError("power must be >= 1")
-    f = f_transform(mu)
-    values = tuple(iterate_f(f, k, z) for z in points)
-    return TransformGrid(tuple(points), values, "F", mass=mu.mass**k)
+    (values,) = f_powers([(f_transform(mu), k, np.array(points, dtype=complex), f"k={k}")])
+    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=mu.mass**k)
 
 
 def cf_of(mu):

@@ -15,12 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .convolutions import (
-    boolean_power,
-    classical_power_cf,
-    free_power_grid,
-    iterate_f,
-)
+import numpy as np
+
+from .convolutions import boolean_power, classical_power_cf, free_power_grid
 from .errors import NumericalError, ValidationError
 from .idiv import (
     FLOW_STEP,
@@ -33,7 +30,14 @@ from .idiv import (
     phi_eval,
 )
 from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
-from .transforms import TransformGrid, ZR, f_transform, stolz_tail_estimate, weak_distance
+from .transforms import (
+    TransformGrid,
+    ZR,
+    f_powers,
+    f_transform,
+    stolz_tail_estimate,
+    weak_distance,
+)
 
 DEFAULT_NS = (16, 32, 64, 128, 256)
 
@@ -89,6 +93,8 @@ class ArraySpec:
         mu = self.measure(n)
         if mu is not None:
             return f_transform(mu)
+        if self.limit is None:
+            raise ValidationError(f"row n={n} has neither a measure nor a limit triple")
         t = 1.0 / self.k_of(n)
         return lambda z: flow_map(self.limit, t, z, step=min(FLOW_STEP, 0.5 * t))
 
@@ -250,40 +256,66 @@ def _cf_distance(cf_a, cf_b):
     return max(abs(cf_a(t) - cf_b(t)) for t in T_GRID)
 
 
-def _power_distance(spec, op, n, k, target):
-    """Distance of row n's k-fold op-power to the resolved target."""
+def _row_inputs(spec, op):
+    """Each row's input to op, checked once: its measure, or for monotone its F.
+
+    A monotone row without a measure is the limit triple's flow root.
+    """
+    if op == "monotone":
+        return [spec.f_eval(n) for n in spec.n_values]
+    out = []
+    for n in spec.n_values:
+        mu = spec.measure(n)
+        if mu is None:
+            raise ValidationError(f"op {op!r} needs a row measure, and row n={n} has none")
+        out.append(mu)
+    return out
+
+
+def _monotone_powers(spec, rows, ks):
+    """The rows' k_n-fold monotone powers on ZR, all rows in one ``f_powers`` call."""
+    ns = spec.n_values
+    values = f_powers((f, k, np.array(ZR), f"row n={n}, k={k}")
+                      for f, k, n in zip(rows, ks, ns))
+    return [TransformGrid(ZR, tuple(v.tolist()), "F", mass=spec.mass_of(n) ** k)
+            for v, n, k in zip(values, ns, ks)]
+
+
+def _power_distance(op, row, k, target):
+    """Distance of a row's k-fold op-power to the resolved target; a monotone row is its power."""
     if op == "classical":
-        return _cf_distance(classical_power_cf(spec.measure(n), k), target)
+        return _cf_distance(classical_power_cf(row, k), target)
     if op == "free":
-        power = free_power_grid(spec.measure(n), k)
+        row = free_power_grid(row, k)
     elif op == "boolean":
-        power = boolean_power(spec.measure(n), k)
-    else:  # monotone: f_transform of an atomic row, or the row's own F
-        fe = spec.f_eval(n)
-        power = TransformGrid(
-            ZR, tuple(iterate_f(fe, k, z) for z in ZR), "F",
-            mass=spec.mass_of(n) ** k,
-        )
-    return weak_distance(power, target)
+        row = boolean_power(row, k)
+    return weak_distance(row, target)
 
 
 def run_powers(spec, op, target, tol=0.05):
     """Distances of the k_n-fold op-powers of the array to the target law.
 
-    A failure names the op and where it arose: the target, or the row.
+    A failure names the op and where it arose: the rows' inputs, the
+    target, or the row.
     """
     if op not in OPS:
         raise ValidationError(f"unknown convolution {op!r}")
     ns = spec.n_values
     ks = tuple(spec.k_of(n) for n in ns)
-    where, dists = "target", []
+    where, dists = None, []
     try:
+        rows = _row_inputs(spec, op)
+        where = "target"
         target = _resolve_target(op, target)
-        for n, k in zip(ns, ks):
+        where = None  # the monotone pass names its own row
+        if op == "monotone":
+            rows = _monotone_powers(spec, rows, ks)
+        for n, k, row in zip(ns, ks, rows):
             where = f"row n={n}, k={k}"
-            dists.append(float(_power_distance(spec, op, n, k, target)))
+            dists.append(float(_power_distance(op, row, k, target)))
     except (NumericalError, ValidationError) as exc:
-        raise type(exc)(f"{exc} (op={op}, {where})") from exc
+        at = op if where is None else f"{op}, {where}"
+        raise type(exc)(f"{exc} (op={at})") from exc
     return ConvergenceReport(op, ns, ks, tuple(dists), _verdict(dists, tol))
 
 
@@ -367,15 +399,11 @@ def tightness_diagnostics(spec, n, y_values, m_limit=None):
     mu = spec.measure(n)
     if mu is None:
         raise ValidationError("tightness diagnostics need an atomic row measure")
-    k = spec.k_of(n)
-    rows = []
-    for y in y_values:
-        est = stolz_tail_estimate(mu, k, float(y), m_limit=m_limit)
-        rows.append({
-            "y": float(y),
-            "im_left": est["im_left"],
-            "im_right": est["im_right"],
-            "right_over_y": est["im_right"] / float(y),
-            "ok": est["im_left"] <= est["im_right"] * 1.05 + 1e-12,
-        })
-    return rows
+    ys = np.array(y_values, dtype=float)
+    est = stolz_tail_estimate(mu, spec.k_of(n), ys, m_limit=m_limit)
+    return [
+        {"y": y, "im_left": left, "im_right": right, "right_over_y": right / y,
+         "ok": left <= right * 1.05 + 1e-12}
+        for y, left, right in zip(ys.tolist(), est["im_left"].tolist(),
+                                  est["im_right"].tolist())
+    ]

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RecoveryError, ValidationError
+from .errors import ConvergenceError, NumericalError, RecoveryError, ValidationError
 from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
 from .rational import cauchy_zeros, spectral_measure
 from .solvers import newton, upper_half_plane_guard
@@ -425,6 +425,70 @@ def maassen_bound_check(mu):
     return observed <= bound + 1e-9 * max(1.0, bound)
 
 
+#: overflow guard of an iterated F
+_ITER_OVERFLOW = 1e12
+
+
+def f_powers(rows):
+    """F^{ok}(z) for every row (f, k, z, where): the line's k-fold iterator, guarded.
+
+    f is a carrier or a callable taking an ndarray, z a point or an ndarray.
+    A carrier's power runs each point as a scalar loop with the sums of
+    ``NevanlinnaData.__call__`` inlined, so its values are those of
+    composing the carrier k times, digit for digit; a callable runs the
+    row's points together, one call per iteration.  Every iteration keeps
+    |F| <= 1e12 and Im F >= (1 - 1e-12) Im w - 1e-15, and a failure raises
+    a ConvergenceError naming the start point, the iteration and where.
+    Returns one array per row, shaped like its z.
+    """
+    out = []
+    for f, k, z, where in rows:
+        z = np.asarray(z, dtype=complex)
+        if isinstance(f, NevanlinnaData):
+            w = np.array([_carrier_power(f, k, z0, where) for z0 in z.ravel().tolist()],
+                         dtype=complex)
+        else:
+            w = _callable_power(f, k, z.ravel(), where)
+        out.append(w.reshape(z.shape))
+    return out
+
+
+def _carrier_power(f, k, z, where):
+    """The carrier's F composed k times at the point z, in Python complex arithmetic."""
+    gamma, pairs = f._pairs
+    m, w, im = f.m, z, z.imag
+    for j in range(1, k + 1):
+        acc = gamma
+        for p, c in pairs:
+            acc = acc + c / (w - p)
+        w = w / m - acc
+        if not abs(w) <= _ITER_OVERFLOW or w.imag < im * (1.0 - 1e-12) - 1e-15:
+            raise _power_error(w, z, j, where)
+        im = w.imag
+    return w
+
+
+def _callable_power(f, k, z, where):
+    """f composed k times on the ndarray z, each iteration one call."""
+    w = z
+    for j in range(1, k + 1):
+        try:
+            nxt = np.asarray(f(w), dtype=complex)
+        except NumericalError as exc:
+            raise type(exc)(f"{exc} at iteration {j} ({where})") from exc
+        bad = ~(np.abs(nxt) <= _ITER_OVERFLOW) | (nxt.imag < w.imag * (1.0 - 1e-12) - 1e-15)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _power_error(complex(nxt[i]), complex(z[i]), j, where)
+        w = nxt
+    return w
+
+
+def _power_error(w, z0, j, where):
+    what = "overflowed" if not abs(w) <= _ITER_OVERFLOW else "decreased the imaginary part"
+    return ConvergenceError(f"iterated F from z0={z0!r} {what} at iteration {j} ({where})")
+
+
 def stolz_tail_estimate(mu, k_n, y, m_limit=None):
     """Tail and imaginary-part diagnostics for one row of a triangular array.
 
@@ -432,27 +496,27 @@ def stolz_tail_estimate(mu, k_n, y, m_limit=None):
         k_n sigma_n(|t|>y) <= 2 k_n * integral (1+t^2)/(t^2+y^2) dsigma_n
     and of the k_n Im(F - z/m) <= 2 Im(F^{ok_n} - z/m^{k_n}) comparison at
     z = iy, with the (1/m - 1)/(-log m) factor taken at m_limit (default:
-    mass^{k_n}).
+    mass^{k_n}).  y is a height or an ndarray of heights, whose k_n-fold F
+    run as the points of one ``f_powers`` row; the values are then ndarrays.
     """
     f = f_transform(mu)
-    sig = f.sigma
-    left_tail = k_n * sum(w for p, w in sig.atoms if abs(p) > y)
-    right_tail = 2.0 * k_n * sum(
-        w * (1.0 + p * p) / (p * p + y * y) for p, w in sig.atoms
-    )
-    z = complex(0.0, y)
+    ys = np.asarray(y, dtype=float)
+    heights = ys.ravel().tolist()
     m_n = mu.mass
     if m_limit is None:
         m_limit = m_n**k_n
     factor = 1.0 if m_limit >= 1.0 - 1e-12 else (1.0 / m_limit - 1.0) / (-math.log(m_limit))
-    left_im = k_n * (f(z) - z / m_n).imag * factor
-    w = z
-    for _ in range(k_n):
-        w = f(w)
-    right_im = 2.0 * (w - z / m_n**k_n).imag
-    return {
-        "tail_left": float(left_tail),
-        "tail_right": float(right_tail),
-        "im_left": float(left_im),
-        "im_right": float(right_im),
-    }
+    (powers,) = f_powers([(f, k_n, 1j * np.array(heights), f"k={k_n}")])
+    rows = []
+    for y, w in zip(heights, powers.tolist()):
+        z = complex(0.0, y)
+        rows.append((
+            k_n * sum(s for p, s in f.sigma.atoms if abs(p) > y),
+            2.0 * k_n * sum(s * (1.0 + p * p) / (p * p + y * y) for p, s in f.sigma.atoms),
+            k_n * (f(z) - z / m_n).imag * factor,
+            2.0 * (w - z / m_n**k_n).imag,
+        ))
+    keys = ("tail_left", "tail_right", "im_left", "im_right")
+    if ys.ndim == 0:
+        return {key: float(v) for key, v in zip(keys, rows[0])}
+    return {key: np.reshape(v, ys.shape).astype(float) for key, v in zip(keys, zip(*rows))}

@@ -12,6 +12,7 @@ from ncprob.circle import (
     CircleArraySpec,
     CircleGenerator,
     DISK_GRID,
+    DiskFlowRoot,
     DiskGrid,
     beta_condition_check,
     boolean_idiv_eta,
@@ -25,10 +26,10 @@ from ncprob.circle import (
     circle_reports,
     circle_semigroup_defect,
     detect_rotation,
+    disk_powers,
     eta,
     eta_distance,
     eta_fn,
-    monotone_power_eta,
     mult_boolean,
     mult_free,
     mult_monotone,
@@ -526,8 +527,9 @@ def test_monotone_power_error_names_start_point_and_iteration():
     def e(w):
         return w * np.where(np.abs(w) < 0.06, 2.0, 0.5)
 
-    with pytest.raises(FlowError, match=re.escape(f"z0={DISK_GRID[8]!r}") + ".*iteration 3"):
-        monotone_power_eta(e, 5)
+    with pytest.raises(FlowError, match=re.escape(f"z0={DISK_GRID[8]!r}")
+                       + ".*iteration 3 \\(row n=5, k=5\\)"):
+        disk_powers([(e, 5, np.array(DISK_GRID), "row n=5, k=5", 1.0)])
 
 
 def _mp_flow(gen, z, t_end=1.0):
@@ -568,10 +570,38 @@ def test_monotone_power_array_matches_per_point_iteration():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5), (2.0, 0.2)]))
     spec = CircleArraySpec.semigroup(gen, (256,), rotation_ell=1)
     e = spec.eta_of(256)
-    grid = monotone_power_eta(e, 256)
-    assert eta_distance(grid.values, _per_point_power(e, 256)) <= 1e-13
+    (grid,) = disk_powers([(e, 256, np.array(DISK_GRID), "row n=256, k=256", 1.0)])
+    assert eta_distance(grid, _per_point_power(e, 256)) <= 1e-13
     mu = CircleMeasure.from_pairs([(0.05, 0.7), (6.2, 0.3)])
     custom = CircleArraySpec.from_measures({64: mu}, gen)
     e = custom.eta_of(64)
-    grid = monotone_power_eta(e, 64)
-    assert eta_distance(grid.values, _per_point_power(e, 64)) <= 1e-13
+    (grid,) = disk_powers([(e, 64, np.array(DISK_GRID), "row n=64, k=64", 1.0)])
+    assert eta_distance(grid, _per_point_power(e, 64)) <= 1e-13
+
+
+def test_disk_lanes_match_each_row_run_alone():
+    # rows of one generator share a kernel whose lanes run ragged step
+    # schedules and counts; each row reads as if run by itself
+    gen = CircleGenerator(-0.7, param([(1.0, 0.4), (4.0, 0.25)]))
+    z = np.array(DISK_GRID)
+    rows = [(DiskFlowRoot(gen, (1.0 / n,), min(1e-3, 0.5 / n), cmath.exp(2j * math.pi / n)),
+             n, z, f"row n={n}, k={n}", lam)
+            for n in (16, 48, 100) for lam in (1.0, cmath.exp(-2j * math.pi / n))]
+    rows.append((DiskFlowRoot(gen, (0.5, 1.0), 1e-3), 1, z, "time-one target", 1.0))
+    together = disk_powers(rows)
+    for row, got in zip(rows, together):
+        assert np.array_equal(got, disk_powers([row])[0])
+    assert np.array_equal(together[-1], circle_monotone_flow(gen, 1.0, 1e-3).grids[-1].values)
+
+
+def test_disk_lane_guard_names_its_row_among_healthy_lanes():
+    # a strong field at step 0.3 overshoots past the origin from 0.4 only; the
+    # other lanes of its row and the lanes of the fine-step row stay healthy,
+    # so the pass finds the failure at its row's finish and runs again to name it
+    gen = CircleGenerator(0.0, param([(0.0, 5.0)]))
+    coarse = (DiskFlowRoot(gen, (0.6,), 0.3), 2, np.array([0.05, 0.4, 0.3]), "row n=2, k=2", 1.0)
+    fine = (DiskFlowRoot(gen, (0.01,), 1e-3), 40, np.array(DISK_GRID), "row n=40, k=40", 1.0)
+    disk_powers([fine])
+    want = "disk flow from z0=(0.4+0j) violated |eta_t(z)| <= |z| at t=0.300000 of iteration 1"
+    with pytest.raises(FlowError, match=re.escape(want + " (row n=2, k=2)")):
+        disk_powers([fine, coarse])

@@ -485,8 +485,8 @@ ROTATED = {"family": "rotated_semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
 
 
 def test_circle_run_makes_one_pass_per_row(tmp_path, monkeypatch):
-    """One time-one flow per run, one monotone power per row for both sections."""
-    calls = {"circle_monotone_flow": 0, "monotone_power_eta": 0}
+    """One lane pass per run: every row's powers, both sections and the time-one target."""
+    calls = {"circle_monotone_flow": 0, "disk_powers": 0}
 
     def counted(name):
         fn = getattr(circle, name)
@@ -501,7 +501,7 @@ def test_circle_run_makes_one_pass_per_row(tmp_path, monkeypatch):
         monkeypatch.setattr(circle, name, counted(name))
     path = circle_scenario(tmp_path, ROTATED)
     assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_OK
-    assert calls == {"circle_monotone_flow": 1, "monotone_power_eta": 2}
+    assert calls == {"circle_monotone_flow": 0, "disk_powers": 1}
     assert "rotation_correction" in read_json(tmp_path / "rep.json")
 
 
@@ -649,3 +649,51 @@ def test_array_must_belong_to_the_scenario_space(tmp_path, capsys, command, scen
     path.write_text(json.dumps(scenario))
     assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
+
+
+#: report distances of a bp-check on poisson(1.7), n = 64...4096, and of a
+#: rotated circle-run with l = n/2, as the scalar k-fold loops computed them
+PINNED_LINE = {
+    "boolean": (0.013001720812336408, 0.006525965174726997, 0.003269115885581087,
+                0.0016360729900097184, 0.0008184129462970711, 0.0004093002955467175,
+                0.0002046735669693468),
+    "classical": (0.009739901586066725, 0.004827321959509911, 0.002403167697820448,
+                  0.0011989807128912082, 0.0005988420764840829, 0.0002992592800816331,
+                  0.00014958923940117024),
+    "free": (0.004607868033397776, 0.00227569811473054, 0.0011309221175327482,
+             0.0005637455110351335, 0.0002814458724214211, 0.00014061646470171568,
+             7.028164555601725e-05),
+    "monotone": (0.007860570450646979, 0.0038923597058660177, 0.0019367873139439161,
+                 0.0009660567716477181, 0.0004824455785426705, 0.00024107726466488042,
+                 0.0001205022733599748),
+}
+PINNED_CIRCLE = {
+    "boolean": (0.0009502510689380242, 0.00047822937180243334, 0.00023989890038475148,
+                0.00012014654760807973, 6.012267935210651e-05),
+    "monotone": (0.02440300661366, 0.02445998835348247, 0.02448850728576634,
+                 0.02450277371575576, 0.024509908665203802),
+    "corrected": (1.1226435567921847e-15, 1.237704230079e-15, 9.634823471110655e-16,
+                  8.737773046970893e-16, 1.3189010295585304e-15),
+}
+
+
+def test_scenario_reports_keep_their_pinned_distances(tmp_path):
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"space": "real", "tolerance": 0.05, "array": {
+        "family": "poisson", "lam": 1.7, "n_values": [64 * 2**j for j in range(7)]}}))
+    assert run(["bp-check", line, "--output", tmp_path / "line_rep.json"]) == EXIT_OK
+    ops = read_json(tmp_path / "line_rep.json")["result"]["ops"]
+    for op, want in PINNED_LINE.items():
+        got = [row["distance"] for row in ops[op]["rows"]]
+        assert got == pytest.approx(want, rel=2e-13, abs=0.0)
+    path = circle_scenario(tmp_path, {
+        "family": "rotated_semigroup", "beta": -0.6, "sigma": [[0.8, 0.35], [3.9, 0.2]],
+        "rotation_ell": "half", "n_values": [64 * 2**j for j in range(5)]})
+    assert run(["circle-run", path, "--output", tmp_path / "circ_rep.json"]) == EXIT_OK
+    report = read_json(tmp_path / "circ_rep.json")
+    correction = report["rotation_correction"]["rows"]
+    assert [row["ell"] for row in correction] == [-32, -64, -128, -256, -512]
+    got = {op: tuple(row["distance"] for row in rep["rows"])
+           for op, rep in report["result"]["ops"].items()}
+    got["corrected"] = tuple(row["corrected"] for row in correction)
+    assert got == PINNED_CIRCLE

@@ -2,11 +2,13 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from conftest import mp_time_one
-from ncprob.errors import ValidationError
+from ncprob.errors import ConvergenceError, ValidationError
 from ncprob.harness import (
     ArraySpec,
     DEFAULT_NS,
@@ -20,7 +22,14 @@ from ncprob.harness import (
 )
 from ncprob.idiv import LevyTriple, flow_map
 from ncprob.measures import FiniteAtomicMeasure
-from ncprob.transforms import TransformGrid, ZR, weak_distance
+from ncprob.transforms import (
+    TransformGrid,
+    ZR,
+    f_powers,
+    f_transform,
+    stolz_tail_estimate,
+    weak_distance,
+)
 
 GAUSSIAN = LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)])
 
@@ -245,3 +254,90 @@ def test_k_table_override():
         k_table=table, limit=GAUSSIAN)
     rep = run_powers(spec, "boolean", GAUSSIAN)
     assert all(d <= 1e-12 for d in rep.distances)
+
+
+def _per_point_power(f, k, points=ZR):
+    """Reference monotone power: f composed k times, one scalar call per point and iteration."""
+    out = []
+    for z in points:
+        w = complex(z)
+        for _ in range(k):
+            w = complex(f(w))
+        out.append(w)
+    return out
+
+
+def _ragged_spec(seed=3):
+    # rows of 2 to 7 atoms, so 1 to 6 poles, raised to the powers of a k table
+    rng = np.random.default_rng(seed)
+    ns = (2, 3, 4, 5, 6, 7)
+    rows = {}
+    for n in ns:
+        xs = np.sort(rng.uniform(-2.0, 2.0, n))
+        ws = rng.uniform(0.2, 1.0, n)
+        ws = ws / ws.sum() * rng.uniform(0.9, 1.0)
+        rows[n] = FiniteAtomicMeasure.from_pairs(zip(xs.tolist(), ws.tolist()))
+    spec = ArraySpec.custom(rows, limit=GAUSSIAN)
+    return dataclasses.replace(spec, k_table=tuple((n, 3 * n * n) for n in ns))
+
+
+def test_f_powers_match_the_per_point_composition_on_ragged_rows():
+    spec = _ragged_spec()
+    rows = [(spec.f_eval(n), spec.k_of(n), np.array(ZR), f"row n={n}") for n in spec.n_values]
+    for (f, k, _, _), got in zip(rows, f_powers(rows)):
+        assert got.tolist() == _per_point_power(f, k)
+    rep = run_powers(spec, "monotone", GAUSSIAN)
+    target = _resolve_target("monotone", GAUSSIAN)
+    for n, dist in zip(spec.n_values, rep.distances):
+        mu = spec.measure(n)
+        ref = TransformGrid(ZR, _per_point_power(f_transform(mu), spec.k_of(n)), "F",
+                            mass=mu.mass ** spec.k_of(n))
+        assert dist == weak_distance(ref, target)
+
+
+def test_f_powers_run_flow_root_rows_on_the_row_grid():
+    spec = ArraySpec.flow_root(GAUSSIAN, n_values=(8, 16))
+    rows = [(spec.f_eval(n), spec.k_of(n), np.array(ZR), f"row n={n}") for n in spec.n_values]
+    for (f, k, _, _), got in zip(rows, f_powers(rows)):
+        ref = _per_point_power(f, k)
+        assert max(abs(a - b) for a, b in zip(got.tolist(), ref)) <= 1e-13
+
+
+def test_a_tripped_guard_names_its_row_point_and_iteration():
+    # the n = 8 row has mass 1e-3, so |F^j(z)| = |z| 1e3^j passes 1e12 at j = 4
+    # from the first grid point; the other rows are healthy
+    rows = {4: FiniteAtomicMeasure.from_pairs([(-0.5, 0.5), (0.5, 0.5)]),
+            8: FiniteAtomicMeasure.dirac(0.0, 1e-3),
+            16: FiniteAtomicMeasure.from_pairs([(-0.25, 0.5), (0.25, 0.5)])}
+    spec = ArraySpec.custom(rows, limit=GAUSSIAN)
+    want = (f"iterated F from z0={ZR[0]!r} overflowed at iteration 4 "
+            f"(row n=8, k=8) (op=monotone)")
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        run_powers(spec, "monotone", GAUSSIAN)
+
+
+@pytest.mark.parametrize("op", ["boolean", "free", "classical"])
+def test_ops_that_need_row_measures_name_the_op(op):
+    spec = ArraySpec.flow_root(GAUSSIAN, n_values=(4, 8))
+    with pytest.raises(ValidationError, match=f"op {op!r} needs a row measure.*row n=4"):
+        run_powers(spec, op, GAUSSIAN)
+    with pytest.raises(ValidationError):
+        bp_crosscheck(spec)
+
+
+def test_monotone_rows_without_measure_or_limit_name_the_op():
+    spec = ArraySpec(name="bare", n_values=(4, 8))
+    with pytest.raises(ValidationError, match=r"row n=4 has neither.*\(op=monotone\)"):
+        run_powers(spec, "monotone", GAUSSIAN)
+
+
+def test_tightness_heights_run_as_one_row_and_are_guarded():
+    spec = ArraySpec.poisson(1.0)
+    heights = (5.0, 10.0, 20.0)
+    rows = tightness_diagnostics(spec, 256, heights)
+    for y, row in zip(heights, rows):
+        est = stolz_tail_estimate(spec.measure(256), 256, y)
+        assert (row["im_left"], row["im_right"]) == (est["im_left"], est["im_right"])
+    # a row of mass 1e-3 overflows on its fourth iteration, where the loop ran on unchecked
+    with pytest.raises(ConvergenceError, match="overflowed at iteration 4"):
+        stolz_tail_estimate(FiniteAtomicMeasure.dirac(0.0, 1e-3), 8, 5.0)
