@@ -433,14 +433,13 @@ class _DiskLanes:
     lam * (eta.lam * w), the order of the composed maps.  Any other eta runs
     its rows as a kernel of its own, one call a tick.  Each RK4 step keeps
     |w| <= r (1 + 1e-9), with r the modulus at the start of the iteration,
-    and so does each iteration's end.  A failed guard clears the lane's
-    sticky flag ``ok``; a strict kernel, and every kernel of a callable,
-    whose lanes cannot run on past a failure, raises at once instead.
+    and so does each iteration's end; a failure raises a FlowError naming
+    the lane's start point, its iteration and its row's where.
     """
 
-    def __init__(self, rows, strict):
+    def __init__(self, rows):
         eta = rows[0][0]
-        self.rows, self.strict, self._a = rows, strict, 0
+        self.rows, self._a = rows, 0
         self.flow = isinstance(eta, DiskFlowRoot)
         period = [len(row[0].schedule) if self.flow else 1 for row in rows]
         sizes = [np.size(row[2]) for row in rows]
@@ -450,11 +449,10 @@ class _DiskLanes:
         self.row = np.repeat(np.arange(len(rows)), sizes)[self.order]
         self.z = np.concatenate([np.ravel(row[2]) for row in rows]).astype(complex)[self.order]
         self.w = self.z.copy()
-        self.ok = np.ones(self.z.size, dtype=bool)
         self.lim = np.abs(self.z) * (1.0 + 1e-9)
         self.lam = np.array([complex(row[4]) for row in rows])[self.row]
         if not self.flow:
-            self.strict, self.eta = True, eta
+            self.eta = eta
             return
         self.gen = eta.gen
         lam_row = np.array([complex(row[0].lam) for row in rows])[self.row]
@@ -465,8 +463,7 @@ class _DiskLanes:
             lanes = np.flatnonzero(self.row == r)
             lo, hi = int(lanes[0]), int(lanes[-1]) + 1
             self.h[:row[1] * p, lo:hi] = np.tile([h for h, _ in row[0].schedule], row[1])[:, None]
-            block = (lo, self.w[lo:hi], lam_row[lo:hi], self.lam[lo:hi], self.lim[lo:hi],
-                     self.ok[lo:hi])
+            block = (lo, self.w[lo:hi], lam_row[lo:hi], self.lam[lo:hi], self.lim[lo:hi])
             for j in range(1, row[1] + 1):
                 self.ends[j * p - 1].append(block)
 
@@ -480,76 +477,58 @@ class _DiskLanes:
     def _step(self, s, a):
         """Advance the first a lanes through tick s."""
         if a != self._a:
-            self._a, self._v = a, (self.w[:a], self.lim[:a], self.ok[:a], self.lam[:a])
-        w, lim, ok, lam = self._v
+            self._a, self._v = a, (self.w[:a], self.lim[:a], self.lam[:a])
+        w, lim, lam = self._v
         if not self.flow:
-            self._end(s, 0, w, lam * self.eta(w), lim, ok)
+            self._end(s, 0, w, lam * self.eta(w), lim)
             return
         a_eval = self.gen.a_eval
         w[...] = _rk4_step(a_eval, w, self.h[s, :a], a_eval(w))
         inside = np.abs(w) <= lim
-        if self.strict and not inside.all():
+        if not inside.all():
             i = int(np.argmin(inside))
             schedule = self.rows[self.row[i]][0].schedule
             p = len(schedule)
             raise FlowError(f"disk flow from z0={complex(self.z[i])!r} violated |eta_t(z)| <= "
                             f"|z| at t={schedule[s % p][1]:.6f} of iteration {s // p + 1} "
                             f"({self.rows[self.row[i]][3]})")
-        ok &= inside
-        for lo, w_g, lam_row, lam_g, lim_g, ok_g in self.ends[s]:
-            self._end(s, lo, w_g, lam_g * (lam_row * w_g), lim_g, ok_g)
+        for lo, w_g, lam_row, lam_g, lim_g in self.ends[s]:
+            self._end(s, lo, w_g, lam_g * (lam_row * w_g), lim_g)
 
-    def _end(self, s, lo, w, x, lim, ok):
+    def _end(self, s, lo, w, x, lim):
         """An iteration's end at tick s: w = x, whose modulus may not pass lim."""
         r = np.abs(x)
         inside = r <= lim
-        if self.strict and not inside.all():
+        if not inside.all():
             i = lo + int(np.argmin(inside))
             p = len(self.rows[self.row[i]][0].schedule) if self.flow else 1
             raise FlowError(f"eta iteration from z0={complex(self.z[i])!r} grew the modulus "
                             f"at iteration {(s + 1) // p} ({self.rows[self.row[i]][3]})")
-        ok &= inside
         w[...] = x
         np.multiply(r, 1.0 + 1e-9, out=lim)
-
-
-def _drive(kernels):
-    """Step the kernels to the end of their ticks; False once a guard has failed.
-
-    The sticky flags are read only where some lane finishes.
-    """
-    start = 0
-    # a failed lane runs on to the next finish as nan or inf, which stays silent
-    with np.errstate(all="ignore"):
-        for end in sorted({int(t) for ker in kernels for t in ker.ticks}):
-            active = [(ker, int(np.count_nonzero(ker.ticks > start))) for ker in kernels]
-            active = [(ker, a) for ker, a in active if a]
-            for s in range(start, end):
-                for ker, a in active:
-                    ker._step(s, a)
-            if not all(ker.ok.all() for ker, _ in active):
-                return False
-            start = end
-    return True
 
 
 def disk_powers(rows):
     """k iterations of w -> lam * eta(w) for every row (eta, k, z, where, lam), as one pass.
 
     The rows of the DiskFlowRoots of one generator share one kernel, and the
-    rows of any other eta one per eta (``_DiskLanes``).  Once a guard has
-    failed, the pass runs again with strict kernels, which raise at the
-    first failure a FlowError naming its start point, its iteration and the
-    row's where.  Returns one array per row, shaped like its z.
+    rows of any other eta one per eta (``_DiskLanes``); every tick steps
+    each kernel's running lanes.  Returns one array per row, shaped like
+    its z.
     """
     rows, groups = list(rows), {}
     for i, (eta, *_) in enumerate(rows):
         key = (DiskFlowRoot, id(eta.gen)) if isinstance(eta, DiskFlowRoot) else id(eta)
         groups.setdefault(key, []).append(i)
-    for strict in (False, True):
-        kernels = [_DiskLanes([rows[i] for i in idx], strict) for idx in groups.values()]
-        if _drive(kernels):
-            break
+    kernels = [_DiskLanes([rows[i] for i in idx]) for idx in groups.values()]
+    start = 0
+    for end in sorted({int(t) for ker in kernels for t in ker.ticks}):
+        active = [(ker, int(np.count_nonzero(ker.ticks > start))) for ker in kernels]
+        active = [(ker, a) for ker, a in active if a]
+        for s in range(start, end):
+            for ker, a in active:
+                ker._step(s, a)
+        start = end
     out = [None] * len(rows)
     for idx, ker in zip(groups.values(), kernels):
         for i, v in zip(idx, ker.values()):

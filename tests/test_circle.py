@@ -596,8 +596,7 @@ def test_disk_lanes_match_each_row_run_alone():
 
 def test_disk_lane_guard_names_its_row_among_healthy_lanes():
     # a strong field at step 0.3 overshoots past the origin from 0.4 only; the
-    # other lanes of its row and the lanes of the fine-step row stay healthy,
-    # so the pass finds the failure at its row's finish and runs again to name it
+    # other lanes of its row and the lanes of the fine-step row stay healthy
     gen = CircleGenerator(0.0, param([(0.0, 5.0)]))
     coarse = (DiskFlowRoot(gen, (0.6,), 0.3), 2, np.array([0.05, 0.4, 0.3]), "row n=2, k=2", 1.0)
     fine = (DiskFlowRoot(gen, (0.01,), 1e-3), 40, np.array(DISK_GRID), "row n=40, k=40", 1.0)
