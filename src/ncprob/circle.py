@@ -456,13 +456,13 @@ class _DiskLanes:
             return
         self.gen = eta.gen
         lam_row = np.array([complex(row[0].lam) for row in rows])[self.row]
-        # the h of every lane at every tick, and the rows each tick ends an iteration of
-        self.h = np.zeros((int(self.ticks[0]), self.z.size))
+        # the h of every row at every tick, and the rows each tick ends an iteration of
+        self.h = np.zeros((int(self.ticks[0]), len(rows)))
         self.ends = [[] for _ in range(self.h.shape[0])]
         for r, (row, p) in enumerate(zip(rows, period)):
             lanes = np.flatnonzero(self.row == r)
             lo, hi = int(lanes[0]), int(lanes[-1]) + 1
-            self.h[:row[1] * p, lo:hi] = np.tile([h for h, _ in row[0].schedule], row[1])[:, None]
+            self.h[:row[1] * p, r] = np.tile([h for h, _ in row[0].schedule], row[1])
             block = (lo, self.w[lo:hi], lam_row[lo:hi], self.lam[lo:hi], self.lim[lo:hi])
             for j in range(1, row[1] + 1):
                 self.ends[j * p - 1].append(block)
@@ -477,13 +477,13 @@ class _DiskLanes:
     def _step(self, s, a):
         """Advance the first a lanes through tick s."""
         if a != self._a:
-            self._a, self._v = a, (self.w[:a], self.lim[:a], self.lam[:a])
-        w, lim, lam = self._v
+            self._a, self._v = a, (self.w[:a], self.lim[:a], self.lam[:a], self.row[:a])
+        w, lim, lam, row = self._v
         if not self.flow:
             self._end(s, 0, w, lam * self.eta(w), lim)
             return
         a_eval = self.gen.a_eval
-        w[...] = _rk4_step(a_eval, w, self.h[s, :a], a_eval(w))
+        w[...] = _rk4_step(a_eval, w, self.h[s][row], a_eval(w))
         inside = np.abs(w) <= lim
         if not inside.all():
             i = int(np.argmin(inside))
