@@ -7,7 +7,9 @@ are evaluated pointwise on complex grids.  The hybrid split exists because a
 k-fold monotone power of an n-atom measure has up to n^k atoms.  A monotone
 power composes the exact F k times at each grid point through the line's one
 k-fold iterator, ``transforms.f_powers``, which runs every row of a
-triangular array in one call.
+triangular array in one call.  Free convolution solves for the subordination
+point at each grid point, one point per call: a short fixed-point warm-up,
+then guarded Newton, with F computed both ways as a cross-check.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from .transforms import (
     recover_measure,
 )
 
-#: iteration budget for the subordination fixed point
+#: subordination: fixed-point warm-up steps, Newton step budget, halvings
+#: per Newton step, and the undamped step at which a solve stops
+_WARMUP = 20
+_NEWTON_MAX = 100
+_HALVINGS = 40
 _SUBORD_TOL = 1e-13
-_SUBORD_MAX = 500
 _CROSS_TOL = 1e-10
 
 def classical_convolve(mu, nu):
@@ -67,47 +72,89 @@ def monotone_convolve(mu, nu):
 
 
 def free_convolve_F(f_mu, f_nu):
-    """Two-sided subordination for the free convolution of F-callables.
+    """F of the free convolution of two probability data, by subordination.
 
-    Returns a callable evaluating F of the free convolution anywhere in the
-    upper half-plane.  Per point, omega is the fixed point of
-    w -> z + h_mu(z + h_nu(w)) with h = F - id; the two equivalent
-    expressions F_nu(omega) and F_mu(z + h_nu(omega)) are cross-checked and
-    their mismatch or non-convergence raises.
+    f_mu and f_nu are probability Nevanlinna data (or engines this returns),
+    so h = F - id = -E.  Per point, with u = z - E_nu(omega), the
+    subordination point omega is the root in the upper half-plane of
+    g(omega) = z - E_mu(u) - omega, g' = E_mu'(u) E_nu'(omega) - 1; it
+    exists and is unique (Belinschi-Bercovici 2007).  Up to ``_WARMUP``
+    fixed-point steps omega <- omega + g from omega = z, then Newton: a step
+    is halved until Im omega > 0, Im u > 0 and |g| falls, and after
+    ``_HALVINGS`` halvings a fixed-point step is taken instead.  Newton stops
+    when the undamped step is within ``_SUBORD_TOL``; a point that has not
+    stopped after ``_NEWTON_MAX`` steps raises ``ConvergenceError``.  The
+    two expressions F_nu(omega) and F_mu(u) differ by g and are
+    cross-checked.
+
+    The returned callable evaluates F at one point.  It carries m = 1 and
+    its own E = z - F and E' = 1 - F', so it can itself be convolved.
     """
+    for f in (f_mu, f_nu):
+        if abs(f.m - 1.0) > MASS_TOL:
+            raise ValidationError("free convolution needs probability measures")
+    e_mu, de_mu, e_nu, de_nu = f_mu._e, f_mu._e_prime, f_nu._e, f_nu._e_prime
 
-    def h_mu(w):
-        return f_mu(w) - w
-
-    def h_nu(w):
-        return f_nu(w) - w
+    def solve(z):
+        """(omega, u) at the root of g."""
+        w = z
+        for _ in range(_WARMUP):
+            nxt = z - e_mu(z - e_nu(w))
+            if abs(nxt - w) <= _SUBORD_TOL:
+                return nxt, z - e_nu(nxt)
+            w = nxt
+        u = z - e_nu(w)
+        g = z - e_mu(u) - w
+        for _ in range(_NEWTON_MAX):
+            dw = g / (1.0 - de_mu(u) * de_nu(w))
+            if abs(dw) <= _SUBORD_TOL:
+                w = w + dw
+                return w, z - e_nu(w)
+            for _ in range(_HALVINGS):
+                w1 = w + dw
+                if w1.imag > 0.0:
+                    u1 = z - e_nu(w1)
+                    if u1.imag > 0.0:
+                        g1 = z - e_mu(u1) - w1
+                        if abs(g1) < abs(g):
+                            break
+                dw = 0.5 * dw
+            else:
+                w1 = w + g
+                u1 = z - e_nu(w1)
+                g1 = z - e_mu(u1) - w1
+            w, u, g = w1, u1, g1
+        raise ConvergenceError(
+            f"subordination Newton did not converge at z={z}: "
+            f"{_NEWTON_MAX} steps, |g|={abs(g):.3g}"
+        )
 
     def f_conv(z):
-        w = complex(z)
-        for _ in range(_SUBORD_MAX):
-            nxt = z + h_mu(z + h_nu(w))
-            if abs(nxt - w) <= _SUBORD_TOL:
-                w = nxt
-                break
-            w = nxt
-        else:
-            raise ConvergenceError(f"subordination fixed point stalled at z={z}")
-        via_nu = f_nu(w)
-        via_mu = f_mu(z + h_nu(w))
+        w, u = solve(z)
+        via_nu = w - e_nu(w)
+        via_mu = u - e_mu(u)
         if abs(via_nu - via_mu) > _CROSS_TOL * max(1.0, abs(via_nu)):
             raise ConvergenceError(
                 f"subordination cross-check failed at z={z}: {via_nu} vs {via_mu}"
             )
         return 0.5 * (via_nu + via_mu)
 
+    def e_conv(z):
+        return z - f_conv(z)
+
+    def e_conv_prime(z):
+        # with a = E_mu'(u), b = E_nu'(omega): F' = (1 - b) omega' and
+        # omega' = (1 - a)/(1 - a b), so E' = 1 - F' = (a + b - 2ab)/(1 - ab)
+        w, u = solve(z)
+        a, b = de_mu(u), de_nu(w)
+        return (a + b - 2.0 * a * b) / (1.0 - a * b)
+
+    f_conv.m, f_conv._e, f_conv._e_prime = 1.0, e_conv, e_conv_prime
     return f_conv
 
 
 def free_convolve(mu, nu, points=ZR):
     """Free convolution of two probability measures, sampled on a grid."""
-    for m in (mu, nu):
-        if abs(m.mass - 1.0) > MASS_TOL:
-            raise ValidationError("free convolution needs probability measures")
     fn = free_convolve_F(f_transform(mu), f_transform(nu))
     return TransformGrid.sample(fn, points, "F", mass=1.0)
 

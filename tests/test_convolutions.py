@@ -156,6 +156,105 @@ def test_free_needs_probability(rng):
         free_convolve(half, half)
     with pytest.raises(ValidationError):
         free_power_grid(half, 3)
+    quarters = f_transform(FiniteAtomicMeasure.from_pairs([(-1.0, 0.25), (1.0, 0.25)]))
+    with pytest.raises(ValidationError):
+        free_convolve_F(quarters, f_transform(random_probability_measure(rng)))
+
+
+def _arrow(nev, w):
+    """A(w) = [[gamma' + w, sqrt(c)^T], [sqrt(c), diag p]]: its eigenvalues solve F(omega) = w."""
+    gamma, p, c = nev._secular
+    a = np.diag(np.concatenate(([gamma + w], p))).astype(complex)
+    a[0, 1:] = a[1:, 0] = np.sqrt(c)
+    return a
+
+
+def _subordination_certificate(mu, nu, z):
+    """Every w for which omega_1 + omega_2 = z + w with F_mu(omega_1) = F_nu(omega_2) = w
+    and Im omega_1, Im omega_2 > 0; the free convolution's F(z) is the only one.
+
+    omega_1 + omega_2 is an eigenvalue of the Kronecker sum A_mu(w) (+) A_nu(w) =
+    K + w (E (+) E), with K = A_mu(0) (+) A_nu(0) and E = e0 e0^T.  So z + w is
+    one exactly when 1/w is an eigenvalue of (K - zI)^{-1} (I - E (+) E); the
+    null space of I - E (+) E gives eigenvalues 0, which round to about 1e-14
+    here.
+    """
+    fm, fn = f_transform(mu), f_transform(nu)
+    am, an = _arrow(fm, 0.0), _arrow(fn, 0.0)
+    im, jn = np.eye(len(am)), np.eye(len(an))
+    em, en = np.zeros_like(im), np.zeros_like(jn)
+    em[0, 0] = en[0, 0] = 1.0
+    eye = np.eye(len(am) * len(an))
+    k = np.kron(am, jn) + np.kron(im, an)
+    lam = np.linalg.eigvals(np.linalg.solve(k - z * eye, eye - np.kron(em, jn) - np.kron(im, en)))
+    found = []
+    for w in 1.0 / lam[abs(lam) > 1e-9]:
+        o1, o2 = np.linalg.eigvals(_arrow(fm, w)), np.linalg.eigvals(_arrow(fn, w))
+        o1, o2 = o1[o1.imag > 0.0], o2[o2.imag > 0.0]
+        if o1.size and o2.size and abs(o1[:, None] + o2 - z - w).min() <= 1e-8 * (1.0 + abs(z + w)):
+            found.append(complex(w))
+    return found
+
+
+def _assert_certified(mu, nu, points):
+    engine = free_convolve_F(f_transform(mu), f_transform(nu))
+    for z in points:
+        (w,) = _subordination_certificate(mu, nu, z)
+        assert abs(engine(z) - w) <= 1e-10 * abs(w)
+
+
+# convolve workload, seed 1, jobs 54, 94, 119 and 136: on parts of Im z = 0.03 the
+# plain fixed point w <- z + h_mu(z + h_nu(w)) does not settle within 500 steps
+# (first at z = -1.7346938775510203 + 0.03i in job 54)
+@pytest.mark.parametrize("mu_pairs, nu_pairs", [
+    ([(-0.01040083122611346, 0.35930486269769113), (2.9581152933011223, 0.640695137302309)],
+     [(-2.849853315558625, 0.23205260682903994), (1.2499315533418072, 0.7679473931709601)]),
+    ([(-2.0986511199163846, 0.4017786458343116), (2.816271771806986, 0.300079877298565),
+      (-1.9062887138776772, 0.2144579694682044), (2.5246495821182764, 0.08368350739891896)],
+     [(2.6925851937143834, 0.08806465692126049), (-2.1818945723369243, 0.2005177926130123),
+      (2.9358620488659293, 0.20386161241413278), (2.68931456971053, 0.3028849697160081),
+      (1.6939503981863906, 0.20467096833558632)]),
+    ([(0.5531737994054025, 0.12144703219227962), (-2.790561024956946, 0.19977177632155846),
+      (0.7406827424827709, 0.27130804896341454), (1.537601083957675, 0.17064424123146954),
+      (0.8806529483671377, 0.23682890129127787)],
+     [(-2.2605714446900276, 0.17469884738619243), (2.7203321846505224, 0.8253011526138075)]),
+    ([(-2.771210050155916, 0.21391727073481828), (2.270722597621125, 0.7860827292651817)],
+     [(2.597772779607176, 0.4247128353580909), (-2.151732009069749, 0.2008385759818581),
+      (2.896177146439987, 0.374448588660051)]),
+], ids=["job54", "job94", "job119", "job136"])
+def test_free_near_axis_stalls_certified(mu_pairs, nu_pairs):
+    mu, nu = FiniteAtomicMeasure.from_pairs(mu_pairs), FiniteAtomicMeasure.from_pairs(nu_pairs)
+    _assert_certified(mu, nu, [complex(x, 0.03) for x in np.linspace(-5.0, 5.0, 50)])
+
+
+def test_free_matches_certificate():
+    # 2-8 atoms uniform on [-3, 3] with no minimum gap, as the convolve workload draws them
+    rng = np.random.default_rng(19)
+    xs = np.linspace(-5.0, 5.0, 11)
+    for _ in range(12):
+        pair = []
+        for _ in range(2):
+            n = int(rng.integers(2, 9))
+            w = rng.uniform(0.1, 1.0, n)
+            pair.append(FiniteAtomicMeasure.from_pairs(zip(rng.uniform(-3.0, 3.0, n), w / w.sum())))
+        mu, nu = pair
+        _assert_certified(mu, nu, [complex(x, y) for y in (0.03, 0.3, 3.0) for x in xs])
+        ab = free_convolve_F(f_transform(mu), f_transform(nu))
+        ba = free_convolve_F(f_transform(nu), f_transform(mu))
+        for x in xs:
+            z = complex(x, 0.03)
+            assert abs(ab(z) - ba(z)) <= 1e-10 * abs(ab(z))
+
+
+def test_free_engine_derivative(bernoulli, rng):
+    # E' of the returned engine, which chaining relies on, against a central difference
+    mu, nu = random_probability_measure(rng, 5), random_probability_measure(rng, 5)
+    for engine in (free_convolve_F(f_transform(mu), f_transform(nu)),
+                   free_convolve_F(f_transform(bernoulli), f_transform(bernoulli))):
+        for z in (0.3 + 0.05j, -1.7 + 0.3j, 2.0 + 1.0j, 4.0j):
+            h = 1e-6
+            diff = (engine._e(z + h) - engine._e(z - h)) / (2.0 * h)
+            assert abs(engine._e_prime(z) - diff) <= 1e-7 * max(1.0, abs(diff))
 
 
 def test_free_ops_take_mass_within_slack_as_one():
