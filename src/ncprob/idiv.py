@@ -1,8 +1,8 @@
 """The four infinitely divisible families indexed by (m, gamma, sigma).
 
 One Levy triple generates all four laws: Boolean (exact atomic measure),
-free (F(z) is the root in C+ of w + phi(w) = z, an eigenvalue of one
-arrowhead matrix per point, solved for a whole grid at once), classical
+free (F(z) is the root in C+ of w + phi(w) = z, found by Newton on a whole
+grid at once or at a single point, with the same bits), classical
 (characteristic function, FFT density on request), and monotone (the
 time-one map of the ODE flow dF/dt = Phi(F) with Phi(z) = -gamma - log(m) z
 + integral of (1+xz)/(x-z) dsigma; the monotone law itself, on a density

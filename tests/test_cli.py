@@ -652,7 +652,8 @@ def test_array_must_belong_to_the_scenario_space(tmp_path, capsys, command, scen
 
 
 #: report distances of a bp-check on poisson(1.7), n = 64...4096, and of a
-#: rotated circle-run with l = n/2, as the scalar k-fold loops computed them
+#: rotated circle-run with l = n/2, as the scalar k-fold loops computed them;
+#: the free row as Newton on the secular equation computes it
 PINNED_LINE = {
     "boolean": (0.013001720812336408, 0.006525965174726997, 0.003269115885581087,
                 0.0016360729900097184, 0.0008184129462970711, 0.0004093002955467175,
@@ -660,9 +661,9 @@ PINNED_LINE = {
     "classical": (0.009739901586066725, 0.004827321959509911, 0.002403167697820448,
                   0.0011989807128912082, 0.0005988420764840829, 0.0002992592800816331,
                   0.00014958923940117024),
-    "free": (0.004607868033397776, 0.00227569811473054, 0.0011309221175327482,
-             0.0005637455110351335, 0.0002814458724214211, 0.00014061646470171568,
-             7.028164555601725e-05),
+    "free": (0.00460786803339773, 0.0022756981147306083, 0.001130922117532587,
+             0.0005637455110349514, 0.0002814458724211992, 0.00014061646470147287,
+             7.028164555597051e-05),
     "monotone": (0.007860570450646979, 0.0038923597058660177, 0.0019367873139439161,
                  0.0009660567716477181, 0.0004824455785426705, 0.00024107726466488042,
                  0.0001205022733599748),

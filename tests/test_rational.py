@@ -6,7 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncprob import rational
 from ncprob.cli import EXIT_NUMERICAL, main
@@ -225,13 +225,17 @@ def test_upper_root_is_the_only_root_in_the_upper_half_plane(triple, x, y, k):
 
 
 def test_upper_root_fails_loudly_without_a_root_in_the_upper_half_plane(monkeypatch, tmp_path, capsys):
-    """An eigen-solve that returns no root in C+ raises, naming z; the CLI exits 3."""
+    """Newton stuck at its start and an eigen-solve with no root in C+ raise, naming z.
+
+    The CLI exits 3.
+    """
     eigvals = np.linalg.eigvals
 
     def lower(a):
         e = eigvals(a)
         return e.real - 1j * np.abs(e.imag)
 
+    monkeypatch.setattr(rational, "_newton_step", lambda wr, wi, ar, ai, pairs: (wr, wi, 0.0))
     monkeypatch.setattr(rational.np.linalg, "eigvals", lower)
     triple = NevanlinnaData.from_parts(1.0, 0.3, [(-1.0, 0.4), (2.0, 0.3)])
     z = complex(0.25, 1e-3)
@@ -240,3 +244,78 @@ def test_upper_root_fails_loudly_without_a_root_in_the_upper_half_plane(monkeypa
     assert main(["idiv", "--op", "free", "--sigma", "0:1", "--bins", "21",
                  "--output", str(tmp_path / "free")]) == EXIT_NUMERICAL
     assert "upper half-plane at z=" in capsys.readouterr().err
+
+
+def _mp_upper_root(z, p, c, start, dps):
+    """The root of the secular equation at a = z near start, to dps digits."""
+    with mpmath.workdps(dps):
+        f = _mp_secular(mpmath.mpc(z), [mpmath.mpf(v) for v in p], [mpmath.mpf(v) for v in c])
+        return mpmath.findroot(f, mpmath.mpc(start))
+
+
+def test_upper_root_rescues_a_newton_root_in_the_lower_half_plane(monkeypatch):
+    """Newton from a + i sqrt(sum c) lands on a root in C- at this z.
+
+    The eigen-solve re-solves that point, and only that point: as a scalar,
+    and inside ndarrays of points that Newton certifies, one small enough
+    for the scalar driver and one run as lanes.
+    """
+    p = np.array([-22.250182793656503, -14.391818872848889, -8.248349742419462,
+                  -7.978783722308088, -0.8148086318106725, 19.468522215165482])
+    c = np.array([1.8499897687112468e-06, 0.4835493990710421, 0.012074717805145126,
+                  0.01485380833303705, 0.025645403841089376, 18.45616502684269])
+    z = complex(-8.71781429591178, 0.0006071303720952923)
+    eigvals, stacks = np.linalg.eigvals, []
+
+    def spy(a):
+        stacks.append(a.shape[:-2])
+        return eigvals(a)
+
+    monkeypatch.setattr(rational.np.linalg, "eigvals", spy)
+    w = upper_root(z, 0.0, p, c)
+    small = upper_root(np.array([z, complex(1.0, 1.0)]), 0.0, p, c)
+    lanes = upper_root(np.append(z, np.linspace(-10.0, 10.0, 31) + 1e-3j), 0.0, p, c)
+    assert stacks == [(1,), (1,), (1,)]
+    assert small[0] == w and lanes[0] == w
+    exact = _mp_upper_root(z, p, c, w, 30)
+    assert exact.imag > 0
+    assert abs(w - complex(exact)) <= 1e-12 * abs(w)
+
+
+#: sigma: a centre in [-5, 5], a cluster of 1-5 atoms as (log10 gap to the
+#: previous atom, log10 weight) with gaps down to 1e-6 and weights down to
+#: 1e-9, and at times one far atom as (log10 distance, right side, log10 weight)
+hard_triples = st.tuples(
+    st.floats(-5.0, 5.0),
+    st.lists(st.tuples(st.floats(-6.0, 0.0), st.floats(-9.0, 0.0)), min_size=1, max_size=5),
+    st.none() | st.tuples(st.floats(2.0, 4.0), st.booleans(), st.floats(-9.0, -6.0)),
+)
+
+
+# an atom at 1e4 makes the arrowhead's norm 1e4 at a root of size 1e-4:
+# the eigen-solve is off by 1.4e-8 relative there
+@example((-0.3, [(-6.0, -7.0)], (4.0, True, -9.0)), 2, 9e-05, -6.0)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(hard_triples, st.sampled_from([2, 64, 4096]), st.floats(-8.0, 8.0), st.floats(-12.0, 1.0))
+def test_upper_root_matches_40_digit_roots_on_hard_inputs(triple, k, x, log_y):
+    """The free power k of the triple's law at z = x + i 10^log_y.
+
+    Its F solves w - a + sum (k-1) c/(w - p) = 0.  Every point passes the
+    certificate (upper_root raises otherwise) and lies within 1e-12
+    relative of the 40-digit root.
+    """
+    centre, cluster, far = triple
+    p = centre + np.cumsum([10.0 ** gap for gap, _ in cluster])
+    s = np.array([10.0 ** weight for _, weight in cluster])
+    if far is not None:
+        log_d, right, log_w = far
+        p = np.append(p, (1.0 if right else -1.0) * 10.0 ** log_d)
+        s = np.append(s, 10.0 ** log_w)
+    order = np.argsort(p)
+    p, s = p[order], s[order]
+    c = (k - 1) * s * (1.0 + p * p)
+    z = complex(x, 10.0 ** log_y)
+    w = upper_root(z, 0.0, p, c)
+    exact = _mp_upper_root(z, p, c, w, 40)
+    assert exact.imag > 0
+    assert abs(w - complex(exact)) <= 1e-12 * abs(exact)
