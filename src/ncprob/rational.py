@@ -66,8 +66,8 @@ _STEP_TOL2 = 1e-28
 #: the certificate of a root w: Im w > 0 and |f(w)| <= _RESIDUAL_TOL max(1, |a|)
 _RESIDUAL_TOL = 1e-12
 
-#: grids of fewer points run the scalar driver point by point, which beats
-#: the lanes' per-ufunc cost there (10 points: about 0.1 ms against 0.35 ms)
+#: grids of fewer points go through ``_root_point`` one point at a time, which
+#: beats the lanes' per-ufunc cost there (10 points: about 0.1 ms against 0.35 ms)
 _LANES_FROM = 20
 
 

@@ -184,8 +184,13 @@ def test_partial_fractions_rejects_bad_inputs():
         NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((0.0,), (-0.5,), PARAMETER))
 
 
-def _mp_secular(a, p, c):
-    return lambda w: w - a + sum(ck / (w - pk) for pk, ck in zip(p, c))
+def _mp_upper_root(z, shift, p, c, start, dps):
+    """The root of w - a + sum c/(w - p) = 0, a = z - shift, near start, to dps digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpc(z) - mpmath.mpf(shift)
+        p, c = [mpmath.mpf(v) for v in p], [mpmath.mpf(v) for v in c]
+        return mpmath.findroot(lambda w: w - a + sum(ck / (w - pk) for pk, ck in zip(p, c)),
+                               mpmath.mpc(start))
 
 
 #: gamma, then sigma's 1-4 atoms as (gap to the previous atom, weight), then
@@ -216,10 +221,7 @@ def test_upper_root_is_the_only_root_in_the_upper_half_plane(triple, x, y, k):
     arrow[0, 1:] = arrow[1:, 0] = 1j * np.sqrt(c)
     assert (np.linalg.eigvals(arrow).imag > 0.0).sum() == 1
     w = upper_root(z, shift, p, c)
-    with mpmath.workdps(30):
-        a = mpmath.mpc(z) - mpmath.mpf(shift)
-        exact = mpmath.findroot(_mp_secular(a, [mpmath.mpf(v) for v in p],
-                                            [mpmath.mpf(v) for v in c]), mpmath.mpc(w))
+    exact = _mp_upper_root(z, shift, p, c, w, 30)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(w)
 
@@ -246,19 +248,12 @@ def test_upper_root_fails_loudly_without_a_root_in_the_upper_half_plane(monkeypa
     assert "upper half-plane at z=" in capsys.readouterr().err
 
 
-def _mp_upper_root(z, p, c, start, dps):
-    """The root of the secular equation at a = z near start, to dps digits."""
-    with mpmath.workdps(dps):
-        f = _mp_secular(mpmath.mpc(z), [mpmath.mpf(v) for v in p], [mpmath.mpf(v) for v in c])
-        return mpmath.findroot(f, mpmath.mpc(start))
-
-
 def test_upper_root_rescues_a_newton_root_in_the_lower_half_plane(monkeypatch):
     """Newton from a + i sqrt(sum c) lands on a root in C- at this z.
 
     The eigen-solve re-solves that point, and only that point: as a scalar,
     and inside ndarrays of points that Newton certifies, one small enough
-    for the scalar driver and one run as lanes.
+    to go point by point and one run as lanes.
     """
     p = np.array([-22.250182793656503, -14.391818872848889, -8.248349742419462,
                   -7.978783722308088, -0.8148086318106725, 19.468522215165482])
@@ -277,7 +272,7 @@ def test_upper_root_rescues_a_newton_root_in_the_lower_half_plane(monkeypatch):
     lanes = upper_root(np.append(z, np.linspace(-10.0, 10.0, 31) + 1e-3j), 0.0, p, c)
     assert stacks == [(1,), (1,), (1,)]
     assert small[0] == w and lanes[0] == w
-    exact = _mp_upper_root(z, p, c, w, 30)
+    exact = _mp_upper_root(z, 0.0, p, c, w, 30)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(w)
 
@@ -316,6 +311,6 @@ def test_upper_root_matches_40_digit_roots_on_hard_inputs(triple, k, x, log_y):
     c = (k - 1) * s * (1.0 + p * p)
     z = complex(x, 10.0 ** log_y)
     w = upper_root(z, 0.0, p, c)
-    exact = _mp_upper_root(z, p, c, w, 40)
+    exact = _mp_upper_root(z, 0.0, p, c, w, 40)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(exact)
