@@ -59,11 +59,14 @@ class DiskGrid:
 
 
 def eta_distance(a, b):
-    """max |eta_a - eta_b| over a shared grid."""
+    """max |eta_a - eta_b| over a shared grid of at least one point."""
     pa, va = (a.points, a.values) if isinstance(a, DiskGrid) else (None, a)
     pb, vb = (b.points, b.values) if isinstance(b, DiskGrid) else (None, b)
     if pa is not None and pb is not None and pa != pb:
         raise ValidationError("eta grids sampled on different points")
+    if len(va) != len(vb) or not len(va):
+        raise ValidationError(f"eta distance needs two samples of one non-empty grid; "
+                              f"got {len(va)} and {len(vb)} values")
     return max(abs(x - y) for x, y in zip(va, vb))
 
 
@@ -76,10 +79,7 @@ class CircleGenerator:
 
     def __post_init__(self):
         if self.sigma.role != PARAMETER:
-            object.__setattr__(
-                self, "sigma",
-                CircleMeasure(self.sigma.angles, self.sigma.weights, PARAMETER),
-            )
+            object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
 
     def a_eval(self, z):
         """A(z) = z(i beta - H(z)) = z(A'(0) - 2 psi_sigma(z)), a point or an ndarray."""
@@ -382,15 +382,6 @@ def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     return CircleFlowResult(times, grids, means, float(step))
 
 
-def boolean_power_eta(e, k, points=DISK_GRID):
-    """k-fold multiplicative Boolean power: eta(z) = z (eta(z)/z)^k.
-
-    e takes an ndarray of grid points and is evaluated once on the grid.
-    """
-    z = np.array(points, dtype=complex)
-    return DiskGrid(points, z * (e(z) / z) ** k)
-
-
 @dataclass(frozen=True)
 class DiskFlowRoot:
     """eta = lam * eta_t of gen's flow, by fixed-step RK4 legs from 0 to each of ``times``.
@@ -405,6 +396,13 @@ class DiskFlowRoot:
     times: tuple
     step: float
     lam: complex = 1.0
+
+    def __post_init__(self):
+        times = tuple(_check_flow_args(t, self.step) for t in self.times)
+        if not times or times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+            raise ValidationError(f"flow root times must be strictly increasing and above 0; "
+                                  f"got {self.times!r}")
+        object.__setattr__(self, "times", times)
 
     @functools.cached_property
     def schedule(self):
@@ -624,12 +622,14 @@ def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
 
     Both compare the rows' k_n-th powers with the laws of gen = (beta,
     sigma): the Boolean powers with the Boolean law of (e^{i beta}, sigma),
-    the monotone powers with gen's time-one flow.  The monotone powers and
-    that flow are the lanes of one ``disk_powers`` pass: row n's grid runs
-    with lambda = 1, the monotone row and the uncorrected column, and with
-    lambda = e^{2 pi i l/n}, l detected from beta, the corrected column;
-    the flow runs the two legs of ``circle_monotone_flow``.  With correct
-    False only the lambda = 1 lanes run and the correction report is None.
+    the monotone powers with gen's time-one flow.  Both powers and that flow
+    are the lanes of one ``disk_powers`` pass.  Row n's grid runs as three
+    lane groups: once (k = 1), whose eta gives the Boolean power
+    z (eta/z)^n; n times with lambda = 1, the monotone row and the
+    uncorrected column; and n times with lambda = e^{2 pi i l/n}, l
+    detected from beta, the corrected column.  The flow runs the two legs of
+    ``circle_monotone_flow``.  With correct False the corrected lanes do not
+    run and the correction report is None.
     Returns (equivalence, correction).
     """
     _check_disk_flow_args(1.0, flow_step)
@@ -637,24 +637,28 @@ def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
     bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma, points)
     beta_ok, beta_rows = beta_condition_check(spec, gen.beta, tol)
     rows = [(DiskFlowRoot(gen, (0.5, 1.0), flow_step), 1, z, "time-one target", 1.0)]
-    etas, ells = [spec.eta_of(n) for n in spec.n_values], []
-    for n, e in zip(spec.n_values, etas):
+    ells = []
+    for n in spec.n_values:
+        e = spec.eta_of(n)
+        rows.append((e, 1, z, f"row n={n}, k=1", 1.0))
         rows.append((e, n, z, f"row n={n}, k={n}", 1.0))
         if correct:
             ells.append(detect_rotation(spec, gen.beta, n))
             rows.append((e, n, z, f"row n={n}, k={n}, l={ells[-1]}",
                          cmath.exp(2j * math.pi * ells[-1] / n)))
-    mono_target, *powers = (tuple(v.tolist()) for v in disk_powers(rows))
-    per_row = 2 if correct else 1
+    mono_target, *lanes = (tuple(v.tolist()) for v in disk_powers(rows))
+    per_row = 3 if correct else 2
     rows_b, rows_m, rows_c = [], [], []
-    for i, (n, e) in enumerate(zip(spec.n_values, etas)):
-        dist_b = float(eta_distance(boolean_power_eta(e, n, points), bool_target))
-        dist_m = float(eta_distance(powers[per_row * i], mono_target))
+    for i, n in enumerate(spec.n_values):
+        eta_z, power, *corrected = lanes[per_row * i:per_row * (i + 1)]
+        boolean_power = DiskGrid(points, z * (np.array(eta_z) / z) ** n)
+        dist_b = float(eta_distance(boolean_power, bool_target))
+        dist_m = float(eta_distance(power, mono_target))
         rows_b.append({"n": n, "k": n, "distance": dist_b})
         rows_m.append({"n": n, "k": n, "distance": dist_m})
         if correct:
             rows_c.append({"n": n, "k": n, "ell": ells[i], "uncorrected": dist_m,
-                           "corrected": float(eta_distance(powers[2 * i + 1], mono_target))})
+                           "corrected": float(eta_distance(corrected[0], mono_target))})
     conv_b = _verdict([r["distance"] for r in rows_b], tol)
     conv_m = _verdict([r["distance"] for r in rows_m], tol)
     equivalence = {

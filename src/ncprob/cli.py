@@ -175,7 +175,7 @@ def _real_spec(array):
 
 def _circle_spec(array, flow_step):
     ns = tuple(array.get("n_values", DEFAULT_NS))
-    sigma = CircleMeasure.from_json_pairs(array["sigma"], role=PARAMETER)
+    sigma = CircleMeasure.from_pairs(array["sigma"], role=PARAMETER)
     gen = CircleGenerator(float(array["beta"]), sigma)
     ell = array.get("rotation_ell", 0)
     if array["family"] == "semigroup" and "rotation_ell" in array:
@@ -189,12 +189,7 @@ def _circle_spec(array, flow_step):
     return CircleArraySpec.semigroup(gen, ns, flow_step=flow_step, rotation_ell=ell)
 
 
-def _triple_from(obj):
-    sigma = FiniteAtomicMeasure.from_json_pairs(obj["sigma"], role=PARAMETER)
-    return LevyTriple(float(obj["m"]), float(obj["gamma"]), sigma)
-
-
-def parse_sigma_arg(text, circle=False):
+def parse_sigma_arg(text):
     """pos:weight,pos:weight ('' for the zero measure)."""
     pairs = []
     if text.strip():
@@ -204,8 +199,7 @@ def parse_sigma_arg(text, circle=False):
                 pairs.append((float(pos), float(w)))
             except ValueError as exc:
                 raise ValidationError(f"bad sigma atom {chunk!r}") from exc
-    cls = CircleMeasure if circle else FiniteAtomicMeasure
-    return cls.from_json_pairs(pairs, role=PARAMETER)
+    return FiniteAtomicMeasure.from_pairs(pairs, role=PARAMETER)
 
 
 def _dump_json(obj, path):
@@ -310,7 +304,7 @@ def cmd_idiv(args):
 
 def _load_measure(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return FiniteAtomicMeasure.from_json_pairs(json.load(fh))
+        return FiniteAtomicMeasure.from_pairs(json.load(fh))
 
 
 def cmd_convolve(args):
@@ -366,7 +360,7 @@ def cmd_limit_run(args):
     scenario = _real_scenario(args.scenario, "limit-run")
     tol = scenario.get("tolerance", args.tolerance)
     spec = _real_spec(scenario["array"])
-    triple = _triple_from(scenario["triple"]) if "triple" in scenario else spec.limit
+    triple = LevyTriple.from_parts(**scenario["triple"]) if "triple" in scenario else spec.limit
     report = {
         "scenario": scenario,
         "grids": {"zr": _grid_json(ZR), "t_grid": list(T_GRID)},
@@ -389,7 +383,7 @@ def cmd_bp_check(args):
     tol = scenario.get("tolerance", args.tolerance)
     spec = _real_spec(scenario["array"])
     if "triple" in scenario:
-        spec = dataclasses.replace(spec, limit=_triple_from(scenario["triple"]))
+        spec = dataclasses.replace(spec, limit=LevyTriple.from_parts(**scenario["triple"]))
     result = bp_crosscheck(spec, tol)
     report = {
         "scenario": scenario,
@@ -412,7 +406,7 @@ def cmd_circle_run(args):
     if gen_obj is not None:
         gen = CircleGenerator(
             float(gen_obj["beta"]),
-            CircleMeasure.from_json_pairs(gen_obj["sigma"], role=PARAMETER),
+            CircleMeasure.from_pairs(gen_obj["sigma"], role=PARAMETER),
         )
     else:
         gen = spec.generator

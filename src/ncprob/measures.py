@@ -1,9 +1,13 @@
 """Finite atomic measures on the real line and on the unit circle.
 
-These are the value types every engine consumes.  Instances are immutable;
-construction normalizes the atom list (sorted positions, strictly positive
-weights, near-duplicate positions merged), so rebuilding a measure from its
-own atoms is a no-op.
+These are the value types every engine consumes.  Both are written once, as
+one private base over (positions, weights, role): ``FiniteAtomicMeasure``
+keeps positions on R, ``CircleMeasure`` angles in [0, 2pi) (also read as
+``angles``).  Each adds only its period, the mass rule of its state role, its
+moments and its own extras.  Instances are immutable; construction
+normalizes the atom list (sorted positions, strictly positive weights,
+near-duplicate positions merged), so rebuilding a measure from its own atoms
+is a no-op.  A malformed atom raises ValidationError naming it.
 
 Two roles exist.  ``state`` measures are the (sub-)probability inputs of the
 convolution calculus: total mass in (0, 1] on the line, exactly 1 on the
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +41,10 @@ TWO_PI = 2.0 * math.pi
 def _normalize(pairs, merge_tol, wrap=None):
     cleaned = []
     for x, w in pairs:
-        x = float(x)
-        w = float(w)
+        try:
+            x, w = float(x), float(w)
+        except (TypeError, ValueError):
+            raise ValidationError(f"atom ({x!r}, {w!r}) is not a pair of numbers") from None
         if not (math.isfinite(x) and math.isfinite(w)):
             raise ValidationError(f"non-finite atom ({x}, {w})")
         if w < 0.0:
@@ -66,8 +73,13 @@ def _normalize(pairs, merge_tol, wrap=None):
 
 
 @dataclass(frozen=True)
-class FiniteAtomicMeasure:
-    """Positive weighted atoms on the real line."""
+class _AtomicMeasure:
+    """Positive weighted atoms at ``positions``, reduced modulo the class's ``_PERIOD``.
+
+    The line and the circle measures differ only in that period (None on
+    the line), in the mass rule of their state role (``_check_state_mass``)
+    and in what they add on top.
+    """
 
     positions: tuple
     weights: tuple
@@ -76,20 +88,26 @@ class FiniteAtomicMeasure:
     def __post_init__(self):
         if self.role not in (STATE, PARAMETER):
             raise ValidationError(f"unknown role {self.role!r}")
-        pairs = _normalize(zip(self.positions, self.weights), MERGE_TOL)
+        pairs = _normalize(zip(self.positions, self.weights), MERGE_TOL, self._PERIOD)
         object.__setattr__(self, "positions", tuple(x for x, _ in pairs))
         object.__setattr__(self, "weights", tuple(w for _, w in pairs))
-        total = sum(self.weights)
         if self.role == STATE:
-            if not self.positions:
-                raise ValidationError("state measure must be non-zero")
-            if total > 1.0 + MASS_TOL:
-                raise ValidationError(f"state measure mass {total} exceeds 1")
+            self._check_state_mass(sum(self.weights))
 
     @classmethod
     def from_pairs(cls, pairs, role=STATE):
-        pairs = list(pairs)
-        return cls(tuple(x for x, _ in pairs), tuple(w for _, w in pairs), role)
+        """The measure of (position, weight) pairs; a malformed entry raises ValidationError."""
+        if not isinstance(pairs, Iterable):
+            raise ValidationError(f"atoms must be (position, weight) pairs; got {pairs!r}")
+        positions, weights = [], []
+        for entry in pairs:
+            try:
+                x, w = entry
+            except (TypeError, ValueError):
+                raise ValidationError(f"atom {entry!r} is not a (position, weight) pair") from None
+            positions.append(x)
+            weights.append(w)
+        return cls(tuple(positions), tuple(weights), role)
 
     @classmethod
     def dirac(cls, position, weight=1.0, role=STATE):
@@ -112,12 +130,31 @@ class FiniteAtomicMeasure:
     def mass(self):
         return sum(self.weights)
 
-    def moment(self, k):
-        return sum(w * x**k for x, w in self.atoms)
-
     @property
     def mean(self):
         return self.moment(1)
+
+    def with_role(self, role):
+        return type(self)(self.positions, self.weights, role)
+
+    def to_json_pairs(self):
+        """[[position, weight], ...] for JSON output; round-trips exactly."""
+        return [[x, w] for x, w in self.atoms]
+
+
+class FiniteAtomicMeasure(_AtomicMeasure):
+    """Positive weighted atoms on the real line."""
+
+    _PERIOD = None
+
+    def _check_state_mass(self, total):
+        if not self.positions:
+            raise ValidationError("state measure must be non-zero")
+        if total > 1.0 + MASS_TOL:
+            raise ValidationError(f"state measure mass {total} exceeds 1")
+
+    def moment(self, k):
+        return sum(w * x**k for x, w in self.atoms)
 
     @property
     def generalized_variance(self):
@@ -149,60 +186,20 @@ class FiniteAtomicMeasure:
             self.positions, tuple(c * w for w in self.weights), self.role
         )
 
-    def with_role(self, role):
-        return FiniteAtomicMeasure(self.positions, self.weights, role)
 
-    def to_json_pairs(self):
-        """[[position, weight], ...] for JSON output; round-trips exactly."""
-        return [[x, w] for x, w in self.atoms]
-
-    @classmethod
-    def from_json_pairs(cls, pairs, role=STATE):
-        return cls.from_pairs(((float(x), float(w)) for x, w in pairs), role)
-
-
-@dataclass(frozen=True)
-class CircleMeasure:
+class CircleMeasure(_AtomicMeasure):
     """Positive weighted atoms on the unit circle, stored by angle in [0, 2pi)."""
 
-    angles: tuple
-    weights: tuple
-    role: str = STATE
+    _PERIOD = TWO_PI
 
-    def __post_init__(self):
-        if self.role not in (STATE, PARAMETER):
-            raise ValidationError(f"unknown role {self.role!r}")
-        pairs = _normalize(zip(self.angles, self.weights), MERGE_TOL, wrap=TWO_PI)
-        object.__setattr__(self, "angles", tuple(x for x, _ in pairs))
-        object.__setattr__(self, "weights", tuple(w for _, w in pairs))
-        total = sum(self.weights)
-        if self.role == STATE and abs(total - 1.0) > MASS_TOL:
+    def _check_state_mass(self, total):
+        if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"circle state measure mass {total} must equal 1")
 
-    @classmethod
-    def from_pairs(cls, pairs, role=STATE):
-        pairs = list(pairs)
-        return cls(tuple(x for x, _ in pairs), tuple(w for _, w in pairs), role)
-
-    @classmethod
-    def dirac(cls, angle, weight=1.0, role=STATE):
-        return cls((angle,), (weight,), role)
-
-    @classmethod
-    def zero(cls):
-        return cls((), (), PARAMETER)
-
     @property
-    def atoms(self):
-        return tuple(zip(self.angles, self.weights))
-
-    @property
-    def is_zero(self):
-        return not self.angles
-
-    @property
-    def mass(self):
-        return sum(self.weights)
+    def angles(self):
+        """The atoms' angles: ``positions`` under its name on the circle."""
+        return self.positions
 
     @property
     def points(self):
@@ -217,14 +214,3 @@ class CircleMeasure:
     def moment(self, p):
         """Integral of zeta^p: sum of w * e^{i p theta}."""
         return sum(w * cmath.exp(1j * p * t) for t, w in self.atoms)
-
-    @property
-    def mean(self):
-        return self.moment(1)
-
-    def to_json_pairs(self):
-        return [[t, w] for t, w in self.atoms]
-
-    @classmethod
-    def from_json_pairs(cls, pairs, role=STATE):
-        return cls.from_pairs(((float(t), float(w)) for t, w in pairs), role)

@@ -129,9 +129,9 @@ class NevanlinnaData:
             object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
 
     @classmethod
-    def from_parts(cls, m, gamma, sigma_pairs):
-        return cls(float(m), float(gamma),
-                   FiniteAtomicMeasure.from_pairs(sigma_pairs, role=PARAMETER))
+    def from_parts(cls, m, gamma, sigma):
+        """The triple of m, gamma and sigma's (position, weight) pairs."""
+        return cls(float(m), float(gamma), FiniteAtomicMeasure.from_pairs(sigma, role=PARAMETER))
 
     def __call__(self, z):
         return z / self.m - self._e(z)

@@ -16,7 +16,6 @@ from ncprob.circle import (
     DiskGrid,
     beta_condition_check,
     boolean_idiv_eta,
-    boolean_power_eta,
     circle_boolean_idiv,
     circle_classical_idiv_fourier,
     circle_flow_map,
@@ -468,6 +467,27 @@ def test_disk_flows_reject_non_finite_time_and_bad_step(no_hang, engine, t_end, 
             "circle_semigroup_defect": lambda: circle_semigroup_defect(gen, t_end, step)}
     with pytest.raises(ValidationError):
         call[engine]()
+
+
+@pytest.mark.parametrize("times, step", [
+    ((0.5,), 0.0), ((0.5,), math.nan), ((math.inf,), 1e-3), ((math.nan,), 1e-3),
+    ((0.0,), 1e-3), ((-0.5, 1.0), 1e-3), ((0.5, 0.2), 1e-3), ((0.5, 0.5), 1e-3), ((), 1e-3),
+], ids=["step_0", "step_nan", "time_inf", "time_nan", "time_0", "time_negative",
+        "times_decreasing", "times_repeated", "no_times"])
+def test_disk_flow_root_rejects_bad_times_and_step(times, step):
+    # unchecked, step 0 grows the step schedule without end, a time of 0
+    # fails inside disk_powers and times (0.5, 0.2) integrate to 0.5
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    with pytest.raises(ValidationError):
+        DiskFlowRoot(gen, times, step)
+
+
+def test_eta_distance_rejects_unequal_and_empty_samples():
+    values = DiskGrid.sample(eta_fn(CircleMeasure.dirac(0.4))).values
+    with pytest.raises(ValidationError, match="16 and 3"):
+        eta_distance(values, values[:3])
+    with pytest.raises(ValidationError, match="0 and 0"):
+        eta_distance((), ())
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), 1.0, 0.6 + 0.8j])

@@ -92,6 +92,29 @@ def test_convolve_free_rejects_csv_format(tmp_path, capsys):
     assert not list(tmp_path.glob("fc_*"))
 
 
+@pytest.mark.parametrize("atoms, named", [
+    ([[1]], "atom [1] "),
+    ({"x": 1}, "atom 'x' "),
+    ([[0, "a"]], "atom (0, 'a') "),
+    ([[0, 0.5, 2]], "atom [0, 0.5, 2] "),
+    (5, "got 5"),
+    (None, "got None"),
+    ([[0, None]], "atom (0, None) "),
+    ([[0, -0.5]], "negative weight -0.5"),
+], ids=["short_pair", "object", "string_weight", "triple", "number", "null", "null_weight",
+        "negative_weight"])
+def test_convolve_rejects_malformed_measure_file(tmp_path, capsys, atoms, named):
+    """A measure file other than [[position, weight], ...] exits 2 with the bad entry named."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(atoms))
+    good.write_text(json.dumps([[-1.0, 0.5], [1.0, 0.5]]))
+    assert run(["convolve", "--op", "classical", "--a", bad, "--b", good,
+                "--output", tmp_path / "c"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and named in err
+    assert not list(tmp_path.glob("c_*"))
+
+
 def test_idiv_boolean_pure_drift(tmp_path):
     out = tmp_path / "drift"
     assert run(["idiv", "--gamma", 2, "--sigma", "", "--op", "boolean",

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -9,6 +10,9 @@ from ncprob.measures import MERGE_TOL, PARAMETER, STATE, CircleMeasure, FiniteAt
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 weights = st.floats(0.001, 1.0, allow_nan=False)
+
+#: the behaviour both measure classes share, tested once over each
+both_classes = pytest.mark.parametrize("cls", [FiniteAtomicMeasure, CircleMeasure])
 
 
 def test_mass_examples(bernoulli):
@@ -38,10 +42,32 @@ def test_dilate_zero_rejected(bernoulli):
         bernoulli.dilate(0.0)
 
 
-def test_construction_sorts_and_merges():
-    mu = FiniteAtomicMeasure.from_pairs([(1.0, 0.25), (-1.0, 0.5), (1.0 + 1e-13, 0.25)])
-    assert mu.positions == (-1.0, pytest.approx(1.0, abs=1e-12))
+@both_classes
+def test_construction_sorts_and_merges(cls):
+    mu = cls.from_pairs([(1.0, 0.25), (0.5, 0.5), (1.0 + 1e-13, 0.25)])
+    assert mu.positions == (0.5, pytest.approx(1.0, abs=1e-12))
     assert mu.weights == (0.5, 0.5)
+
+
+@both_classes
+def test_unknown_role_rejected_and_role_changed(cls):
+    with pytest.raises(ValidationError, match="unknown role"):
+        cls.from_pairs([(0.5, 1.0)], role="prior")
+    sigma = cls.dirac(0.5).with_role(PARAMETER)
+    assert type(sigma) is cls
+    assert (sigma.role, sigma.atoms) == (PARAMETER, ((0.5, 1.0),))
+
+
+@both_classes
+def test_zero_and_dirac(cls):
+    zero = cls.zero()
+    assert (zero.is_zero, zero.mass, zero.role, zero.atoms) == (True, 0, PARAMETER, ())
+    with pytest.raises(ValidationError):
+        zero.with_role(STATE)
+    d = cls.dirac(0.5)
+    assert (d.atoms, d.mass, d.role, d.is_zero) == (((0.5, 1.0),), 1.0, STATE, False)
+    assert d.mean == pytest.approx(0.5 if cls is FiniteAtomicMeasure else cmath.exp(0.5j))
+    assert cls.dirac(0.5, 3.0, role=PARAMETER).mass == 3.0
 
 
 def test_zero_weights_dropped_and_state_nonzero():
@@ -105,12 +131,13 @@ def test_dilate_roundtrip_and_mass(pairs, s):
     assert mu.translate(1.7).mass == pytest.approx(mu.mass, rel=1e-15)
 
 
-def test_json_roundtrip_exact(rng):
+@both_classes
+def test_json_roundtrip_exact(rng, cls):
     positions = rng.uniform(-5, 5, 6)
     ws = rng.uniform(0.01, 0.15, 6)
-    mu = FiniteAtomicMeasure.from_pairs(zip(positions, ws))
+    mu = cls.from_pairs(zip(positions, ws / ws.sum()))
     blob = json.dumps(mu.to_json_pairs())
-    back = FiniteAtomicMeasure.from_json_pairs(json.loads(blob))
+    back = cls.from_pairs(json.loads(blob))
     assert back.positions == mu.positions
     assert back.weights == mu.weights
 
@@ -135,10 +162,6 @@ def test_circle_state_mass_must_be_one():
 def test_circle_angles_wrap_and_merge():
     mu = CircleMeasure.from_pairs([(2 * math.pi - 1e-14, 0.5), (0.0, 0.5)])
     assert len(mu.angles) == 1
+    assert mu.angles is mu.positions
     assert mu.mass == 1.0
 
-
-def test_circle_json_roundtrip():
-    mu = CircleMeasure.from_pairs([(0.3, 0.25), (4.1, 0.75)])
-    back = CircleMeasure.from_json_pairs(json.loads(json.dumps(mu.to_json_pairs())))
-    assert back.atoms == mu.atoms
