@@ -10,8 +10,10 @@ measures.
 Monotone convolution semigroups on the circle solve d eta/dt = A(eta) with
 A(z) = z(i beta - integral (1+zeta z)/(1-zeta z) dsigma); the k_n-th roots
 sampled from such a flow are the arrays whose powers the rotation-correction
-machinery repairs.  A run's k_n-fold powers and its time-one flow are
-iterated together as the lanes of one array pass (``disk_powers``).
+machinery repairs.  Every disk flow is integrated by one RK4 driver, the
+lanes of ``disk_powers``: the flow map, its snapshots and the semigroup
+defect are rows of DiskFlowRoots, and a run's k_n-fold powers and its
+time-one flow are the lanes of one pass.
 """
 
 from __future__ import annotations
@@ -296,47 +298,19 @@ def _disk_points(points):
     return z
 
 
-def _schedule(t_from, t_to, step):
-    """The (h, t) of each RK4 step of a fixed-step leg: h = step, the last one ends it at t_to."""
-    out, t = [], t_from
-    while t < t_to - 1e-15:
-        h = min(step, t_to - t)
-        t += h
-        out.append((h, t))
-    return out
-
-
-def _rk4_disk_leg(gen, w, t_from, t_to, step, r0, z0):
-    """Integrate d eta/dt = A(eta) from t_from to t_to for one point or an ndarray.
-
-    The step is fixed, so every point shares t and h; |eta_t| <= r0 is
-    checked per point, and a failure names the start point z0.  r0 is an
-    ndarray or a numpy scalar, so the check has .any() for a point too.
-    """
-    limit = r0 * (1.0 + 1e-9)
-    for h, t in _schedule(t_from, t_to, step):
-        w = _rk4_step(gen.a_eval, w, h, gen.a_eval(w))
-        bad = abs(w) > limit
-        if bad.any():
-            i = np.argmax(bad)
-            raise FlowError(f"disk flow from z0={complex(np.ravel(z0)[i])!r} violated "
-                            f"|eta_t(z)| <= |z| at t={t:.6f}")
-    return w
-
-
 def circle_flow_map(gen, t_end, z, step=FLOW_STEP):
-    """eta_t(z) by RK4 from eta_0 = id.
+    """eta_t(z) by RK4 from eta_0 = id, for one point (a complex) or an ndarray of its shape.
 
-    z is one point, integrated as a Python complex, or an ndarray, run in
-    lockstep; both go through the same leg.
+    The flow is the k = 1 row of a DiskFlowRoot at t_end in ``disk_powers``,
+    so a point is the one lane of an array.
     """
     t_end = _check_flow_args(t_end, step)
     shape = np.shape(z)
-    z0 = _disk_points(z)
-    if not shape:
-        z0 = complex(z0[0])
-    w = z0 if t_end == 0 else _rk4_disk_leg(gen, z0, 0.0, t_end, step, np.abs(z0), z0)
-    return w.reshape(shape) if shape else w
+    w = _disk_points(z)
+    if t_end:
+        root = DiskFlowRoot(gen, (t_end,), step)
+        (w,) = disk_powers([(root, 1, w, f"flow to t={t_end!r}", 1.0)])
+    return w.reshape(shape) if shape else complex(w[0])
 
 
 @dataclass(frozen=True)
@@ -351,14 +325,17 @@ def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     """max |eta_t(z) - eta_{t/2}(eta_{t/2}(z))| over the grid.
 
     Composed legs run at the stated step, the direct reference at step/2, so
-    the defect measures the integrator-limited semigroup deviation.
+    the defect measures the integrator-limited semigroup deviation.  Both
+    are rows of one ``disk_powers`` pass: the direct flow a k = 1 row to t,
+    the composition a k = 2 row to t/2.
     """
     t_end = _check_flow_args(t_end, step)
     z = _disk_points(points)
-    r0 = np.abs(z)
-    direct = _rk4_disk_leg(gen, z, 0.0, t_end, 0.5 * step, r0, z)
-    half = _rk4_disk_leg(gen, z, 0.0, 0.5 * t_end, step, r0, z)
-    comp = _rk4_disk_leg(gen, half, 0.0, 0.5 * t_end, step, np.abs(half), z)
+    if not t_end:
+        return 0.0
+    direct, comp = disk_powers([
+        (DiskFlowRoot(gen, (t_end,), 0.5 * step), 1, z, "direct flow at step/2", 1.0),
+        (DiskFlowRoot(gen, (0.5 * t_end,), step), 2, z, "two half flows", 1.0)])
     return float(np.abs(direct - comp).max(initial=0.0))
 
 
@@ -370,13 +347,18 @@ def _check_disk_flow_args(t_end, step):
 
 
 def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
-    """Integrate the disk flow; the derivative at 0 is tracked analytically."""
+    """Integrate the disk flow; the derivative at 0 is tracked analytically.
+
+    The snapshots at t/2 and t are the k = 1 rows of DiskFlowRoots with
+    times (t/2,) and (t/2, t), run in one ``disk_powers`` pass.
+    """
     t_end = _check_disk_flow_args(t_end, step)
     times = (0.0, 0.5 * t_end, t_end)
     z = _disk_points(points)
-    r0 = np.abs(z)
-    half = _rk4_disk_leg(gen, z, 0.0, times[1], step, r0, z)
-    full = _rk4_disk_leg(gen, half, times[1], times[2], step, r0, z)
+    half = full = z
+    if t_end:
+        half, full = disk_powers([(DiskFlowRoot(gen, times[1:2], step), 1, z, "flow to t/2", 1.0),
+                                  (DiskFlowRoot(gen, times[1:], step), 1, z, "flow to t", 1.0)])
     grids = tuple(DiskGrid(tuple(points), v) for v in (z, half, full))
     means = tuple(cmath.exp(gen.mean_rate * t) for t in times)
     return CircleFlowResult(times, grids, means, float(step))
@@ -386,10 +368,10 @@ def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
 class DiskFlowRoot:
     """eta = lam * eta_t of gen's flow, by fixed-step RK4 legs from 0 to each of ``times``.
 
-    A row of ``CircleArraySpec.semigroup`` is the root at t = 1/n; the
-    time-one target of ``circle_reports`` runs the two legs, to 1/2 and to
-    1, of ``circle_monotone_flow``.  Calling it evaluates eta; a k-fold
-    power runs its step schedule in ``disk_powers``.
+    It is data, not a callable: ``disk_powers`` runs its step schedule once
+    per iteration.  A row of ``CircleArraySpec.semigroup`` is the root at
+    t = 1/n; the time-one target of ``circle_reports`` runs the two legs, to
+    1/2 and to 1, of ``circle_monotone_flow``.
     """
 
     gen: CircleGenerator
@@ -406,19 +388,18 @@ class DiskFlowRoot:
 
     @functools.cached_property
     def schedule(self):
-        """The (h, t) of each RK4 step of one application, leg after leg."""
-        starts = (0.0,) + tuple(self.times[:-1])
-        return tuple(ht for t0, t1 in zip(starts, self.times)
-                     for ht in _schedule(t0, t1, self.step))
+        """The (h, t) of each RK4 step of one application, leg after leg.
 
-    def __call__(self, z):
-        shape = np.shape(z)
-        z0 = _disk_points(z)
-        w, r0, t0 = z0, np.abs(z0), 0.0
-        for t1 in self.times:
-            w = _rk4_disk_leg(self.gen, w, t0, t1, self.step, r0, z0)
-            t0 = t1
-        return self.lam * (w.reshape(shape) if shape else complex(w[0]))
+        Each leg steps by h = step from its start, and its last step ends it
+        at its time; a leg of at most 1e-15 takes no step.
+        """
+        out = []
+        for t, t_to in zip((0.0,) + self.times[:-1], self.times):
+            while t < t_to - 1e-15:
+                h = min(self.step, t_to - t)
+                t += h
+                out.append((h, t))
+        return tuple(out)
 
 
 class _DiskLanes:
@@ -432,7 +413,9 @@ class _DiskLanes:
     its rows as a kernel of its own, one call a tick.  Each RK4 step keeps
     |w| <= r (1 + 1e-9), with r the modulus at the start of the iteration,
     and so does each iteration's end; a failure raises a FlowError naming
-    the lane's start point, its iteration and its row's where.
+    the lane's start point, its iteration and its row's where.  A root with
+    no RK4 step (every leg at most 1e-15 long) takes no tick: each of its
+    iterations is the rotation alone.
     """
 
     def __init__(self, rows):
@@ -461,6 +444,9 @@ class _DiskLanes:
             lanes = np.flatnonzero(self.row == r)
             lo, hi = int(lanes[0]), int(lanes[-1]) + 1
             self.h[:row[1] * p, r] = np.tile([h for h, _ in row[0].schedule], row[1])
+            if not p:
+                self.w[lo:hi] *= (self.lam[lo:hi] * lam_row[lo:hi]) ** row[1]
+                continue
             block = (lo, self.w[lo:hi], lam_row[lo:hi], self.lam[lo:hi], self.lim[lo:hi])
             for j in range(1, row[1] + 1):
                 self.ends[j * p - 1].append(block)
@@ -512,10 +498,14 @@ def disk_powers(rows):
     The rows of the DiskFlowRoots of one generator share one kernel, and the
     rows of any other eta one per eta (``_DiskLanes``); every tick steps
     each kernel's running lanes.  Returns one array per row, shaped like
-    its z.
+    its z; a row without points gets an empty one and joins no kernel.
     """
     rows, groups = list(rows), {}
-    for i, (eta, *_) in enumerate(rows):
+    out = [None] * len(rows)
+    for i, (eta, _, z, *_) in enumerate(rows):
+        if not np.size(z):
+            out[i] = np.empty(np.shape(z), dtype=complex)
+            continue
         key = (DiskFlowRoot, id(eta.gen)) if isinstance(eta, DiskFlowRoot) else id(eta)
         groups.setdefault(key, []).append(i)
     kernels = [_DiskLanes([rows[i] for i in idx]) for idx in groups.values()]
@@ -527,7 +517,6 @@ def disk_powers(rows):
             for ker, a in active:
                 ker._step(s, a)
         start = end
-    out = [None] * len(rows)
     for idx, ker in zip(groups.values(), kernels):
         for i, v in zip(idx, ker.values()):
             out[i] = v
@@ -536,25 +525,26 @@ def disk_powers(rows):
 
 @dataclass(frozen=True)
 class CircleArraySpec:
-    """One eta-evaluator per row n, with its mean and the target generator.
+    """One eta per row n >= 1, with its mean and the target generator.
 
-    Each row's eta callable takes an ndarray of grid points and returns the
-    ndarray of eta values.  Row n is raised to the power k_n = n: the rows
-    of ``semigroup`` are DiskFlowRoots at time 1/n, whose powers
-    ``disk_powers`` runs as RK4 lanes, and any other row's eta is called
-    once per iteration on the whole grid.
+    Row n is raised to the power k_n = n by ``disk_powers``.  The rows of
+    ``semigroup`` are DiskFlowRoots at time 1/n, data whose powers run as
+    RK4 lanes.  Any other row's eta is a callable that takes an ndarray of
+    grid points and returns the ndarray of eta values, called once per
+    iteration on the whole grid.
     """
 
     name: str
     n_values: tuple
-    eta_factory: object          # n -> callable eta_n, taking an ndarray of grid points
+    eta_factory: object          # n -> eta_n: a DiskFlowRoot, or a callable on an ndarray
     mean_fn: object              # n -> complex mean of row n
     generator: CircleGenerator   # target (beta, sigma)
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
-        if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValidationError("n_values must be strictly increasing")
+        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValidationError(f"n_values must be positive and strictly increasing; "
+                                  f"got {ns!r}")
         object.__setattr__(self, "n_values", ns)
 
     def eta_of(self, n):

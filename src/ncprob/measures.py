@@ -88,7 +88,10 @@ class _AtomicMeasure:
     def __post_init__(self):
         if self.role not in (STATE, PARAMETER):
             raise ValidationError(f"unknown role {self.role!r}")
-        pairs = _normalize(zip(self.positions, self.weights), MERGE_TOL, self._PERIOD)
+        positions, weights = tuple(self.positions), tuple(self.weights)
+        if len(positions) != len(weights):
+            raise ValidationError(f"{len(positions)} positions but {len(weights)} weights")
+        pairs = _normalize(zip(positions, weights), MERGE_TOL, self._PERIOD)
         object.__setattr__(self, "positions", tuple(x for x, _ in pairs))
         object.__setattr__(self, "weights", tuple(w for _, w in pairs))
         if self.role == STATE:

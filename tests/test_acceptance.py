@@ -208,7 +208,7 @@ def test_criterion_8_circle_mean_lemma():
         ws = ws / ws.sum() * float(rng.uniform(0.2, 1.0))
         sigma = CircleMeasure.from_pairs(zip(angles, ws), role=PARAMETER)
         gen = CircleGenerator(beta, sigma)
-        vals = [circle_flow_map(gen, 1.0, w, step=1e-3) for w in (r, 1j * r, -r, -1j * r)]
+        vals = circle_flow_map(gen, 1.0, np.array([r, 1j * r, -r, -1j * r]), step=1e-3)
         mean = (vals[0] - vals[2] - 1j * (vals[1] - vals[3])) / (4.0 * r)
         want = cmath.exp(1j * beta) * math.exp(-sigma.mass)
         assert abs(mean - want) <= 1e-6

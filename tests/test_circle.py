@@ -333,9 +333,9 @@ def test_fourier_extension_sympy_oracle():
 
 def test_flow_rotation_field():
     gen = CircleGenerator(0.5, CircleMeasure.zero())
-    for z in DISK_GRID[:4]:
-        got = circle_flow_map(gen, 1.0, z, step=1e-3)
-        assert got == pytest.approx(cmath.exp(0.5j) * z, abs=1e-12)
+    got = circle_flow_map(gen, 1.0, np.array(DISK_GRID[:4]), step=1e-3)
+    for z, w in zip(DISK_GRID[:4], got):
+        assert w == pytest.approx(cmath.exp(0.5j) * z, abs=1e-12)
 
 
 def test_flow_mean_identity():
@@ -343,7 +343,7 @@ def test_flow_mean_identity():
     s = 0.7
     gen = CircleGenerator(0.0, param([(0.0, s)]))
     r = 1e-4
-    vals = [circle_flow_map(gen, 1.0, w, step=1e-3) for w in (r, 1j * r, -r, -1j * r)]
+    vals = circle_flow_map(gen, 1.0, np.array([r, 1j * r, -r, -1j * r]), step=1e-3)
     mean = (vals[0] - vals[2] - 1j * (vals[1] - vals[3])) / (4.0 * r)
     assert mean == pytest.approx(math.exp(-s), abs=1e-8)
     # tracked analytic mean agrees
@@ -354,6 +354,30 @@ def test_flow_mean_identity():
 def test_flow_semigroup_defect():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     assert circle_semigroup_defect(gen, 1.0, 1e-3) <= 1e-6
+
+
+def test_disk_flows_at_time_zero_keep_the_start_grid():
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    flow = circle_monotone_flow(gen, 0.0, 1e-3)
+    assert flow.times == (0.0, 0.0, 0.0)
+    assert all(grid.values == DISK_GRID for grid in flow.grids)
+    assert flow.means == (1.0, 1.0, 1.0)
+    assert circle_semigroup_defect(gen, 0.0, 1e-3) == 0.0
+    # the start points are checked at t = 0 too
+    with pytest.raises(ValidationError):
+        circle_semigroup_defect(gen, 0.0, 1e-3, points=(0.1, 1.0))
+
+
+def test_disk_flows_shorter_than_a_step_schedule_keep_the_start_grid():
+    # a time of at most 1e-15 takes no RK4 step: the flow is the identity
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    z = np.array(DISK_GRID)
+    assert np.array_equal(circle_flow_map(gen, 1e-16, z), z)
+    assert all(grid.values == DISK_GRID for grid in circle_monotone_flow(gen, 1.5e-15).grids)
+    # a root with no step is its rotation alone, once per iteration
+    lam = cmath.exp(0.25j)
+    (got,) = disk_powers([(DiskFlowRoot(gen, (1e-16,), 1e-3, lam), 3, z, "no step", 1j)])
+    assert np.allclose(got, (1j * lam) ** 3 * z, rtol=0, atol=1e-15)
 
 
 def test_eta_metric_vs_moments(rng):
@@ -508,24 +532,45 @@ def test_circle_flow_map_scalar_and_array_forms():
     assert got.shape == (4, 4)
     one = circle_flow_map(gen, 0.25, DISK_GRID[5])
     assert isinstance(one, complex)
-    assert abs(one - got.ravel()[5]) <= 1e-15
+    assert one == got.ravel()[5]
     assert np.array_equal(circle_flow_map(gen, 0.0, z), z)
     assert np.array_equal(circle_flow_map(gen, 0.25, list(DISK_GRID)), got.ravel())
 
 
-def test_one_point_disk_flow_runs_the_shared_leg_on_a_complex(monkeypatch):
-    seen = []
-    leg = circle._rk4_disk_leg
-
-    def spy(gen, w, *args):
-        seen.append(type(w))
-        return leg(gen, w, *args)
-
-    monkeypatch.setattr(circle, "_rk4_disk_leg", spy)
+def test_disk_flows_on_no_points():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    circle_flow_map(gen, 0.25, DISK_GRID[5])
-    circle_flow_map(gen, 0.25, np.array(DISK_GRID))
-    assert seen == [complex, np.ndarray]
+    for t_end in (0.0, 1.0):
+        got = circle_flow_map(gen, t_end, np.array([]))
+        assert got.shape == (0,) and got.dtype == complex
+        assert circle_flow_map(gen, t_end, np.empty((2, 0))).shape == (2, 0)
+        flow = circle_monotone_flow(gen, t_end, points=())
+        assert all(grid.values == () for grid in flow.grids)
+        assert circle_semigroup_defect(gen, t_end, points=()) == 0.0
+
+
+def test_disk_powers_give_a_row_without_points_an_empty_array():
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    root = DiskFlowRoot(gen, (0.25,), 1e-3)
+    z = np.array(DISK_GRID)
+    empty = (root, 2, np.empty((3, 0)), "row n=2, k=2", 1.0)
+    (alone,) = disk_powers([empty])
+    assert alone.shape == (3, 0) and alone.dtype == complex
+    healthy = (root, 2, z, "row n=3, k=2", 1.0)
+    callable_empty = (eta_fn(CircleMeasure.dirac(0.4)), 2, np.array([]), "custom", 1.0)
+    got = disk_powers([empty, healthy, callable_empty])
+    assert [v.shape for v in got] == [(3, 0), (16,), (0,)]
+    assert np.array_equal(got[1], disk_powers([healthy])[0])
+
+
+@pytest.mark.parametrize("n_values", [(0, 16), (-1, 16), (-16, -8)])
+def test_circle_array_spec_rejects_rows_below_one(n_values):
+    # unchecked, n = 0 divides by zero and n = -1 writes a report row of k = -1
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    with pytest.raises(ValidationError, match="positive"):
+        CircleArraySpec.semigroup(gen, n_values)
+    measures = {n: CircleMeasure.dirac(0.3) for n in n_values}
+    with pytest.raises(ValidationError, match="positive"):
+        CircleArraySpec.from_measures(measures, gen)
 
 
 def test_disk_flow_error_names_start_point():
@@ -571,17 +616,33 @@ def _mp_flow(gen, z, t_end=1.0):
     CircleGenerator(-0.7, param([(1.0, 0.4), (4.0, 0.25)])),
 ])
 def test_disk_flow_matches_mpmath_ode_oracle(gen):
-    for z in (DISK_GRID[0], DISK_GRID[3], DISK_GRID[13]):
-        assert abs(circle_flow_map(gen, 1.0, z, step=1e-3) - _mp_flow(gen, z)) <= 1e-12
+    points = (DISK_GRID[0], DISK_GRID[3], DISK_GRID[13])
+    for z, w in zip(points, circle_flow_map(gen, 1.0, np.array(points), step=1e-3)):
+        assert abs(w - _mp_flow(gen, z)) <= 1e-12
 
 
 def _per_point_power(e, k, points=DISK_GRID):
-    """Reference monotone power: one scalar eta call per point and iteration."""
+    """Reference monotone power: one Python-complex eta per point and iteration.
+
+    A DiskFlowRoot's eta is its own RK4 over the root's schedule, then its
+    lam, so the reference shares no code with the lanes of disk_powers.
+    """
+    def flow_root(w):
+        a = e.gen.a_eval
+        for h, _ in e.schedule:
+            k1 = complex(a(w))
+            k2 = complex(a(w + 0.5 * h * k1))
+            k3 = complex(a(w + 0.5 * h * k2))
+            k4 = complex(a(w + h * k3))
+            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return e.lam * w
+
+    eta_one = flow_root if isinstance(e, DiskFlowRoot) else e
     out = []
     for z in points:
         w = complex(z)
         for _ in range(k):
-            w = complex(e(w))
+            w = complex(eta_one(w))
         out.append(w)
     return out
 

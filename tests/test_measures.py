@@ -70,6 +70,15 @@ def test_zero_and_dirac(cls):
     assert cls.dirac(0.5, 3.0, role=PARAMETER).mass == 3.0
 
 
+@both_classes
+def test_unequal_positions_and_weights_rejected(cls):
+    # zipped without a check, (0, 1) with one weight built a Dirac at 0 and dropped 1
+    for positions, weights in [((0.0, 1.0), (0.5,)), ((0.0, 1.0, 2.0), (1.0,)),
+                               ((0.5,), (0.25, 0.75)), ((), (1.0,))]:
+        with pytest.raises(ValidationError, match="positions but"):
+            cls(positions, weights)
+
+
 def test_zero_weights_dropped_and_state_nonzero():
     mu = FiniteAtomicMeasure.from_pairs([(0.0, 1.0), (5.0, 0.0)])
     assert mu.atoms == ((0.0, 1.0),)
