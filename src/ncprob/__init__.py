@@ -40,7 +40,9 @@ from .idiv import (
     flow_distance_bound,
     flow_map,
     free_idiv,
+    free_idiv_atom,
     monotone_idiv,
+    monotone_idiv_atom,
     monotone_idiv_eval,
     monotone_idiv_flow,
     phi_eval,
@@ -91,9 +93,11 @@ __all__ = [
     "flow_map",
     "free_convolve",
     "free_idiv",
+    "free_idiv_atom",
     "free_power_grid",
     "monotone_convolve",
     "monotone_idiv",
+    "monotone_idiv_atom",
     "monotone_idiv_eval",
     "monotone_idiv_flow",
     "monotone_power_grid",

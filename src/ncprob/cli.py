@@ -44,12 +44,14 @@ from .idiv import (
     LevyTriple,
     boolean_idiv,
     classical_idiv_density,
+    free_idiv_atom,
     free_idiv_eval,
+    monotone_idiv_atom,
     monotone_idiv_eval,
     monotone_idiv_flow,
 )
 from .measures import MASS_TOL, CircleMeasure, FiniteAtomicMeasure, PARAMETER
-from .transforms import ZR, stieltjes_invert
+from .transforms import ATOM_THRESHOLD, ZR, line_density
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -212,11 +214,13 @@ def _dump_json(obj, path):
 
 
 def _write_csv(path, header_lines, rows):
+    """Header lines as comments, then one line of repr'd values per row (rows of equal length)."""
+    text = "".join(f"# {line}\n" for line in header_lines)
+    if rows:
+        line = ",".join(["%r"] * len(rows[0])) + "\n"
+        text += "".join([line % tuple(row) for row in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for row in rows:
-            fh.write(",".join(repr(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def _write_svg(path, points, width=640, height=360):
@@ -284,21 +288,25 @@ def cmd_idiv(args):
         return EXIT_OK
     if args.op == "classical":
         xs, dens = classical_idiv_density(triple)
-        keep = [(float(x), float(d)) for x, d in zip(xs, dens) if lo <= x <= hi]
+        keep = [(x, d) for x, d in zip(xs.tolist(), dens.tolist()) if lo <= x <= hi]
+        if not keep:
+            raise ValidationError(f"--x-window {args.x_window} holds no point of the "
+                                  f"classical density grid [{xs[0]:.4f}, {xs[-1]:.4f}]")
         _write_csv(f"{out}_density.csv", _provenance(args, "classical") + ["x,density"], keep)
         if args.svg:
             _write_svg(f"{out}_density.svg", keep)
         return EXIT_OK
+    # the law's one possible atom is known in closed form, so G is read on the grid only
     if args.op == "monotone":
-        g = lambda z: 1.0 / monotone_idiv_eval(triple, z)
+        engine, atom = monotone_idiv_eval, monotone_idiv_atom(triple)
     else:  # free
-        g = lambda z: 1.0 / free_idiv_eval(triple, z)
-    inv = stieltjes_invert(g, eps, (lo, hi), args.bins)
-    _write_csv(f"{out}_density.csv", _provenance(args, args.op) + ["x,density"],
-               inv.density)
-    _emit_atoms(args, out, f"{args.op}-idiv", [list(a) for a in inv.atoms])
+        engine, atom = free_idiv_eval, free_idiv_atom(triple)
+    _, density = line_density(lambda z: 1.0 / engine(triple, z), eps, (lo, hi), args.bins)
+    shown = atom is not None and atom[1] > ATOM_THRESHOLD and lo <= atom[0] <= hi
+    _write_csv(f"{out}_density.csv", _provenance(args, args.op) + ["x,density"], density)
+    _emit_atoms(args, out, f"{args.op}-idiv", [list(atom)] if shown else [])
     if args.svg:
-        _write_svg(f"{out}_density.svg", inv.density)
+        _write_svg(f"{out}_density.svg", density)
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ time-one map of the ODE flow dF/dt = Phi(F) with Phi(z) = -gamma - log(m) z
 + integral of (1+xz)/(x-z) dsigma; the monotone law itself, on a density
 grid or as the target of the real-line scenario commands, is read from the
 Abel equation of that flow, while the flow snapshots and the flow-root rows
-integrate it by fixed-step RK4).
+integrate it by fixed-step RK4).  The free and the monotone law each have
+at most one atom, whose position and weight follow from the triple
+(``free_idiv_atom``, ``monotone_idiv_atom``), so a density sweep reads only
+the density off G near the axis.
 """
 
 from __future__ import annotations
@@ -73,6 +76,27 @@ def free_idiv_eval(triple, z):
     if abs(triple.m - 1.0) > MASS_TOL:
         raise ValidationError("the free family needs m = 1")
     return upper_root(z, *triple._secular)
+
+
+def free_idiv_atom(triple):
+    """The free law's atom as (x0, weight), or None when it has none.
+
+    F solves F + phi(F) = z, so F vanishes at most once on the line: at
+    x0 = phi(0) = gamma' - sum c/p, where the residue of G = 1/F is
+    1 + phi'(0) = 1 - sum c/p^2 (Bercovici & Voiculescu, Regularity
+    questions for free convolution, 1998).  There is no atom when 0 is a
+    pole of phi or that weight is not positive; an empty sigma gives the
+    Dirac mass at gamma'.
+    """
+    if abs(triple.m - 1.0) > MASS_TOL:
+        raise ValidationError("the free family needs m = 1")
+    if 0.0 in triple.sigma.positions:
+        return None
+    gamma, p, c = triple._secular
+    weight = 1.0 - float(np.sum(c / (p * p)))
+    if not weight > 0.0:
+        return None
+    return gamma - float(np.sum(c / p)), weight
 
 
 def free_idiv(triple, points=ZR):
@@ -319,6 +343,59 @@ def monotone_idiv_eval(triple, z):
         raise FlowError(f"flow from z0={complex(np.atleast_1d(z)[i])!r}: "
                         f"|Psi(F_1) - Psi(z0) - 1| = {residual[i]:.3e}")
     return w.reshape(shape) if shape is not None else w
+
+
+def monotone_idiv_atom(triple):
+    """The monotone law's atom as (x0, weight), or None when it has none.
+
+    F_1 vanishes at most once on the line: at x0 = F_{-1}(0), where the
+    real flow from 0 arrives after running back for time one.  By the Abel
+    equation (Berkson & Porta 1978) Psi(x0) = Psi(0) - 1, and the weight
+    1/F_1'(x0) is Phi(x0)/Phi(0).  x0 lies between 0 and the nearest zero
+    q of Phi on the side of -sign Phi(0), where Psi - Psi(0) runs from 0
+    to -inf; x0 is bisected on it.  With no zero on that side the bracket
+    doubles until Psi - Psi(0) < -1.  There is no atom when 0 is an atom
+    of sigma (a pole of Phi) or when the weight comes out <= 0 (x0 within
+    rounding of q).  When Phi(0) = 0, 0 is a fixed point,
+    F_1'(0) = e^{Phi'(0)} and the weight is e^{-Phi'(0)}; Phi = 0 leaves
+    the Dirac mass at 0.
+
+    Psi - Psi(0) is d(x) - d(0) for ``_abel_corrector``'s d based at i,
+    and Phi(x0)/Phi(0) is the product of (q - x0)/q over the zeros of Phi
+    divided by that of (p - x0)/p over its poles.  Neither divides by
+    Phi(0): when Phi(0) is within a few roundings of 0 (a triple with
+    Phi(0) = 0 in exact arithmetic), so is q, and d based at 0 or the
+    plain quotient would divide rounding by rounding.
+    """
+    if 0.0 in triple.sigma.positions:
+        return None
+    phi0 = _phi(triple)(0.0)
+    if phi0 == 0.0:
+        return 0.0, math.exp(-phi_deriv(triple, 0.0))
+    side = -math.copysign(1.0, phi0)
+    _, d = _abel_corrector(triple, 1j)
+    d0 = d(0.0)
+    psi = lambda x: (d(x) - d0).real
+    zeros = triple._abel[0]
+    ahead = [q for q in zeros if side * q > 0.0]
+    if ahead:
+        end = min(ahead, key=abs)
+    else:
+        end = side
+        while psi(end) > -1.0:
+            end *= 2.0
+    inner = 0.0
+    while True:
+        mid = 0.5 * (inner + end)
+        if mid == inner or mid == end:
+            break
+        if psi(mid) > -1.0:
+            inner = mid
+        else:
+            end = mid
+    weight = (math.prod((q - mid) / q for q in zeros)
+              / math.prod((p - mid) / p for p in triple.sigma.positions))
+    return (mid, weight) if weight > 0.0 else None
 
 
 def monotone_idiv(triple, points=ZR):

@@ -346,12 +346,28 @@ def _peak_candidates(a):
     return np.flatnonzero(peak)
 
 
-def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
+#: weight above which an inversion reports an atom
+ATOM_THRESHOLD = 0.1
+
+
+def line_density(g, eps, x_window, n_bins):
+    """G on the line Im z = eps read as a density: (G-values, ((x, density), ...)).
+
+    g takes the ndarray ``eps_line_grid(x_window, n_bins, eps)`` once and
+    returns the ndarray of its values; density(x) = -Im G(x + i eps)/pi.
+    """
+    pts = eps_line_grid(x_window, n_bins, eps)
+    vals = np.asarray(g(pts), dtype=complex)
+    dens = -vals.imag / math.pi
+    return vals, tuple(zip(pts.real.tolist(), dens.tolist()))
+
+
+def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=ATOM_THRESHOLD):
     """Density and atoms of a measure from its G-values near the real axis.
 
-    g is G: it takes the ndarray ``eps_line_grid(x_window, n_bins, eps)``
-    once and returns the ndarray of its values, and it takes single points
-    for the atom refinement.  density(x) = -Im G(x + i eps)/pi.
+    The density is ``line_density``'s; g also takes single points for the
+    atom refinement.  Laws whose atom is known in closed form (the free and
+    monotone ``idiv`` families) need only ``line_density``.
 
     Atom search: every local maximum of a(x) = eps |Im G(x + i eps)| is
     refined by a golden-section search between its neighbouring bins (the
@@ -359,7 +375,8 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     refined peak is an atom when it exceeds the 0.1 threshold, dominates
     half its local neighbourhood, and is eps-stable (value within 20% under
     a 10x larger eps -- a sharp density bump fails this).  The weight is
-    the refined peak itself, -eps Im G there.
+    the refined peak itself, -eps Im G there.  A peak that falls between
+    grid maxima is missed (an atom on the flank of a density bump).
 
     The refinement assumes g is G of a positive measure mu.  Then
     a(x) = integral of eps^2/((x - t)^2 + eps^2) dmu(t), and Harnack's
@@ -369,20 +386,17 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
     peak cannot pass the threshold test; candidates that stay run the full
     search, so the atoms found are those of the full search.
     """
-    pts = eps_line_grid(x_window, n_bins, eps)
-    xs = pts.real
-    vals = np.asarray(g(pts), dtype=complex)
-    dens = -vals.imag / math.pi
+    vals, density = line_density(g, eps, x_window, n_bins)
     a = eps * np.abs(vals.imag)
-    dx = xs[1] - xs[0]
+    dx = density[1][0] - density[0][0]
 
     atoms = []
-    half = max(3, int(0.05 * len(xs)))
+    half = max(3, int(0.05 * len(density)))
     for i in _peak_candidates(a):
         floor = max(atom_threshold, 0.5 * float(np.max(a[max(0, i - half): i + half + 1])))
+        x_i = density[i][0]
         refined = _golden_max(
-            lambda x: eps * abs(g(complex(x, eps)).imag),
-            xs[i] - dx, xs[i] + dx, eps, floor,
+            lambda x: eps * abs(g(complex(x, eps)).imag), x_i - dx, x_i + dx, eps, floor,
         )
         if refined is None:
             continue
@@ -393,7 +407,6 @@ def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=0.1):
         if not (0.8 * peak <= coarse <= 1.2 * peak):
             continue  # not eps-stable: a sharp density bump, not an atom
         atoms.append((float(x_star), float(peak)))
-    density = tuple((float(x), float(d)) for x, d in zip(xs, dens))
     return InversionResult(density, tuple(atoms))
 
 

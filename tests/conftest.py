@@ -80,3 +80,12 @@ def mp_time_one(m, gamma, sigma, z, w0):
 
         return complex(mpmath.findroot(d, mpmath.mpc(w0), df=lambda w: 1 / phi(w),
                                        solver="newton", tol=1e-15, verify=False))
+
+
+def mp_upper_root(z, shift, p, c, start, dps):
+    """The root of w - a + sum c/(w - p) = 0, a = z - shift, near start, to dps digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpc(z) - mpmath.mpf(shift)
+        p, c = [mpmath.mpf(v) for v in p], [mpmath.mpf(v) for v in c]
+        return mpmath.findroot(lambda w: w - a + sum(ck / (w - pk) for pk, ck in zip(p, c)),
+                               mpmath.mpc(start))

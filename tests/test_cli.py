@@ -18,7 +18,8 @@ from ncprob.cli import (
 )
 from ncprob.convolutions import free_convolve
 from ncprob.errors import RecoveryError, ValidationError
-from ncprob.idiv import LevyTriple, flow_map, free_idiv_eval, monotone_idiv_eval
+from ncprob.idiv import (LevyTriple, flow_map, free_idiv_eval, monotone_idiv_atom,
+                         monotone_idiv_eval)
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import eps_line_grid, stieltjes_invert
 
@@ -138,7 +139,8 @@ def test_idiv_monotone_density(tmp_path):
 
 
 def test_idiv_monotone_sweep_matches_pointwise_flow(tmp_path):
-    """The CLI sweep is stieltjes_invert over monotone_idiv_eval.
+    """The CLI sweep's density is stieltjes_invert's over monotone_idiv_eval; its atom
+    is monotone_idiv_atom's.
 
     RK4 at the default step cross-checks the densities: on these 41 bins
     they differ by at most 1.3e-7 relative, RK4's own error.
@@ -154,11 +156,70 @@ def test_idiv_monotone_sweep_matches_pointwise_flow(tmp_path):
     for (_, d), (_, d_ref) in zip(rows, ref.density):
         assert abs(d - d_ref) <= 1e-12 * abs(d_ref)
     atoms = read_json(f"{out}_atoms.json")["atoms"]
-    assert len(atoms) == 1
-    assert atoms == [list(a) for a in ref.atoms]
+    assert atoms == [list(monotone_idiv_atom(triple))]
     rk4 = flow_map(triple, 1.0, eps_line_grid((-6.0, 6.0), 41, 1e-3))
     for (_, d), f in zip(rows, rk4):
         assert abs(d + (1.0 / f).imag / math.pi) <= 1e-6 * abs(d)
+
+
+@pytest.mark.parametrize("argv, want", [
+    # an atom off the grid's local maxima, which the golden search missed
+    (["--op", "free", "--gamma=0.060636538272285545",
+      "--sigma=-0.5595902628868121:0.1729706684855219", "--bins", 301],
+     [0.36973889397304677, 0.27465668280868183]),
+    (["--op", "free", "--gamma", 0.5, "--sigma=", "--bins", 41], [0.5, 1.0]),
+    (["--op", "monotone", "--sigma=", "--gamma", 0], [0.0, 1.0]),
+    # the density-like triple of seed 33 in test_idiv.py, against its 30-digit oracle
+    (["--op", "monotone", "--m", 0.9085019299416368, "--gamma=-0.1336254873321931",
+      "--sigma=0.21098526941061957:0.3264465991157557", "--bins", 301],
+     [-0.6566622175205344, 0.23483597789618704]),
+], ids=["free_off_the_grid_maxima", "free_dirac", "monotone_dirac", "monotone_seed_33"])
+def test_idiv_sweep_writes_the_closed_form_atom(tmp_path, argv, want):
+    out = tmp_path / "atom"
+    assert run(["idiv", *argv, "--output", out]) == EXIT_OK
+    assert read_json(f"{out}_atoms.json")["atoms"] == [pytest.approx(want, rel=1e-14, abs=1e-15)]
+
+
+@pytest.mark.parametrize("weight, shown", [(0.1, False), (math.nextafter(0.1, 1.0), True)])
+def test_idiv_sweep_atom_threshold(tmp_path, monkeypatch, weight, shown):
+    """An atom is written when its weight is above 0.1."""
+    monkeypatch.setattr(cli, "free_idiv_atom", lambda triple: (0.25, weight))
+    out = tmp_path / "t"
+    assert run(["idiv", "--op", "free", "--sigma", "3:0.1", "--bins", 21,
+                "--output", out]) == EXIT_OK
+    assert read_json(f"{out}_atoms.json")["atoms"] == ([[0.25, weight]] if shown else [])
+
+
+@pytest.mark.parametrize("op", ["free", "monotone"])
+@pytest.mark.parametrize("window, shown", [("-1:0.5", True), ("-1:0.4", True),
+                                           ("0.4:1", True), ("0.5:1", False),
+                                           ("-1:0.3", False)])
+def test_idiv_sweep_atom_outside_the_window(tmp_path, op, window, shown):
+    """The Dirac mass at 0.4 is written when lo <= 0.4 <= hi."""
+    out = tmp_path / "w"
+    assert run(["idiv", "--op", op, "--gamma", 0.4, "--sigma=", "--bins", 21,
+                "--x-window=" + window, "--output", out]) == EXIT_OK
+    atoms = read_json(f"{out}_atoms.json")["atoms"]
+    assert atoms == ([[pytest.approx(0.4, abs=1e-15), 1.0]] if shown else [])
+
+
+@pytest.mark.parametrize("op", ["free", "monotone"])
+def test_idiv_sweep_evaluates_g_on_the_grid_only(tmp_path, monkeypatch, op):
+    """A sweep calls its F engine once, on the whole eps-line, and at no single point."""
+    name = f"{op}_idiv_eval"
+    engine, calls = getattr(cli, name), []
+
+    def recording(triple, z):
+        calls.append(z)
+        return engine(triple, z)
+
+    monkeypatch.setattr(cli, name, recording)
+    monkeypatch.setattr(idiv, name, recording)
+    out = tmp_path / "g"
+    assert run(["idiv", "--op", op, "--sigma", "3:0.1", "--bins", 301,
+                "--output", out]) == EXIT_OK
+    assert read_json(f"{out}_atoms.json")["atoms"]
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray) and calls[0].shape == (301,)
 
 
 def _plain_golden_max(fn, lo, hi, iters=60):
@@ -226,6 +287,16 @@ def test_idiv_rejects_non_finite_window_and_eps(tmp_path, capsys, op, flag, name
     assert not (tmp_path / "bad_density.csv").exists()
 
 
+@pytest.mark.parametrize("window", ["1000:2000", "-900:-500"])
+def test_idiv_classical_rejects_a_window_off_the_fft_grid(tmp_path, capsys, window):
+    """The FFT density covers about [-402, 402); a window beside it holds no point of it."""
+    out = tmp_path / "far"
+    assert run(["idiv", "--op", "classical", "--sigma", "0:1", "--x-window=" + window,
+                "--svg", "--output", out]) == EXIT_VALIDATION
+    assert f"--x-window {window} holds no point" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("op", ["monotone", "classical", "free", "boolean"])
 @pytest.mark.parametrize("flag", ["--gamma=nan", "--gamma=inf", "--gamma=-inf",
                                   "--m=1.00000001"])
@@ -288,6 +359,28 @@ def test_free_sweep_grid_values_match_single_points():
     on_grid = free_idiv_eval(triple, grid)
     assert isinstance(on_grid, np.ndarray) and on_grid.shape == grid.shape
     assert on_grid.tolist() == [free_idiv_eval(triple, z) for z in grid.tolist()]
+
+
+def _write_csv_by_rows(path, header_lines, rows):
+    """The CSV writer as one write per line: the reference for cli._write_csv."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for row in rows:
+            fh.write(",".join(repr(v) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("rows", [
+    (),
+    [[-1.0, 0.5], [1.0, 0.5]],
+    tuple((x, -x / 3.0) for x in np.linspace(-6.0, 6.0, 301).tolist()),
+    [(0.5, -3.0, 1.0, 1e-300, -0.0), (1.0, math.pi, 2.0, 5e-324, 1e300)],
+], ids=["empty", "atoms", "density", "flow"])
+def test_write_csv_matches_the_row_by_row_writer(tmp_path, rows):
+    header = ["ncprob test", "a,b"]
+    cli._write_csv(tmp_path / "one.csv", header, rows)
+    _write_csv_by_rows(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_flow_csv(tmp_path):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import mp_phi, mp_time_one
+from conftest import mp_phi, mp_time_one, mp_upper_root
 from ncprob import idiv
 from ncprob.errors import FlowError, ValidationError
 from ncprob.idiv import (
@@ -19,7 +19,9 @@ from ncprob.idiv import (
     flow_distance_bound,
     flow_map,
     free_idiv,
+    free_idiv_atom,
     free_idiv_eval,
+    monotone_idiv_atom,
     monotone_idiv_eval,
     monotone_idiv_flow,
     phi_deriv,
@@ -478,11 +480,121 @@ def test_monotone_sweep_misses_an_atom_off_the_grid_maxima():
     (0.7, 0.1, [(0.0, 0.3), (1.2, 0.2)], None),
     (0.8, 0.3, [(1.0, 0.3)], 0.8 * math.exp(-0.6)),  # Phi(0) = 0: e^{-Phi'(0)}
     (0.9, 0.0, [(-1.0, 0.2), (2.0, 0.4)], 0.9 * math.exp(-0.9)),
+    (1.0, 0.0, [], 1.0),                             # Phi = 0: the Dirac mass at 0
 ])
 def test_monotone_atom_oracle_edge_cases(m, gamma, sigma, weight):
+    """The oracle, the closed form and the sweep on the edge cases of the atom.
+
+    In the fourth case Phi(0) = 0 holds in exact arithmetic, and the float
+    sum that the closed form tests for it reads exactly 0 as well.
+    """
     atom = _mp_monotone_atom(m, gamma, sigma)
+    closed = monotone_idiv_atom(LevyTriple.from_parts(m, gamma, sigma))
     if weight is None:
-        assert atom is None
+        assert atom is None and closed is None
     else:
         assert atom[0] == 0.0 and atom[1] == pytest.approx(weight, rel=1e-14)
+        assert closed[0] == 0.0 and closed[1] == pytest.approx(weight, rel=1e-14)
     _check_sweep_atoms(m, gamma, sigma)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_monotone_idiv_atom_matches_the_abel_oracle(seed):
+    """The bisected root of Psi(x) = Psi(0) - 1 against the 30-digit oracle.
+
+    Measured on seeds 0-39: positions within 5.6e-16, weights within
+    6.1e-15 relative.
+    """
+    m, gamma, sigma = _density_like_triple(seed)
+    x, w = monotone_idiv_atom(LevyTriple.from_parts(m, gamma, sigma))
+    y, v = _mp_monotone_atom(m, gamma, sigma)
+    assert abs(x - y) <= 4e-15
+    assert abs(w - v) <= 1e-13 * v
+
+
+@pytest.mark.parametrize("m", [0.9, 1.0])
+@pytest.mark.parametrize("gamma", [2e-16, -2e-16, 3e-15, -3e-15, 3e-13, -3e-13, 3e-11])
+def test_monotone_idiv_atom_with_phi0_near_rounding(m, gamma):
+    """Phi(0) = -gamma here, Phi(0) = 0 at gamma = 0 in exact arithmetic; the nearest
+    zero of Phi lies within a few roundings of 0 as well.
+
+    The Abel difference based at 0 and the quotient Phi(x0)/Phi(0) divide
+    rounding by rounding there: weights off by up to 163%, and atoms of
+    weight 0.37 lost.  Measured on 220 such triples (gamma = +-{1, 2, 3, 5,
+    7} 10^-17 ... 10^-7): weights within 3.8e-14 relative.
+    """
+    sigma = [(-1.0, 0.2), (2.0, 0.4)]
+    x, w = monotone_idiv_atom(LevyTriple.from_parts(m, gamma, sigma))
+    y, v = _mp_monotone_atom(m, gamma, sigma)
+    assert abs(x - y) <= 1e-15 * max(1.0, abs(y))
+    assert abs(w - v) <= 1e-13 * v
+
+
+def test_monotone_idiv_atom_without_a_zero_of_phi_on_its_side():
+    """Where Phi keeps its sign beyond 0 the bracket doubles: drift, and a far drift."""
+    assert monotone_idiv_atom(LevyTriple.from_parts(1.0, 0.4, [])) == (0.4, 1.0)
+    triple = LevyTriple.from_parts(1.0, -3.0, [(1.0, 0.2)])  # Phi(0) > 0, one zero at 8/7
+    assert not [q for q in triple._abel[0] if q < 0.0]
+    atom, ref = monotone_idiv_atom(triple), _mp_monotone_atom(1.0, -3.0, [(1.0, 0.2)])
+    assert abs(atom[0] - ref[0]) <= 4e-15 * abs(ref[0])
+    assert abs(atom[1] - ref[1]) <= 1e-13 * ref[1]
+
+
+def _mp_free_atom(gamma, sigma, delta=mpmath.mpf("1e-25")):
+    """(x0, weight) of the free law's atom at 60 digits, or None.
+
+    x0 = gamma' - sum c/p, and the weight is the limit of (z - x0) G(z) at
+    z = x0 + i delta as delta -> 0, read at delta = 1e-25: G = 1/F with F
+    the 60-digit root of w - (z - gamma') + sum c/(w - p) = 0 near i delta
+    (F is about i delta, so 40 digits would leave it unconverged).  That
+    root is F only when it lies in C+; else F stays away from 0 and the law
+    has no atom.  When 0 is a pole of phi, F does not vanish either.
+    """
+    if any(x == 0.0 for x, _ in sigma):
+        return None
+    with mpmath.workdps(60):
+        p = [mpmath.mpf(x) for x, _ in sigma]
+        c = [mpmath.mpf(s) * (1 + x * x) for x, (_, s) in zip(p, sigma)]
+        shift = gamma + mpmath.fsum(x * mpmath.mpf(s) for x, (_, s) in zip(p, sigma))
+        x0 = shift - mpmath.fsum(ck / x for x, ck in zip(p, c))
+        w = mp_upper_root(x0 + 1j * delta, shift, p, c, 1j * delta, 60)
+        if not w.imag > 0:
+            return None
+        return float(x0), float((1j * delta / w).real)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_free_idiv_atom_matches_the_residue_oracle(seed):
+    """x0 = phi(0) and 1 + phi'(0) against (z - x0) G(z) as z -> x0, at 60 digits.
+
+    The density-like triples at m = 1; measured on seeds 0-39: the same 23
+    seeds without an atom, positions within 1.1e-16 and weights within
+    1.7e-16.  The weight bound is absolute: 1 - sum c/p^2 sums terms below
+    1, and cancels down to weights as small as 0.0036.
+    """
+    _, gamma, sigma = _density_like_triple(seed)
+    atom = free_idiv_atom(LevyTriple.from_parts(1.0, gamma, sigma))
+    ref = _mp_free_atom(gamma, sigma)
+    assert (atom is None) == (ref is None)
+    if ref is not None:
+        assert abs(atom[0] - ref[0]) <= 4e-16
+        assert abs(atom[1] - ref[1]) <= 5e-16
+
+
+@pytest.mark.parametrize("gamma, sigma, want", [
+    (0.5, [], (0.5, 1.0)),                     # no sigma: the Dirac mass at gamma
+    (0.0, [(0.0, 1.0)], None),                 # 0 a pole of phi: the semicircle
+    (0.3, [(1.0, 0.3)], (0.0, pytest.approx(0.4))),  # free Poisson of rate 0.6
+    (0.8, [(1.0, 0.8)], None),                 # rate 1.6: weight 1 - 1.6 < 0
+    (0.5, [(1.0, 0.5)], None),                 # rate 1: weight 0
+])
+def test_free_idiv_atom_edge_cases(gamma, sigma, want):
+    triple = LevyTriple.from_parts(1.0, gamma, sigma)
+    assert free_idiv_atom(triple) == want
+    if want is not None:
+        assert want == _mp_free_atom(gamma, sigma)
+
+
+def test_free_idiv_atom_needs_mass_one():
+    with pytest.raises(ValidationError, match="m = 1"):
+        free_idiv_atom(LevyTriple.from_parts(0.5, 0.0, []))

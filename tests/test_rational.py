@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import mp_upper_root
 from ncprob import rational
 from ncprob.cli import EXIT_NUMERICAL, main
 from ncprob.convolutions import monotone_convolve
@@ -184,15 +185,6 @@ def test_partial_fractions_rejects_bad_inputs():
         NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure((0.0,), (-0.5,), PARAMETER))
 
 
-def _mp_upper_root(z, shift, p, c, start, dps):
-    """The root of w - a + sum c/(w - p) = 0, a = z - shift, near start, to dps digits."""
-    with mpmath.workdps(dps):
-        a = mpmath.mpc(z) - mpmath.mpf(shift)
-        p, c = [mpmath.mpf(v) for v in p], [mpmath.mpf(v) for v in c]
-        return mpmath.findroot(lambda w: w - a + sum(ck / (w - pk) for pk, ck in zip(p, c)),
-                               mpmath.mpc(start))
-
-
 #: gamma, then sigma's 1-4 atoms as (gap to the previous atom, weight), then
 #: where the atoms start: positions at least 0.05 apart in [-3, 8]
 triples = st.tuples(
@@ -221,7 +213,7 @@ def test_upper_root_is_the_only_root_in_the_upper_half_plane(triple, x, y, k):
     arrow[0, 1:] = arrow[1:, 0] = 1j * np.sqrt(c)
     assert (np.linalg.eigvals(arrow).imag > 0.0).sum() == 1
     w = upper_root(z, shift, p, c)
-    exact = _mp_upper_root(z, shift, p, c, w, 30)
+    exact = mp_upper_root(z, shift, p, c, w, 30)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(w)
 
@@ -272,7 +264,7 @@ def test_upper_root_rescues_a_newton_root_in_the_lower_half_plane(monkeypatch):
     lanes = upper_root(np.append(z, np.linspace(-10.0, 10.0, 31) + 1e-3j), 0.0, p, c)
     assert stacks == [(1,), (1,), (1,)]
     assert small[0] == w and lanes[0] == w
-    exact = _mp_upper_root(z, 0.0, p, c, w, 30)
+    exact = mp_upper_root(z, 0.0, p, c, w, 30)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(w)
 
@@ -311,6 +303,6 @@ def test_upper_root_matches_40_digit_roots_on_hard_inputs(triple, k, x, log_y):
     c = (k - 1) * s * (1.0 + p * p)
     z = complex(x, 10.0 ** log_y)
     w = upper_root(z, 0.0, p, c)
-    exact = _mp_upper_root(z, 0.0, p, c, w, 40)
+    exact = mp_upper_root(z, 0.0, p, c, w, 40)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(exact)
