@@ -56,7 +56,6 @@ from .transforms import (
     e_transform,
     f_transform,
     recover_measure,
-    stieltjes_invert,
     voiculescu_phi,
     weak_distance,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "phi_eval",
     "recover_measure",
     "run_powers",
-    "stieltjes_invert",
     "subprobability_equivalence",
     "voiculescu_phi",
     "weak_distance",

@@ -58,6 +58,15 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_DISAGREEMENT = 4
 
+#: work caps on the arguments, each far above every shipped scenario: density
+#: bins, an array's row sizes n and powers k, its number of rows, and the
+#: smallest flow step of a circle scenario (its table of RK4 steps holds
+#: 1/flow_step entries a row)
+MAX_BINS = 10**5
+MAX_ROW_SIZE = 2**16
+MAX_ROWS = 32
+MIN_CIRCLE_FLOW_STEP = 1e-5
+
 _ARRAY_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -146,11 +155,20 @@ def _load_scenario(path):
     return scenario
 
 
-def _k_table(array):
+def _row_sizes(array, key):
+    """array[key] (n_values or k_values, default DEFAULT_NS) as a tuple, within MAX_ROWS
+    and MAX_ROW_SIZE."""
+    sizes = tuple(array.get(key, DEFAULT_NS))
+    if len(sizes) > MAX_ROWS or any(v > MAX_ROW_SIZE for v in sizes):
+        raise ValidationError(f"array.{key} takes at most {MAX_ROWS} values, "
+                              f"each at most {MAX_ROW_SIZE}")
+    return sizes
+
+
+def _k_table(array, ns):
     if "k_values" not in array:
         return None
-    ns = array.get("n_values", list(DEFAULT_NS))
-    ks = array["k_values"]
+    ks = _row_sizes(array, "k_values")
     if len(ks) != len(ns):
         raise ValidationError("array.k_values must align with array.n_values")
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -159,7 +177,7 @@ def _k_table(array):
 
 
 def _real_spec(array):
-    ns = tuple(array.get("n_values", DEFAULT_NS))
+    ns = _row_sizes(array, "n_values")
     family = array["family"]
     if family == "bernoulli_clt":
         spec = ArraySpec.bernoulli_clt(ns)
@@ -171,12 +189,12 @@ def _real_spec(array):
             array.get("shift_scale", 0.0), ns)
     else:
         spec = ArraySpec.fixed(n_values=ns)
-    table = _k_table(array)
+    table = _k_table(array, ns)
     return spec if table is None else dataclasses.replace(spec, k_table=table)
 
 
 def _circle_spec(array, flow_step):
-    ns = tuple(array.get("n_values", DEFAULT_NS))
+    ns = _row_sizes(array, "n_values")
     sigma = CircleMeasure.from_pairs(array["sigma"], role=PARAMETER)
     gen = CircleGenerator(float(array["beta"]), sigma)
     ell = array.get("rotation_ell", 0)
@@ -282,6 +300,8 @@ def cmd_idiv(args):
     eps = args.grid_eps
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"--grid-eps must be finite and positive, got {eps!r}")
+    if args.bins > MAX_BINS:
+        raise ValidationError(f"--bins must be at most {MAX_BINS}, got {args.bins}")
     if args.op == "boolean":
         law = boolean_idiv(triple)
         _emit_atoms(args, out, "boolean-idiv", law.to_json_pairs(), mass=law.mass)
@@ -301,7 +321,7 @@ def cmd_idiv(args):
         engine, atom = monotone_idiv_eval, monotone_idiv_atom(triple)
     else:  # free
         engine, atom = free_idiv_eval, free_idiv_atom(triple)
-    _, density = line_density(lambda z: 1.0 / engine(triple, z), eps, (lo, hi), args.bins)
+    density = line_density(lambda z: 1.0 / engine(triple, z), eps, (lo, hi), args.bins)
     shown = atom is not None and atom[1] > ATOM_THRESHOLD and lo <= atom[0] <= hi
     _write_csv(f"{out}_density.csv", _provenance(args, args.op) + ["x,density"], density)
     _emit_atoms(args, out, f"{args.op}-idiv", [list(atom)] if shown else [])
@@ -409,6 +429,8 @@ def cmd_circle_run(args):
         raise ValidationError("circle-run handles circle scenarios")
     tol = scenario.get("tolerance", args.tolerance)
     step = scenario.get("flow_step", args.flow_step)
+    if step < MIN_CIRCLE_FLOW_STEP:
+        raise ValidationError(f"flow_step must be at least {MIN_CIRCLE_FLOW_STEP}, got {step!r}")
     spec = _circle_spec(scenario["array"], step)
     gen_obj = scenario.get("generator")
     if gen_obj is not None:

@@ -38,6 +38,14 @@ ABEL_CORRECTIONS = 3
 #: flows end within 3.1e-13 on 301-bin density sweeps of random triples
 ABEL_RESIDUAL = 1e-9
 
+#: most RK4 steps, t_end/step, that a flow's arguments may ask for
+MAX_FLOW_STEPS = 10**5
+
+#: RK4 steps a leg may take beyond t_end/step, where the sub-step cap shortens
+#: steps near a pole or at a large |Phi|; the density sweeps' and the test
+#: suite's legs take at most 47
+SUBSTEP_TICKS = 2000
+
 
 #: the triple (m, gamma, sigma) is the carrier of an atomic F-transform
 LevyTriple = NevanlinnaData
@@ -104,11 +112,25 @@ def free_idiv(triple, points=ZR):
     return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=1.0)
 
 
+#: below this |u| = |tx| the classical integrand sums g(u) = (e^{iu} - 1 - iu)/u^2
+#: as its Taylor series -sum (iu)^j/(j + 2)! (to u^12), where the quotient cancels
+_CF_SERIES_U = 0.25
+_CF_SERIES = tuple(1.0 / math.factorial(k) for k in range(14, 1, -1))
+
+
 def _cf_integrand(t, x):
-    # (e^{itx} - 1 - itx/(1+x^2)) (x^2+1)/x^2, continuously extended by
-    # -t^2/2 at x = 0
-    if x == 0.0:
-        return -0.5 * t * t
+    """(e^{itx} - 1 - itx/(1+x^2)) (x^2+1)/x^2, continuous at x = 0.
+
+    With u = tx it equals t^2 (1 + x^2) g(u) + iu, and below |u| =
+    _CF_SERIES_U g is summed as its series, so no small x divides a
+    cancelled difference by x^2; g(0) = -1/2 gives -t^2/2 at x = 0.
+    """
+    u = t * x
+    if abs(u) < _CF_SERIES_U:
+        v, acc = 1j * u, 0.0
+        for a in _CF_SERIES:
+            acc = acc * v + a
+        return -t * t * (1.0 + x * x) * acc + 1j * u
     return (cmath.exp(1j * t * x) - 1.0 - 1j * t * x / (1.0 + x * x)) * (x * x + 1.0) / (x * x)
 
 
@@ -170,20 +192,33 @@ def _below_floor(w, t, im0, log_m, exp=math.exp):
     return w.imag < exp(-log_m * t) * im0 * (1.0 - 1e-7) - 1e-12
 
 
+def _tick_budget(t_end, step):
+    return math.ceil(t_end / step) + SUBSTEP_TICKS
+
+
+def _out_of_ticks(z0, t_end, t, ticks):
+    return FlowError(f"flow from z0={z0!r} did not reach t={t_end!r} within {ticks} "
+                     f"RK4 steps (t={t:.6g})")
+
+
 def _rk4_leg(triple, z, t_end, step, hook=None):
     """Integrate dF/dt = Phi(F) from F_0 = z to t_end.
 
     Fixed RK4 step, with a deterministic sub-step cap keeping each move well
     inside the distance to Phi's real poles (only relevant when starting
-    near the real axis, e.g. on a density grid).  hook(w, t), when given,
-    sees each step's end and returns the point to go on from
-    (``_abel_corrector`` moves it onto the exact flow).
+    near the real axis, e.g. on a density grid).  A leg that needs more
+    than SUBSTEP_TICKS steps beyond t_end/step raises FlowError.  hook(w, t),
+    when given, sees each step's end and returns the point to go on from
+    (``flow_distance_bound`` collects the states).
     """
     phi = _phi(triple)
     log_m = math.log(triple.m)
     poles = triple.sigma.positions
-    w, t = z, 0.0
+    w, t, ticks, budget = z, 0.0, 0, _tick_budget(t_end, step)
     while t < t_end - 1e-15:
+        if ticks == budget:
+            raise _out_of_ticks(z, t_end, t, ticks)
+        ticks += 1
         k1 = phi(w)
         speed = abs(k1)
         h = min(step, t_end - t)
@@ -204,8 +239,10 @@ def _rk4_leg_array(triple, z, t_end, step, hook=None):
     """_rk4_leg for a 1-d array of start points, run in lockstep.
 
     Each point keeps its own time, sub-step cap and floor check, and leaves
-    the active set once it reaches t_end.  hook(w, t, i) is called with
-    the indices i into z of the points still running.
+    the active set once it reaches t_end; the tick budget counts the
+    lockstep's steps, and its FlowError names the point furthest behind.
+    hook(w, t, i) is called with the indices i into z of the points still
+    running.
     """
     phi = _phi(triple)
     log_m = math.log(triple.m)
@@ -213,6 +250,7 @@ def _rk4_leg_array(triple, z, t_end, step, hook=None):
     out = np.empty_like(z)
     active = np.arange(z.size)
     w, t, im0 = z, np.zeros(z.size), z.imag
+    ticks, budget = 0, _tick_budget(t_end, step)
     while True:
         done = t >= t_end - 1e-15
         if done.any():
@@ -221,6 +259,10 @@ def _rk4_leg_array(triple, z, t_end, step, hook=None):
             active, w, t, im0 = active[keep], w[keep], t[keep], im0[keep]
         if not active.size:
             return out
+        if ticks == budget:
+            i = np.argmin(t)
+            raise _out_of_ticks(complex(z[active[i]]), t_end, t[i], ticks)
+        ticks += 1
         k1 = phi(w)
         speed = np.abs(k1)
         h = np.minimum(step, t_end - t)
@@ -277,7 +319,11 @@ def _log1p_minus_x(x):
     """Log(1 + x) - x at a point or, elementwise, an ndarray."""
     if isinstance(x, np.ndarray):
         small = np.abs(x) < _SERIES_X
-        return np.where(small, _series(np.where(small, x, 0.0)), np.log(1.0 + x) - x)
+        out = np.empty_like(x)
+        out[small] = _series(x[small])
+        big = x[~small]
+        out[~small] = np.log(1.0 + big) - big
+        return out
     return _series(x) if abs(x) < _SERIES_X else cmath.log(1.0 + x) - x
 
 
@@ -294,7 +340,8 @@ def _abel_corrector(triple, z):
     beta z + sum r Log(z - q) loses all accuracy at m = 1 and small gamma',
     where beta = -1/gamma' cancels against the Log of a far zero.
     correct(w, t, i) makes ABEL_CORRECTIONS Newton steps
-    w <- w - (d(w) - t) Phi(w) on d(w) = t; i indexes an ndarray z.
+    w <- w - (d(w) - t) Phi(w) on d(w) = t for the points z[i]; d(w)
+    alone takes w of z's shape.
     """
     q, r, k = triple._abel
     phi = _phi(triple)
@@ -308,7 +355,7 @@ def _abel_corrector(triple, z):
             acc = acc + rj * _log1p_minus_x(u / (z0 - qj))
         return acc
 
-    def correct(w, t, i=None):
+    def correct(w, t, i):
         for _ in range(ABEL_CORRECTIONS):
             w = w - (d(w, i) - t) * phi(w)
         return w
@@ -321,28 +368,24 @@ def monotone_idiv_eval(triple, z):
 
     RK4 legs at ABEL_STEP predict, with their pole cap and floor check, and
     after each step ``_abel_corrector`` moves every point onto the exact
-    flow.  A point whose end misses Psi(F_1(z)) = Psi(z) + 1 by more than
-    ABEL_RESIDUAL raises FlowError naming it.
+    flow.  A single point runs as the one lane of an array.  A point whose
+    end misses Psi(F_1(z)) = Psi(z) + 1 by more than ABEL_RESIDUAL raises
+    FlowError naming it.
     """
-    if isinstance(z, np.ndarray):
-        shape, z = z.shape, z.astype(complex).ravel()
-    else:
-        shape, z = None, complex(z)
-    _check_line_points(np.atleast_1d(z))
-    if triple._abel is None:  # Phi = 0: the flow stands still
-        return z.reshape(shape) if shape is not None else z
-    correct, d = _abel_corrector(triple, z)
-    if shape is None:
-        w = _rk4_leg(triple, z, 1.0, ABEL_STEP, correct)
-    else:
+    scalar = not isinstance(z, np.ndarray)
+    shape, z = np.shape(z), np.array(z, dtype=complex).ravel()
+    _check_line_points(z)
+    w = z
+    if triple._abel is not None:  # else Phi = 0: the flow stands still
+        correct, d = _abel_corrector(triple, z)
         w = _rk4_leg_array(triple, z, 1.0, ABEL_STEP, correct)
-    residual = np.atleast_1d(abs(d(w) - 1.0))
-    bad = ~(residual <= ABEL_RESIDUAL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FlowError(f"flow from z0={complex(np.atleast_1d(z)[i])!r}: "
-                        f"|Psi(F_1) - Psi(z0) - 1| = {residual[i]:.3e}")
-    return w.reshape(shape) if shape is not None else w
+        residual = np.abs(d(w) - 1.0)
+        bad = ~(residual <= ABEL_RESIDUAL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FlowError(f"flow from z0={complex(z[i])!r}: "
+                            f"|Psi(F_1) - Psi(z0) - 1| = {residual[i]:.3e}")
+    return complex(w[0]) if scalar else w.reshape(shape)
 
 
 def monotone_idiv_atom(triple):
@@ -408,7 +451,8 @@ def _check_flow_args(t_end, step):
     """Reject flow arguments that would loop forever or integrate nothing; returns float t_end.
 
     Shared by the line and the disk flows: a non-finite or negative t_end,
-    or a non-finite or non-positive step, raises ValidationError.
+    a non-finite or non-positive step, or more than MAX_FLOW_STEPS steps
+    raises ValidationError.
     """
     t_end, step = float(t_end), float(step)
     if not math.isfinite(t_end):
@@ -417,6 +461,9 @@ def _check_flow_args(t_end, step):
         raise ValidationError("backward flows are not supported")
     if not (math.isfinite(step) and step > 0.0):
         raise ValidationError(f"flow step must be finite and positive; got {step!r}")
+    if t_end / step > MAX_FLOW_STEPS:
+        raise ValidationError(f"flow end time {t_end!r} over step {step!r} asks for more "
+                              f"than {MAX_FLOW_STEPS} RK4 steps")
     return t_end
 
 

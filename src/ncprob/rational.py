@@ -26,7 +26,16 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
+
+
+def _eigen(solve, a, kernel):
+    """solve(a) for a numpy eigen-solver; its LinAlgError (no convergence,
+    or a non-finite entry) is raised as a NumericalError naming the kernel."""
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{kernel}: eigen-solve failed ({exc})") from exc
 
 
 def spectral_measure(a, b):
@@ -35,7 +44,7 @@ def spectral_measure(a, b):
     a is a real symmetric matrix; the atoms are its eigenvalues (ascending)
     and the weights the squared projections of b on its eigenvectors.
     """
-    evals, evecs = np.linalg.eigh(a)
+    evals, evecs = _eigen(np.linalg.eigh, a, "spectral_measure")
     return evals, (evecs.T @ b) ** 2
 
 
@@ -54,7 +63,7 @@ def cauchy_zeros(x, u):
     v[0] += 1.0 if v[0] >= 0.0 else -1.0
     h = np.eye(x.size) - (2.0 / (v @ v)) * np.outer(v, v)
     t = (h * x) @ h
-    p, vecs = np.linalg.eigh(t[1:, 1:])
+    p, vecs = _eigen(np.linalg.eigh, t[1:, 1:], "cauchy_zeros")
     return float(x @ (u * u)), p, vecs.T @ t[1:, 0]
 
 
@@ -112,7 +121,7 @@ def _eigen_roots(ar, ai, p, c):
     arrow[:, 0, 0].real, arrow[:, 0, 0].imag = ar, ai
     arrow[:, 0, 1:] = arrow[:, 1:, 0] = 1j * np.sqrt(c)
     arrow[:, range(1, n + 1), range(1, n + 1)] = p
-    evals = np.linalg.eigvals(arrow)
+    evals = _eigen(np.linalg.eigvals, arrow, "upper_root's arrowhead")
     w = np.take_along_axis(evals, evals.imag.argmax(axis=-1)[:, None], axis=-1)[:, 0]
     return w.real, w.imag
 

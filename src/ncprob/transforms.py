@@ -2,8 +2,7 @@
 
 G is the Cauchy transform, F = 1/G, E = z/mass - F.  For an atomic measure
 F is carried exactly in pole-residue (Nevanlinna) form; the measure comes
-back from that form by one symmetric eigen-solve, and from sampled G-values
-by Stieltjes inversion on a line just above the real axis.  Exact forms
+back from that form by one symmetric eigen-solve.  Exact forms
 serve single convolutions; a k-fold power has up to n^k atoms, so powers are
 evaluated pointwise.
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, RecoveryError, ValidationError
 from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
-from .rational import cauchy_zeros, spectral_measure
+from .rational import _eigen, cauchy_zeros, spectral_measure
 from .solvers import newton, upper_half_plane_guard
 
 #: canonical evaluation grid: Im >= 1 keeps every engine well-conditioned
@@ -181,9 +180,10 @@ class NevanlinnaData:
         if lam > 0.0:
             arrow = np.diag(np.concatenate(([gamma / lam], p)))
             arrow[0, 1:] = arrow[1:, 0] = np.sqrt(c / lam)
-            q = np.linalg.eigvalsh(arrow)
+            q = _eigen(np.linalg.eigvalsh, arrow, "the zeros of Phi")
         elif abs(gamma) >= 1e-8 * s:
-            q = np.linalg.eigvalsh(np.diag(p) - np.outer(np.sqrt(c), np.sqrt(c)) / gamma)
+            q = _eigen(np.linalg.eigvalsh, np.diag(p) - np.outer(np.sqrt(c), np.sqrt(c)) / gamma,
+                      "the zeros of Phi")
         else:
             # the zeros of sum c/(p - z), and a far one near a - S/gamma'
             a, q, _ = cauchy_zeros(p, np.sqrt(c / s))
@@ -284,130 +284,19 @@ def _measure_of_mass(xs, ws, mass):
     return FiniteAtomicMeasure(tuple(xs), tuple(ws / total * mass))
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    density: tuple  # ((x, density), ...)
-    atoms: tuple    # ((position, weight), ...)
-
-
-#: relative slack under which the Poisson-kernel bound drops an atom candidate;
-#: computed G-values meet the bound with far more room than this
-DROP_SLACK = 1e-6
-
-
-def _harnack(r):
-    """sup over t of P(x - t)/P(y - t) for P(u) = 1/(1 + u^2) and x - y = r >= 0.
-
-    Harnack's inequality for the Poisson kernel: the supremum is attained at
-    y - t = (sqrt(r^2 + 4) - r)/2.
-    """
-    return 1.0 + 0.5 * (r * r + r * math.sqrt(r * r + 4.0))
-
-
-def _golden_max(fn, lo, hi, eps, floor, iters=60):
-    """Golden-section search for the peak of fn(x) = eps |Im G(x + i eps)| on [lo, hi].
-
-    Returns (x, fn(x)), or None once a Poisson-kernel bound shows that fn
-    stays below floor on the whole bracket: for G of a positive measure,
-    fn(x) <= fn(y) _harnack(|x - y|/eps), and every point of [a, b] lies
-    within max(c - a, b - d, (d - c)/2) of an interior point c or d.  The
-    search's final x lies in every bracket, so a full search would have
-    returned a peak below floor.
-    """
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        reach = max(c - a, b - d, 0.5 * (d - c)) / eps
-        if max(fc, fd) * _harnack(reach) <= floor * (1.0 - DROP_SLACK):
-            return None
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _peak_candidates(a):
-    """Indices of the local maxima of a: a[i] > a[i-1], a[i] >= a[i+1], a[i] >= 1e-4.
-
-    The strict left test keeps only the leftmost bin of a plateau.
-    """
-    peak = a >= 1e-4
-    peak[1:] &= a[1:] > a[:-1]
-    peak[:-1] &= a[:-1] >= a[1:]
-    return np.flatnonzero(peak)
-
-
-#: weight above which an inversion reports an atom
+#: weight above which a density sweep reports an atom
 ATOM_THRESHOLD = 0.1
 
 
 def line_density(g, eps, x_window, n_bins):
-    """G on the line Im z = eps read as a density: (G-values, ((x, density), ...)).
+    """G on the line Im z = eps read as a density: ((x, density), ...).
 
     g takes the ndarray ``eps_line_grid(x_window, n_bins, eps)`` once and
     returns the ndarray of its values; density(x) = -Im G(x + i eps)/pi.
     """
     pts = eps_line_grid(x_window, n_bins, eps)
-    vals = np.asarray(g(pts), dtype=complex)
-    dens = -vals.imag / math.pi
-    return vals, tuple(zip(pts.real.tolist(), dens.tolist()))
-
-
-def stieltjes_invert(g, eps, x_window, n_bins=400, atom_threshold=ATOM_THRESHOLD):
-    """Density and atoms of a measure from its G-values near the real axis.
-
-    The density is ``line_density``'s; g also takes single points for the
-    atom refinement.  Laws whose atom is known in closed form (the free and
-    monotone ``idiv`` families) need only ``line_density``.
-
-    Atom search: every local maximum of a(x) = eps |Im G(x + i eps)| is
-    refined by a golden-section search between its neighbouring bins (the
-    spike of an atom is O(eps) wide, usually narrower than a bin); the
-    refined peak is an atom when it exceeds the 0.1 threshold, dominates
-    half its local neighbourhood, and is eps-stable (value within 20% under
-    a 10x larger eps -- a sharp density bump fails this).  The weight is
-    the refined peak itself, -eps Im G there.  A peak that falls between
-    grid maxima is missed (an atom on the flank of a density bump).
-
-    The refinement assumes g is G of a positive measure mu.  Then
-    a(x) = integral of eps^2/((x - t)^2 + eps^2) dmu(t), and Harnack's
-    inequality for the Poisson kernel gives a(x) <= C(|x - y|/eps) a(y) with
-    C(r) = 1 + (r^2 + r sqrt(r^2 + 4))/2.  A candidate is dropped as soon as
-    this bound, taken from the search's two interior points, proves that its
-    peak cannot pass the threshold test; candidates that stay run the full
-    search, so the atoms found are those of the full search.
-    """
-    vals, density = line_density(g, eps, x_window, n_bins)
-    a = eps * np.abs(vals.imag)
-    dx = density[1][0] - density[0][0]
-
-    atoms = []
-    half = max(3, int(0.05 * len(density)))
-    for i in _peak_candidates(a):
-        floor = max(atom_threshold, 0.5 * float(np.max(a[max(0, i - half): i + half + 1])))
-        x_i = density[i][0]
-        refined = _golden_max(
-            lambda x: eps * abs(g(complex(x, eps)).imag), x_i - dx, x_i + dx, eps, floor,
-        )
-        if refined is None:
-            continue
-        x_star, peak = refined
-        if peak <= floor:
-            continue
-        coarse = (10.0 * eps) * abs(g(complex(x_star, 10.0 * eps)).imag)
-        if not (0.8 * peak <= coarse <= 1.2 * peak):
-            continue  # not eps-stable: a sharp density bump, not an atom
-        atoms.append((float(x_star), float(peak)))
-    return InversionResult(density, tuple(atoms))
+    dens = -np.asarray(g(pts), dtype=complex).imag / math.pi
+    return tuple(zip(pts.real.tolist(), dens.tolist()))
 
 
 def _resolve_g_and_mass(obj):

@@ -21,7 +21,7 @@ from ncprob.errors import RecoveryError, ValidationError
 from ncprob.idiv import (LevyTriple, flow_map, free_idiv_eval, monotone_idiv_atom,
                          monotone_idiv_eval)
 from ncprob.measures import FiniteAtomicMeasure
-from ncprob.transforms import eps_line_grid, stieltjes_invert
+from ncprob.transforms import eps_line_grid, line_density
 
 
 def run(args):
@@ -139,7 +139,7 @@ def test_idiv_monotone_density(tmp_path):
 
 
 def test_idiv_monotone_sweep_matches_pointwise_flow(tmp_path):
-    """The CLI sweep's density is stieltjes_invert's over monotone_idiv_eval; its atom
+    """The CLI sweep's density is line_density's over monotone_idiv_eval; its atom
     is monotone_idiv_atom's.
 
     RK4 at the default step cross-checks the densities: on these 41 bins
@@ -149,11 +149,11 @@ def test_idiv_monotone_sweep_matches_pointwise_flow(tmp_path):
     assert run(["idiv", "--op", "monotone", "--m", 0.8, "--gamma", 0.3, "--sigma", "1:0.3",
                 "--bins", 41, "--output", out]) == EXIT_OK
     triple = LevyTriple.from_parts(0.8, 0.3, [(1.0, 0.3)])
-    ref = stieltjes_invert(lambda z: 1.0 / monotone_idiv_eval(triple, z), 1e-3, (-6.0, 6.0), 41)
+    ref = line_density(lambda z: 1.0 / monotone_idiv_eval(triple, z), 1e-3, (-6.0, 6.0), 41)
     rows = [tuple(map(float, line.split(","))) for line in open(f"{out}_density.csv")
             if not line.startswith("#")]
-    assert [x for x, _ in rows] == [x for x, _ in ref.density]
-    for (_, d), (_, d_ref) in zip(rows, ref.density):
+    assert [x for x, _ in rows] == [x for x, _ in ref]
+    for (_, d), (_, d_ref) in zip(rows, ref):
         assert abs(d - d_ref) <= 1e-12 * abs(d_ref)
     atoms = read_json(f"{out}_atoms.json")["atoms"]
     assert atoms == [list(monotone_idiv_atom(triple))]
@@ -220,56 +220,6 @@ def test_idiv_sweep_evaluates_g_on_the_grid_only(tmp_path, monkeypatch, op):
                 "--output", out]) == EXIT_OK
     assert read_json(f"{out}_atoms.json")["atoms"]
     assert len(calls) == 1 and isinstance(calls[0], np.ndarray) and calls[0].shape == (301,)
-
-
-def _plain_golden_max(fn, lo, hi, iters=60):
-    """The golden-section search with no early exit."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-@pytest.mark.parametrize("seed", [3, 5, 6])
-def test_monotone_sweep_early_exit_matches_plain_search(monkeypatch, seed):
-    """Only candidates whose full search peaks below the atom test are dropped.
-
-    Seed 6 has a candidate that peaks at 0.098815, just under the 0.1
-    threshold (0.0988146325; RK4 at the default step read 0.0988146322).
-    """
-    rng = np.random.default_rng(seed)
-    sigma = [(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 0.4))]
-    triple = LevyTriple.from_parts(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3), sigma)
-    eps, window, bins = 1e-3, (-6.0, 6.0), 301
-    g = lambda z: 1.0 / monotone_idiv_eval(triple, z)
-    early_exit = transforms._golden_max
-    searches = []
-
-    def both(fn, lo, hi, eps, floor, iters=60):
-        found = early_exit(fn, lo, hi, eps, floor, iters)
-        searches.append((found, _plain_golden_max(fn, lo, hi, iters), floor))
-        return found
-
-    monkeypatch.setattr(transforms, "_golden_max", both)
-    inv = stieltjes_invert(g, eps, window, bins)
-    dropped = [(plain, floor) for found, plain, floor in searches if found is None]
-    assert dropped
-    assert all(plain[1] <= floor for plain, floor in dropped)
-    assert all(found == plain for found, plain, _ in searches if found is not None)
-    monkeypatch.setattr(transforms, "_golden_max",
-                        lambda fn, lo, hi, eps, floor, iters=60: _plain_golden_max(fn, lo, hi, iters))
-    assert stieltjes_invert(g, eps, window, bins) == inv
 
 
 @pytest.mark.parametrize("op", ["monotone", "free"])
@@ -557,6 +507,97 @@ def test_flow_rejects_unending_arguments(tmp_path, capsys, no_hang, flag):
     assert run(["flow", "--sigma", "0:1", flag, "--output", out]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e300 inputs overflow on the way
+@pytest.mark.parametrize("argv, code, named", [
+    # the sub-step cap shrinks the steps without end: the tick budget stops the flow
+    (["idiv", "--op", "monotone", "--m", 0.5, "--gamma=1e300", "--sigma=0.3:1", "--bins", 5,
+      "--grid-eps", 0.5], EXIT_NUMERICAL, "RK4 steps"),
+    (["flow", "--sigma", "0:1", "--t-end", 1, "--flow-step", 1e-300], EXIT_VALIDATION,
+     "RK4 steps"),
+    (["flow", "--sigma", "0:1", "--t-end", 1e9], EXIT_VALIDATION, "RK4 steps"),
+    # eigen-solves that fail inside numpy
+    (["idiv", "--op", "boolean", "--m", 0.5, "--gamma=-1", "--sigma=0:2,1e-9:3,1e300:1e-300"],
+     EXIT_NUMERICAL, "spectral_measure"),
+    (["idiv", "--op", "free", "--m", 1, "--gamma=1e300", "--sigma=1e300:2", "--bins", 2],
+     EXIT_NUMERICAL, "upper_root"),
+], ids=["monotone_gamma_1e300", "flow_step_1e-300", "flow_t_end_1e9", "boolean_eigh",
+        "free_eigvals"])
+def test_inputs_that_hung_or_crashed_exit_2_or_3(tmp_path, capsys, no_hang, argv, code, named):
+    assert run([*argv, "--output", tmp_path / "out"]) == code
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_idiv_classical_with_a_tiny_sigma_atom(tmp_path):
+    """sigma = delta at 1e-200 divided a cancelled difference by x^2 = 0."""
+    out = tmp_path / "c"
+    assert run(["idiv", "--op", "classical", "--sigma=1e-200:1", "--output", out]) == EXIT_OK
+    rows = [tuple(map(float, line.split(","))) for line in open(f"{out}_density.csv")
+            if not line.startswith("#")]
+    assert max(abs(d - math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)) for x, d in rows) <= 1e-13
+
+
+def _refuse_work(monkeypatch, *names):
+    """Make each named cli entry point fail the test if a command reaches it."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the capped command ran")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, ran)
+
+
+def test_idiv_caps_bins(tmp_path, capsys, monkeypatch):
+    _refuse_work(monkeypatch, "free_idiv_eval", "monotone_idiv_eval", "classical_idiv_density",
+                 "boolean_idiv")
+    for op in ("free", "monotone", "classical", "boolean"):
+        assert run(["idiv", "--op", op, "--bins", cli.MAX_BINS + 1,
+                    "--output", tmp_path / "b"]) == EXIT_VALIDATION
+        assert f"--bins must be at most {cli.MAX_BINS}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_CIRCLE_ARRAY = {"family": "semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]]}
+
+
+_TOO_LARGE = {"n": {"n_values": [16, 2**16 + 1]},
+              "rows": {"n_values": list(range(1, 34))},
+              "k": {"n_values": [16, 32], "k_values": [16, 2**16 + 1]}}
+
+
+@pytest.mark.parametrize("command, array, key", [
+    pytest.param(command, {"family": "bernoulli_clt", **fields},
+                 "k_values" if name == "k" else "n_values", id=f"{command}-{name}")
+    for command in ("limit-run", "bp-check") for name, fields in _TOO_LARGE.items()
+] + [
+    pytest.param("circle-run", {**_CIRCLE_ARRAY, **_TOO_LARGE[name]}, "n_values",
+                 id=f"circle-run-{name}")
+    for name in ("n", "rows")
+])
+def test_scenario_commands_cap_the_array_rows(tmp_path, capsys, monkeypatch, command, array,
+                                              key):
+    _refuse_work(monkeypatch, "run_powers", "bp_crosscheck", "subprobability_equivalence",
+                 "circle_reports")
+    path = (circle_scenario(tmp_path, array) if command == "circle-run"
+            else bernoulli_scenario(tmp_path, array=array))
+    assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert f"array.{key} takes at most {cli.MAX_ROWS} values" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("where", ["scenario", "option"])
+def test_circle_run_floors_the_flow_step(tmp_path, capsys, monkeypatch, where):
+    _refuse_work(monkeypatch, "circle_reports")
+    step = 0.5 * cli.MIN_CIRCLE_FLOW_STEP
+    array = {**_CIRCLE_ARRAY, "n_values": [16, 32]}
+    if where == "scenario":
+        argv = [circle_scenario(tmp_path, array, flow_step=step)]
+    else:
+        argv = [circle_scenario(tmp_path, array), "--flow-step", step]
+    assert run(["circle-run", *argv, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert f"flow_step must be at least {cli.MIN_CIRCLE_FLOW_STEP}" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 @pytest.mark.parametrize("op", ["monotone", "classical", "free", "boolean"])

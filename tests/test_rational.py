@@ -12,7 +12,7 @@ from conftest import mp_upper_root
 from ncprob import rational
 from ncprob.cli import EXIT_NUMERICAL, main
 from ncprob.convolutions import monotone_convolve
-from ncprob.errors import ConvergenceError, ValidationError
+from ncprob.errors import ConvergenceError, NumericalError, ValidationError
 from ncprob.idiv import free_idiv_eval
 from ncprob.measures import PARAMETER, FiniteAtomicMeasure
 from ncprob.rational import cauchy_zeros, spectral_measure, upper_root
@@ -306,3 +306,23 @@ def test_upper_root_matches_40_digit_roots_on_hard_inputs(triple, k, x, log_y):
     exact = mp_upper_root(z, 0.0, p, c, w, 40)
     assert exact.imag > 0
     assert abs(w - complex(exact)) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("solver, call, kernel", [
+    ("eigh", lambda: spectral_measure(np.eye(2), np.ones(2)), "spectral_measure"),
+    ("eigh", lambda: cauchy_zeros(np.array([-1.0, 1.0]), np.array([0.6, 0.8])), "cauchy_zeros"),
+    ("eigvals", lambda: upper_root(np.array([0.5 + 1e-3j]), 0.0, np.array([0.0]), np.array([1.0])),
+     "upper_root's arrowhead"),
+    ("eigvalsh", lambda: NevanlinnaData.from_parts(0.5, 0.2, [(1.0, 0.3)])._abel, "zeros of Phi"),
+    ("eigvalsh", lambda: NevanlinnaData.from_parts(1.0, 0.2, [(1.0, 0.3)])._abel, "zeros of Phi"),
+], ids=["spectral_measure", "cauchy_zeros", "upper_root", "abel_m_below_1", "abel_m_1"])
+def test_a_failed_eigen_solve_is_a_numerical_error(monkeypatch, solver, call, kernel):
+    """numpy's LinAlgError (no convergence, a non-finite entry) names the kernel it hit."""
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fails)
+    if solver == "eigvals":  # the arrowhead re-solves only points Newton leaves uncertified
+        monkeypatch.setattr(rational, "_NEWTON_STEPS", 0)
+    with pytest.raises(NumericalError, match=re.escape(kernel) + ".*did not converge"):
+        call()

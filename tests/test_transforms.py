@@ -18,10 +18,10 @@ from ncprob.transforms import (
     cauchy_G,
     e_transform,
     eps_line_grid,
+    line_density,
     f_transform,
     maassen_bound_check,
     recover_measure,
-    stieltjes_invert,
     stolz_tail_estimate,
     voiculescu_phi,
     weak_distance,
@@ -158,115 +158,13 @@ def _g_arcsine(z):
     return 1.0 / (s if s.imag > 0 else -s)
 
 
-def _invert_counting_off_grid(g, window, bins, eps=1e-3):
-    """stieltjes_invert of a pointwise g, and how many points it asked for off the grid.
-
-    An ndarray call counts as its points, which g evaluates one at a time.
-    """
-    grid = set(eps_line_grid(window, bins, eps).tolist())
-    off_grid = []
-
-    def counted(z):
-        points = np.atleast_1d(z).tolist()
-        off_grid.extend(p for p in points if p not in grid)
-        values = [g(p) for p in points]
-        return np.array(values) if isinstance(z, np.ndarray) else values[0]
-
-    return stieltjes_invert(counted, eps, window, bins), len(off_grid)
-
-
-def test_stieltjes_atoms_and_density():
-    res = stieltjes_invert(lambda z: 1.0 / z, 1e-3, (-2.0, 2.0), 400)
-    assert len(res.atoms) == 1
-    pos, w = res.atoms[0]
-    assert abs(pos) <= 1e-6
-    assert abs(w - 1.0) <= 1e-3
-
-    res_half = stieltjes_invert(lambda z: 0.5 / (z - 1.0), 1e-3, (-2.0, 2.0), 400)
-    assert len(res_half.atoms) == 1
-    assert res_half.atoms[0][0] == pytest.approx(1.0, abs=1e-6)
-    assert res_half.atoms[0][1] == pytest.approx(0.5, abs=1e-3)
-
-    res_arc, off_grid = _invert_counting_off_grid(_g_arcsine, (-3.0, 3.0), 601)
-    assert res_arc.atoms == ()
-    # the two edge peaks are dropped by the Poisson-kernel bound long before
-    # the 63 evaluations of a full refinement each (126 in all)
-    assert off_grid <= 12
-    at0 = [d for x, d in res_arc.density if abs(x) < 1e-9][0]
+def test_line_density_arcsine():
+    """The arcsine law of variance 2 has density 1/(2 pi) at 0; eps = 1e-3 smooths it by O(eps)."""
+    density = line_density(lambda z: np.array([_g_arcsine(p) for p in z.tolist()]),
+                           1e-3, (-3.0, 3.0), 601)
+    assert len(density) == 601
+    at0 = [d for x, d in density if abs(x) < 1e-9][0]
     assert abs(at0 - 1.0 / (2.0 * math.pi)) <= 1e-3
-
-
-def test_harnack_constant_is_the_poisson_kernel_ratio_supremum():
-    """C(r) against a brute-force sup over u of (1 + u^2)/(1 + (u + r)^2)."""
-    for r in np.linspace(0.1, 20.0, 24):
-        lo, hi = -r - 5.0, 5.0
-        for _ in range(4):  # zoom in on the grid maximum
-            u = np.linspace(lo, hi, 20001)
-            ratio = (1.0 + u * u) / (1.0 + (u + r) ** 2)
-            j = int(np.argmax(ratio))
-            lo, hi = u[max(j - 2, 0)], u[min(j + 2, u.size - 1)]
-        assert abs(transforms._harnack(r) - ratio[j]) <= 1e-9 * ratio[j]
-
-
-def test_stieltjes_threshold_straddle():
-    """Atoms of weight 0.1005 and 0.0995 on an arcsine law: only the first passes 0.1."""
-    res, off_grid = _invert_counting_off_grid(
-        lambda z: 0.1005 / (z + 3.0) + 0.0995 / (z - 3.0) + 0.8 * _g_arcsine(z), (-4.0, 4.0), 401)
-    assert res.atoms == ((-2.999999999989588, 0.10050021742628586),)  # as the full search
-    # a full refinement of every candidate makes 254 off-grid calls
-    assert off_grid <= 100
-
-
-def test_stieltjes_evaluates_each_refined_peak_once(monkeypatch):
-    """Outside the golden search, g runs on the grid and once at 10 eps per surviving peak."""
-    eps, window, bins = 1e-3, (-2.0, 2.0), 401
-    calls, in_search = [], []
-    golden_max = transforms._golden_max
-
-    def counted_search(fn, *args, **kwargs):
-        def counted(x):
-            in_search.append(x)
-            return fn(x)
-        return golden_max(counted, *args, **kwargs)
-
-    def g(z):
-        calls.extend(np.atleast_1d(z).tolist())
-        return 0.5 / (z + 1.0) + 0.5 / (z - 1.0)
-
-    monkeypatch.setattr(transforms, "_golden_max", counted_search)
-    res = stieltjes_invert(g, eps, window, bins)
-    assert len(res.atoms) == 2
-    assert len(calls) == bins + len(in_search) + len(res.atoms)
-    for x, weight in res.atoms:
-        assert calls.count(complex(x, eps)) == 1
-        assert weight == pytest.approx(0.5, abs=1e-3)
-
-
-def _peak_candidates_per_bin(a):
-    """The candidate rule as a loop over bins: a local maximum of at least 1e-4,
-    and of a plateau only its leftmost bin."""
-    found = []
-    for i in range(len(a)):
-        lo, hi = max(0, i - 1), min(len(a), i + 2)
-        if a[i] < np.max(a[lo:hi]) or a[i] < 1e-4:
-            continue
-        if i > 0 and a[i] == a[i - 1]:
-            continue
-        found.append(i)
-    return found
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_peak_candidates_match_the_per_bin_rule(seed):
-    rng = np.random.default_rng(seed)
-    # few distinct levels, so plateaus, ties and values below 1e-4 are common
-    levels = np.array([0.0, 5e-5, 1e-4, 0.02, 0.3, 0.3 + 1e-12, 1.0])
-    a = levels[rng.integers(0, levels.size, size=200)]
-    a[rng.integers(0, 200, size=20)] = rng.uniform(0.0, 1.0, size=20)
-    got = transforms._peak_candidates(a)
-    assert got.tolist() == _peak_candidates_per_bin(a)
-    for n in (1, 2, 3):
-        assert transforms._peak_candidates(a[:n]).tolist() == _peak_candidates_per_bin(a[:n])
 
 
 def test_eps_line_grid_is_an_ndarray_of_complex_points():
