@@ -301,7 +301,7 @@ def line_density(g, eps, x_window, n_bins):
 
 def _resolve_g_and_mass(obj):
     if isinstance(obj, FiniteAtomicMeasure):
-        return tuple(cauchy_G(obj, z) for z in ZR), obj.mass
+        return tuple(cauchy_G(obj, np.array(ZR)).tolist()), obj.mass
     if isinstance(obj, TransformGrid):
         if obj.points != ZR:
             raise ValidationError("weak_distance grids must be sampled on ZR")
@@ -335,12 +335,12 @@ def f_powers(rows):
     """F^{ok}(z) for every row (f, k, z, where): the line's k-fold iterator, guarded.
 
     f is a carrier or a callable taking an ndarray, z a point or an ndarray.
-    A carrier's power runs each point as a scalar loop with the sums of
-    ``NevanlinnaData.__call__`` inlined, so its values are those of
-    composing the carrier k times, digit for digit; a callable runs the
-    row's points together, one call per iteration.  Every iteration keeps
-    |F| <= 1e12 and Im F >= (1 - 1e-12) Im w - 1e-15, and a failure raises
-    a ConvergenceError naming the start point, the iteration and where.
+    A carrier's power runs each point as a scalar loop in real float
+    arithmetic, within 1e-14 relative of a 40-digit composition of the same
+    float data up to k = 4096; a callable runs the row's points together,
+    one call per iteration.  Every iteration keeps |F| <= 1e12 and
+    Im F >= (1 - 1e-12) Im w - 1e-15, and a failure raises a
+    ConvergenceError naming the start point, the iteration and where.
     Returns one array per row, shaped like its z.
     """
     out = []
@@ -356,18 +356,21 @@ def f_powers(rows):
 
 
 def _carrier_power(f, k, z, where):
-    """The carrier's F composed k times at the point z, in Python complex arithmetic."""
+    """The carrier's F composed k times at z, in real floats: with q = c/|w - p|^2,
+    F(w) = Re w/m - gamma' - sum q (Re w - p) + i Im w (1/m + sum q): only + - * /."""
     gamma, pairs = f._pairs
-    m, w, im = f.m, z, z.imag
+    m, wr, wi = f.m, z.real, z.imag
     for j in range(1, k + 1):
-        acc = gamma
+        wi2, sr, si = wi * wi, gamma, 0.0
         for p, c in pairs:
-            acc = acc + c / (w - p)
-        w = w / m - acc
-        if not abs(w) <= _ITER_OVERFLOW or w.imag < im * (1.0 - 1e-12) - 1e-15:
-            raise _power_error(w, z, j, where)
-        im = w.imag
-    return w
+            xr = wr - p
+            q = c / (xr * xr + wi2)
+            sr += q * xr
+            si += q
+        wr, wi, im = wr / m - sr, wi / m + si * wi, wi
+        if not math.hypot(wr, wi) <= _ITER_OVERFLOW or wi < im * (1.0 - 1e-12) - 1e-15:
+            raise _power_error(complex(wr, wi), z, j, where)
+    return complex(wr, wi)
 
 
 def _callable_power(f, k, z, where):
@@ -387,7 +390,8 @@ def _callable_power(f, k, z, where):
 
 
 def _power_error(w, z0, j, where):
-    what = "overflowed" if not abs(w) <= _ITER_OVERFLOW else "decreased the imaginary part"
+    big = not math.hypot(w.real, w.imag) <= _ITER_OVERFLOW
+    what = "overflowed" if big else "decreased the imaginary part"
     return ConvergenceError(f"iterated F from z0={z0!r} {what} at iteration {j} ({where})")
 
 

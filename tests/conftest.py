@@ -55,6 +55,22 @@ def mp_phi(m, gamma, sigma):
     return lambda w: lam * w - g + mpmath.fsum(c / (p - w) for p, c in poles)
 
 
+def mp_power(f, k, z):
+    """The carrier f's F composed k times at z, at 40 digits.
+
+    The data are f's own floats m, gamma' and (p, c), so the oracle measures
+    only the rounding of the iteration: F(w) = w/m - gamma' - sum c/(w - p).
+    """
+    gamma, pairs = f._pairs
+    with mpmath.workdps(40):
+        m, g = mpmath.mpf(f.m), mpmath.mpf(gamma)
+        poles = [(mpmath.mpf(p), mpmath.mpf(c)) for p, c in pairs]
+        w = mpmath.mpc(z)
+        for _ in range(k):
+            w = w / m - g - mpmath.fsum(c / (w - p) for p, c in poles)
+        return complex(w)
+
+
 def mp_time_one(m, gamma, sigma, z, w0):
     """F_1(z) at 50 digits, with no use of the zeros of Phi.
 

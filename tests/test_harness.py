@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import mp_time_one
+from conftest import mp_power, mp_time_one
+from ncprob.convolutions import monotone_power_grid
 from ncprob.errors import ConvergenceError, ValidationError
 from ncprob.harness import (
     ArraySpec,
@@ -23,6 +24,7 @@ from ncprob.harness import (
 from ncprob.idiv import LevyTriple, flow_map
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import (
+    NevanlinnaData,
     TransformGrid,
     ZR,
     f_powers,
@@ -281,18 +283,28 @@ def _ragged_spec(seed=3):
     return dataclasses.replace(spec, k_table=tuple((n, 3 * n * n) for n in ns))
 
 
+def _max_rel(got, ref):
+    return max(abs(a - b) / abs(b) for a, b in zip(got, ref))
+
+
 def test_f_powers_match_the_per_point_composition_on_ragged_rows():
+    # the float iterator rounds differently from composing F in complex
+    # arithmetic; measured: at most 1.8e-15 relative from the 40-digit
+    # oracle and 9e-16 from the composition, over 1 to 6 poles and m = 0.5
     spec = _ragged_spec()
     rows = [(spec.f_eval(n), spec.k_of(n), np.array(ZR), f"row n={n}") for n in spec.n_values]
+    half = NevanlinnaData.from_parts(0.5, 0.3, [(-1.0, 0.4), (0.5, 0.2)])
+    rows.append((half, 20, np.array(ZR), "m=0.5"))
     for (f, k, _, _), got in zip(rows, f_powers(rows)):
-        assert got.tolist() == _per_point_power(f, k)
+        assert _max_rel(got.tolist(), [mp_power(f, k, z) for z in ZR]) <= 3e-15
+        assert _max_rel(got.tolist(), _per_point_power(f, k)) <= 2e-15
     rep = run_powers(spec, "monotone", GAUSSIAN)
     target = _resolve_target("monotone", GAUSSIAN)
     for n, dist in zip(spec.n_values, rep.distances):
         mu = spec.measure(n)
         ref = TransformGrid(ZR, _per_point_power(f_transform(mu), spec.k_of(n)), "F",
                             mass=mu.mass ** spec.k_of(n))
-        assert dist == weak_distance(ref, target)
+        assert abs(dist - weak_distance(ref, target)) <= 1e-15
 
 
 def test_f_powers_run_flow_root_rows_on_the_row_grid():
@@ -314,6 +326,18 @@ def test_a_tripped_guard_names_its_row_point_and_iteration():
             f"(row n=8, k=8) (op=monotone)")
     with pytest.raises(ConvergenceError, match=re.escape(want)):
         run_powers(spec, "monotone", GAUSSIAN)
+
+
+@pytest.mark.parametrize("mu, k, what", [
+    # a mass of 1 + 5e-10 takes Im F(z) = Im z/m below (1 - 1e-12) Im z at once
+    (FiniteAtomicMeasure.dirac(0.25, 1 + 5e-10), 3, "decreased the imaginary part"),
+    # |F(z)| = |z|/1.7e-308 is past the largest float, where a complex abs raises
+    (FiniteAtomicMeasure.dirac(0.0, 1.7e-308), 2, "overflowed"),
+], ids=["im_fall", "past_float_range"])
+def test_a_power_guard_names_its_point_at_the_first_iteration(mu, k, what):
+    want = f"iterated F from z0={ZR[0]!r} {what} at iteration 1 (k={k})"
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        monotone_power_grid(mu, k)
 
 
 @pytest.mark.parametrize("op", ["boolean", "free", "classical"])
