@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
-from .harness import _verdict
-from .idiv import FLOW_STEP, _check_flow_args, _rk4_step
+from .harness import column, equivalence
+from .idiv import FLOW_STEP, _check_flow_args, _check_snapshot_step, _rk4_step
 from .measures import PARAMETER, CircleMeasure
-from .solvers import disk_guard, newton
+from .solvers import newton
 
 #: evaluation grid: two rings of eight points, radii 0.4 and 0.2
 DISK_GRID = tuple(
@@ -181,7 +181,7 @@ def sigma_transform(mu, z):
     if z == 0:
         return 1.0 / mean
     u = newton(lambda w: eta(mu, w) - z, lambda w: _eta_deriv_atomic(mu, w), z / mean,
-               tol=1e-13, guard=disk_guard(1.0), label="sigma_transform")
+               lambda w: abs(w) < 1.0, tol=1e-13, label="sigma_transform")
     return u / z
 
 
@@ -339,20 +339,13 @@ def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     return float(np.abs(direct - comp).max(initial=0.0))
 
 
-def _check_disk_flow_args(t_end, step):
-    t_end = _check_flow_args(t_end, step)
-    if step > 1e-2:
-        raise ValidationError("flow step must be <= 1e-2")
-    return t_end
-
-
 def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     """Integrate the disk flow; the derivative at 0 is tracked analytically.
 
     The snapshots at t/2 and t are the k = 1 rows of DiskFlowRoots with
     times (t/2,) and (t/2, t), run in one ``disk_powers`` pass.
     """
-    t_end = _check_disk_flow_args(t_end, step)
+    t_end = _check_snapshot_step(t_end, step)
     times = (0.0, 0.5 * t_end, t_end)
     z = _disk_points(points)
     half = full = z
@@ -622,7 +615,7 @@ def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
     run and the correction report is None.
     Returns (equivalence, correction).
     """
-    _check_disk_flow_args(1.0, flow_step)
+    _check_snapshot_step(1.0, flow_step)
     z = _disk_points(points)
     bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma, points)
     beta_ok, beta_rows = beta_condition_check(spec, gen.beta, tol)
@@ -638,35 +631,24 @@ def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
                          cmath.exp(2j * math.pi * ells[-1] / n)))
     mono_target, *lanes = (tuple(v.tolist()) for v in disk_powers(rows))
     per_row = 3 if correct else 2
-    rows_b, rows_m, rows_c = [], [], []
-    for i, n in enumerate(spec.n_values):
+    ns = spec.n_values
+    dist_b, dist_m, dist_c = [], [], []
+    for i, n in enumerate(ns):
         eta_z, power, *corrected = lanes[per_row * i:per_row * (i + 1)]
         boolean_power = DiskGrid(points, z * (np.array(eta_z) / z) ** n)
-        dist_b = float(eta_distance(boolean_power, bool_target))
-        dist_m = float(eta_distance(power, mono_target))
-        rows_b.append({"n": n, "k": n, "distance": dist_b})
-        rows_m.append({"n": n, "k": n, "distance": dist_m})
+        dist_b.append(float(eta_distance(boolean_power, bool_target)))
+        dist_m.append(float(eta_distance(power, mono_target)))
         if correct:
-            rows_c.append({"n": n, "k": n, "ell": ells[i], "uncorrected": dist_m,
-                           "corrected": float(eta_distance(corrected[0], mono_target))})
-    conv_b = _verdict([r["distance"] for r in rows_b], tol)
-    conv_m = _verdict([r["distance"] for r in rows_m], tol)
-    equivalence = {
-        "array": spec.name,
-        "beta_condition": {"holds": beta_ok, "rows": beta_rows},
-        "ops": {
-            "boolean": {"rows": rows_b, "converged": conv_b},
-            "monotone": {"rows": rows_m, "converged": conv_m},
-        },
-        "agreement": conv_b == conv_m,
-        "both_converged": conv_b and conv_m,
-        "tolerance": tol,
-    }
+            dist_c.append(float(eta_distance(corrected[0], mono_target)))
+    monotone = column(ns, ns, dist_m, tol)
+    report = equivalence(spec.name, column(ns, ns, dist_b, tol), monotone, tol,
+                         beta_condition={"holds": beta_ok, "rows": beta_rows})
     correction = None if not correct else {
         "array": spec.name,
-        "rows": rows_c,
-        "uncorrected_converged": conv_m,
-        "corrected_converged": _verdict([r["corrected"] for r in rows_c], tol),
+        "rows": [{"n": n, "k": n, "ell": ell, "uncorrected": u, "corrected": c}
+                 for n, ell, u, c in zip(ns, ells, dist_m, dist_c)],
+        "uncorrected_converged": monotone["converged"],
+        "corrected_converged": column(ns, ns, dist_c, tol)["converged"],
         "tolerance": tol,
     }
-    return equivalence, correction
+    return report, correction

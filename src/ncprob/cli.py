@@ -145,9 +145,17 @@ SCENARIO_SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
+def _finite(text):
+    """A JSON number or NaN/Infinity constant as a float, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"scenario numbers must be finite; got {text}")
+    return value
+
+
 def _load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
-        scenario = json.load(fh)
+        scenario = json.load(fh, parse_float=_finite, parse_constant=_finite)
     # the error jsonschema.validate raises, so messages read the same
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(scenario))
     if error is not None:
@@ -373,6 +381,22 @@ def cmd_flow(args):
     return EXIT_OK
 
 
+def _write_report(args, scenario, result, correction=None):
+    """A scenario command's report, {scenario, grids, result, version}, as JSON.
+
+    grids holds the canonical grids of the scenario's space; a circle-run
+    correction, when there is one, is the ``rotation_correction`` section.
+    """
+    if scenario["space"] == "circle":
+        grids = {"disk": _grid_json(DISK_GRID)}
+    else:
+        grids = {"zr": _grid_json(ZR), "t_grid": list(T_GRID)}
+    report = {"scenario": scenario, "grids": grids, "result": result, "version": __version__}
+    if correction is not None:
+        report["rotation_correction"] = correction
+    _dump_json(report, args.output)
+
+
 def _real_scenario(path, command):
     """A real-line scenario for limit-run or bp-check; flow_step is the disk flow's."""
     scenario = _load_scenario(path)
@@ -389,20 +413,15 @@ def cmd_limit_run(args):
     tol = scenario.get("tolerance", args.tolerance)
     spec = _real_spec(scenario["array"])
     triple = LevyTriple.from_parts(**scenario["triple"]) if "triple" in scenario else spec.limit
-    report = {
-        "scenario": scenario,
-        "grids": {"zr": _grid_json(ZR), "t_grid": list(T_GRID)},
-        "version": __version__,
-    }
     if triple.m < 1.0 - MASS_TOL:
-        report["result"] = subprobability_equivalence(spec, triple, tol)
+        result = subprobability_equivalence(spec, triple, tol)
     else:
         ops = scenario.get("ops", ["classical", "free", "boolean", "monotone"])
-        report["result"] = {
+        result = {
             "ops": {op: run_powers(spec, op, triple, tol).to_dict() for op in ops},
             "tolerance": tol,
         }
-    _dump_json(report, args.output)
+    _write_report(args, scenario, result)
     return EXIT_OK
 
 
@@ -413,13 +432,7 @@ def cmd_bp_check(args):
     if "triple" in scenario:
         spec = dataclasses.replace(spec, limit=LevyTriple.from_parts(**scenario["triple"]))
     result = bp_crosscheck(spec, tol)
-    report = {
-        "scenario": scenario,
-        "grids": {"zr": _grid_json(ZR), "t_grid": list(T_GRID)},
-        "result": result,
-        "version": __version__,
-    }
-    _dump_json(report, args.output)
+    _write_report(args, scenario, result)
     return EXIT_OK if result["agreement"] else EXIT_DISAGREEMENT
 
 
@@ -442,15 +455,7 @@ def cmd_circle_run(args):
         gen = spec.generator
     rotated = scenario["array"]["family"] == "rotated_semigroup"
     result, correction = circle_reports(spec, gen, tol, step, correct=rotated)
-    report = {
-        "scenario": scenario,
-        "grids": {"disk": _grid_json(DISK_GRID)},
-        "result": result,
-        "version": __version__,
-    }
-    if rotated:
-        report["rotation_correction"] = correction
-    _dump_json(report, args.output)
+    _write_report(args, scenario, result, correction)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ distance increase above 10% over the last three horizon points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,6 +140,8 @@ class ArraySpec:
         k_n gamma_n divergent, the standard broken array.
         """
         lam, c, shift = float(lam), float(c), float(shift_scale)
+        if not c >= 0.0:  # the rows' mass 1 - c/n would pass 1, and exp(-c) may overflow
+            raise ValidationError(f"a damped Poisson array needs c >= 0; got {c!r}")
 
         def mk(n):
             a = shift / math.sqrt(n)
@@ -207,28 +209,6 @@ def condition_e(spec, n):
     return float(gamma_n), sigma_n
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    op: str
-    ns: tuple
-    ks: tuple
-    distances: tuple
-    converged: bool
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        d = {
-            "op": self.op,
-            "rows": [
-                {"n": n, "k": k, "distance": dist}
-                for n, k, dist in zip(self.ns, self.ks, self.distances)
-            ],
-            "converged": self.converged,
-        }
-        d.update(self.extra)
-        return d
-
-
 def _verdict(distances, tol):
     if distances[-1] > tol:
         return False
@@ -237,6 +217,44 @@ def _verdict(distances, tol):
         if b > 1.1 * a + 1e-9:
             return False
     return True
+
+
+def column(ns, ks, distances, tol):
+    """One report column: a row {n, k, distance} per horizon point, and its verdict.
+
+    ``converged`` is the module's verdict on the distances at tol.  Every
+    column of every report is built here, on the line and on the disk.
+    """
+    return {"rows": [{"n": n, "k": k, "distance": d} for n, k, d in zip(ns, ks, distances)],
+            "converged": _verdict(distances, tol)}
+
+
+def equivalence(array, boolean, monotone, tol, **condition):
+    """The Boolean/monotone section of a report: both columns and whether they agree.
+
+    boolean and monotone are report columns (``column``); condition is the
+    one keyword naming the transfer condition the section rests on:
+    ``mass_limit`` on the line, ``beta_condition`` on the disk.
+    """
+    b, m = boolean["converged"], monotone["converged"]
+    return {"array": array, **condition, "ops": {"boolean": boolean, "monotone": monotone},
+            "agreement": b == m, "both_converged": b and m, "tolerance": tol}
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    op: str
+    ns: tuple
+    ks: tuple
+    distances: tuple
+    tol: float
+
+    @property
+    def converged(self):
+        return _verdict(self.distances, self.tol)
+
+    def to_dict(self):
+        return {"op": self.op, **column(self.ns, self.ks, self.distances, self.tol)}
 
 
 def _resolve_target(op, target):
@@ -316,7 +334,7 @@ def run_powers(spec, op, target, tol=0.05):
     except (NumericalError, ValidationError) as exc:
         at = op if where is None else f"{op}, {where}"
         raise type(exc)(f"{exc} (op={at})") from exc
-    return ConvergenceReport(op, ns, ks, tuple(dists), _verdict(dists, tol))
+    return ConvergenceReport(op, ns, ks, tuple(dists), tol)
 
 
 def chernoff_residual(spec, triple, n):
@@ -382,16 +400,9 @@ def subprobability_equivalence(spec, triple=None, tol=0.05):
         raise ValidationError(
             f"mass^k = {mhat} at the horizon does not approach m = {triple.m}"
         )
-    rep_b = run_powers(spec, "boolean", triple, tol)
-    rep_m = run_powers(spec, "monotone", triple, tol)
-    return {
-        "array": spec.name,
-        "mass_limit": {"target": triple.m, "observed": mhat},
-        "ops": {"boolean": rep_b.to_dict(), "monotone": rep_m.to_dict()},
-        "agreement": rep_b.converged == rep_m.converged,
-        "both_converged": rep_b.converged and rep_m.converged,
-        "tolerance": tol,
-    }
+    return equivalence(spec.name, run_powers(spec, "boolean", triple, tol).to_dict(),
+                       run_powers(spec, "monotone", triple, tol).to_dict(), tol,
+                       mass_limit={"target": triple.m, "observed": mhat})
 
 
 def tightness_diagnostics(spec, n, y_values, m_limit=None):

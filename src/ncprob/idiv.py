@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowError, ValidationError
+from .errors import FlowError, NumericalError, ValidationError
 from .measures import MASS_TOL
 from .rational import upper_root
 from .transforms import NevanlinnaData, TransformGrid, ZR, recover_measure
@@ -201,6 +201,10 @@ def _out_of_ticks(z0, t_end, t, ticks):
                      f"RK4 steps (t={t:.6g})")
 
 
+def _fell_below_floor(z0, t):
+    return FlowError(f"flow from z0={z0!r}: Im F fell below m^-t Im z at t={t:.6f}")
+
+
 def _rk4_leg(triple, z, t_end, step, hook=None):
     """Integrate dF/dt = Phi(F) from F_0 = z to t_end.
 
@@ -231,7 +235,7 @@ def _rk4_leg(triple, z, t_end, step, hook=None):
         if hook is not None:
             w = hook(w, t)
         if _below_floor(w, t, z.imag, log_m):
-            raise FlowError(f"flow from z0={z!r}: Im F fell below m^-t Im z at t={t:.6f}")
+            raise _fell_below_floor(z, t)
     return w
 
 
@@ -277,10 +281,7 @@ def _rk4_leg_array(triple, z, t_end, step, hook=None):
         bad = _below_floor(w, t, im0, log_m, np.exp)
         if bad.any():
             i = np.argmax(bad)
-            raise FlowError(
-                f"flow from z0={complex(z[active[i]])!r}: Im F fell below m^-t Im z "
-                f"at t={t[i]:.6f}"
-            )
+            raise _fell_below_floor(complex(z[active[i]]), t[i])
 
 
 def flow_map(triple, t_end, z, step=FLOW_STEP):
@@ -401,7 +402,8 @@ def monotone_idiv_atom(triple):
     of sigma (a pole of Phi) or when the weight comes out <= 0 (x0 within
     rounding of q).  When Phi(0) = 0, 0 is a fixed point,
     F_1'(0) = e^{Phi'(0)} and the weight is e^{-Phi'(0)}; Phi = 0 leaves
-    the Dirac mass at 0.
+    the Dirac mass at 0.  A zero of Phi that rounds to 0 while Phi(0) != 0
+    raises NumericalError: the side of 0 it lies on is lost.
 
     Psi - Psi(0) is d(x) - d(0) for ``_abel_corrector``'s d based at i,
     and Phi(x0)/Phi(0) is the product of (q - x0)/q over the zeros of Phi
@@ -415,11 +417,16 @@ def monotone_idiv_atom(triple):
     phi0 = _phi(triple)(0.0)
     if phi0 == 0.0:
         return 0.0, math.exp(-phi_deriv(triple, 0.0))
+    zeros = triple._abel[0]
+    if 0.0 in zeros:
+        # a zero within rounding of 0, on a side that Phi(0) != 0 cannot tell
+        raise NumericalError(f"monotone atom of m={triple.m!r} gamma={triple.gamma!r} "
+                             f"sigma={triple.sigma.to_json_pairs()!r}: a zero of Phi rounds "
+                             f"to 0 while Phi(0) = {phi0:.3e}")
     side = -math.copysign(1.0, phi0)
     _, d = _abel_corrector(triple, 1j)
     d0 = d(0.0)
     psi = lambda x: (d(x) - d0).real
-    zeros = triple._abel[0]
     ahead = [q for q in zeros if side * q > 0.0]
     if ahead:
         end = min(ahead, key=abs)
@@ -467,6 +474,14 @@ def _check_flow_args(t_end, step):
     return t_end
 
 
+def _check_snapshot_step(t_end, step):
+    """_check_flow_args for the snapshot flows, line and disk, whose step is at most 1e-2."""
+    t_end = _check_flow_args(t_end, step)
+    if step > 1e-2:
+        raise ValidationError("flow step must be <= 1e-2")
+    return t_end
+
+
 def _check_line_points(z):
     bad = ~(np.isfinite(z) & (z.imag > 0))
     if bad.any():
@@ -489,9 +504,7 @@ def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
     Each point takes ``flow_map`` to t_end/2 and the result ``flow_map``
     for the rest, so the midpoint snapshot is on the way.
     """
-    t_end = _check_flow_args(t_end, step)
-    if step > 1e-2:
-        raise ValidationError("flow step must be <= 1e-2")
+    t_end = _check_snapshot_step(t_end, step)
     times = (0.0, 0.5 * t_end, t_end)
     snapshots = [[], [], []]
     for z in points:

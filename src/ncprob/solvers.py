@@ -1,4 +1,4 @@
-"""Scalar complex Newton iteration with domain guards."""
+"""Scalar complex Newton iteration inside an open domain."""
 
 from __future__ import annotations
 
@@ -8,11 +8,15 @@ from .errors import ConvergenceError
 MAX_ITER = 100
 
 
-def newton(f, df, z0, tol=1e-12, guard=None, label="newton"):
-    """Solve f(w) = 0 from w = z0 in at most MAX_ITER steps.  |f(w)| <= tol on success.
+def newton(f, df, z0, inside, tol=1e-12, label="newton"):
+    """Solve f(w) = 0 from w = z0 in at most MAX_ITER steps, keeping w where inside(w).
 
-    guard(w, w_next) may shrink a step to keep the iterate in an open domain
-    (upper half-plane, disk); it returns the admissible next iterate.
+    inside is the predicate of an open domain (Im w > 0 for the upper
+    half-plane, |w| < 1 for the disk) that holds at z0.  Each Newton step
+    is halved until it lands inside, at most 60 times.  Returns w with
+    |f(w)| <= tol; raises ConvergenceError, prefixed by label, on a zero
+    derivative, on a step that cannot stay inside, or without convergence
+    after MAX_ITER steps.
     """
     w = complex(z0)
     for _ in range(MAX_ITER):
@@ -23,33 +27,14 @@ def newton(f, df, z0, tol=1e-12, guard=None, label="newton"):
         if d == 0:
             raise ConvergenceError(f"{label}: zero derivative at {w}")
         nxt = w - fw / d
-        if guard is not None:
-            nxt = guard(w, nxt)
-        w = nxt
+        step = nxt - w
+        for _ in range(60):
+            if inside(w + step):
+                break
+            step *= 0.5
+        else:
+            raise ConvergenceError(f"{label}: the step from {w} cannot stay in the domain")
+        w = w + step
     if abs(f(w)) <= tol:
         return w
     raise ConvergenceError(f"{label}: no convergence from {z0} (residual {abs(f(w)):.3e})")
-
-
-def upper_half_plane_guard(w, nxt):
-    """Halve the step until the next iterate stays in the open upper half-plane."""
-    step = nxt - w
-    for _ in range(60):
-        if (w + step).imag > 0.0:
-            return w + step
-        step *= 0.5
-    raise ConvergenceError("newton step cannot stay in the upper half-plane")
-
-
-def disk_guard(radius):
-    """Guard keeping iterates inside |w| < radius."""
-
-    def _guard(w, nxt):
-        step = nxt - w
-        for _ in range(60):
-            if abs(w + step) < radius:
-                return w + step
-            step *= 0.5
-        raise ConvergenceError("newton step cannot stay inside the disk")
-
-    return _guard

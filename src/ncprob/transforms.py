@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, RecoveryError, ValidationError
 from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
 from .rational import _eigen, cauchy_zeros, spectral_measure
-from .solvers import newton, upper_half_plane_guard
+from .solvers import newton
 
 #: canonical evaluation grid: Im >= 1 keeps every engine well-conditioned
 ZR = tuple(
@@ -251,7 +251,7 @@ def voiculescu_phi(mu, z):
         raise ValidationError("voiculescu_phi needs a probability measure")
     f = f_transform(mu)
     w = newton(lambda w: f(w) - z, lambda w: 1.0 / f.m - f._e_prime(w), z,
-               guard=upper_half_plane_guard, label="voiculescu_phi")
+               lambda w: w.imag > 0.0, label="voiculescu_phi")
     return w - z
 
 
@@ -357,19 +357,23 @@ def f_powers(rows):
 
 def _carrier_power(f, k, z, where):
     """The carrier's F composed k times at z, in real floats: with q = c/|w - p|^2,
-    F(w) = Re w/m - gamma' - sum q (Re w - p) + i Im w (1/m + sum q): only + - * /."""
+    F(w) = Re w/m - gamma' - sum q (Re w - p) + i Im w (1/m + sum q): only + - * /.
+    A |w - p|^2 that underflows to 0 (w within 1e-154 of a pole p) is an overflow."""
     gamma, pairs = f._pairs
     m, wr, wi = f.m, z.real, z.imag
-    for j in range(1, k + 1):
-        wi2, sr, si = wi * wi, gamma, 0.0
-        for p, c in pairs:
-            xr = wr - p
-            q = c / (xr * xr + wi2)
-            sr += q * xr
-            si += q
-        wr, wi, im = wr / m - sr, wi / m + si * wi, wi
-        if not math.hypot(wr, wi) <= _ITER_OVERFLOW or wi < im * (1.0 - 1e-12) - 1e-15:
-            raise _power_error(complex(wr, wi), z, j, where)
+    try:
+        for j in range(1, k + 1):
+            wi2, sr, si = wi * wi, gamma, 0.0
+            for p, c in pairs:
+                xr = wr - p
+                q = c / (xr * xr + wi2)
+                sr += q * xr
+                si += q
+            wr, wi, im = wr / m - sr, wi / m + si * wi, wi
+            if not math.hypot(wr, wi) <= _ITER_OVERFLOW or wi < im * (1.0 - 1e-12) - 1e-15:
+                raise _power_error(complex(wr, wi), z, j, where)
+    except ZeroDivisionError:
+        raise _power_error(complex(math.inf), z, j, where) from None
     return complex(wr, wi)
 
 

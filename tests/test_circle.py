@@ -75,6 +75,21 @@ def test_mean_and_sigma_transform():
         sigma_transform(TWO_ATOM, 0.05)
 
 
+@pytest.mark.parametrize("z", [0.07, 0.05j, -0.08 + 0.03j, -0.06 + 0.13j])
+def test_sigma_transform_of_two_atoms_matches_a_40_digit_root(z):
+    # eta(u) = z is solved by Newton from z/mean, with mean = 0.544 + 0.480i
+    mu = CircleMeasure.from_pairs([(0.3, 0.7), (2.0, 0.3)])
+    with mpmath.workdps(40):
+        atoms = [(mpmath.expj(t), mpmath.mpf(w)) for t, w in mu.atoms]
+
+        def eta_mp(w):
+            p = sum(c * zeta * w / (1 - zeta * w) for zeta, c in atoms)
+            return p / (1 + p)
+
+        ref = complex(mpmath.findroot(lambda w: eta_mp(w) - z, z / circle_mean(mu)) / z)
+    assert abs(sigma_transform(mu, z) - ref) <= 1e-15 * abs(ref)
+
+
 def test_dirac_products_all_three():
     d1, d2 = CircleMeasure.dirac(0.7), CircleMeasure.dirac(1.1)
     want = cmath.exp(1.8j)

@@ -522,12 +522,37 @@ def test_flow_rejects_unending_arguments(tmp_path, capsys, no_hang, flag):
      EXIT_NUMERICAL, "spectral_measure"),
     (["idiv", "--op", "free", "--m", 1, "--gamma=1e300", "--sigma=1e300:2", "--bins", 2],
      EXIT_NUMERICAL, "upper_root"),
+    # a zero of Phi computed as exactly 0 took the Abel difference's Log(0)
+    (["idiv", "--op", "monotone", "--m", 0.999, "--gamma", 0, "--sigma=1e-300:2,0.3:1e300",
+      "--bins", 5], EXIT_NUMERICAL,
+     "monotone atom of m=0.999 gamma=0.0 sigma=[[1e-300, 2.0], [0.3, 1e+300]]: a zero of Phi "
+     "rounds to 0 while Phi(0) = 5.333e+300"),
 ], ids=["monotone_gamma_1e300", "flow_step_1e-300", "flow_t_end_1e9", "boolean_eigh",
-        "free_eigvals"])
+        "free_eigvals", "monotone_zero_of_phi_at_0"])
 def test_inputs_that_hung_or_crashed_exit_2_or_3(tmp_path, capsys, no_hang, argv, code, named):
     assert run([*argv, "--output", tmp_path / "out"]) == code
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_scenario_numbers_must_be_finite(tmp_path, capsys, text):
+    # a rotated array of beta = -inf reached round(nan) in detect_rotation
+    path = tmp_path / "scenario.json"
+    path.write_text('{"space": "circle", "array": {"family": "rotated_semigroup", "beta": '
+                    + text + ', "sigma": [[1.0, 0.5]], "rotation_ell": 1, "n_values": [4]}}')
+    assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert f"scenario numbers must be finite; got {text}" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_damped_poisson_array_needs_a_non_negative_c(tmp_path, capsys):
+    # c = -1e300 overflowed math.exp(-c) for the limit's mass
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"space": "real", "array": {
+        "family": "damped_poisson", "c": -1e300, "n_values": [4, 8]}}))
+    assert run(["limit-run", path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert "a damped Poisson array needs c >= 0; got -1e+300" in capsys.readouterr().err
 
 
 def test_idiv_classical_with_a_tiny_sigma_atom(tmp_path):

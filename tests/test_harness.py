@@ -340,6 +340,38 @@ def test_a_power_guard_names_its_point_at_the_first_iteration(mu, k, what):
         monotone_power_grid(mu, k)
 
 
+def test_a_carrier_power_within_1e_154_of_a_pole_overflows():
+    # |w - p|^2 of the first step underflows to 0: the division by it raised
+    # a bare ZeroDivisionError
+    z = complex(2.2371143170757382e-17, 1e-200)
+    want = f"iterated F from z0={z!r} overflowed at iteration 1 (k=3)"
+    bernoulli = FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        monotone_power_grid(bernoulli, 3, points=[z])
+
+
+def test_a_callable_row_that_overflows_names_its_point_and_iteration():
+    # |F^j(z)| = 1e5^j |z| passes 1e12 at j = 3 from every grid point
+    rows = [(lambda w: 1e5 * w, 4, np.array(ZR), "scaled row")]
+    want = f"iterated F from z0={ZR[0]!r} overflowed at iteration 3 (scaled row)"
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        f_powers(rows)
+
+
+def test_a_callable_row_that_fails_names_its_iteration():
+    calls = []
+
+    def f(w):
+        calls.append(w)
+        if len(calls) == 2:
+            raise ConvergenceError("inner solve failed")
+        return w + 1j
+
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("inner solve failed at iteration 2 (flaky row)")):
+        f_powers([(f, 3, np.array(ZR), "flaky row")])
+
+
 @pytest.mark.parametrize("op", ["boolean", "free", "classical"])
 def test_ops_that_need_row_measures_name_the_op(op):
     spec = ArraySpec.flow_root(GAUSSIAN, n_values=(4, 8))

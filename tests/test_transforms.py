@@ -82,6 +82,19 @@ def test_voiculescu_phi_examples(bernoulli):
     assert voiculescu_phi(shifted, z) == pytest.approx(2.0 + expected, abs=1e-10)
 
 
+def test_voiculescu_phi_halves_a_step_that_leaves_the_half_plane(bernoulli):
+    # F(w) = w - 1/w has F'(i) = 0, so the first Newton step from z = i lands
+    # at Im w ~ -2.2e15; halved back into C+, Newton reaches the root
+    # (-sqrt(3) + i)/2 of F(w) = i, and unhalved it does not converge
+    f, z = f_transform(bernoulli), 1j
+    fw, d = f(z) - z, 1.0 - f._e_prime(z)
+    assert (z - fw / d).imag < -1e15
+    w = z + voiculescu_phi(bernoulli, z)
+    assert w.imag > 0.0
+    assert abs(f(w) - z) <= 1e-12
+    assert w == pytest.approx(complex(-math.sqrt(3.0) / 2.0, 0.5), abs=1e-15)
+
+
 def test_nevanlinna_examples(bernoulli):
     nev = f_transform(bernoulli)
     assert nev.m == 1.0
