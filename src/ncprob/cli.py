@@ -15,8 +15,6 @@ import json
 import math
 import sys
 
-import jsonschema
-
 from . import __version__
 from .circle import (
     DISK_GRID,
@@ -34,6 +32,7 @@ from .errors import NumericalError, ValidationError
 from .harness import (
     ArraySpec,
     DEFAULT_NS,
+    OPS,
     T_GRID,
     bp_crosscheck,
     run_powers,
@@ -61,116 +60,112 @@ EXIT_DISAGREEMENT = 4
 #: work caps on the arguments, each far above every shipped scenario: density
 #: bins, an array's row sizes n and powers k, its number of rows, and the
 #: smallest flow step of a circle scenario (its table of RK4 steps holds
-#: 1/flow_step entries a row)
+#: 1/flow_step entries a row); the largest step is the disk flow's own bound
 MAX_BINS = 10**5
 MAX_ROW_SIZE = 2**16
 MAX_ROWS = 32
 MIN_CIRCLE_FLOW_STEP = 1e-5
+MAX_CIRCLE_FLOW_STEP = 1e-2
 
-_ARRAY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "family": {"enum": ["bernoulli_clt", "poisson", "damped_poisson", "fixed_bernoulli"]},
-        "lam": {"type": "number"},
-        "c": {"type": "number"},
-        "shift_scale": {"type": "number"},
-        "n_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "k_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    },
-    "required": ["family"],
-}
+#: the keys a scenario of each space may set besides space and array; any other is refused
+_SCENARIO_KEYS = {"real": ("triple", "ops", "tolerance"),
+                  "circle": ("generator", "flow_step", "tolerance")}
 
-_CIRCLE_ARRAY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "family": {"enum": ["semigroup", "rotated_semigroup"]},
-        "beta": {"type": "number"},
-        "sigma": {"type": "array", "items": {
-            "type": "array", "items": {"type": "number"},
-            "minItems": 2, "maxItems": 2}},
-        "rotation_ell": {"oneOf": [{"type": "integer"}, {"enum": ["half"]}]},
-        "n_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    },
-    "required": ["family", "beta", "sigma"],
-    # without l a rotated array would run unrotated
-    "if": {"properties": {"family": {"const": "rotated_semigroup"}}},
-    "then": {"required": ["rotation_ell"]},
-}
-
-_TRIPLE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "m": {"type": "number"},
-        "gamma": {"type": "number"},
-        "sigma": {"type": "array", "items": {
-            "type": "array", "items": {"type": "number"},
-            "minItems": 2, "maxItems": 2}},
-    },
-    "required": ["m", "gamma", "sigma"],
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "space": {"enum": ["real", "circle"]},
-        "array": {"type": "object"},
-        "triple": _TRIPLE_SCHEMA,
-        "generator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta": {"type": "number"},
-                "sigma": _TRIPLE_SCHEMA["properties"]["sigma"],
-            },
-            "required": ["beta", "sigma"],
-        },
-        "ops": {"type": "array", "items": {
-            "enum": ["classical", "free", "boolean", "monotone"]}},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "flow_step": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-2},
-    },
-    "required": ["space", "array"],
-    # the space picks the array schema, so a rejected field is named as such
-    "if": {"properties": {"space": {"const": "circle"}}},
-    "then": {"properties": {"array": _CIRCLE_ARRAY_SCHEMA}},
-    "else": {"properties": {"array": _ARRAY_SCHEMA}},
+#: the scenario keys that a flag of the same name stands in for: each one's rule, in
+#: words and as a test, holds for the flag's value too
+_SETTINGS = {
+    "tolerance": ("finite and above 0", lambda v: 0 < v < math.inf),
+    "flow_step": (f"at least {MIN_CIRCLE_FLOW_STEP} and at most {MAX_CIRCLE_FLOW_STEP}",
+                  lambda v: MIN_CIRCLE_FLOW_STEP <= v <= MAX_CIRCLE_FLOW_STEP),
 }
 
 
-#: built once: jsonschema.validate would re-check the schema on every load
-_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+def _load_json(path, kind):
+    """The scenario or measure file at path, each number in it a finite float.
+
+    Integers too: one past the float range, or past Python's 4,300-digit
+    int-string limit, is refused.  They stay ints, so a report writes 1 as 1.
+    """
+    def finite(text, convert=float):
+        if not math.isfinite(float(text)):
+            shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+            raise ValidationError(f"{kind} numbers must be finite; got {shown}")
+        return convert(text)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_float=finite, parse_constant=finite,
+                         parse_int=lambda text: finite(text, int))
 
 
-def _finite(text):
-    """A JSON number or NaN/Infinity constant as a float, which must be finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValidationError(f"scenario numbers must be finite; got {text}")
+def _object(value, name, required, optional=()):
+    """value, a JSON object with every key of required and no key outside required + optional."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object; got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ValidationError(f"{name} needs the key {key!r}")
+    keys = required + optional
+    for key in value:
+        if key not in keys:
+            raise ValidationError(f"{name} takes no key {key!r}; its keys are {', '.join(keys)}")
     return value
 
 
-def _load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        scenario = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    # the error jsonschema.validate raises, so messages read the same
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(scenario))
-    if error is not None:
-        raise error
+def _number(value, name):
+    """value, which must be a JSON number: not a string, true or false."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"{name} must be a number; got {value!r}")
+    return value
+
+
+def _is_integer(value):
+    """Whether value is a JSON integer; 16.0 counts as one."""
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
+def _pairs(value, name):
+    """value, a list of [number, number] pairs (atoms of a sigma)."""
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+        raise ValidationError(f"{name} must be a list of [number, number] pairs; got {value!r}")
+    for i, pair in enumerate(value):
+        for v in pair:
+            _number(v, f"{name}[{i}]")
+    return value
+
+
+def _setting(scenario, args, key):
+    """scenario[key], else the flag of the same name, checked by its rule in _SETTINGS."""
+    value = _number(scenario.get(key, getattr(args, key)), key)
+    rule, holds = _SETTINGS[key]
+    if not holds(value):
+        raise ValidationError(f"{key} must be {rule}; got {value!r}")
+    return value
+
+
+def _load_scenario(path, command, space):
+    """The scenario file of a command that reads the given space."""
+    scenario = _load_json(path, "scenario")
+    if isinstance(scenario, dict) and scenario.get("space") != space:
+        raise ValidationError(f"{command} reads {space} scenarios; got space "
+                              f"{scenario.get('space')!r}")
+    _object(scenario, f"a {space} scenario", ("space", "array"), _SCENARIO_KEYS[space])
+    # only limit-run on a probability limit reads ops, but bp-check refuses bad ones too
+    ops = scenario.get("ops", [])
+    if not isinstance(ops, list) or any(op not in OPS for op in ops):
+        raise ValidationError(f"ops must be a list of {', '.join(OPS)}; got {ops!r}")
     return scenario
 
 
 def _row_sizes(array, key):
-    """array[key] (n_values or k_values, default DEFAULT_NS) as a tuple, within MAX_ROWS
-    and MAX_ROW_SIZE."""
-    sizes = tuple(array.get(key, DEFAULT_NS))
+    """array[key] (n_values or k_values, default DEFAULT_NS) as a tuple of integers >= 1,
+    within MAX_ROWS and MAX_ROW_SIZE."""
+    sizes = array.get(key, list(DEFAULT_NS))
+    if not isinstance(sizes, list) or not all(_is_integer(v) and v >= 1 for v in sizes):
+        raise ValidationError(f"array.{key} must be a list of integers >= 1; got {sizes!r}")
     if len(sizes) > MAX_ROWS or any(v > MAX_ROW_SIZE for v in sizes):
         raise ValidationError(f"array.{key} takes at most {MAX_ROWS} values, "
                               f"each at most {MAX_ROW_SIZE}")
-    return sizes
+    return tuple(sizes)
 
 
 def _k_table(array, ns):
@@ -185,31 +180,48 @@ def _k_table(array, ns):
 
 
 def _real_spec(array):
+    _object(array, "array", ("family",), ("lam", "c", "shift_scale", "n_values", "k_values"))
     ns = _row_sizes(array, "n_values")
+    lam = _number(array.get("lam", 1.0), "array.lam")
+    c = _number(array.get("c", 1.0), "array.c")
+    shift_scale = _number(array.get("shift_scale", 0.0), "array.shift_scale")
     family = array["family"]
     if family == "bernoulli_clt":
         spec = ArraySpec.bernoulli_clt(ns)
     elif family == "poisson":
-        spec = ArraySpec.poisson(array.get("lam", 1.0), ns)
+        spec = ArraySpec.poisson(lam, ns)
     elif family == "damped_poisson":
-        spec = ArraySpec.damped_poisson(
-            array.get("lam", 1.0), array.get("c", 1.0),
-            array.get("shift_scale", 0.0), ns)
-    else:
+        spec = ArraySpec.damped_poisson(lam, c, shift_scale, ns)
+    elif family == "fixed_bernoulli":
         spec = ArraySpec.fixed(n_values=ns)
+    else:
+        raise ValidationError("array.family of a real scenario is one of bernoulli_clt, "
+                              f"poisson, damped_poisson, fixed_bernoulli; got {family!r}")
     table = _k_table(array, ns)
     return spec if table is None else dataclasses.replace(spec, k_table=table)
 
 
+def _generator(obj, name):
+    """The circle generator of obj's beta and sigma: the array's own or the scenario's."""
+    sigma = CircleMeasure.from_pairs(_pairs(obj["sigma"], f"{name}.sigma"), role=PARAMETER)
+    return CircleGenerator(float(_number(obj["beta"], f"{name}.beta")), sigma)
+
+
 def _circle_spec(array, flow_step):
+    _object(array, "array", ("family", "beta", "sigma"), ("rotation_ell", "n_values"))
+    family = array["family"]
+    if family not in ("semigroup", "rotated_semigroup"):
+        raise ValidationError("array.family of a circle scenario is semigroup or "
+                              f"rotated_semigroup; got {family!r}")
     ns = _row_sizes(array, "n_values")
-    sigma = CircleMeasure.from_pairs(array["sigma"], role=PARAMETER)
-    gen = CircleGenerator(float(array["beta"]), sigma)
+    gen = _generator(array, "array")
     ell = array.get("rotation_ell", 0)
-    if array["family"] == "semigroup" and "rotation_ell" in array:
+    if not (ell == "half" or _is_integer(ell)):
+        raise ValidationError(f'array.rotation_ell must be an integer or "half"; got {ell!r}')
+    if family == "semigroup" and "rotation_ell" in array:
         raise ValidationError("array.rotation_ell belongs to rotated_semigroup; "
                               "a semigroup array is not rotated")
-    if array["family"] == "rotated_semigroup" and ell == 0:
+    if family == "rotated_semigroup" and ell == 0:
         raise ValidationError("array.rotation_ell must be non-zero: l = 0 leaves "
                               "a rotated_semigroup array unrotated")
     if ell == "half":
@@ -339,8 +351,7 @@ def cmd_idiv(args):
 
 
 def _load_measure(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return FiniteAtomicMeasure.from_pairs(json.load(fh))
+    return FiniteAtomicMeasure.from_pairs(_load_json(path, "measure"))
 
 
 def cmd_convolve(args):
@@ -397,26 +408,23 @@ def _write_report(args, scenario, result, correction=None):
     _dump_json(report, args.output)
 
 
-def _real_scenario(path, command):
-    """A real-line scenario for limit-run or bp-check; flow_step is the disk flow's."""
-    scenario = _load_scenario(path)
-    if scenario["space"] != "real":
-        raise ValidationError(f"{command} handles real-line scenarios; use circle-run")
-    if "flow_step" in scenario:
-        raise ValidationError("flow_step belongs to circle scenarios: a real-line scenario "
-                              "reads its monotone law from the Abel equation, not an RK4 flow")
-    return scenario
+def _triple(obj):
+    """The Levy triple of a real scenario's triple {m, gamma, sigma}."""
+    _object(obj, "triple", ("m", "gamma", "sigma"))
+    return LevyTriple.from_parts(_number(obj["m"], "triple.m"),
+                                 _number(obj["gamma"], "triple.gamma"),
+                                 _pairs(obj["sigma"], "triple.sigma"))
 
 
 def cmd_limit_run(args):
-    scenario = _real_scenario(args.scenario, "limit-run")
-    tol = scenario.get("tolerance", args.tolerance)
+    scenario = _load_scenario(args.scenario, "limit-run", "real")
+    tol = _setting(scenario, args, "tolerance")
     spec = _real_spec(scenario["array"])
-    triple = LevyTriple.from_parts(**scenario["triple"]) if "triple" in scenario else spec.limit
+    triple = _triple(scenario["triple"]) if "triple" in scenario else spec.limit
     if triple.m < 1.0 - MASS_TOL:
         result = subprobability_equivalence(spec, triple, tol)
     else:
-        ops = scenario.get("ops", ["classical", "free", "boolean", "monotone"])
+        ops = scenario.get("ops", OPS)
         result = {
             "ops": {op: run_powers(spec, op, triple, tol).to_dict() for op in ops},
             "tolerance": tol,
@@ -426,33 +434,25 @@ def cmd_limit_run(args):
 
 
 def cmd_bp_check(args):
-    scenario = _real_scenario(args.scenario, "bp-check")
-    tol = scenario.get("tolerance", args.tolerance)
+    scenario = _load_scenario(args.scenario, "bp-check", "real")
+    tol = _setting(scenario, args, "tolerance")
     spec = _real_spec(scenario["array"])
     if "triple" in scenario:
-        spec = dataclasses.replace(spec, limit=LevyTriple.from_parts(**scenario["triple"]))
+        spec = dataclasses.replace(spec, limit=_triple(scenario["triple"]))
     result = bp_crosscheck(spec, tol)
     _write_report(args, scenario, result)
     return EXIT_OK if result["agreement"] else EXIT_DISAGREEMENT
 
 
 def cmd_circle_run(args):
-    scenario = _load_scenario(args.scenario)
-    if scenario["space"] != "circle":
-        raise ValidationError("circle-run handles circle scenarios")
-    tol = scenario.get("tolerance", args.tolerance)
-    step = scenario.get("flow_step", args.flow_step)
-    if step < MIN_CIRCLE_FLOW_STEP:
-        raise ValidationError(f"flow_step must be at least {MIN_CIRCLE_FLOW_STEP}, got {step!r}")
+    scenario = _load_scenario(args.scenario, "circle-run", "circle")
+    tol = _setting(scenario, args, "tolerance")
+    step = _setting(scenario, args, "flow_step")
     spec = _circle_spec(scenario["array"], step)
-    gen_obj = scenario.get("generator")
-    if gen_obj is not None:
-        gen = CircleGenerator(
-            float(gen_obj["beta"]),
-            CircleMeasure.from_pairs(gen_obj["sigma"], role=PARAMETER),
-        )
-    else:
-        gen = spec.generator
+    gen = spec.generator
+    if "generator" in scenario:
+        gen = _generator(_object(scenario["generator"], "generator", ("beta", "sigma")),
+                         "generator")
     rotated = scenario["array"]["family"] == "rotated_semigroup"
     result, correction = circle_reports(spec, gen, tol, step, correct=rotated)
     _write_report(args, scenario, result, correction)
@@ -493,15 +493,13 @@ def build_parser():
 
     p = sub.add_parser("idiv", help="laws of a Levy triple: atoms or density")
     _add_triple_args(p)
-    p.add_argument("--op", choices=["classical", "free", "boolean", "monotone"],
-                   required=True)
+    p.add_argument("--op", choices=OPS, required=True)
     p.add_argument("--x-window", dest="x_window", type=str, default="-6:6")
     p.add_argument("--bins", type=int, default=400)
     _add_options(p, "grid-eps", "output", "format", "svg")
 
     p = sub.add_parser("convolve", help="convolve two atomic measures")
-    p.add_argument("--op", choices=["classical", "free", "boolean", "monotone"],
-                   required=True)
+    p.add_argument("--op", choices=OPS, required=True)
     p.add_argument("--a", required=True, help="measure JSON [[pos, weight], ...]")
     p.add_argument("--b", required=True)
     _add_options(p, "output", "format")
@@ -530,8 +528,7 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValidationError, jsonschema.ValidationError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

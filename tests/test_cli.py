@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -746,9 +749,217 @@ def test_circle_run_rejects_a_rotated_array_without_a_rotation(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_scenario_schema_is_a_valid_schema():
-    """The validator is built once at import, without re-checking the schema."""
-    cli._VALIDATOR.check_schema(cli.SCENARIO_SCHEMA)
+_SCENARIO_ENGINES = ("run_powers", "bp_crosscheck", "subprobability_equivalence",
+                     "circle_reports")
+_REAL = {"space": "real", "array": {"family": "bernoulli_clt", "n_values": [4]},
+         "triple": {"m": 1.0, "gamma": 0.0, "sigma": [[0.0, 1.0]]}}
+_CIRCLE = {"space": "circle", "array": {**_CIRCLE_ARRAY, "n_values": [4]},
+           "generator": {"beta": 0.3, "sigma": [[2.5, 0.4]]}}
+_ROTATED = {**_CIRCLE, "array": {**ROTATED, "n_values": [4]}}
+_DROP = object()
+
+
+def _with(scenario, key, value):
+    """A copy of scenario with value at key (a dotted path), or without key if value is _DROP."""
+    scenario = json.loads(json.dumps(scenario))
+    *parents, last = key.split(".")
+    target = scenario
+    for name in parents:
+        target = target[name]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return scenario
+
+
+def _rule(name, scenario, key, value, named):
+    return pytest.param(scenario, key, value, named, id=name)
+
+
+#: one case per rule a scenario value must keep, each named in the error by its key path
+@pytest.mark.parametrize("scenario, key, value, named", [
+    _rule("array_not_an_object", _REAL, "array", [1], "array must be a JSON object"),
+    _rule("triple_not_an_object", _REAL, "triple", 5, "triple must be a JSON object"),
+    _rule("generator_not_an_object", _CIRCLE, "generator", "x",
+          "generator must be a JSON object"),
+    _rule("unknown_array_key", _REAL, "array.bogus", 1, "array takes no key 'bogus'"),
+    _rule("unknown_triple_key", _REAL, "triple.bogus", 1, "triple takes no key 'bogus'"),
+    _rule("unknown_generator_key", _CIRCLE, "generator.bogus", 1,
+          "generator takes no key 'bogus'"),
+    _rule("missing_space", _REAL, "space", _DROP, "got space None"),
+    _rule("missing_array", _REAL, "array", _DROP, "needs the key 'array'"),
+    _rule("missing_real_family", _REAL, "array.family", _DROP, "array needs the key 'family'"),
+    _rule("missing_circle_family", _CIRCLE, "array.family", _DROP,
+          "array needs the key 'family'"),
+    _rule("missing_beta", _CIRCLE, "array.beta", _DROP, "array needs the key 'beta'"),
+    _rule("missing_sigma", _CIRCLE, "array.sigma", _DROP, "array needs the key 'sigma'"),
+    _rule("missing_triple_m", _REAL, "triple.m", _DROP, "triple needs the key 'm'"),
+    _rule("missing_triple_gamma", _REAL, "triple.gamma", _DROP,
+          "triple needs the key 'gamma'"),
+    _rule("missing_triple_sigma", _REAL, "triple.sigma", _DROP,
+          "triple needs the key 'sigma'"),
+    _rule("missing_generator_beta", _CIRCLE, "generator.beta", _DROP,
+          "generator needs the key 'beta'"),
+    _rule("missing_generator_sigma", _CIRCLE, "generator.sigma", _DROP,
+          "generator needs the key 'sigma'"),
+    _rule("space_outside_the_enum", _REAL, "space", "line", "got space 'line'"),
+    _rule("real_family_outside_the_enum", _REAL, "array.family", "semigroup", "array.family"),
+    _rule("circle_family_outside_the_enum", _CIRCLE, "array.family", "rotated", "array.family"),
+    _rule("ops_entry_outside_the_four", _REAL, "ops", ["free", "cyclic"], "ops must be"),
+    _rule("ops_not_a_list", _REAL, "ops", "free", "ops must be"),
+    _rule("lam_a_string", _REAL, "array.lam", "1.5", "array.lam must be a number"),
+    _rule("c_true", _REAL, "array.c", True, "array.c must be a number"),
+    _rule("shift_scale_false", _REAL, "array.shift_scale", False,
+          "array.shift_scale must be a number"),
+    _rule("triple_m_a_string", _REAL, "triple.m", "1", "triple.m must be a number"),
+    _rule("triple_gamma_true", _REAL, "triple.gamma", True, "triple.gamma must be a number"),
+    _rule("tolerance_a_string", _REAL, "tolerance", "0.05", "tolerance must be a number"),
+    _rule("beta_false", _CIRCLE, "array.beta", False, "array.beta must be a number"),
+    _rule("generator_beta_a_string", _CIRCLE, "generator.beta", "0.3",
+          "generator.beta must be a number"),
+    _rule("flow_step_true", _CIRCLE, "flow_step", True, "flow_step must be a number"),
+    _rule("sigma_weight_a_string", _REAL, "triple.sigma", [[0.0, "1"]],
+          "triple.sigma[0] must be a number"),
+    _rule("sigma_position_true", _CIRCLE, "array.sigma", [[True, 0.5]],
+          "array.sigma[0] must be a number"),
+    _rule("n_values_zero", _REAL, "array.n_values", [4, 0], "array.n_values must be a list"),
+    _rule("n_values_negative", _CIRCLE, "array.n_values", [-1], "array.n_values must be a list"),
+    _rule("n_values_fractional", _REAL, "array.n_values", [4.5], "array.n_values must be a list"),
+    _rule("n_values_a_string", _REAL, "array.n_values", ["16"], "array.n_values must be a list"),
+    _rule("n_values_true", _CIRCLE, "array.n_values", [True], "array.n_values must be a list"),
+    _rule("n_values_not_a_list", _REAL, "array.n_values", 16, "array.n_values must be a list"),
+    _rule("k_values_fractional", _with(_REAL, "array.n_values", [4, 8]), "array.k_values",
+          [8, 16.5], "array.k_values must be a list"),
+    _rule("sigma_a_short_pair", _REAL, "triple.sigma", [[1.0]], "triple.sigma must be a list"),
+    _rule("sigma_a_long_pair", _CIRCLE, "array.sigma", [[1.0, 0.5, 2.0]],
+          "array.sigma must be a list"),
+    _rule("sigma_not_a_list", _CIRCLE, "generator.sigma", 0.5, "generator.sigma must be a list"),
+    _rule("rotation_ell_fractional", _ROTATED, "array.rotation_ell", 1.5,
+          "array.rotation_ell must be"),
+    _rule("rotation_ell_a_string", _ROTATED, "array.rotation_ell", "quarter",
+          "array.rotation_ell must be"),
+    _rule("rotation_ell_true", _ROTATED, "array.rotation_ell", True,
+          "array.rotation_ell must be"),
+    _rule("tolerance_zero", _REAL, "tolerance", 0, "tolerance must be finite and above 0"),
+    _rule("tolerance_negative", _CIRCLE, "tolerance", -0.05,
+          "tolerance must be finite and above 0"),
+    _rule("flow_step_zero", _CIRCLE, "flow_step", 0, "flow_step must be at least"),
+    _rule("flow_step_negative", _CIRCLE, "flow_step", -1e-3, "flow_step must be at least"),
+    _rule("flow_step_above_1e-2", _CIRCLE, "flow_step", 0.02, "at most 0.01; got 0.02"),
+    # a key that only the other space reads
+    _rule("circle_triple", _CIRCLE, "triple", _REAL["triple"],
+          "a circle scenario takes no key 'triple'"),
+    _rule("circle_ops", _CIRCLE, "ops", ["free"], "a circle scenario takes no key 'ops'"),
+    _rule("real_generator", _REAL, "generator", _CIRCLE["generator"],
+          "a real scenario takes no key 'generator'"),
+])
+def test_scenario_values_keep_their_rules(tmp_path, capsys, monkeypatch, scenario, key, value,
+                                          named):
+    _refuse_work(monkeypatch, *_SCENARIO_ENGINES)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_with(scenario, key, value)))
+    commands = ("circle-run",) if scenario["space"] == "circle" else ("limit-run", "bp-check")
+    for command in commands:
+        assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and named in err, err
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("command", ["limit-run", "bp-check", "circle-run"])
+def test_a_scenario_is_a_json_object(tmp_path, capsys, command):
+    path = tmp_path / "scenario.json"
+    path.write_text("[]")
+    assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    assert "scenario must be a JSON object; got []" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", [
+    _with(_REAL, "array.n_values", [16.0, 32]),
+    _with(_with(_REAL, "array.n_values", [4, 8]), "array.k_values", [8.0, 16]),
+    _with(_ROTATED, "array.rotation_ell", 1.0),
+], ids=["n_values", "k_values", "rotation_ell"])
+def test_an_integral_float_counts_as_an_integer(tmp_path, monkeypatch, scenario):
+    """16.0 passes where an integer is asked for, as under JSON Schema's integer type:
+    the command gets as far as its engine."""
+    _refuse_work(monkeypatch, *_SCENARIO_ENGINES)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    command = "circle-run" if scenario["space"] == "circle" else "bp-check"
+    with pytest.raises(AssertionError, match="the capped command ran"):
+        run([command, path, "--output", tmp_path / "rep.json"])
+
+
+@pytest.mark.parametrize("command, flag, named", [
+    ("limit-run", "--tolerance", "tolerance must be finite and above 0"),
+    ("bp-check", "--tolerance", "tolerance must be finite and above 0"),
+    ("circle-run", "--tolerance", "tolerance must be finite and above 0"),
+    ("circle-run", "--flow-step", "flow_step must be at least"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_a_flag_keeps_the_rule_of_its_scenario_key(tmp_path, capsys, monkeypatch, command, flag,
+                                                   named, value):
+    # unchecked, a bp-check at --tolerance nan calls its Boolean column converged and
+    # writes a NaN token into the report
+    _refuse_work(monkeypatch, *_SCENARIO_ENGINES)
+    path = tmp_path / "scenario.json"
+    base = _CIRCLE if command == "circle-run" else {
+        "space": "real", "array": {"family": "fixed_bernoulli", "n_values": [16, 32]}}
+    path.write_text(json.dumps(base))
+    out = tmp_path / "rep.json"
+    assert run([command, path, f"{flag}={value}", "--output", out]) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: JSON integers past the float range: 401 digits, and 4,401, past Python's int-string limit
+_HUGE = "1" + "0" * 400
+_LONG = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize("command, text, number", [
+    ("circle-run", '{"space": "circle", "array": {"family": "semigroup", "beta": %s, '
+                   '"sigma": [[1.0, 0.5]], "n_values": [4]}}', _HUGE),
+    ("limit-run", '{"space": "real", "array": {"family": "poisson", "lam": %s, '
+                  '"n_values": [4]}}', _HUGE),
+    ("bp-check", '{"space": "real", "array": {"family": "bernoulli_clt", "n_values": [4]}, '
+                 '"triple": {"m": 1, "gamma": %s, "sigma": []}}', _HUGE),
+    ("circle-run", '{"space": "circle", "array": {"family": "semigroup", "beta": 0.3, '
+                   '"sigma": [[%s, 0.5]], "n_values": [4]}}', _LONG),
+], ids=["circle_beta", "real_lam", "triple_gamma", "over_long_sigma_angle"])
+def test_scenario_integers_past_the_float_range(tmp_path, capsys, command, text, number):
+    # unchecked, each one raises OverflowError in float() or, past 4,300 digits,
+    # ValueError from Python's int-string limit
+    path = tmp_path / "scenario.json"
+    path.write_text(text % number)
+    assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
+    shown = f"{number[:20]}... ({len(number)} characters)"
+    assert f"scenario numbers must be finite; got {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("number", [_HUGE, "-" + _LONG], ids=["huge", "over_long"])
+def test_measure_integers_past_the_float_range(tmp_path, capsys, number):
+    # unchecked, the huge one raises OverflowError in measures._normalize, which catches
+    # TypeError and ValueError only; the long one, ValueError in the JSON decoder
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text("[[%s, 0.5], [1.0, 0.5]]" % number)
+    good.write_text(json.dumps([[-1.0, 0.5], [1.0, 0.5]]))
+    assert run(["convolve", "--op", "classical", "--a", good, "--b", bad,
+                "--output", tmp_path / "c"]) == EXIT_VALIDATION
+    shown = f"{number[:20]}... ({len(number)} characters)"
+    assert f"measure numbers must be finite; got {shown}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("c_*"))
+
+
+def test_import_leaves_jsonschema_out(tmp_path):
+    """The command line checks its inputs itself; importing it loads no jsonschema."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, ncprob.cli; print('jsonschema' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_readme_scenarios_run(tmp_path):

@@ -2,9 +2,11 @@
 
 Each draw builds the argument list of one of the six subcommands, and its
 measure or scenario files, from pools that hold the values that broke the
-CLI before: 0, -0.0, 1e+-300, nan, inf, near-coincident atoms and counts out
-of range.  ``cli.main`` must return 0, 2, 3 or 4 within ALARM_S seconds and
-raise nothing.  A count that passes validation stays far below the cap that
+CLI before: 0, -0.0, 1e+-300, nan, inf, JSON integers past the float range,
+near-coincident atoms and counts out of range; the scenario commands also
+draw --tolerance, whose value keeps the rule of the scenario key.
+``cli.main`` must return 0, 2, 3 or 4 within ALARM_S seconds and raise
+nothing.  A count that passes validation stays far below the cap that
 guards it (n, k and bins at most 64, flow steps at least 1e-3 and end times
 at most 2), so no draw runs the work a cap exists to refuse; the caps
 themselves are drawn only past their limits.
@@ -34,9 +36,13 @@ WEIGHTS = (1e-300, 1e-16, 1e300, 1e-9, 0.5, 1.0, 2.0, 0.3)
 MASSES = (1e-300, 1e-9, 0.5, 0.999, 1.0, 1.0000000005)
 TOLERANCES = (1e-300, 0.05, 0.5, 1e300)
 NON_FINITE = (math.nan, math.inf, -math.inf)
+#: JSON integers past the float range, of 401 digits and of 4,401 (past Python's
+#: int-string limit); dump writes them into the files as bare integers
+HUGE_INTS = ("1" + "0" * 400, "-1" + "0" * 4400)
+BAD_NUMBERS = NON_FINITE + HUGE_INTS
 BAD_WEIGHTS = (0.0, -0.0, -1.0) + NON_FINITE
 BAD_MASSES = (0.0, -0.0, -1.0, 2.0, 1e300) + NON_FINITE
-BAD_TOLERANCES = (0.0, -1.0, math.nan)
+BAD_TOLERANCES = (0.0, -1.0, math.nan, math.inf)
 #: counts: valid ones far below every cap, and ones past a cap or below 1
 COUNTS = (1, 2, 5, 21, 64)
 BAD_COUNTS = (0, -1, cli.MAX_ROW_SIZE + 1, 10**9)
@@ -52,11 +58,19 @@ def pick(rng, valid, invalid, p_invalid=0.05):
     return rng.choice(invalid if rng.random() < p_invalid else valid)
 
 
+def dump(obj):
+    """obj as JSON text, each HUGE_INTS string in it written as a bare integer."""
+    text = json.dumps(obj)
+    for number in HUGE_INTS:
+        text = text.replace(f'"{number}"', number)
+    return text
+
+
 def atoms(rng, normalized):
     """1-4 (position, weight) pairs, some of them near-coincident."""
-    pos = [pick(rng, POSITIONS, NON_FINITE) for _ in range(rng.randint(1, 4))]
+    pos = [pick(rng, POSITIONS, BAD_NUMBERS) for _ in range(rng.randint(1, 4))]
     if rng.random() < 0.3:
-        pos.append(pos[0] * (1.0 + 1e-15) if pos[0] else 1e-300)
+        pos.append(pos[0] * (1.0 + 1e-15) if isinstance(pos[0], float) and pos[0] else 1e-300)
     if normalized:
         weights = [rng.uniform(0.1, 1.0) for _ in pos]
         weights = [w / sum(weights) for w in weights]
@@ -68,7 +82,7 @@ def atoms(rng, normalized):
 def sigma_arg(rng):
     if rng.random() < 0.1:
         return "--sigma="
-    return "--sigma=" + ",".join(f"{p!r}:{w!r}" for p, w in atoms(rng, False))
+    return "--sigma=" + ",".join(f"{p}:{w}" for p, w in atoms(rng, False))
 
 
 def triple_args(rng):
@@ -110,7 +124,7 @@ def draw_idiv(rng, tmp):
 
 def draw_convolve(rng, tmp):
     for name in ("a", "b"):
-        (tmp / f"{name}.json").write_text(json.dumps(atoms(rng, rng.random() < 0.8)))
+        (tmp / f"{name}.json").write_text(dump(atoms(rng, rng.random() < 0.8)))
     argv = ["convolve", "--op", rng.choice(OPS), "--a", str(tmp / "a.json"),
             "--b", str(tmp / "b.json")]
     if rng.random() < 0.2:
@@ -129,12 +143,12 @@ def real_scenario(rng):
     array = {"family": rng.choice(("bernoulli_clt", "poisson", "damped_poisson",
                                    "fixed_bernoulli"))}
     for key in ("lam", "c", "shift_scale"):
-        maybe(rng, array, key, pick(rng, WEIGHTS + POSITIONS, NON_FINITE), 0.3)
+        maybe(rng, array, key, pick(rng, WEIGHTS + POSITIONS, BAD_NUMBERS), 0.3)
     array["n_values"] = ns = sizes(rng)
     maybe(rng, array, "k_values", [2 * n for n in ns] if rng.random() < 0.7 else sizes(rng), 0.2)
     scenario = {"space": "real", "array": array}
     maybe(rng, scenario, "triple", {"m": pick(rng, MASSES, BAD_MASSES),
-                                    "gamma": pick(rng, POSITIONS, NON_FINITE),
+                                    "gamma": pick(rng, POSITIONS, BAD_NUMBERS),
                                     "sigma": atoms(rng, False)}, 0.4)
     maybe(rng, scenario, "tolerance", pick(rng, TOLERANCES, BAD_TOLERANCES), 0.3)
     maybe(rng, scenario, "ops", rng.sample(OPS, rng.randint(1, 4)), 0.3)
@@ -144,13 +158,13 @@ def real_scenario(rng):
 
 def circle_scenario(rng):
     family = rng.choice(("semigroup", "rotated_semigroup"))
-    array = {"family": family, "beta": pick(rng, POSITIONS, NON_FINITE),
+    array = {"family": family, "beta": pick(rng, POSITIONS, BAD_NUMBERS),
              "sigma": atoms(rng, False),
              "n_values": [n for n in sizes(rng) if n <= 16] or [1]}
     if family == "rotated_semigroup" or rng.random() < 0.1:
         array["rotation_ell"] = rng.choice((1, -1, 0, 3, 2**40, "half"))
     scenario = {"space": "circle", "array": array}
-    maybe(rng, scenario, "generator", {"beta": pick(rng, POSITIONS, NON_FINITE),
+    maybe(rng, scenario, "generator", {"beta": pick(rng, POSITIONS, BAD_NUMBERS),
                                        "sigma": atoms(rng, False)}, 0.3)
     maybe(rng, scenario, "flow_step", pick(rng, STEPS, BAD_STEPS), 0.5)
     maybe(rng, scenario, "tolerance", pick(rng, TOLERANCES, BAD_TOLERANCES), 0.2)
@@ -163,8 +177,10 @@ def draw_scenario(command):
         if rng.random() < 0.05:  # the other space
             scenario["space"] = "real" if scenario["space"] == "circle" else "circle"
         path = tmp / "scenario.json"
-        path.write_text(json.dumps(scenario))
+        path.write_text(dump(scenario))
         argv = [command, str(path)]
+        if rng.random() < 0.3:
+            argv.append(f"--tolerance={pick(rng, TOLERANCES, BAD_TOLERANCES, 0.3)!r}")
         if command == "circle-run" and rng.random() < 0.3:
             argv.append(f"--flow-step={pick(rng, STEPS, BAD_STEPS)!r}")
         return argv + ["--output", str(tmp / "report.json")]

@@ -1,11 +1,13 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_probability_measure, random_state_measure
+from ncprob import convolutions
 from ncprob.convolutions import (
     boolean_convolve,
     boolean_power,
@@ -17,7 +19,7 @@ from ncprob.convolutions import (
     monotone_convolve,
     monotone_power_grid,
 )
-from ncprob.errors import ValidationError
+from ncprob.errors import ConvergenceError, ValidationError
 from ncprob.harness import ArraySpec
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import (
@@ -225,6 +227,42 @@ def _assert_certified(mu, nu, points):
 def test_free_near_axis_stalls_certified(mu_pairs, nu_pairs):
     mu, nu = FiniteAtomicMeasure.from_pairs(mu_pairs), FiniteAtomicMeasure.from_pairs(nu_pairs)
     _assert_certified(mu, nu, [complex(x, 0.03) for x in np.linspace(-5.0, 5.0, 50)])
+
+
+def test_free_fixed_point_fallback_is_certified_or_raises(monkeypatch):
+    """With no halvings allowed, every Newton step falls back to a fixed-point step.
+
+    On the job54 pair near the axis the fallback settles at some points and
+    not at others: each point returns F within 1e-12 of the certificate or
+    raises ConvergenceError naming its z, never a wrong value, and some
+    point settles after fallback steps.
+    """
+    monkeypatch.setattr(convolutions, "_HALVINGS", 0)
+    mu = FiniteAtomicMeasure.from_pairs([(-0.01040083122611346, 0.35930486269769113),
+                                         (2.9581152933011223, 0.640695137302309)])
+    nu = FiniteAtomicMeasure.from_pairs([(-2.849853315558625, 0.23205260682903994),
+                                         (1.2499315533418072, 0.7679473931709601)])
+    f_mu, steps = f_transform(mu), []
+
+    def counted_e_prime(z):  # called once per Newton step
+        steps.append(z)
+        return f_mu._e_prime(z)
+
+    engine = free_convolve_F(SimpleNamespace(m=f_mu.m, _e=f_mu._e, _e_prime=counted_e_prime),
+                             f_transform(nu))
+    settled_by_fallback = 0
+    for z in [complex(x, y) for y in (0.03, 0.3) for x in np.linspace(-5.0, 5.0, 21)]:
+        before = len(steps)
+        try:
+            value = engine(z)
+        except ConvergenceError as exc:
+            assert f"z={z}" in str(exc)
+            continue
+        (w,) = _subordination_certificate(mu, nu, z)
+        assert abs(value - w) <= 1e-12 * abs(w)
+        # every Newton step but the last, which stops, was a fallback step
+        settled_by_fallback += len(steps) - before >= 2
+    assert settled_by_fallback
 
 
 def test_free_matches_certificate():
