@@ -84,7 +84,7 @@ class CircleGenerator:
             object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
 
     def a_eval(self, z):
-        """A(z) = z(i beta - H(z)) = z(A'(0) - 2 psi_sigma(z)), a point or an ndarray."""
+        """A(z) = z(i beta - H(z)) = z(A'(0) - 2 psi_sigma(z)), a point or a 1-d ndarray."""
         return z * (self.mean_rate - 2.0 * _psi(self.sigma, z))
 
     @functools.cached_property
@@ -93,39 +93,35 @@ class CircleGenerator:
         return 1j * self.beta - self.sigma.mass
 
 
-def _psi(mu, z):
-    """psi(z) = integral z zeta/(1 - z zeta) dmu at one point or, elementwise, an ndarray.
-
-    The Herglotz integral is H = sigma(T) + 2 psi_sigma.  psi is summed itself:
-    (H - sigma(T))/2 would lose its relative digits near z = 0.
-    """
-    acc = 0
-    for zeta, w in mu.unit_atoms:
-        u = z * zeta
-        acc = acc + w * u / (1.0 - u)
-    return acc
-
-
 def _psi_over_z(mu, z):
-    """psi(z)/z = integral zeta/(1 - z zeta) dmu, summed itself so it is finite at z = 0."""
-    acc = 0
-    for zeta, w in mu.unit_atoms:
-        acc = acc + w * zeta / (1.0 - z * zeta)
-    return acc
+    """psi(z)/z = S(z) = sum w/(conj(zeta) - z) over mu's atoms, at a point or a 1-d ndarray.
+
+    On |zeta| = 1, z zeta/(1 - z zeta) = z/(conj(zeta) - z), so S is one
+    broadcast over atoms x points with no cancellation: it is finite at
+    z = 0, and psi = z S keeps its relative digits near z = 0, which
+    (H - sigma(T))/2 would lose.
+    """
+    poles, weights = mu.disk_poles
+    return weights @ (1.0 / np.subtract.outer(poles, z))
+
+
+def _psi(mu, z):
+    """psi(z) = integral z zeta/(1 - z zeta) dmu = z S(z); H = sigma(T) + 2 psi_sigma."""
+    return z * _psi_over_z(mu, z)
 
 
 def _psi_deriv(mu, z):
-    """psi'(z) = integral zeta/(1 - z zeta)^2 dmu; H' = 2 psi'_sigma."""
-    acc = 0
-    for zeta, w in mu.unit_atoms:
-        acc = acc + w * zeta / (1.0 - z * zeta) ** 2
-    return acc
+    """psi'(z) = integral zeta/(1 - z zeta)^2 dmu = sum w conj(zeta)/(conj(zeta) - z)^2."""
+    poles, weights = mu.disk_poles
+    return (weights * poles) @ (1.0 / np.subtract.outer(poles, z) ** 2)
 
 
 def psi(mu, z):
-    """psi(z) = integral of z zeta/(1 - z zeta) dmu at one point or an ndarray."""
+    """psi(z) = integral of z zeta/(1 - z zeta) dmu at one point or an ndarray of any shape."""
     if np.any(abs(z) >= 1.0):
         raise ValidationError("psi needs |z| < 1")
+    if np.ndim(z) > 1:
+        return _psi(mu, np.ravel(z)).reshape(np.shape(z))
     return _psi(mu, z)
 
 
@@ -244,7 +240,7 @@ def mult_free(a, b, points=DISK_GRID):
 def boolean_idiv_eta(gamma, sigma):
     """eta(z) = gamma z exp(-H(z)) = gamma e^{-sigma(T)} z exp(-2 psi_sigma(z)).
 
-    z is a point or an ndarray.
+    z is a point or a 1-d ndarray.
     """
     scale = _unit(gamma) * math.exp(-sigma.mass)
     return lambda z: scale * z * np.exp(-2.0 * _psi(sigma, z))

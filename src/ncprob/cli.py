@@ -85,6 +85,8 @@ def _load_json(path, kind):
 
     Integers too: one past the float range, or past Python's 4,300-digit
     int-string limit, is refused.  They stay ints, so a report writes 1 as 1.
+    A file that is not UTF-8 text is refused by name; a path that cannot be
+    opened raises its OSError, which names the path too.
     """
     def finite(text, convert=float):
         if not math.isfinite(float(text)):
@@ -92,9 +94,12 @@ def _load_json(path, kind):
             raise ValidationError(f"{kind} numbers must be finite; got {shown}")
         return convert(text)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=finite, parse_constant=finite,
-                         parse_int=lambda text: finite(text, int))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=finite, parse_constant=finite,
+                             parse_int=lambda text: finite(text, int))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{kind} file {path} is not UTF-8 text: {exc}") from exc
 
 
 def _object(value, name, required, optional=()):
@@ -528,7 +533,9 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # an OSError names its path: a missing or unreadable input, or an output
+    # path that is a directory
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -46,6 +46,11 @@ MAX_FLOW_STEPS = 10**5
 #: suite's legs take at most 47
 SUBSTEP_TICKS = 2000
 
+#: smallest RK4 step a leg takes: a point whose sub-step cap asks for less has
+#: stalled (a |Phi| of 1e300 caps h at 1e-301) and fails at that tick; the density
+#: sweeps' steps stay above 1.1e-7 and the test suite's finished legs above 5e-14
+MIN_RK4_STEP = 1e-200
+
 
 #: the triple (m, gamma, sigma) is the carrier of an atomic F-transform
 LevyTriple = NevanlinnaData
@@ -205,13 +210,23 @@ def _fell_below_floor(z0, t):
     return FlowError(f"flow from z0={z0!r}: Im F fell below m^-t Im z at t={t:.6f}")
 
 
+def _stalled(z0, t, h):
+    return FlowError(f"flow from z0={z0!r} stalled at t={t:.6g}: its RK4 steps shrank to "
+                     f"h={h:.3e}, below {MIN_RK4_STEP:g}")
+
+
+def _not_finite(z0, t):
+    return FlowError(f"flow from z0={z0!r}: F is not finite at t={t:.6g}")
+
+
 def _rk4_leg(triple, z, t_end, step, hook=None):
     """Integrate dF/dt = Phi(F) from F_0 = z to t_end.
 
     Fixed RK4 step, with a deterministic sub-step cap keeping each move well
     inside the distance to Phi's real poles (only relevant when starting
     near the real axis, e.g. on a density grid).  A leg that needs more
-    than SUBSTEP_TICKS steps beyond t_end/step raises FlowError.  hook(w, t),
+    than SUBSTEP_TICKS steps beyond t_end/step, whose step falls below
+    MIN_RK4_STEP, or whose state is not finite raises FlowError.  hook(w, t),
     when given, sees each step's end and returns the point to go on from
     (``flow_distance_bound`` collects the states).
     """
@@ -230,10 +245,14 @@ def _rk4_leg(triple, z, t_end, step, hook=None):
             h = min(h,
                     0.2 * _pole_distance(poles, w) / speed,
                     0.1 * max(1.0, abs(w)) / speed)
+        if not h >= MIN_RK4_STEP:
+            raise _stalled(z, t, h)
         w = _rk4_step(phi, w, h, k1)
         t += h
         if hook is not None:
             w = hook(w, t)
+        if not cmath.isfinite(w):
+            raise _not_finite(z, t)
         if _below_floor(w, t, z.imag, log_m):
             raise _fell_below_floor(z, t)
     return w
@@ -242,8 +261,8 @@ def _rk4_leg(triple, z, t_end, step, hook=None):
 def _rk4_leg_array(triple, z, t_end, step, hook=None):
     """_rk4_leg for a 1-d array of start points, run in lockstep.
 
-    Each point keeps its own time, sub-step cap and floor check, and leaves
-    the active set once it reaches t_end; the tick budget counts the
+    Each point keeps its own time, sub-step cap, step floor and checks, and
+    leaves the active set once it reaches t_end; the tick budget counts the
     lockstep's steps, and its FlowError names the point furthest behind.
     hook(w, t, i) is called with the indices i into z of the points still
     running.
@@ -274,10 +293,17 @@ def _rk4_leg_array(triple, z, t_end, step, hook=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             cap = np.minimum(0.2 * near / speed, 0.1 * np.maximum(1.0, np.abs(w)) / speed)
         h = np.where(speed > 0.0, np.minimum(h, cap), h)
+        if not h.min() >= MIN_RK4_STEP:
+            i = int(np.argmin(h >= MIN_RK4_STEP))
+            raise _stalled(complex(z[active[i]]), t[i], h[i])
         w = _rk4_step(phi, w, h, k1)
         t = t + h
         if hook is not None:
             w = hook(w, t, active)
+        finite = np.isfinite(w)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise _not_finite(complex(z[active[i]]), t[i])
         bad = _below_floor(w, t, im0, log_m, np.exp)
         if bad.any():
             i = np.argmax(bad)

@@ -23,6 +23,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ValidationError
 
 #: positions closer than this are summed at construction time (root finders
@@ -210,9 +212,9 @@ class CircleMeasure(_AtomicMeasure):
         return tuple(cmath.exp(1j * t) for t in self.angles)
 
     @cached_property
-    def unit_atoms(self):
-        """(e^{i theta}, weight) pairs, computed once per measure for the disk sums."""
-        return tuple(zip(self.points, self.weights))
+    def disk_poles(self):
+        """(conj(e^{i theta}), weight) as complex arrays, built once for ``circle._psi_over_z``."""
+        return np.conj(self.points), np.array(self.weights, dtype=complex)
 
     def moment(self, p):
         """Integral of zeta^p: sum of w * e^{i p theta}."""

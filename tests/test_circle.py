@@ -55,6 +55,13 @@ def test_eta_examples():
         assert eta(HAAR4, z) == pytest.approx(z ** 4, abs=1e-14)
 
 
+def test_psi_and_eta_take_an_ndarray_of_any_shape():
+    z = np.array(DISK_GRID).reshape(2, 8)
+    mu = CircleMeasure.from_pairs([(0.3, 0.7), (2.0, 0.3)])
+    for f in (psi, eta):
+        assert np.array_equal(f(mu, z), f(mu, z.ravel()).reshape(2, 8))
+
+
 def test_eta_contraction(rng):
     for _ in range(20):
         n = int(rng.integers(1, 6))
@@ -155,25 +162,38 @@ def _mp_disk_sums(mu, beta, z):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_disk_sums_match_a_30_digit_oracle(seed):
-    """psi, psi', a_eval, boolean_idiv_eta and eta' to 1e-12 relative, |z| from 1e-8 to 0.99.
+    """psi, psi', a_eval, boolean_idiv_eta and eta' to 1e-12 relative, |z| from 1e-8 to 0.999.
 
     Near z = 0 psi ~ z mean(mu): summing psi itself keeps its relative
-    digits there, which sigma_transform's Newton solve relies on.
+    digits there, which sigma_transform's Newton solve relies on.  The
+    points at |z| = 0.999 lie on the rays toward the atoms zeta and toward
+    their poles conj(zeta), and the last measure has two atoms 1e-9 rad
+    apart.  At a pole the Boolean eta is exp(-2 psi) with |psi| near 1e3,
+    where the rounding of zeta itself moves it by 1e-10 relative, so only
+    the other four sums are held to the bound there.
     """
     rng = np.random.default_rng(8000 + seed)
-    for _ in range(5):
+    for trial in range(6):
         n = int(rng.integers(1, 5))
-        mu = param(zip(rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.1, 1.0, n)))
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        if trial == 5:
+            angles, n = np.array([angles[0], angles[0] + 1e-9]), 2
+        mu = param(zip(angles, rng.uniform(0.1, 1.0, n)))
         beta = float(rng.uniform(-1.0, 1.0))
         gen = CircleGenerator(beta, mu)
         radii = np.concatenate((10.0 ** np.linspace(-8.0, -1.0, 8), [0.5, 0.9, 0.99]))
-        pts = radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size))
+        zeta = np.exp(1j * np.array(mu.angles))
+        pts = np.concatenate((radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size)),
+                              0.999 * zeta, 0.999 * zeta.conj()))
         sums = (lambda z: psi(mu, z), lambda z: circle._psi_deriv(mu, z), gen.a_eval,
                 circle.boolean_idiv_eta(cmath.exp(1j * beta), mu),
                 lambda z: circle._eta_deriv_atomic(mu, z))
         on_array = [f(pts) for f in sums]
         for i, z in enumerate(pts.tolist()):
-            for f, arr, want in zip(sums, on_array, _mp_disk_sums(mu, beta, z)):
+            at_pole = i >= pts.size - zeta.size
+            for k, (f, arr, want) in enumerate(zip(sums, on_array, _mp_disk_sums(mu, beta, z))):
+                if at_pole and k == 3:
+                    continue
                 assert abs(f(z) - want) <= 1e-12 * abs(want), (z, f)
                 assert abs(arr[i] - want) <= 1e-12 * abs(want), (z, f)
 
@@ -700,3 +720,26 @@ def test_disk_lane_guard_names_its_row_among_healthy_lanes():
     want = "disk flow from z0=(0.4+0j) violated |eta_t(z)| <= |z| at t=0.300000 of iteration 1"
     with pytest.raises(FlowError, match=re.escape(want + " (row n=2, k=2)")):
         disk_powers([fine, coarse])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN lane's field divides NaN
+def test_disk_lane_guard_fails_a_nan_lane_among_healthy_lanes(monkeypatch):
+    # the guard reads |w| <= lim, which a NaN lane does not pass; lanes run in
+    # the order of their tick counts, so lane 1 is the k = 2 row's second point
+    gen = CircleGenerator(0.3, param([(1.0, 0.4)]))
+    sick = (DiskFlowRoot(gen, (0.5,), 1e-2), 2, np.array([0.1, 0.2j, -0.3]), "row n=2, k=2", 1.0)
+    healthy = (DiskFlowRoot(gen, (0.5,), 1e-2), 1, np.array(DISK_GRID), "row n=1, k=1", 1.0)
+    a_eval, calls = CircleGenerator.a_eval, []
+
+    def poisoned(self, z):
+        calls.append(z.size)
+        out = a_eval(self, z)
+        if len(calls) > 40:  # from the k1 of tick 11 on
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(CircleGenerator, "a_eval", poisoned)
+    want = "disk flow from z0=0.2j violated |eta_t(z)| <= |z| at t=0.110000 of iteration 1"
+    with pytest.raises(FlowError, match=re.escape(want + " (row n=2, k=2)")):
+        disk_powers([healthy, sick])
+    assert calls[-1] == 19

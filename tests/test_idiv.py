@@ -343,13 +343,47 @@ def test_flows_cap_their_step_count(no_hang, engine, t_end, step):
                                    (np.array([0.3 + 0.5j, 2.0 + 0.5j]), "(2+0.5j)")],
                          ids=["scalar", "array"])
 def test_rk4_legs_stop_at_their_tick_budget(no_hang, monkeypatch, z, z0):
-    """Phi of size 1e300 shrinks every step to nothing; each leg stops at
-    t_end/step + SUBSTEP_TICKS steps and names the start point furthest behind."""
+    """Phi of size 1e150 keeps every step near 1e-151, above MIN_RK4_STEP; each
+    leg stops at t_end/step + SUBSTEP_TICKS steps and names the start point
+    furthest behind."""
     monkeypatch.setattr(idiv, "SUBSTEP_TICKS", 50)
-    triple = LevyTriple.from_parts(0.5, 1e300, [(0.3, 1.0)])
+    triple = LevyTriple.from_parts(0.5, 1e150, [(0.3, 1.0)])
     with pytest.raises(FlowError, match=re.escape(f"flow from z0={z0} did not reach "
                                                   "t=1.0 within 1050 RK4 steps")):
         flow_map(triple, 1.0, z)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gamma = 1e300 overflows
+@pytest.mark.parametrize("z, z0", [(0.3 + 0.5j, "(0.3+0.5j)"),
+                                   (np.array([0.3 + 0.5j, 2.0 + 0.5j]), "(0.3+0.5j)")],
+                         ids=["scalar", "array"])
+def test_rk4_legs_fail_a_stalled_point_at_its_first_small_step(monkeypatch, z, z0):
+    """Phi of size 1e300 caps h near 1e-301: the leg fails at t = 0, before any step."""
+    steps = []
+    monkeypatch.setattr(idiv, "_rk4_step", lambda *args: steps.append(args))
+    triple = LevyTriple.from_parts(0.5, 1e300, [(0.3, 1.0)])
+    with pytest.raises(FlowError, match=re.escape(f"flow from z0={z0} stalled at t=0: its "
+                                                  "RK4 steps shrank to h=")):
+        flow_map(triple, 1.0, z)
+    assert steps == []
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+def test_rk4_legs_fail_a_point_whose_state_is_not_finite(array):
+    """A hook that turns one point NaN at t = 0.05 stops the leg at that tick."""
+    z = np.array([0.3 + 0.5j, -1.0 + 1.0j, 2.0 + 0.5j])
+
+    def poison(w, t, i=None):
+        if np.max(t) < 0.045:
+            return w
+        return complex("nan+nanj") if i is None else np.where(i == 1, np.nan, w)
+
+    with pytest.raises(FlowError, match=re.escape("flow from z0=(-1+1j): F is not finite "
+                                                  "at t=0.05")):
+        if array:
+            idiv._rk4_leg_array(GAUSSIAN, z, 1.0, 0.01, poison)
+        else:
+            idiv._rk4_leg(GAUSSIAN, complex(z[1]), 1.0, 0.01, poison)
 
 
 def test_rk4_legs_stay_within_their_tick_budget(monkeypatch):
