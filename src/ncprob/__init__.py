@@ -15,7 +15,6 @@ from .convolutions import (
     free_convolve,
     free_power_grid,
     monotone_convolve,
-    monotone_power_grid,
 )
 from .errors import (
     ConvergenceError,
@@ -23,7 +22,6 @@ from .errors import (
     NumericalError,
     RecoveryError,
     ValidationError,
-    ZeroMeanError,
 )
 from .harness import (
     ArraySpec,
@@ -53,7 +51,6 @@ from .transforms import (
     TransformGrid,
     ZR,
     cauchy_G,
-    e_transform,
     f_transform,
     recover_measure,
     voiculescu_phi,
@@ -75,7 +72,6 @@ __all__ = [
     "TransformGrid",
     "ValidationError",
     "ZR",
-    "ZeroMeanError",
     "boolean_convolve",
     "boolean_idiv",
     "boolean_power",
@@ -86,7 +82,6 @@ __all__ = [
     "classical_idiv_cf",
     "classical_power_cf",
     "condition_e",
-    "e_transform",
     "f_transform",
     "flow_distance_bound",
     "flow_map",
@@ -99,7 +94,6 @@ __all__ = [
     "monotone_idiv_atom",
     "monotone_idiv_eval",
     "monotone_idiv_flow",
-    "monotone_power_grid",
     "phi_eval",
     "recover_measure",
     "run_powers",

@@ -1,11 +1,10 @@
 """Multiplicative transforms on the unit circle and the disk flow.
 
-psi and eta live on the unit disk; the three convolutions are defined
-through them (Sigma multiplies, eta/z multiplies, eta composes).  Weak
-convergence on the circle is decided by the maximum eta-difference over a
-fixed sixteen-point grid inside the disk of radius 0.4: uniform convergence
-of eta on compacts of the disk is equivalent to weak convergence of the
-measures.
+psi and eta live on the unit disk: Boolean convolution multiplies eta/z,
+and monotone convolution composes eta.  Weak convergence on the circle is
+decided by the maximum eta-difference over a fixed sixteen-point grid
+inside the disk of radius 0.4: uniform convergence of eta on compacts of
+the disk is equivalent to weak convergence of the measures.
 
 Monotone convolution semigroups on the circle solve d eta/dt = A(eta) with
 A(z) = z(i beta - integral (1+zeta z)/(1-zeta z) dsigma); the k_n-th roots
@@ -25,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
+from .errors import ConvergenceError, FlowError, ValidationError
 from .harness import column, equivalence
 from .idiv import FLOW_STEP, _check_flow_args, _check_snapshot_step, _rk4_step
 from .measures import PARAMETER, CircleMeasure
-from .solvers import newton
 
 #: evaluation grid: two rings of eight points, radii 0.4 and 0.2
 DISK_GRID = tuple(
@@ -37,8 +35,6 @@ DISK_GRID = tuple(
 )
 
 TWO_PI = 2.0 * math.pi
-
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -53,11 +49,6 @@ class DiskGrid:
             raise ValidationError("points/values length mismatch")
         object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-
-    @classmethod
-    def sample(cls, fn, points=DISK_GRID):
-        """fn evaluated once, on the ndarray of the points."""
-        return cls(tuple(points), fn(np.array(points, dtype=complex)))
 
 
 def eta_distance(a, b):
@@ -110,12 +101,6 @@ def _psi(mu, z):
     return z * _psi_over_z(mu, z)
 
 
-def _psi_deriv(mu, z):
-    """psi'(z) = integral zeta/(1 - z zeta)^2 dmu = sum w conj(zeta)/(conj(zeta) - z)^2."""
-    poles, weights = mu.disk_poles
-    return (weights * poles) @ (1.0 / np.subtract.outer(poles, z) ** 2)
-
-
 def psi(mu, z):
     """psi(z) = integral of z zeta/(1 - z zeta) dmu at one point or an ndarray of any shape."""
     if np.any(abs(z) >= 1.0):
@@ -137,23 +122,6 @@ def eta_fn(mu):
     return lambda z: eta(mu, z)
 
 
-def _eta_deriv_atomic(mu, z):
-    """eta' = psi'/(1 + psi)^2."""
-    return _psi_deriv(mu, z) / (1.0 + psi(mu, z)) ** 2
-
-
-def _eta_of(obj):
-    """The eta callable of a CircleMeasure, or obj itself if it is one."""
-    return eta_fn(obj) if isinstance(obj, CircleMeasure) else obj
-
-
-def _h_of(obj):
-    """h = eta/z of an eta callable, or of a CircleMeasure as (psi/z)/(1 + psi), finite at 0."""
-    if isinstance(obj, CircleMeasure):
-        return lambda z: _psi_over_z(obj, z) / (1.0 + _psi(obj, z))
-    return lambda z: obj(z) / z
-
-
 def _unit(gamma):
     """gamma as a complex, checked to lie on the unit circle."""
     gamma = complex(gamma)
@@ -167,76 +135,6 @@ def circle_mean(mu):
     return mu.mean
 
 
-def sigma_transform(mu, z):
-    """Sigma(z) = eta^{-1}(z)/z near zero; needs a non-zero mean."""
-    mean = circle_mean(mu)
-    if abs(mean) < 1e-14:
-        raise ZeroMeanError("Sigma-transform needs a non-zero mean")
-    if abs(z) > 0.2 * abs(mean):
-        raise ValidationError("Sigma evaluated outside |z| <= 0.2 |mean|")
-    if z == 0:
-        return 1.0 / mean
-    u = newton(lambda w: eta(mu, w) - z, lambda w: _eta_deriv_atomic(mu, w), z / mean,
-               lambda w: abs(w) < 1.0, tol=1e-13, label="sigma_transform")
-    return u / z
-
-
-def mult_boolean(a, b, points=DISK_GRID):
-    """eta(z)/z multiplies."""
-    ea, eb = _eta_of(a), _eta_of(b)
-    return DiskGrid.sample(lambda z: ea(z) * eb(z) / z, points)
-
-
-def mult_monotone(a, b, points=DISK_GRID):
-    """eta composes (left factor outside)."""
-    ea, eb = _eta_of(a), _eta_of(b)
-    return DiskGrid.sample(lambda z: ea(eb(z)), points)
-
-
-def _disk_fixed_point(f, z):
-    """The solution of w = f(w) at every point of the ndarray z, iterated from w = z.
-
-    f is evaluated on the whole array and sends the unit disk into |w| <= |z|
-    pointwise, so by Earle-Hamilton each point has one fixed point, which the
-    iteration reaches at a rate of at most r = max |z|.  A point has settled
-    once its step is below 4 eps/(1 - r), a bound on the rounding of the
-    last steps, and either no longer shrinks (rounding is all that is left)
-    or shrinks so fast that the geometric tail of the steps left,
-    step^2/(last - step), is below eps r.  The cap is twice the iterations a
-    contraction by r needs to shrink a unit error to eps.
-    """
-    r = float(np.abs(z).max(initial=0.0))
-    if r == 0.0:
-        return z
-    tol = 4.0 * EPS / (1.0 - r)
-    cap = 2 * math.ceil(math.log(EPS) / math.log(r))
-    w, last = z, np.nan
-    settled = np.zeros(z.shape, dtype=bool)
-    for _ in range(cap):
-        nxt = f(w)
-        step = np.abs(nxt - w)
-        settled |= (step <= tol) & ((step >= last) | (step * step <= EPS * r * (last - step)))
-        if settled.all():
-            return nxt
-        w, last = nxt, step
-    i = int(np.argmin(settled))
-    raise ConvergenceError(f"disk fixed point from z0={complex(z[i])!r} did not settle in "
-                           f"{cap} iterations (last step {step[i]:.3e}, bound {tol:.3e})")
-
-
-def mult_free(a, b, points=DISK_GRID):
-    """eta of the free product by subordination (Belinschi-Bercovici).
-
-    With h = eta/z, eta(z) = omega h_a(omega) where omega = z h_b(z h_a(omega)).
-    |h| <= 1 on the disk, so that map sends it into |omega| <= |z| and the
-    iteration from omega = z converges at every grid point, for zero means too.
-    """
-    ha, hb = _h_of(a), _h_of(b)
-    z = _disk_points(points)
-    omega = _disk_fixed_point(lambda w: z * hb(z * ha(w)), z)
-    return DiskGrid(points, omega * ha(omega))
-
-
 def boolean_idiv_eta(gamma, sigma):
     """eta(z) = gamma z exp(-H(z)) = gamma e^{-sigma(T)} z exp(-2 psi_sigma(z)).
 
@@ -248,40 +146,6 @@ def boolean_idiv_eta(gamma, sigma):
 
 def circle_boolean_idiv(gamma, sigma, points=DISK_GRID):
     return DiskGrid(points, boolean_idiv_eta(gamma, sigma)(np.array(points, dtype=complex)))
-
-
-def circle_free_idiv(gamma, sigma, points=DISK_GRID):
-    """eta of the free law: the w solving gamma w exp(H(w)) = z.
-
-    With H = sigma(T) + 2 psi_sigma, w = (z/gamma) e^{-sigma(T)} exp(-2 psi_sigma(w)),
-    and Re H >= 0 sends the disk into |w| <= |z|: a fixed point on the whole grid.
-    """
-    z = _disk_points(points)
-    scale = z * (math.exp(-sigma.mass) / _unit(gamma))
-    return DiskGrid(points, _disk_fixed_point(lambda w: scale * np.exp(-2.0 * _psi(sigma, w)), z))
-
-
-def _fourier_integrand(p, angle):
-    zeta = cmath.exp(1j * angle)
-    denom = 1.0 - zeta.real
-    if denom < 1e-12:
-        return complex(-p * p)
-    return (zeta**p - 1.0 - 1j * p * zeta.imag) / denom
-
-
-def circle_classical_idiv_fourier(gamma, sigma, p):
-    """Fourier coefficient gamma^p exp(integral (zeta^p - 1 - ip Im zeta)/(1 - Re zeta))."""
-    gamma = _unit(gamma)
-    p = int(p)
-    if any(1.0 - math.cos(t) < 1e-12 for t in sigma.angles):
-        # extension value -p^2 must agree with continuation just off zeta = 1
-        probe = _fourier_integrand(p, 1e-4)
-        if abs(probe - (-p * p)) > 1e-6 * max(1.0, float(p * p)):
-            raise ValidationError(
-                "integrand extension at zeta = 1 disagrees with continuation"
-            )
-    acc = sum(w * _fourier_integrand(p, t) for t, w in sigma.atoms)
-    return gamma**p * cmath.exp(acc)
 
 
 def _disk_points(points):

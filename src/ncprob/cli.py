@@ -85,8 +85,8 @@ def _load_json(path, kind):
 
     Integers too: one past the float range, or past Python's 4,300-digit
     int-string limit, is refused.  They stay ints, so a report writes 1 as 1.
-    A file that is not UTF-8 text is refused by name; a path that cannot be
-    opened raises its OSError, which names the path too.
+    A file that is not UTF-8 text or not JSON is refused by name; a path that
+    cannot be opened raises its OSError, which names the path too.
     """
     def finite(text, convert=float):
         if not math.isfinite(float(text)):
@@ -100,6 +100,8 @@ def _load_json(path, kind):
                              parse_int=lambda text: finite(text, int))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{kind} file {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
 def _object(value, name, required, optional=()):
@@ -535,7 +537,7 @@ def main(argv=None):
         return command(args)
     # an OSError names its path: a missing or unreadable input, or an output
     # path that is a directory
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -2,10 +2,10 @@
 
 Single classical/Boolean/monotone convolutions of atomic measures are exact
 (measure algebra, or Nevanlinna data and symmetric eigen-solves), and so are
-Boolean powers, whose data only scale; free convolution and monotone powers
-are evaluated pointwise on complex grids.  The hybrid split exists because a
-k-fold monotone power of an n-atom measure has up to n^k atoms.  A monotone
-power composes the exact F k times at each grid point through the line's one
+Boolean powers, whose data only scale; free convolution and free powers
+are evaluated pointwise on complex grids.  A k-fold monotone power of an
+n-atom measure has up to n^k atoms, so it is not formed here: the harness
+composes the exact F k times at each grid point through the line's one
 k-fold iterator, ``transforms.f_powers``, which runs every row of a
 triangular array in one call.  Free convolution solves for the subordination
 point at each grid point, one point per call: a short fixed-point warm-up,
@@ -24,7 +24,6 @@ from .transforms import (
     NevanlinnaData,
     TransformGrid,
     _measure_of_mass,
-    f_powers,
     f_transform,
     recover_measure,
 )
@@ -165,14 +164,6 @@ def boolean_power(mu, k):
         raise ValidationError("power must be >= 1")
     f = f_transform(mu)
     return recover_measure(NevanlinnaData(f.m**k, k * f.gamma, f.sigma.scale_mass(k)))
-
-
-def monotone_power_grid(mu, k, points=ZR):
-    """k-fold monotone power: the exact F composed k times at each point (``f_powers``)."""
-    if k < 1:
-        raise ValidationError("power must be >= 1")
-    (values,) = f_powers([(f_transform(mu), k, np.array(points, dtype=complex), f"k={k}")])
-    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=mu.mass**k)
 
 
 def cf_of(mu):

@@ -19,7 +19,3 @@ class FlowError(NumericalError):
 
 class RecoveryError(NumericalError):
     """Recovered atoms do not carry the mass of the transform they came from."""
-
-
-class ZeroMeanError(ValidationError):
-    """Operation requires a circle measure with non-zero mean."""

@@ -35,7 +35,6 @@ from .transforms import (
     ZR,
     f_powers,
     f_transform,
-    stolz_tail_estimate,
     weak_distance,
 )
 
@@ -403,18 +402,3 @@ def subprobability_equivalence(spec, triple=None, tol=0.05):
     return equivalence(spec.name, run_powers(spec, "boolean", triple, tol).to_dict(),
                        run_powers(spec, "monotone", triple, tol).to_dict(), tol,
                        mass_limit={"target": triple.m, "observed": mhat})
-
-
-def tightness_diagnostics(spec, n, y_values, m_limit=None):
-    """Tail rows at z = iy for one array row; left <= right within 5% slack."""
-    mu = spec.measure(n)
-    if mu is None:
-        raise ValidationError("tightness diagnostics need an atomic row measure")
-    ys = np.array(y_values, dtype=float)
-    est = stolz_tail_estimate(mu, spec.k_of(n), ys, m_limit=m_limit)
-    return [
-        {"y": y, "im_left": left, "im_right": right, "right_over_y": right / y,
-         "ok": left <= right * 1.05 + 1e-12}
-        for y, left, right in zip(ys.tolist(), est["im_left"].tolist(),
-                                  est["im_right"].tolist())
-    ]

@@ -11,8 +11,8 @@ MAX_ITER = 100
 def newton(f, df, z0, inside, tol=1e-12, label="newton"):
     """Solve f(w) = 0 from w = z0 in at most MAX_ITER steps, keeping w where inside(w).
 
-    inside is the predicate of an open domain (Im w > 0 for the upper
-    half-plane, |w| < 1 for the disk) that holds at z0.  Each Newton step
+    inside is the predicate of an open domain, such as Im w > 0 for the
+    upper half-plane, that holds at z0.  Each Newton step
     is halved until it lands inside, at most 60 times.  Returns w with
     |f(w)| <= tol; raises ConvergenceError, prefixed by label, on a zero
     derivative, on a step that cannot stay inside, or without convergence

@@ -30,13 +30,6 @@ ZR = tuple(
     complex(x, y) for y in (1.0, 2.0) for x in (-3.0, -1.5, 0.0, 1.5, 3.0)
 )
 
-#: 100 fixed sample points of C^+_1 for sup-norm style diagnostics
-CPLUS1_SAMPLES = tuple(
-    complex(x, y)
-    for y in (1.0, 1.5, 2.5, 5.0, 10.0)
-    for x in np.linspace(-10.0, 10.0, 20)
-)
-
 
 def eps_line_grid(x_window, n_points, eps):
     """The ndarray of n_points >= 2 points x + i*eps across a window, for density evaluation."""
@@ -85,21 +78,6 @@ class TransformGrid:
         if self.kind == "G":
             return self.values
         return tuple(1.0 / v for v in self.values)
-
-
-@dataclass(frozen=True)
-class StolzAngle:
-    """Truncated cone {Im z > beta, Im z > alpha |Re z|}."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("Stolz angle parameters must be positive")
-
-    def contains(self, z):
-        return z.imag > self.beta and z.imag > self.alpha * abs(z.real)
 
 
 @dataclass(frozen=True)
@@ -236,11 +214,6 @@ def f_transform(mu):
     return NevanlinnaData(m, a / m - float(p @ s), sigma)
 
 
-def e_transform(mu):
-    """E = z/mass - F, additive under Boolean convolution."""
-    return f_transform(mu)._e
-
-
 def voiculescu_phi(mu, z):
     """phi(z) = F^{-1}(z) - z by Newton from w0 = z.
 
@@ -318,15 +291,6 @@ def weak_distance(a, b):
     return max(abs(x - y) for x, y in zip(ga, gb)) + abs(ma - mb)
 
 
-def maassen_bound_check(mu):
-    """Boundedness of z/m - F on C^+_1 against the first-moment/variance bound."""
-    m = mu.mass
-    bound = abs(mu.mean) / m**2 + mu.generalized_variance / m**2
-    f = f_transform(mu)
-    observed = max(abs(z / m - f(z)) for z in CPLUS1_SAMPLES)
-    return observed <= bound + 1e-9 * max(1.0, bound)
-
-
 #: overflow guard of an iterated F
 _ITER_OVERFLOW = 1e12
 
@@ -398,35 +362,3 @@ def _power_error(w, z0, j, where):
     what = "overflowed" if big else "decreased the imaginary part"
     return ConvergenceError(f"iterated F from z0={z0!r} {what} at iteration {j} ({where})")
 
-
-def stolz_tail_estimate(mu, k_n, y, m_limit=None):
-    """Tail and imaginary-part diagnostics for one row of a triangular array.
-
-    Returns both sides of the sigma-tail estimate
-        k_n sigma_n(|t|>y) <= 2 k_n * integral (1+t^2)/(t^2+y^2) dsigma_n
-    and of the k_n Im(F - z/m) <= 2 Im(F^{ok_n} - z/m^{k_n}) comparison at
-    z = iy, with the (1/m - 1)/(-log m) factor taken at m_limit (default:
-    mass^{k_n}).  y is a height or an ndarray of heights, whose k_n-fold F
-    run as the points of one ``f_powers`` row; the values are then ndarrays.
-    """
-    f = f_transform(mu)
-    ys = np.asarray(y, dtype=float)
-    heights = ys.ravel().tolist()
-    m_n = mu.mass
-    if m_limit is None:
-        m_limit = m_n**k_n
-    factor = 1.0 if m_limit >= 1.0 - 1e-12 else (1.0 / m_limit - 1.0) / (-math.log(m_limit))
-    (powers,) = f_powers([(f, k_n, 1j * np.array(heights), f"k={k_n}")])
-    rows = []
-    for y, w in zip(heights, powers.tolist()):
-        z = complex(0.0, y)
-        rows.append((
-            k_n * sum(s for p, s in f.sigma.atoms if abs(p) > y),
-            2.0 * k_n * sum(s * (1.0 + p * p) / (p * p + y * y) for p, s in f.sigma.atoms),
-            k_n * (f(z) - z / m_n).imag * factor,
-            2.0 * (w - z / m_n**k_n).imag,
-        ))
-    keys = ("tail_left", "tail_right", "im_left", "im_right")
-    if ys.ndim == 0:
-        return {key: float(v) for key, v in zip(keys, rows[0])}
-    return {key: np.reshape(v, ys.shape).astype(float) for key, v in zip(keys, zip(*rows))}

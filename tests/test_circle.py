@@ -5,7 +5,6 @@ import re
 import mpmath
 import numpy as np
 import pytest
-import sympy
 
 from ncprob import circle
 from ncprob.circle import (
@@ -17,9 +16,7 @@ from ncprob.circle import (
     beta_condition_check,
     boolean_idiv_eta,
     circle_boolean_idiv,
-    circle_classical_idiv_fourier,
     circle_flow_map,
-    circle_free_idiv,
     circle_mean,
     circle_monotone_flow,
     circle_reports,
@@ -29,13 +26,9 @@ from ncprob.circle import (
     eta,
     eta_distance,
     eta_fn,
-    mult_boolean,
-    mult_free,
-    mult_monotone,
     psi,
-    sigma_transform,
 )
-from ncprob.errors import ConvergenceError, FlowError, ValidationError, ZeroMeanError
+from ncprob.errors import FlowError, ValidationError
 from ncprob.measures import PARAMETER, CircleMeasure
 
 TWO_ATOM = CircleMeasure.from_pairs([(0.0, 0.5), (math.pi, 0.5)])  # eta = z^2
@@ -72,46 +65,8 @@ def test_eta_contraction(rng):
             assert abs(eta(mu, z)) <= abs(z) + 1e-14
 
 
-def test_mean_and_sigma_transform():
-    d = CircleMeasure.dirac(0.7)
-    zeta = cmath.exp(0.7j)
-    assert circle_mean(d) == pytest.approx(zeta)
-    assert sigma_transform(d, 0.1) == pytest.approx(1.0 / zeta)
-    assert sigma_transform(d, 0.05 + 0.02j) == pytest.approx(1.0 / zeta)
-    with pytest.raises(ZeroMeanError):
-        sigma_transform(TWO_ATOM, 0.05)
-
-
-@pytest.mark.parametrize("z", [0.07, 0.05j, -0.08 + 0.03j, -0.06 + 0.13j])
-def test_sigma_transform_of_two_atoms_matches_a_40_digit_root(z):
-    # eta(u) = z is solved by Newton from z/mean, with mean = 0.544 + 0.480i
-    mu = CircleMeasure.from_pairs([(0.3, 0.7), (2.0, 0.3)])
-    with mpmath.workdps(40):
-        atoms = [(mpmath.expj(t), mpmath.mpf(w)) for t, w in mu.atoms]
-
-        def eta_mp(w):
-            p = sum(c * zeta * w / (1 - zeta * w) for zeta, c in atoms)
-            return p / (1 + p)
-
-        ref = complex(mpmath.findroot(lambda w: eta_mp(w) - z, z / circle_mean(mu)) / z)
-    assert abs(sigma_transform(mu, z) - ref) <= 1e-15 * abs(ref)
-
-
-def test_dirac_products_all_three():
-    d1, d2 = CircleMeasure.dirac(0.7), CircleMeasure.dirac(1.1)
-    want = cmath.exp(1.8j)
-    for op in (mult_boolean, mult_monotone, mult_free):
-        grid = op(d1, d2)
-        for z, v in zip(grid.points, grid.values):
-            assert v == pytest.approx(want * z, abs=1e-11)
-
-
-def test_two_atom_powers():
-    boolean = mult_boolean(TWO_ATOM, TWO_ATOM)
-    monotone = mult_monotone(TWO_ATOM, TWO_ATOM)
-    for z, vb, vm in zip(boolean.points, boolean.values, monotone.values):
-        assert vb == pytest.approx(z ** 3, abs=1e-13)
-        assert vm == pytest.approx(z ** 4, abs=1e-13)
+def test_circle_mean_of_a_dirac():
+    assert circle_mean(CircleMeasure.dirac(0.7)) == pytest.approx(cmath.exp(0.7j))
 
 
 def test_mean_multiplicativity():
@@ -142,35 +97,34 @@ def test_boolean_idiv_formulas():
 
 
 def _mp_disk_sums(mu, beta, z):
-    """psi, psi', A, boolean eta and eta' of mu (as sigma for A and eta) at z, 30 digits.
+    """psi, A and the boolean eta of mu (as sigma for A and eta) at z, 30 digits.
 
     A and the Boolean eta read the Herglotz integral
     H = integral (1+zeta z)/(1-zeta z) dmu directly, not through psi.
     """
     with mpmath.workdps(30):
         z = mpmath.mpc(z)
-        ps, dps, h = mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0)
+        ps, h = mpmath.mpc(0), mpmath.mpc(0)
         for t, w in mu.atoms:
             zeta, w = mpmath.expj(mpmath.mpf(t)), mpmath.mpf(w)
             ps += w * z * zeta / (1 - z * zeta)
-            dps += w * zeta / (1 - z * zeta) ** 2
             h += w * (1 + zeta * z) / (1 - zeta * z)
         a = z * (1j * mpmath.mpf(beta) - h)
         eta_b = mpmath.expj(mpmath.mpf(beta)) * z * mpmath.exp(-h)
-        return [complex(v) for v in (ps, dps, a, eta_b, dps / (1 + ps) ** 2)]
+        return [complex(v) for v in (ps, a, eta_b)]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_disk_sums_match_a_30_digit_oracle(seed):
-    """psi, psi', a_eval, boolean_idiv_eta and eta' to 1e-12 relative, |z| from 1e-8 to 0.999.
+    """psi, a_eval and boolean_idiv_eta to 1e-12 relative, |z| from 1e-8 to 0.999.
 
     Near z = 0 psi ~ z mean(mu): summing psi itself keeps its relative
-    digits there, which sigma_transform's Newton solve relies on.  The
+    digits there, which a difference of Herglotz integrals would lose.  The
     points at |z| = 0.999 lie on the rays toward the atoms zeta and toward
     their poles conj(zeta), and the last measure has two atoms 1e-9 rad
     apart.  At a pole the Boolean eta is exp(-2 psi) with |psi| near 1e3,
     where the rounding of zeta itself moves it by 1e-10 relative, so only
-    the other four sums are held to the bound there.
+    the other two sums are held to the bound there.
     """
     rng = np.random.default_rng(8000 + seed)
     for trial in range(6):
@@ -185,185 +139,16 @@ def test_disk_sums_match_a_30_digit_oracle(seed):
         zeta = np.exp(1j * np.array(mu.angles))
         pts = np.concatenate((radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size)),
                               0.999 * zeta, 0.999 * zeta.conj()))
-        sums = (lambda z: psi(mu, z), lambda z: circle._psi_deriv(mu, z), gen.a_eval,
-                circle.boolean_idiv_eta(cmath.exp(1j * beta), mu),
-                lambda z: circle._eta_deriv_atomic(mu, z))
+        sums = (lambda z: psi(mu, z), gen.a_eval,
+                circle.boolean_idiv_eta(cmath.exp(1j * beta), mu))
         on_array = [f(pts) for f in sums]
         for i, z in enumerate(pts.tolist()):
             at_pole = i >= pts.size - zeta.size
             for k, (f, arr, want) in enumerate(zip(sums, on_array, _mp_disk_sums(mu, beta, z))):
-                if at_pole and k == 3:
+                if at_pole and k == 2:
                     continue
                 assert abs(f(z) - want) <= 1e-12 * abs(want), (z, f)
                 assert abs(arr[i] - want) <= 1e-12 * abs(want), (z, f)
-
-
-def test_free_idiv_trivial_and_products():
-    g = circle_free_idiv(1.0, CircleMeasure.zero())
-    for z, v in zip(g.points, g.values):
-        assert v == pytest.approx(z, abs=1e-12)
-    # self-consistency: eta^{-1}(eta(z)) = z for a non-trivial sigma
-    sig = param([(math.pi, 0.4)])
-    g2 = circle_free_idiv(1.0, sig)
-
-    def inv(w):
-        acc = sum(wt * (1.0 + cmath.exp(1j * t) * w) / (1.0 - cmath.exp(1j * t) * w)
-                  for t, wt in sig.atoms)
-        return w * cmath.exp(acc)
-
-    for z, v in zip(g2.points, g2.values):
-        assert inv(v) == pytest.approx(z, abs=1e-11)
-
-
-def random_state(rng, max_atoms=4):
-    """A circle probability measure of 1-max_atoms atoms at uniform angles, no minimum gap."""
-    n = int(rng.integers(1, max_atoms + 1))
-    ws = rng.uniform(0.05, 1.0, n)
-    return CircleMeasure.from_pairs(zip(rng.uniform(0.0, 2.0 * math.pi, n), ws / ws.sum()))
-
-
-def test_free_product_taylor_coefficients_are_the_free_moments():
-    """eta = m1 z + (m2 - m1^2) z^2 + ..., with m1 = a1 b1, m2 = a2 b1^2 + a1^2 b2 - a1^2 b1^2.
-
-    The coefficients are read off a 64-point DFT of the product on the ring
-    of radius 0.05, where the aliased z^66 term is below 1e-80.
-    """
-    rng = np.random.default_rng(9100)
-    r, n = 0.05, 64
-    ring = tuple(r * np.exp(2j * np.pi * np.arange(n) / n))
-    for _ in range(30):
-        a, b = random_state(rng), random_state(rng)
-        coef = np.fft.fft(mult_free(a, b, ring).values) / n
-        a1, a2, b1, b2 = a.moment(1), a.moment(2), b.moment(1), b.moment(2)
-        m1 = a1 * b1
-        m2 = a2 * b1 ** 2 + a1 ** 2 * b2 - a1 ** 2 * b1 ** 2
-        assert abs(coef[1] / r - m1) <= 2e-15
-        assert abs(coef[2] / r ** 2 - (m2 - m1 ** 2)) <= 1e-14
-
-
-def test_free_product_of_symmetric_bernoulli_laws_is_haar():
-    """The zero-mean +-1 law (eta = z^2) times itself is Haar measure: eta = 0."""
-    grid = mult_free(TWO_ATOM, TWO_ATOM)
-    assert max(abs(v) for v in grid.values) <= 1e-30
-
-
-def test_free_product_with_a_dirac_rotates():
-    """delta_theta boxtimes mu has eta(z) = eta_mu(e^{i theta} z), in either order."""
-    rng = np.random.default_rng(9200)
-    for _ in range(10):
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        mu = random_state(rng)
-        want = eta(mu, np.exp(1j * theta) * np.array(DISK_GRID))
-        for grid in (mult_free(CircleMeasure.dirac(theta), mu),
-                     mult_free(mu, CircleMeasure.dirac(theta))):
-            assert eta_distance(grid.values, want) <= 1e-15
-
-
-def test_free_product_takes_eta_callables():
-    rng = np.random.default_rng(9300)
-    a, b = random_state(rng), random_state(rng)
-    assert eta_distance(mult_free(eta_fn(a), eta_fn(b)), mult_free(a, b)) <= 1e-15
-
-
-def _mp_free_idiv(gamma, sigma, z, w0):
-    """The w solving gamma w exp(H(w)) = z, by mpmath.findroot at 30 digits from w0."""
-    with mpmath.workdps(30):
-        atoms = [(mpmath.expj(t), mpmath.mpf(w)) for t, w in sigma.atoms]
-
-        def f(w):
-            h = mpmath.fsum(wt * (1 + zeta * w) / (1 - zeta * w) for zeta, wt in atoms)
-            return gamma * w * mpmath.exp(h) - z
-
-        return complex(mpmath.findroot(f, mpmath.mpc(w0)))
-
-
-@pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
-def test_free_idiv_matches_a_30_digit_root(mass):
-    """Grid points at |z| from 0.05 to 0.99; the gap bound is the fixed point's rounding."""
-    rng = np.random.default_rng(9400 + int(mass * 100))
-    for _ in range(2):
-        n = int(rng.integers(1, 4))
-        ws = rng.uniform(0.1, 1.0, n)
-        sigma = param(zip(rng.uniform(0.0, 2.0 * math.pi, n), ws / ws.sum() * mass))
-        gamma = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        radii = np.array([0.05, 0.4, 0.9, 0.99])
-        points = tuple(radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size)))
-        grid = circle_free_idiv(gamma, sigma, points)
-        for z, v in zip(points, grid.values):
-            assert abs(v - _mp_free_idiv(gamma, sigma, z, v)) <= 4e-15, (mass, z)
-
-
-def ring8(r):
-    """The angles of DISK_GRID's outer ring at radius r."""
-    return tuple(r * np.exp(2j * np.pi * np.arange(8) / 8))
-
-
-def test_free_products_settle_near_the_circle(no_hang, monkeypatch):
-    """Ten random products converge at |z| = 0.4, 0.9 and 0.99, each within
-    log(eps)/log |z| iterations, half the loop's cap.
-    """
-    calls = []
-    loop = circle._disk_fixed_point
-
-    def counted(f, z):
-        calls.append(0)
-
-        def g(w):
-            calls[-1] += 1
-            return f(w)
-
-        return loop(g, z)
-
-    monkeypatch.setattr(circle, "_disk_fixed_point", counted)
-    rng = np.random.default_rng(6)
-    pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
-    for r in (0.4, 0.9, 0.99):
-        for a, b in pairs:
-            grid = mult_free(a, b, ring8(r))
-            assert all(abs(v) <= r + 1e-15 for v in grid.values)
-        assert max(calls) <= math.log(circle.EPS) / math.log(r), r
-        calls.clear()
-
-
-def test_fixed_point_failure_names_a_start_point(no_hang, monkeypatch):
-    """A map that only rotates never settles: the loop stops at its cap and says where."""
-    loop = circle._disk_fixed_point
-    monkeypatch.setattr(circle, "_disk_fixed_point", lambda f, z: loop(lambda w: 1j * w, z))
-    for call in (lambda: mult_free(HAAR4, TWO_ATOM),
-                 lambda: circle_free_idiv(1.0, param([(1.0, 0.5)]))):
-        with pytest.raises(ConvergenceError,
-                           match=re.escape(f"z0={DISK_GRID[0]!r}") + " did not settle in 80 "):
-            call()
-
-
-def test_disk_grid_sample_evaluates_the_grid_as_one_array():
-    seen = []
-
-    def e(z):
-        seen.append(np.shape(z))
-        return 0.5 * z
-
-    grid = DiskGrid.sample(e)
-    assert seen == [(len(DISK_GRID),)]
-    assert grid.values == tuple(0.5 * z for z in DISK_GRID)
-
-
-def test_fourier_examples():
-    gamma = cmath.exp(0.3j)
-    assert circle_classical_idiv_fourier(gamma, CircleMeasure.zero(), 3) == pytest.approx(gamma ** 3)
-    assert circle_classical_idiv_fourier(1.0, param([(math.pi, 0.5)]), 2) == pytest.approx(1.0)
-    # mean consistency: p=1 with sigma = s delta_1 gives gamma e^{-s}
-    val = circle_classical_idiv_fourier(gamma, param([(0.0, 0.3)]), 1)
-    assert val == pytest.approx(gamma * math.exp(-0.3), abs=1e-9)
-
-
-def test_fourier_extension_sympy_oracle():
-    # limit of (zeta^p - 1 - i p Im zeta)/(1 - Re zeta) as zeta -> 1 equals -p^2
-    th = sympy.symbols("theta", real=True)
-    for p in (1, 2, 5):
-        expr = (sympy.exp(sympy.I * p * th) - 1 - sympy.I * p * sympy.sin(th)) / (1 - sympy.cos(th))
-        lim = complex(sympy.limit(expr, th, 0))
-        assert lim == pytest.approx(complex(-p * p), abs=1e-12)
 
 
 def test_flow_rotation_field():
@@ -420,36 +205,11 @@ def test_eta_metric_vs_moments(rng):
     a = CircleMeasure.from_pairs([(0.4, 0.5), (2.2, 0.5)])
     b = CircleMeasure.from_pairs([(0.4, 0.5), (2.2, 0.5)])
     c = CircleMeasure.from_pairs([(0.5, 0.5), (2.2, 0.5)])
-    ga = DiskGrid.sample(eta_fn(a))
-    gb = DiskGrid.sample(eta_fn(b))
-    gc = DiskGrid.sample(eta_fn(c))
+    ga, gb, gc = (DiskGrid(DISK_GRID, eta(mu, np.array(DISK_GRID))) for mu in (a, b, c))
     assert eta_distance(ga, gb) == 0.0
     assert all(abs(a.moment(p) - b.moment(p)) <= 1e-9 for p in range(1, 17))
     assert eta_distance(ga, gc) > 1e-9
     assert any(abs(a.moment(p) - c.moment(p)) > 1e-9 for p in range(1, 17))
-
-
-def test_mult_assoc_comm(rng):
-    a = CircleMeasure.from_pairs([(0.4, 0.5), (2.2, 0.5)])
-    b = CircleMeasure.from_pairs([(1.0, 0.3), (4.0, 0.7)])
-    c = CircleMeasure.dirac(0.9)
-    ea, eb, ec = eta_fn(a), eta_fn(b), eta_fn(c)
-    # boolean: commutative and associative through the z (eta/z) product
-    ab = mult_boolean(a, b)
-    ba = mult_boolean(b, a)
-    assert eta_distance(ab, ba) <= 1e-12
-    eab = lambda z: ea(z) * eb(z) / z
-    left = mult_boolean(eab, ec)
-    ebc = lambda z: eb(z) * ec(z) / z
-    right = mult_boolean(ea, ebc)
-    assert eta_distance(left, right) <= 1e-12
-    # monotone: associative (not commutative)
-    m_left = DiskGrid.sample(lambda z: ea(eb(ec(z))))
-    m_right = DiskGrid.sample(lambda z: ea(eb(ec(z))))
-    comp_left = mult_monotone(lambda z: ea(eb(z)), ec)
-    comp_right = mult_monotone(ea, lambda z: eb(ec(z)))
-    assert eta_distance(comp_left, comp_right) <= 1e-10
-    assert eta_distance(comp_left, m_left) <= 1e-12
 
 
 def test_rotated_array_fixed_ell():
@@ -542,7 +302,7 @@ def test_disk_flow_root_rejects_bad_times_and_step(times, step):
 
 
 def test_eta_distance_rejects_unequal_and_empty_samples():
-    values = DiskGrid.sample(eta_fn(CircleMeasure.dirac(0.4))).values
+    values = DiskGrid(DISK_GRID, eta(CircleMeasure.dirac(0.4), np.array(DISK_GRID))).values
     with pytest.raises(ValidationError, match="16 and 3"):
         eta_distance(values, values[:3])
     with pytest.raises(ValidationError, match="0 and 0"):

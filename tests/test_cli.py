@@ -432,16 +432,19 @@ def test_missing_file_is_validation_error(tmp_path):
     assert run(["bp-check", tmp_path / "nope.json"]) == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+@pytest.mark.parametrize("kind", ["not_utf8", "directory", "empty"])
 @pytest.mark.parametrize("command", ["bp-check", "convolve"])
 def test_unreadable_file_is_a_validation_error_naming_it(tmp_path, capsys, kind, command):
+    # convolve reads a good --a first, so the message must name the bad --b
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
     else:
-        path.write_bytes(b"\xff\xfe")
+        path.write_bytes({"not_utf8": b"\xff\xfe", "empty": b""}[kind])
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([[0.0, 1.0]]))
     argv = ([command, path] if command == "bp-check" else
-            [command, "--a", path, "--b", path, "--op", "boolean"])
+            [command, "--a", good, "--b", path, "--op", "boolean"])
     assert run(argv + ["--output", tmp_path / "out"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and str(path) in err

@@ -4,12 +4,15 @@ Each draw builds the argument list of one of the six subcommands, and its
 measure or scenario files, from pools that hold the values that broke the
 CLI before: 0, -0.0, 1e+-300, nan, inf, JSON integers past the float range,
 near-coincident atoms and counts out of range; the scenario commands also
-draw --tolerance, whose value keeps the rule of the scenario key.
+draw --tolerance, whose value keeps the rule of the scenario key.  Now and
+then a measure or scenario path is a kind of file no command can read: a
+directory, a file that is not UTF-8 (the bytes ff fe) or an empty file.
 ``cli.main`` must return 0, 2, 3 or 4 within ALARM_S seconds and raise
-nothing.  A count that passes validation stays far below the cap that
-guards it (n, k and bins at most 64, flow steps at least 1e-3 and end times
-at most 2), so no draw runs the work a cap exists to refuse; the caps
-themselves are drawn only past their limits.
+nothing, and exactly 2 when a path it reads is such a file.  A count that
+passes validation stays far below the cap that guards it (n, k and bins at
+most 64, flow steps at least 1e-3 and end times at most 2), so no draw runs
+the work a cap exists to refuse; the caps themselves are drawn only past
+their limits.
 """
 
 import contextlib
@@ -52,6 +55,8 @@ STEPS = (1e-3, 2e-3, 1e-2)
 BAD_STEPS = (0.02, 1e-6, 1e-300, 0.0, -1e-3) + NON_FINITE
 T_ENDS = (0.0, 0.5, 1.0, 2.0)
 BAD_T_ENDS = (-1.0, 1e9) + NON_FINITE
+#: the contents of the files no command can read; a directory is the third kind
+UNREADABLE = (b"\xff\xfe", b"")
 
 
 def pick(rng, valid, invalid, p_invalid=0.05):
@@ -64,6 +69,22 @@ def dump(obj):
     for number in HUGE_INTS:
         text = text.replace(f'"{number}"', number)
     return text
+
+
+def write(rng, path, text):
+    """text into the file at path or, one time in ten, a directory or an UNREADABLE file there."""
+    if path.is_dir():
+        path.rmdir()
+    roll = rng.random()
+    if roll < 0.1 / 3:
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    else:
+        path.write_bytes(rng.choice(UNREADABLE) if roll < 0.1 else text.encode())
+
+
+def unreadable(path):
+    return path.is_dir() or path.read_bytes() in UNREADABLE
 
 
 def atoms(rng, normalized):
@@ -124,7 +145,7 @@ def draw_idiv(rng, tmp):
 
 def draw_convolve(rng, tmp):
     for name in ("a", "b"):
-        (tmp / f"{name}.json").write_text(dump(atoms(rng, rng.random() < 0.8)))
+        write(rng, tmp / f"{name}.json", dump(atoms(rng, rng.random() < 0.8)))
     argv = ["convolve", "--op", rng.choice(OPS), "--a", str(tmp / "a.json"),
             "--b", str(tmp / "b.json")]
     if rng.random() < 0.2:
@@ -177,7 +198,7 @@ def draw_scenario(command):
         if rng.random() < 0.05:  # the other space
             scenario["space"] = "real" if scenario["space"] == "circle" else "circle"
         path = tmp / "scenario.json"
-        path.write_text(dump(scenario))
+        write(rng, path, dump(scenario))
         argv = [command, str(path)]
         if rng.random() < 0.3:
             argv.append(f"--tolerance={pick(rng, TOLERANCES, BAD_TOLERANCES, 0.3)!r}")
@@ -212,8 +233,10 @@ def run_draws(seed, count, tmp):
     codes = set()
     for i in range(count):
         argv = DRAW[COMMANDS[i % len(COMMANDS)]](rng, tmp)
-        files = {name: (tmp / name).read_text() for name in ("a.json", "b.json", "scenario.json")
-                 if str(tmp / name) in argv}
+        paths = [tmp / name for name in ("a.json", "b.json", "scenario.json")
+                 if str(tmp / name) in argv]
+        files = {path.name: "<directory>" if path.is_dir() else path.read_bytes()
+                 for path in paths}
         # overflow in the 1e300 draws is expected on the way to an answer or an error,
         # and the command line does not stop on it
         with alarm(ALARM_S, argv), warnings.catch_warnings():
@@ -224,6 +247,9 @@ def run_draws(seed, count, tmp):
                 raise AssertionError(f"draw {i} of seed {seed} raised: ncprob {' '.join(argv)} "
                                      f"with {files}") from exc
         assert code in (0, 2, 3, 4), f"draw {i} of seed {seed}: exit {code}: {argv} {files}"
+        if any(unreadable(path) for path in paths):
+            assert code == 2, f"draw {i} of seed {seed}: exit {code} on an unreadable file: " \
+                              f"{argv} {files}"
         codes.add(code)
     return codes
 

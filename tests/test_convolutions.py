@@ -17,16 +17,15 @@ from ncprob.convolutions import (
     free_convolve_F,
     free_power_grid,
     monotone_convolve,
-    monotone_power_grid,
 )
 from ncprob.errors import ConvergenceError, ValidationError
 from ncprob.harness import ArraySpec
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import (
-    CPLUS1_SAMPLES,
     TransformGrid,
     ZR,
     cauchy_G,
+    f_powers,
     f_transform,
     voiculescu_phi,
     weak_distance,
@@ -321,16 +320,22 @@ def test_boolean_power_examples(bernoulli):
     assert dk.atoms == ((pytest.approx(2.1), pytest.approx(1.0)),)
 
 
+def _monotone_power(mu, k):
+    """mu's k-fold monotone power on ZR: its exact F composed k times by f_powers."""
+    (values,) = f_powers([(f_transform(mu), k, np.array(ZR), f"k={k}")])
+    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=mu.mass ** k)
+
+
 def test_monotone_power_examples(bernoulli):
-    g = monotone_power_grid(FiniteAtomicMeasure.dirac(0.5), 6)
+    g = _monotone_power(FiniteAtomicMeasure.dirac(0.5), 6)
     for z, v in zip(g.points, g.values):
         assert v == pytest.approx(z - 3.0)
 
     exact = monotone_convolve(bernoulli, bernoulli)
-    grid = monotone_power_grid(bernoulli, 2)
+    grid = _monotone_power(bernoulli, 2)
     assert weak_distance(grid, exact) <= 1e-12
 
-    clt = monotone_power_grid(bernoulli.dilate(1.0 / 16.0), 256)
+    clt = _monotone_power(bernoulli.dilate(1.0 / 16.0), 256)
     target = grid_of(lambda z: f_sqrt_branch(z, 2.0))
     assert weak_distance(clt, target) <= 0.05
 
@@ -341,7 +346,7 @@ def test_monotone_power_matches_repeated_convolve(rng):
         exact = mu
         for k in range(2, 5):
             exact = monotone_convolve(exact, mu)
-            grid = monotone_power_grid(mu, k)
+            grid = _monotone_power(mu, k)
             ge = TransformGrid.sample(f_transform(exact), ZR, "F", mass=exact.mass)
             assert max(abs(a - b) for a, b in zip(grid.values, ge.values)) <= 1e-10
 
@@ -386,12 +391,15 @@ def _cplus1_sup(rho):
 
 
 def test_composition_contracts_cauchy_norm(rng):
-    # right-composition with an F-transform keeps |G_rho| below its C^+_1 sup
+    # right-composition with an F-transform keeps |G_rho| below its C^+_1 sup,
+    # checked at 100 fixed points of C^+_1
+    samples = [complex(x, y) for y in (1.0, 1.5, 2.5, 5.0, 10.0)
+               for x in np.linspace(-10.0, 10.0, 20)]
     for _ in range(5):
         rho = random_state_measure(rng)
         sup = _cplus1_sup(rho)
         f = f_transform(random_probability_measure(rng))
-        for z in CPLUS1_SAMPLES:
+        for z in samples:
             assert abs(cauchy_G(rho, f(z))) <= sup + 1e-12
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import mp_power, mp_time_one
-from ncprob.convolutions import monotone_power_grid
 from ncprob.errors import ConvergenceError, ValidationError
 from ncprob.harness import (
     ArraySpec,
@@ -19,7 +18,6 @@ from ncprob.harness import (
     condition_e,
     run_powers,
     subprobability_equivalence,
-    tightness_diagnostics,
 )
 from ncprob.idiv import LevyTriple, flow_map
 from ncprob.measures import FiniteAtomicMeasure
@@ -29,7 +27,6 @@ from ncprob.transforms import (
     ZR,
     f_powers,
     f_transform,
-    stolz_tail_estimate,
     weak_distance,
 )
 
@@ -206,23 +203,6 @@ def test_broken_array_both_fail():
     assert not rep["ops"]["monotone"]["converged"]
 
 
-def test_tightness_diagnostics():
-    spec = ArraySpec.bernoulli_clt()
-    rows = tightness_diagnostics(spec, 256, (10.0,))
-    assert rows[0]["ok"]
-
-    pspec = ArraySpec.poisson(1.0)
-    prow = tightness_diagnostics(pspec, 256, (5.0, 10.0, 20.0))
-    assert all(r["ok"] for r in prow)
-    ratios = [r["right_over_y"] for r in prow]
-    assert ratios[0] > ratios[1] > ratios[2]
-
-    dirac_spec = ArraySpec.custom(
-        {n: FiniteAtomicMeasure.dirac(0.0) for n in (4, 8)}, limit=GAUSSIAN)
-    drow = tightness_diagnostics(dirac_spec, 8, (5.0,))
-    assert abs(drow[0]["im_left"]) <= 1e-12 and abs(drow[0]["im_right"]) <= 1e-12
-
-
 def test_flow_root_power_matches_flow():
     spec = ArraySpec.flow_root(GAUSSIAN, n_values=(16, 32))
     rep = run_powers(spec, "monotone", GAUSSIAN)
@@ -337,7 +317,14 @@ def test_a_tripped_guard_names_its_row_point_and_iteration():
 def test_a_power_guard_names_its_point_at_the_first_iteration(mu, k, what):
     want = f"iterated F from z0={ZR[0]!r} {what} at iteration 1 (k={k})"
     with pytest.raises(ConvergenceError, match=re.escape(want)):
-        monotone_power_grid(mu, k)
+        f_powers([(f_transform(mu), k, np.array(ZR), f"k={k}")])
+
+
+def test_a_carrier_power_overflow_names_a_later_iteration():
+    # F(z) = z/m with m = 1e-3, so |F^j(5i)| = 5 * 1e3^j passes the 1e12 guard at j = 4
+    want = "iterated F from z0=5j overflowed at iteration 4 (k=8)"
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        f_powers([(f_transform(FiniteAtomicMeasure.dirac(0.0, 1e-3)), 8, np.array([5j]), "k=8")])
 
 
 def test_a_carrier_power_within_1e_154_of_a_pole_overflows():
@@ -347,7 +334,7 @@ def test_a_carrier_power_within_1e_154_of_a_pole_overflows():
     want = f"iterated F from z0={z!r} overflowed at iteration 1 (k=3)"
     bernoulli = FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
     with pytest.raises(ConvergenceError, match=re.escape(want)):
-        monotone_power_grid(bernoulli, 3, points=[z])
+        f_powers([(f_transform(bernoulli), 3, np.array([z]), "k=3")])
 
 
 def test_a_callable_row_that_overflows_names_its_point_and_iteration():
@@ -385,15 +372,3 @@ def test_monotone_rows_without_measure_or_limit_name_the_op():
     spec = ArraySpec(name="bare", n_values=(4, 8))
     with pytest.raises(ValidationError, match=r"row n=4 has neither.*\(op=monotone\)"):
         run_powers(spec, "monotone", GAUSSIAN)
-
-
-def test_tightness_heights_run_as_one_row_and_are_guarded():
-    spec = ArraySpec.poisson(1.0)
-    heights = (5.0, 10.0, 20.0)
-    rows = tightness_diagnostics(spec, 256, heights)
-    for y, row in zip(heights, rows):
-        est = stolz_tail_estimate(spec.measure(256), 256, y)
-        assert (row["im_left"], row["im_right"]) == (est["im_left"], est["im_right"])
-    # a row of mass 1e-3 overflows on its fourth iteration, where the loop ran on unchecked
-    with pytest.raises(ConvergenceError, match="overflowed at iteration 4"):
-        stolz_tail_estimate(FiniteAtomicMeasure.dirac(0.0, 1e-3), 8, 5.0)

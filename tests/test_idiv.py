@@ -30,7 +30,7 @@ from ncprob.idiv import (
     semigroup_defect,
 )
 from ncprob.measures import FiniteAtomicMeasure, PARAMETER
-from ncprob.transforms import ZR, e_transform, eps_line_grid, weak_distance
+from ncprob.transforms import ZR, eps_line_grid, f_transform, weak_distance
 
 GAUSSIAN = LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)])
 POISSON_TYPE = LevyTriple.from_parts(1.0, 0.5, [(1.0, 0.5)])
@@ -223,7 +223,7 @@ def test_generator_boolean_link():
     for m in (1.0, 0.6):
         triple = LevyTriple.from_parts(m, 0.4, sigma)
         mass_one = boolean_idiv(LevyTriple.from_parts(1.0, 0.4, sigma))
-        e = e_transform(mass_one)
+        e = f_transform(mass_one)._e
         for z in ZR:
             val = phi_eval(triple, z) + e(z) + math.log(m) * z
             assert abs(val) <= 1e-10

@@ -11,18 +11,14 @@ from ncprob.measures import PARAMETER, FiniteAtomicMeasure
 from ncprob import transforms
 from ncprob.idiv import phi_deriv, phi_eval
 from ncprob.transforms import (
-    CPLUS1_SAMPLES,
     NevanlinnaData,
     TransformGrid,
     ZR,
     cauchy_G,
-    e_transform,
     eps_line_grid,
     line_density,
     f_transform,
-    maassen_bound_check,
     recover_measure,
-    stolz_tail_estimate,
     voiculescu_phi,
     weak_distance,
 )
@@ -49,16 +45,16 @@ def test_f_transform_examples(bernoulli):
     f = f_transform(FiniteAtomicMeasure.dirac(2.0))   # z - 2
     assert (f.m, f.gamma) == (1.0, 2.0)
     assert f.sigma.is_zero
-    assert e_transform(FiniteAtomicMeasure.dirac(2.0))(5j) == pytest.approx(2.0)
+    assert f._e(5j) == pytest.approx(2.0)
 
     fb = f_transform(bernoulli)          # z - 1/z, checked against 1/G
     for z in ZR:
         assert fb(z) * cauchy_G(bernoulli, z) == pytest.approx(1.0)
-        assert e_transform(bernoulli)(z) == pytest.approx(1.0 / z)
+        assert fb._e(z) == pytest.approx(1.0 / z)
 
     half = FiniteAtomicMeasure.dirac(0.0, 0.5)
     assert f_transform(half)(1j) == pytest.approx(2j)
-    assert abs(e_transform(half)(1j)) <= 1e-15
+    assert abs(f_transform(half)._e(1j)) <= 1e-15
 
 
 def test_imaginary_part_growth(rng, bernoulli):
@@ -260,44 +256,3 @@ def test_weak_distance_grid_needs_zr(bernoulli):
         weak_distance(grid, bernoulli)
     good = TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), ZR, "G", mass=1.0)
     assert weak_distance(good, bernoulli) <= 1e-15
-
-
-def test_maassen_examples(bernoulli):
-    assert maassen_bound_check(bernoulli)
-    assert maassen_bound_check(FiniteAtomicMeasure.dirac(3.0))  # equality case
-    poisson_row = FiniteAtomicMeasure.from_pairs([(0.0, 0.99), (1.0, 0.01)])
-    assert maassen_bound_check(poisson_row)
-
-
-def test_stolz_tail_estimate():
-    n = 100
-    row = FiniteAtomicMeasure.from_pairs([(0.0, 1.0 - 1.0 / n), (1.0, 1.0 / n)])
-    est = stolz_tail_estimate(row, n, 5.0)
-    assert est["tail_left"] <= est["tail_right"] + 1e-12
-    assert est["im_left"] <= est["im_right"] * 1.05 + 1e-12
-    # identity: the sigma-integral equals (2k/y) Im(F(iy) - iy/m)
-    y = 5.0
-    f = f_transform(row)
-    want = (2.0 * n / y) * (f(complex(0, y)) - complex(0, y) / row.mass).imag
-    assert est["tail_right"] == pytest.approx(want, rel=1e-10)
-
-    d0 = FiniteAtomicMeasure.dirac(0.0)
-    est0 = stolz_tail_estimate(d0, 10, 5.0)
-    assert est0["tail_left"] == 0.0 and est0["tail_right"] == 0.0
-    assert abs(est0["im_left"]) <= 1e-12 and abs(est0["im_right"]) <= 1e-12
-
-
-def test_cplus1_sample_count():
-    assert len(CPLUS1_SAMPLES) == 100
-    assert all(z.imag >= 1.0 for z in CPLUS1_SAMPLES)
-
-
-def test_stolz_angle():
-    from ncprob.transforms import StolzAngle
-
-    cone = StolzAngle(alpha=1.0, beta=2.0)
-    assert cone.contains(0.5 + 3j)
-    assert not cone.contains(0.5 + 1j)     # below the height cut
-    assert not cone.contains(4.0 + 3.5j)   # outside the aperture
-    with pytest.raises(ValidationError):
-        StolzAngle(alpha=-1.0, beta=2.0)
