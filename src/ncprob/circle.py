@@ -75,8 +75,20 @@ class CircleGenerator:
             object.__setattr__(self, "sigma", self.sigma.with_role(PARAMETER))
 
     def a_eval(self, z):
-        """A(z) = z(i beta - H(z)) = z(A'(0) - 2 psi_sigma(z)), a point or a 1-d ndarray."""
-        return z * (self.mean_rate - 2.0 * _psi(self.sigma, z))
+        """A(z) = z(i beta - H(z)) = z(A'(0) - 2 psi_sigma(z)), a point or a 1-d ndarray.
+
+        With psi = z S (``_psi_over_z``), A = z(A'(0) - z sum 2w/(conj(zeta) - z)):
+        one broadcast over atoms x points, equal bit for bit to the ``_psi``
+        form because doubling is exact.
+        """
+        poles, two_w, rate = self._field
+        return z * (rate - z * (two_w @ (1.0 / np.subtract.outer(poles, z))))
+
+    @functools.cached_property
+    def _field(self):
+        """(conj(zeta), 2w, A'(0)): the field's coefficients, built once per generator."""
+        poles, weights = self.sigma.disk_poles
+        return poles, 2.0 * weights, self.mean_rate
 
     @functools.cached_property
     def mean_rate(self):

@@ -186,8 +186,9 @@ def _pole_distance(poles, w):
 
 def _rk4_step(phi, w, h, k1):
     """One RK4 step of dF/dt = phi(F) from w, given k1 = phi(w); h may be per point."""
-    k2 = phi(w + 0.5 * h * k1)
-    k3 = phi(w + 0.5 * h * k2)
+    half = 0.5 * h
+    k2 = phi(w + half * k1)
+    k3 = phi(w + half * k2)
     k4 = phi(w + h * k3)
     return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 

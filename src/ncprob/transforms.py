@@ -291,8 +291,9 @@ def weak_distance(a, b):
     return max(abs(x - y) for x, y in zip(ga, gb)) + abs(ma - mb)
 
 
-#: overflow guard of an iterated F
+#: overflow guard of an iterated F, and its square for a scalar |w|^2
 _ITER_OVERFLOW = 1e12
+_ITER_OVERFLOW_SQ = _ITER_OVERFLOW * _ITER_OVERFLOW
 
 
 def f_powers(rows):
@@ -302,10 +303,14 @@ def f_powers(rows):
     A carrier's power runs each point as a scalar loop in real float
     arithmetic, within 1e-14 relative of a 40-digit composition of the same
     float data up to k = 4096; a callable runs the row's points together,
-    one call per iteration.  Every iteration keeps |F| <= 1e12 and
-    Im F >= (1 - 1e-12) Im w - 1e-15, and a failure raises a
-    ConvergenceError naming the start point, the iteration and where.
-    Returns one array per row, shaped like its z.
+    one call per iteration.  A carrier with exactly one pole has a loop of
+    its own, with no inner loop over poles: every row of the shipped
+    real-line families has one pole, so that loop is where bp-check and
+    limit-run spend their time, and it gives the same floats bit for bit.
+    Every iteration keeps |F|^2 <= 1e24 and Im F >= (1 - 1e-12) Im w - 1e-15,
+    and a failure raises a ConvergenceError naming the start point, the
+    iteration, the guard and where.  Returns one array per row, shaped like
+    its z.
     """
     out = []
     for f, k, z, where in rows:
@@ -322,22 +327,38 @@ def f_powers(rows):
 def _carrier_power(f, k, z, where):
     """The carrier's F composed k times at z, in real floats: with q = c/|w - p|^2,
     F(w) = Re w/m - gamma' - sum q (Re w - p) + i Im w (1/m + sum q): only + - * /.
-    A |w - p|^2 that underflows to 0 (w within 1e-154 of a pole p) is an overflow."""
+    A carrier with one pole runs the same operations, in the same order, with
+    no loop over pairs.  A |w - p|^2 that underflows to 0 (w within 1e-154 of
+    a pole p) is an overflow."""
     gamma, pairs = f._pairs
-    m, wr, wi = f.m, z.real, z.imag
+    m, wr, wi, top = f.m, z.real, z.imag, _ITER_OVERFLOW_SQ
     try:
-        for j in range(1, k + 1):
-            wi2, sr, si = wi * wi, gamma, 0.0
-            for p, c in pairs:
+        if len(pairs) == 1:
+            ((p, c),) = pairs
+            for j in range(1, k + 1):
                 xr = wr - p
-                q = c / (xr * xr + wi2)
-                sr += q * xr
-                si += q
-            wr, wi, im = wr / m - sr, wi / m + si * wi, wi
-            if not math.hypot(wr, wi) <= _ITER_OVERFLOW or wi < im * (1.0 - 1e-12) - 1e-15:
-                raise _power_error(complex(wr, wi), z, j, where)
+                q = c / (xr * xr + wi * wi)
+                wr, vi = wr / m - (gamma + q * xr), wi / m + q * wi
+                if not wr * wr + vi * vi <= top:
+                    raise _power_error(True, z, j, where)
+                if vi < wi * (1.0 - 1e-12) - 1e-15:
+                    raise _power_error(False, z, j, where)
+                wi = vi
+        else:
+            for j in range(1, k + 1):
+                wi2, sr, si = wi * wi, gamma, 0.0
+                for p, c in pairs:
+                    xr = wr - p
+                    q = c / (xr * xr + wi2)
+                    sr += q * xr
+                    si += q
+                wr, wi, im = wr / m - sr, wi / m + si * wi, wi
+                if not wr * wr + wi * wi <= top:
+                    raise _power_error(True, z, j, where)
+                if wi < im * (1.0 - 1e-12) - 1e-15:
+                    raise _power_error(False, z, j, where)
     except ZeroDivisionError:
-        raise _power_error(complex(math.inf), z, j, where) from None
+        raise _power_error(True, z, j, where) from None
     return complex(wr, wi)
 
 
@@ -349,16 +370,16 @@ def _callable_power(f, k, z, where):
             nxt = np.asarray(f(w), dtype=complex)
         except NumericalError as exc:
             raise type(exc)(f"{exc} at iteration {j} ({where})") from exc
-        bad = ~(np.abs(nxt) <= _ITER_OVERFLOW) | (nxt.imag < w.imag * (1.0 - 1e-12) - 1e-15)
+        big = ~(np.abs(nxt) <= _ITER_OVERFLOW)
+        bad = big | (nxt.imag < w.imag * (1.0 - 1e-12) - 1e-15)
         if bad.any():
             i = int(np.argmax(bad))
-            raise _power_error(complex(nxt[i]), complex(z[i]), j, where)
+            raise _power_error(bool(big[i]), complex(z[i]), j, where)
         w = nxt
     return w
 
 
-def _power_error(w, z0, j, where):
-    big = not math.hypot(w.real, w.imag) <= _ITER_OVERFLOW
+def _power_error(big, z0, j, where):
+    """The error of a guard that tripped: the overflow guard if big, else the Im F guard."""
     what = "overflowed" if big else "decreased the imaginary part"
     return ConvergenceError(f"iterated F from z0={z0!r} {what} at iteration {j} ({where})")
-

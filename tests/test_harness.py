@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mp_power, mp_time_one
 from ncprob.errors import ConvergenceError, ValidationError
@@ -308,23 +309,40 @@ def test_a_tripped_guard_names_its_row_point_and_iteration():
         run_powers(spec, "monotone", GAUSSIAN)
 
 
-@pytest.mark.parametrize("mu, k, what", [
+def _tiny_poles(m, gamma, poles):
+    """Nevanlinna data with 1 or 2 poles of weight 1e-14, which move no guard."""
+    positions = {1: (0.5,), 2: (-0.5, 0.5)}[poles]
+    return NevanlinnaData.from_parts(m, gamma, [(p, 1e-14) for p in positions])
+
+
+@pytest.mark.parametrize("f, k, what", [
     # a mass of 1 + 5e-10 takes Im F(z) = Im z/m below (1 - 1e-12) Im z at once
-    (FiniteAtomicMeasure.dirac(0.25, 1 + 5e-10), 3, "decreased the imaginary part"),
+    (f_transform(FiniteAtomicMeasure.dirac(0.25, 1 + 5e-10)), 3, "decreased the imaginary part"),
     # |F(z)| = |z|/1.7e-308 is past the largest float, where a complex abs raises
-    (FiniteAtomicMeasure.dirac(0.0, 1.7e-308), 2, "overflowed"),
-], ids=["im_fall", "past_float_range"])
-def test_a_power_guard_names_its_point_at_the_first_iteration(mu, k, what):
+    (f_transform(FiniteAtomicMeasure.dirac(0.0, 1.7e-308)), 2, "overflowed"),
+    # the same guards on the one-pole loop and on the loop over pairs
+    (_tiny_poles(1 + 5e-10, 0.25, 1), 3, "decreased the imaginary part"),
+    (_tiny_poles(1 + 5e-10, 0.25, 2), 3, "decreased the imaginary part"),
+    (_tiny_poles(1.7e-308, 0.0, 1), 2, "overflowed"),
+    (_tiny_poles(1.7e-308, 0.0, 2), 2, "overflowed"),
+], ids=["im_fall", "past_float_range", "im_fall_one_pole", "im_fall_two_poles",
+        "past_float_range_one_pole", "past_float_range_two_poles"])
+def test_a_power_guard_names_its_point_at_the_first_iteration(f, k, what):
     want = f"iterated F from z0={ZR[0]!r} {what} at iteration 1 (k={k})"
     with pytest.raises(ConvergenceError, match=re.escape(want)):
-        f_powers([(f_transform(mu), k, np.array(ZR), f"k={k}")])
+        f_powers([(f, k, np.array(ZR), f"k={k}")])
 
 
-def test_a_carrier_power_overflow_names_a_later_iteration():
-    # F(z) = z/m with m = 1e-3, so |F^j(5i)| = 5 * 1e3^j passes the 1e12 guard at j = 4
+@pytest.mark.parametrize("f", [
+    f_transform(FiniteAtomicMeasure.dirac(0.0, 1e-3)),
+    _tiny_poles(1e-3, 0.0, 1),
+    _tiny_poles(1e-3, 0.0, 2),
+], ids=["no_pole", "one_pole", "two_poles"])
+def test_a_carrier_power_overflow_names_a_later_iteration(f):
+    # F(z) ~ z/m with m = 1e-3, so |F^j(5i)| ~ 5 * 1e3^j passes the 1e12 guard at j = 4
     want = "iterated F from z0=5j overflowed at iteration 4 (k=8)"
     with pytest.raises(ConvergenceError, match=re.escape(want)):
-        f_powers([(f_transform(FiniteAtomicMeasure.dirac(0.0, 1e-3)), 8, np.array([5j]), "k=8")])
+        f_powers([(f, 8, np.array([5j]), "k=8")])
 
 
 def test_a_carrier_power_within_1e_154_of_a_pole_overflows():
@@ -335,6 +353,72 @@ def test_a_carrier_power_within_1e_154_of_a_pole_overflows():
     bernoulli = FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
     with pytest.raises(ConvergenceError, match=re.escape(want)):
         f_powers([(f_transform(bernoulli), 3, np.array([z]), "k=3")])
+
+
+def test_a_two_pole_carrier_power_within_1e_154_of_a_pole_overflows():
+    # the loop over pairs divides by |w - p|^2 = 0 at the pole 0 on iteration 1
+    f = NevanlinnaData.from_parts(1.0, 0.0, [(-1.0, 0.5), (0.0, 0.5)])
+    z = complex(0.0, 1e-200)
+    want = f"iterated F from z0={z!r} overflowed at iteration 1 (k=3)"
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        f_powers([(f, 3, np.array([z]), "k=3")])
+
+
+def _pair_loop_power(f, k, z, where):
+    """The carrier power as one loop over pairs for every pole count, with the
+    overflow guard math.hypot(Re w, Im w) <= 1e12: the reference of the one-pole loop."""
+    gamma, pairs = f._pairs
+    m, wr, wi = f.m, z.real, z.imag
+
+    def error(w, j):
+        what = "overflowed" if not math.hypot(w.real, w.imag) <= 1e12 else \
+            "decreased the imaginary part"
+        return ConvergenceError(f"iterated F from z0={z!r} {what} at iteration {j} ({where})")
+
+    try:
+        for j in range(1, k + 1):
+            wi2, sr, si = wi * wi, gamma, 0.0
+            for p, c in pairs:
+                xr = wr - p
+                q = c / (xr * xr + wi2)
+                sr += q * xr
+                si += q
+            wr, wi, im = wr / m - sr, wi / m + si * wi, wi
+            if not math.hypot(wr, wi) <= 1e12 or wi < im * (1.0 - 1e-12) - 1e-15:
+                raise error(complex(wr, wi), j)
+    except ZeroDivisionError:
+        raise error(complex(math.inf), j) from None
+    return complex(wr, wi)
+
+
+def _bits(w):
+    return w.real.hex(), w.imag.hex()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e3), st.floats(-1e3, 1e3),
+       # Im F grows like m^-j, so most m < 1 overflow early: m near 1 runs long
+       st.one_of(st.just(1.0), st.floats(0.999, 1.0),
+                 st.floats(1e-3, 1.0, exclude_min=True)),
+       st.integers(1, 2048),
+       st.one_of(st.sampled_from(ZR),
+                 st.builds(complex, st.floats(-1e3, 1e3), st.floats(1e-9, 1e3))))
+def test_the_one_pole_loop_matches_the_pair_loop_bit_for_bit(p, c, gamma, m, k, z):
+    """One pole at p with residue c and gamma' = gamma, from ZR or any point
+    of the upper half-plane: the same floats, or the same error at the same
+    iteration."""
+    s = c / (1.0 + p * p)
+    f = NevanlinnaData.from_parts(m, gamma - p * s, [(p, s)])
+    assert len(f._pairs[1]) == 1
+    try:
+        want = _bits(_pair_loop_power(f, k, z, "ref"))
+    except ConvergenceError as exc:
+        want = str(exc)
+    try:
+        got = _bits(f_powers([(f, k, np.array([z]), "ref")])[0][0])
+    except ConvergenceError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_a_callable_row_that_overflows_names_its_point_and_iteration():
