@@ -130,21 +130,12 @@ def eta(mu, z):
     return p / (1.0 + p)
 
 
-def eta_fn(mu):
-    return lambda z: eta(mu, z)
-
-
 def _unit(gamma):
     """gamma as a complex, checked to lie on the unit circle."""
     gamma = complex(gamma)
     if abs(abs(gamma) - 1.0) > 1e-9:
         raise ValidationError("gamma must lie on the unit circle")
     return gamma
-
-
-def circle_mean(mu):
-    """Integral of zeta dmu = eta'(0)."""
-    return mu.mean
 
 
 def boolean_idiv_eta(gamma, sigma):
@@ -268,26 +259,23 @@ class DiskFlowRoot:
 
 
 class _DiskLanes:
-    """Rows (eta, k, z, where, lam) as lanes: each point of z iterates w -> lam * eta(w) k times.
+    """Rows (eta, k, z, where, lam) of one generator's DiskFlowRoots, as lanes.
 
-    The lanes are sorted by their tick counts ``ticks``, descending, so the
-    lanes still running at tick s are a prefix.  Rows whose eta is a
-    DiskFlowRoot of one generator share a kernel: a lane takes one RK4 step
-    a tick on its root's schedule, and each of its iterations ends in
-    lam * (eta.lam * w), the order of the composed maps.  Any other eta runs
-    its rows as a kernel of its own, one call a tick.  Each RK4 step keeps
-    |w| <= r (1 + 1e-9), with r the modulus at the start of the iteration,
-    and so does each iteration's end; a failure raises a FlowError naming
-    the lane's start point, its iteration and its row's where.  A root with
-    no RK4 step (every leg at most 1e-15 long) takes no tick: each of its
-    iterations is the rotation alone.
+    Each point of z iterates w -> lam * eta(w) k times.  The lanes are
+    sorted by their tick counts ``ticks``, descending, so the lanes still
+    running at tick s are a prefix.  A lane takes one RK4 step a tick on its
+    root's schedule, and each of its iterations ends in lam * (eta.lam * w),
+    the order of the composed maps.  Each RK4 step keeps |w| <= r (1 + 1e-9),
+    with r the modulus at the start of the iteration, and so does each
+    iteration's end, which catches a rotation with |lam| > 1; a failure
+    raises a FlowError naming the lane's start point, its iteration and its
+    row's where.  A root with no RK4 step (every leg at most 1e-15 long)
+    takes no tick: each of its iterations is the rotation alone.
     """
 
     def __init__(self, rows):
-        eta = rows[0][0]
-        self.rows, self._a = rows, 0
-        self.flow = isinstance(eta, DiskFlowRoot)
-        period = [len(row[0].schedule) if self.flow else 1 for row in rows]
+        self.rows, self._a, self.gen = rows, 0, rows[0][0].gen
+        period = [len(row[0].schedule) for row in rows]
         sizes = [np.size(row[2]) for row in rows]
         ticks = np.repeat([row[1] * p for row, p in zip(rows, period)], sizes)
         self.order = np.argsort(-ticks, kind="stable")
@@ -296,11 +284,7 @@ class _DiskLanes:
         self.z = np.concatenate([np.ravel(row[2]) for row in rows]).astype(complex)[self.order]
         self.w = self.z.copy()
         self.lim = np.abs(self.z) * (1.0 + 1e-9)
-        self.lam = np.array([complex(row[4]) for row in rows])[self.row]
-        if not self.flow:
-            self.eta = eta
-            return
-        self.gen = eta.gen
+        lam = np.array([complex(row[4]) for row in rows])[self.row]
         lam_row = np.array([complex(row[0].lam) for row in rows])[self.row]
         # the h of every row at every tick, and the rows each tick ends an iteration of
         self.h = np.zeros((int(self.ticks[0]), len(rows)))
@@ -310,9 +294,9 @@ class _DiskLanes:
             lo, hi = int(lanes[0]), int(lanes[-1]) + 1
             self.h[:row[1] * p, r] = np.tile([h for h, _ in row[0].schedule], row[1])
             if not p:
-                self.w[lo:hi] *= (self.lam[lo:hi] * lam_row[lo:hi]) ** row[1]
+                self.w[lo:hi] *= (lam[lo:hi] * lam_row[lo:hi]) ** row[1]
                 continue
-            block = (lo, self.w[lo:hi], lam_row[lo:hi], self.lam[lo:hi], self.lim[lo:hi])
+            block = (lo, self.w[lo:hi], lam_row[lo:hi], lam[lo:hi], self.lim[lo:hi])
             for j in range(1, row[1] + 1):
                 self.ends[j * p - 1].append(block)
 
@@ -326,11 +310,8 @@ class _DiskLanes:
     def _step(self, s, a):
         """Advance the first a lanes through tick s."""
         if a != self._a:
-            self._a, self._v = a, (self.w[:a], self.lim[:a], self.lam[:a], self.row[:a])
-        w, lim, lam, row = self._v
-        if not self.flow:
-            self._end(s, 0, w, lam * self.eta(w), lim)
-            return
+            self._a, self._v = a, (self.w[:a], self.lim[:a], self.row[:a])
+        w, lim, row = self._v
         a_eval = self.gen.a_eval
         w[...] = _rk4_step(a_eval, w, self.h[s][row], a_eval(w))
         inside = np.abs(w) <= lim
@@ -350,7 +331,7 @@ class _DiskLanes:
         inside = r <= lim
         if not inside.all():
             i = lo + int(np.argmin(inside))
-            p = len(self.rows[self.row[i]][0].schedule) if self.flow else 1
+            p = len(self.rows[self.row[i]][0].schedule)
             raise FlowError(f"eta iteration from z0={complex(self.z[i])!r} grew the modulus "
                             f"at iteration {(s + 1) // p} ({self.rows[self.row[i]][3]})")
         w[...] = x
@@ -360,10 +341,10 @@ class _DiskLanes:
 def disk_powers(rows):
     """k iterations of w -> lam * eta(w) for every row (eta, k, z, where, lam), as one pass.
 
-    The rows of the DiskFlowRoots of one generator share one kernel, and the
-    rows of any other eta one per eta (``_DiskLanes``); every tick steps
-    each kernel's running lanes.  Returns one array per row, shaped like
-    its z; a row without points gets an empty one and joins no kernel.
+    Every eta is a DiskFlowRoot.  The rows of one generator share one
+    kernel (``_DiskLanes``); every tick steps each kernel's running lanes.
+    Returns one array per row, shaped like its z; a row without points gets
+    an empty one and joins no kernel.
     """
     rows, groups = list(rows), {}
     out = [None] * len(rows)
@@ -371,8 +352,7 @@ def disk_powers(rows):
         if not np.size(z):
             out[i] = np.empty(np.shape(z), dtype=complex)
             continue
-        key = (DiskFlowRoot, id(eta.gen)) if isinstance(eta, DiskFlowRoot) else id(eta)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(id(eta.gen), []).append(i)
     kernels = [_DiskLanes([rows[i] for i in idx]) for idx in groups.values()]
     start = 0
     for end in sorted({int(t) for ker in kernels for t in ker.ticks}):
@@ -392,16 +372,13 @@ def disk_powers(rows):
 class CircleArraySpec:
     """One eta per row n >= 1, with its mean and the target generator.
 
-    Row n is raised to the power k_n = n by ``disk_powers``.  The rows of
-    ``semigroup`` are DiskFlowRoots at time 1/n, data whose powers run as
-    RK4 lanes.  Any other row's eta is a callable that takes an ndarray of
-    grid points and returns the ndarray of eta values, called once per
-    iteration on the whole grid.
+    Row n's eta is a DiskFlowRoot, raised to the power k_n = n by
+    ``disk_powers`` as RK4 lanes; ``semigroup`` builds the roots at time 1/n.
     """
 
     name: str
     n_values: tuple
-    eta_factory: object          # n -> eta_n: a DiskFlowRoot, or a callable on an ndarray
+    eta_factory: object          # n -> eta_n, a DiskFlowRoot
     mean_fn: object              # n -> complex mean of row n
     generator: CircleGenerator   # target (beta, sigma)
 
@@ -438,17 +415,6 @@ class CircleArraySpec:
         rotated = any(ell_of(n) != 0 for n in n_values)
         name = "rotated_semigroup" if rotated else "semigroup"
         return cls(name, tuple(n_values), factory, mean, gen)
-
-    @classmethod
-    def from_measures(cls, measures, gen, n_values=None):
-        table = dict(measures)
-        ns = tuple(sorted(table)) if n_values is None else tuple(n_values)
-        return cls(
-            "custom", ns,
-            lambda n: eta_fn(table[n]),
-            lambda n: circle_mean(table[n]),
-            gen,
-        )
 
 
 def detect_rotation(spec, beta, n):

@@ -52,10 +52,11 @@ def _bernoulli():
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """One measure per row n, plus the power rule k_n and the target triple.
+    """One measure per row n >= 1, plus the power rule k_n and the target triple.
 
     A row without a measure is the target's flow root: the generator flow
-    of ``limit`` at t = 1/k_n, of mass m^(1/k_n).
+    of ``limit`` at t = 1/k_n.  Only ``f_eval`` reads it; every op's power
+    needs the row's measure.
     """
 
     name: str
@@ -66,8 +67,9 @@ class ArraySpec:
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
-        if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValidationError("n_values must be strictly increasing")
+        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValidationError(f"n_values must be positive and strictly increasing; "
+                                  f"got {ns!r}")
         object.__setattr__(self, "n_values", ns)
         ks = [self.k_of(n) for n in ns]
         if any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
@@ -96,10 +98,6 @@ class ArraySpec:
             raise ValidationError(f"row n={n} has neither a measure nor a limit triple")
         t = 1.0 / self.k_of(n)
         return lambda z: flow_map(self.limit, t, z, step=min(FLOW_STEP, 0.5 * t))
-
-    def mass_of(self, n):
-        mu = self.measure(n)
-        return mu.mass if mu is not None else self.limit.m ** (1.0 / self.k_of(n))
 
     # --- shipped families -------------------------------------------------
 
@@ -169,23 +167,12 @@ class ArraySpec:
         )
 
     @classmethod
-    def custom(cls, measures, limit=None, n_values=None):
-        """Explicit row measures, as a mapping n -> measure."""
-        table = dict(measures)
-        ns = tuple(sorted(table)) if n_values is None else tuple(n_values)
-        return cls(
-            name="custom",
-            n_values=ns,
-            measure_fn=lambda n: table[n],
-            limit=limit,
-        )
-
-    @classmethod
     def flow_root(cls, triple, n_values=DEFAULT_NS):
         """Rows given by the flow map g_n = F_{1/k_n} of a generator triple.
 
-        These rows have no atomic representation; only monotone powers and
-        generator diagnostics apply.
+        These rows have no atomic representation, so no op's power applies
+        (``run_powers`` raises a ValidationError); ``f_eval`` and the
+        generator diagnostic ``chernoff_residual`` read them.
         """
         return cls(name="flow_root", n_values=tuple(n_values), limit=triple)
 
@@ -196,9 +183,7 @@ def condition_e(spec, n):
     sigma_n reweights each atom by k_n w x^2/(x^2+1); gamma_n is
     k_n * sum of w x/(x^2+1).
     """
-    mu = spec.measure(n)
-    if mu is None:
-        raise ValidationError("condition_e needs an atomic row measure")
+    mu = _row_measure(spec, n, "condition_e")
     k = spec.k_of(n)
     gamma_n = k * sum(w * x / (x * x + 1.0) for x, w in mu.atoms)
     sigma_n = FiniteAtomicMeasure.from_pairs(
@@ -273,29 +258,20 @@ def _cf_distance(cf_a, cf_b):
     return max(abs(cf_a(t) - cf_b(t)) for t in T_GRID)
 
 
-def _row_inputs(spec, op):
-    """Each row's input to op, checked once: its measure, or for monotone its F.
-
-    A monotone row without a measure is the limit triple's flow root.
-    """
-    if op == "monotone":
-        return [spec.f_eval(n) for n in spec.n_values]
-    out = []
-    for n in spec.n_values:
-        mu = spec.measure(n)
-        if mu is None:
-            raise ValidationError(f"op {op!r} needs a row measure, and row n={n} has none")
-        out.append(mu)
-    return out
+def _row_measure(spec, n, what):
+    """Row n's measure; a row without one raises a ValidationError naming what needed it."""
+    mu = spec.measure(n)
+    if mu is None:
+        raise ValidationError(f"{what} needs a row measure, and row n={n} has none")
+    return mu
 
 
-def _monotone_powers(spec, rows, ks):
-    """The rows' k_n-fold monotone powers on ZR, all rows in one ``f_powers`` call."""
-    ns = spec.n_values
-    values = f_powers((f, k, np.array(ZR), f"row n={n}, k={k}")
-                      for f, k, n in zip(rows, ks, ns))
-    return [TransformGrid(ZR, tuple(v.tolist()), "F", mass=spec.mass_of(n) ** k)
-            for v, n, k in zip(values, ns, ks)]
+def _monotone_powers(ns, rows, ks):
+    """The row measures' k_n-fold monotone powers on ZR, all rows in one ``f_powers`` call."""
+    values = f_powers((f_transform(mu), k, np.array(ZR), f"row n={n}, k={k}")
+                      for mu, k, n in zip(rows, ks, ns))
+    return [TransformGrid(ZR, tuple(v.tolist()), "F", mass=mu.mass ** k)
+            for v, mu, k in zip(values, rows, ks)]
 
 
 def _power_distance(op, row, k, target):
@@ -321,12 +297,12 @@ def run_powers(spec, op, target, tol=0.05):
     ks = tuple(spec.k_of(n) for n in ns)
     where, dists = None, []
     try:
-        rows = _row_inputs(spec, op)
+        rows = [_row_measure(spec, n, f"op {op!r}") for n in ns]
         where = "target"
         target = _resolve_target(op, target)
         where = None  # the monotone pass names its own row
         if op == "monotone":
-            rows = _monotone_powers(spec, rows, ks)
+            rows = _monotone_powers(ns, rows, ks)
         for n, k, row in zip(ns, ks, rows):
             where = f"row n={n}, k={k}"
             dists.append(float(_power_distance(op, row, k, target)))
@@ -392,7 +368,7 @@ def subprobability_equivalence(spec, triple=None, tol=0.05):
     if triple is None:
         raise ValidationError("subprobability_equivalence needs a target triple")
     n_last = spec.n_values[-1]
-    mhat = spec.mass_of(n_last) ** spec.k_of(n_last)
+    mhat = _row_measure(spec, n_last, "subprobability_equivalence").mass ** spec.k_of(n_last)
     if mhat < 0.01:
         raise ValidationError("row masses collapse: mass^{k_n} -> 0")
     if abs(mhat - triple.m) > 0.05:

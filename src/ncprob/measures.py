@@ -114,15 +114,6 @@ class _AtomicMeasure:
             weights.append(w)
         return cls(tuple(positions), tuple(weights), role)
 
-    @classmethod
-    def dirac(cls, position, weight=1.0, role=STATE):
-        return cls((position,), (weight,), role)
-
-    @classmethod
-    def zero(cls):
-        """The zero measure; only valid in parameter role."""
-        return cls((), (), PARAMETER)
-
     @property
     def atoms(self):
         return tuple(zip(self.positions, self.weights))
@@ -161,11 +152,6 @@ class FiniteAtomicMeasure(_AtomicMeasure):
     def moment(self, k):
         return sum(w * x**k for x, w in self.atoms)
 
-    @property
-    def generalized_variance(self):
-        """mu(x^2) mu(R) - mu(x)^2; reduces to variance for probability mass."""
-        return self.moment(2) * self.mass - self.mean**2
-
     def dilate(self, s):
         """Pushforward under x -> s*x.  Mass preserved; s must be non-zero."""
         s = float(s)
@@ -173,13 +159,6 @@ class FiniteAtomicMeasure(_AtomicMeasure):
             raise ValidationError("dilation factor must be non-zero")
         return FiniteAtomicMeasure(
             tuple(s * x for x in self.positions), self.weights, self.role
-        )
-
-    def translate(self, a):
-        """Pushforward under x -> x + a."""
-        a = float(a)
-        return FiniteAtomicMeasure(
-            tuple(x + a for x in self.positions), self.weights, self.role
         )
 
     def scale_mass(self, c):

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, RecoveryError, ValidationError
+from .errors import ConvergenceError, RecoveryError, ValidationError
 from .measures import MASS_TOL, PARAMETER, FiniteAtomicMeasure
 from .rational import _eigen, cauchy_zeros, spectral_measure
 from .solvers import newton
@@ -291,36 +291,29 @@ def weak_distance(a, b):
     return max(abs(x - y) for x, y in zip(ga, gb)) + abs(ma - mb)
 
 
-#: overflow guard of an iterated F, and its square for a scalar |w|^2
-_ITER_OVERFLOW = 1e12
-_ITER_OVERFLOW_SQ = _ITER_OVERFLOW * _ITER_OVERFLOW
+#: overflow guard of an iterated F, |F| <= 1e12, squared for a scalar |w|^2
+_ITER_OVERFLOW_SQ = 1e24
 
 
 def f_powers(rows):
     """F^{ok}(z) for every row (f, k, z, where): the line's k-fold iterator, guarded.
 
-    f is a carrier or a callable taking an ndarray, z a point or an ndarray.
-    A carrier's power runs each point as a scalar loop in real float
-    arithmetic, within 1e-14 relative of a 40-digit composition of the same
-    float data up to k = 4096; a callable runs the row's points together,
-    one call per iteration.  A carrier with exactly one pole has a loop of
-    its own, with no inner loop over poles: every row of the shipped
-    real-line families has one pole, so that loop is where bp-check and
-    limit-run spend their time, and it gives the same floats bit for bit.
-    Every iteration keeps |F|^2 <= 1e24 and Im F >= (1 - 1e-12) Im w - 1e-15,
-    and a failure raises a ConvergenceError naming the start point, the
-    iteration, the guard and where.  Returns one array per row, shaped like
-    its z.
+    f is a carrier (``NevanlinnaData``), z a point or an ndarray.  Each
+    point runs as a scalar loop in real float arithmetic, within 1e-14
+    relative of a 40-digit composition of the same float data up to
+    k = 4096.  A carrier with exactly one pole has a loop of its own, with
+    no inner loop over poles: every row of the shipped real-line families
+    has one pole, so that loop is where bp-check and limit-run spend their
+    time, and it gives the same floats bit for bit.  Every iteration keeps
+    |F|^2 <= 1e24 and Im F >= (1 - 1e-12) Im w - 1e-15, and a failure
+    raises a ConvergenceError naming the start point, the iteration, the
+    guard and where.  Returns one array per row, shaped like its z.
     """
     out = []
     for f, k, z, where in rows:
         z = np.asarray(z, dtype=complex)
-        if isinstance(f, NevanlinnaData):
-            w = np.array([_carrier_power(f, k, z0, where) for z0 in z.ravel().tolist()],
-                         dtype=complex)
-        else:
-            w = _callable_power(f, k, z.ravel(), where)
-        out.append(w.reshape(z.shape))
+        w = [_carrier_power(f, k, z0, where) for z0 in z.ravel().tolist()]
+        out.append(np.array(w, dtype=complex).reshape(z.shape))
     return out
 
 
@@ -360,23 +353,6 @@ def _carrier_power(f, k, z, where):
     except ZeroDivisionError:
         raise _power_error(True, z, j, where) from None
     return complex(wr, wi)
-
-
-def _callable_power(f, k, z, where):
-    """f composed k times on the ndarray z, each iteration one call."""
-    w = z
-    for j in range(1, k + 1):
-        try:
-            nxt = np.asarray(f(w), dtype=complex)
-        except NumericalError as exc:
-            raise type(exc)(f"{exc} at iteration {j} ({where})") from exc
-        big = ~(np.abs(nxt) <= _ITER_OVERFLOW)
-        bad = big | (nxt.imag < w.imag * (1.0 - 1e-12) - 1e-15)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _power_error(bool(big[i]), complex(z[i]), j, where)
-        w = nxt
-    return w
 
 
 def _power_error(big, z0, j, where):

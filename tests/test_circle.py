@@ -17,7 +17,6 @@ from ncprob.circle import (
     boolean_idiv_eta,
     circle_boolean_idiv,
     circle_flow_map,
-    circle_mean,
     circle_monotone_flow,
     circle_reports,
     circle_semigroup_defect,
@@ -25,7 +24,6 @@ from ncprob.circle import (
     disk_powers,
     eta,
     eta_distance,
-    eta_fn,
     psi,
 )
 from ncprob.errors import FlowError, ValidationError
@@ -39,8 +37,12 @@ def param(pairs):
     return CircleMeasure.from_pairs(pairs, role=PARAMETER)
 
 
+def dirac(angle):
+    return CircleMeasure.from_pairs([(angle, 1.0)])
+
+
 def test_eta_examples():
-    d = CircleMeasure.dirac(0.7)
+    d = dirac(0.7)
     zeta = cmath.exp(0.7j)
     for z in DISK_GRID:
         assert eta(d, z) == pytest.approx(zeta * z, abs=1e-14)
@@ -66,27 +68,27 @@ def test_eta_contraction(rng):
 
 
 def test_circle_mean_of_a_dirac():
-    assert circle_mean(CircleMeasure.dirac(0.7)) == pytest.approx(cmath.exp(0.7j))
+    assert dirac(0.7).mean == pytest.approx(cmath.exp(0.7j))
 
 
 def test_mean_multiplicativity():
     a = CircleMeasure.from_pairs([(0.2, 0.6), (1.3, 0.4)])
     b = CircleMeasure.from_pairs([(5.9, 0.3), (0.4, 0.7)])
-    ea, eb = eta_fn(a), eta_fn(b)
+    ea, eb = (lambda z: eta(a, z)), (lambda z: eta(b, z))
     r = 1e-4
 
     def mean_of(fn):
         vals = [fn(r), fn(1j * r), fn(-r), fn(-1j * r)]
         return (vals[0] - vals[2] - 1j * (vals[1] - vals[3])) / (4.0 * r)
 
-    want = circle_mean(a) * circle_mean(b)
+    want = a.mean * b.mean
     assert mean_of(lambda z: ea(z) * eb(z) / z) == pytest.approx(want, abs=1e-12)
     assert mean_of(lambda z: ea(eb(z))) == pytest.approx(want, abs=1e-12)
 
 
 def test_boolean_idiv_formulas():
     # sigma = 0: eta = gamma z
-    g = circle_boolean_idiv(cmath.exp(0.4j), CircleMeasure.zero())
+    g = circle_boolean_idiv(cmath.exp(0.4j), param([]))
     for z, v in zip(g.points, g.values):
         assert v == pytest.approx(cmath.exp(0.4j) * z)
     # gamma=1, sigma = s delta_{-1}: eta = z exp(-s (1-z)/(1+z))
@@ -152,7 +154,7 @@ def test_disk_sums_match_a_30_digit_oracle(seed):
 
 
 def test_flow_rotation_field():
-    gen = CircleGenerator(0.5, CircleMeasure.zero())
+    gen = CircleGenerator(0.5, param([]))
     got = circle_flow_map(gen, 1.0, np.array(DISK_GRID[:4]), step=1e-3)
     for z, w in zip(DISK_GRID[:4], got):
         assert w == pytest.approx(cmath.exp(0.5j) * z, abs=1e-12)
@@ -253,11 +255,15 @@ def test_circle_equivalence_semigroup():
 
 
 def test_circle_equivalence_dirac_array():
-    # sigma = 0, mu_n = delta_{e^{i beta/n}}: both sides converge to delta_{e^{i beta}}
+    # sigma = 0: the flow root at 1/n is the rotation by e^{i beta/n}, the eta
+    # of delta_{e^{i beta/n}}, and both sides converge to delta_{e^{i beta}}
     beta = 0.9
-    gen = CircleGenerator(beta, CircleMeasure.zero())
-    measures = {n: CircleMeasure.dirac(beta / n) for n in (16, 32, 64)}
-    spec = CircleArraySpec.from_measures(measures, gen)
+    gen = CircleGenerator(beta, param([]))
+    spec = CircleArraySpec.semigroup(gen, (16, 32, 64))
+    z = np.array(DISK_GRID)
+    for n in spec.n_values:
+        (got,) = disk_powers([(spec.eta_of(n), 1, z, f"row n={n}, k=1", 1.0)])
+        assert np.allclose(got, eta(dirac(beta / n), z), rtol=0, atol=1e-15)
     rep, _ = circle_reports(spec, gen, correct=False)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
@@ -302,7 +308,7 @@ def test_disk_flow_root_rejects_bad_times_and_step(times, step):
 
 
 def test_eta_distance_rejects_unequal_and_empty_samples():
-    values = DiskGrid(DISK_GRID, eta(CircleMeasure.dirac(0.4), np.array(DISK_GRID))).values
+    values = DiskGrid(DISK_GRID, eta(dirac(0.4), np.array(DISK_GRID))).values
     with pytest.raises(ValidationError, match="16 and 3"):
         eta_distance(values, values[:3])
     with pytest.raises(ValidationError, match="0 and 0"):
@@ -351,8 +357,9 @@ def test_disk_powers_give_a_row_without_points_an_empty_array():
     (alone,) = disk_powers([empty])
     assert alone.shape == (3, 0) and alone.dtype == complex
     healthy = (root, 2, z, "row n=3, k=2", 1.0)
-    callable_empty = (eta_fn(CircleMeasure.dirac(0.4)), 2, np.array([]), "custom", 1.0)
-    got = disk_powers([empty, healthy, callable_empty])
+    other = DiskFlowRoot(CircleGenerator(-0.7, param([(1.0, 0.4)])), (0.5,), 1e-3)
+    other_empty = (other, 2, np.array([]), "row n=4, k=2", 1.0)
+    got = disk_powers([empty, healthy, other_empty])
     assert [v.shape for v in got] == [(3, 0), (16,), (0,)]
     assert np.array_equal(got[1], disk_powers([healthy])[0])
 
@@ -363,9 +370,8 @@ def test_circle_array_spec_rejects_rows_below_one(n_values):
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     with pytest.raises(ValidationError, match="positive"):
         CircleArraySpec.semigroup(gen, n_values)
-    measures = {n: CircleMeasure.dirac(0.3) for n in n_values}
     with pytest.raises(ValidationError, match="positive"):
-        CircleArraySpec.from_measures(measures, gen)
+        CircleArraySpec("rows", n_values, lambda n: None, lambda n: 1.0, gen)
 
 
 def test_disk_flow_error_names_start_point():
@@ -382,14 +388,14 @@ def test_disk_flow_error_names_start_point():
 
 
 def test_monotone_power_error_names_start_point_and_iteration():
-    # eta halves every point but doubles those inside radius 0.06: the inner
-    # ring (radius 0.2) gets there after two halvings and grows on the third
-    def e(w):
-        return w * np.where(np.abs(w) < 0.06, 2.0, 0.5)
-
-    with pytest.raises(FlowError, match=re.escape(f"z0={DISK_GRID[8]!r}")
-                       + ".*iteration 3 \\(row n=5, k=5\\)"):
-        disk_powers([(e, 5, np.array(DISK_GRID), "row n=5, k=5", 1.0)])
+    # the flow to t = 1/4 shrinks |z| by about e^{-t Re H(z)}; at z = 0.4, away
+    # from the atom at -1, Re H = 0.21, so by 5%, and lam = 1.2 grows the point:
+    # each RK4 step passes (the flow alone shrinks) and the iteration's end fails
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    row = (DiskFlowRoot(gen, (0.25,), 1e-2), 5, np.array(DISK_GRID), "row n=5, k=5", 1.2)
+    want = "eta iteration from z0=(0.4+0j) grew the modulus at iteration 1 (row n=5, k=5)"
+    with pytest.raises(FlowError, match=re.escape(want)):
+        disk_powers([row])
 
 
 def _mp_flow(gen, z, t_end=1.0):
@@ -432,12 +438,11 @@ def _per_point_power(e, k, points=DISK_GRID):
             w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return e.lam * w
 
-    eta_one = flow_root if isinstance(e, DiskFlowRoot) else e
     out = []
     for z in points:
         w = complex(z)
         for _ in range(k):
-            w = complex(eta_one(w))
+            w = flow_root(w)
         out.append(w)
     return out
 
@@ -448,9 +453,8 @@ def test_monotone_power_array_matches_per_point_iteration():
     e = spec.eta_of(256)
     (grid,) = disk_powers([(e, 256, np.array(DISK_GRID), "row n=256, k=256", 1.0)])
     assert eta_distance(grid, _per_point_power(e, 256)) <= 1e-13
-    mu = CircleMeasure.from_pairs([(0.05, 0.7), (6.2, 0.3)])
-    custom = CircleArraySpec.from_measures({64: mu}, gen)
-    e = custom.eta_of(64)
+    other = CircleGenerator(-0.7, param([(0.05, 0.7), (6.2, 0.3)]))
+    e = CircleArraySpec.semigroup(other, (64,)).eta_of(64)
     (grid,) = disk_powers([(e, 64, np.array(DISK_GRID), "row n=64, k=64", 1.0)])
     assert eta_distance(grid, _per_point_power(e, 64)) <= 1e-13
 

@@ -45,9 +45,9 @@ def test_classical_examples(bernoulli):
     conv = classical_convolve(bernoulli, bernoulli)
     assert conv.atoms == ((-2.0, 0.25), (0.0, 0.5), (2.0, 0.25))
     mu = FiniteAtomicMeasure.from_pairs([(0.5, 0.3), (2.0, 0.7)])
-    shifted = classical_convolve(FiniteAtomicMeasure.dirac(1.5), mu)
-    assert shifted.atoms == mu.translate(1.5).atoms
-    half = FiniteAtomicMeasure.dirac(0.0, 0.5)
+    shifted = classical_convolve(FiniteAtomicMeasure.from_pairs([(1.5, 1.0)]), mu)
+    assert shifted.atoms == FiniteAtomicMeasure.from_pairs([(2.0, 0.3), (3.5, 0.7)]).atoms
+    half = FiniteAtomicMeasure.from_pairs([(0.0, 0.5)])
     assert classical_convolve(half, half).atoms == ((0.0, 0.25),)
 
 
@@ -58,10 +58,11 @@ def test_boolean_examples(bernoulli):
     assert conv.positions == (pytest.approx(-r2, abs=1e-12), pytest.approx(r2, abs=1e-12))
     assert conv.weights == (pytest.approx(0.5), pytest.approx(0.5))
 
-    d = boolean_convolve(FiniteAtomicMeasure.dirac(1.0), FiniteAtomicMeasure.dirac(2.5))
+    d = boolean_convolve(FiniteAtomicMeasure.from_pairs([(1.0, 1.0)]),
+                         FiniteAtomicMeasure.from_pairs([(2.5, 1.0)]))
     assert d.atoms == ((pytest.approx(3.5), pytest.approx(1.0)),)
 
-    half = FiniteAtomicMeasure.dirac(0.0, 0.5)
+    half = FiniteAtomicMeasure.from_pairs([(0.0, 0.5)])
     hh = boolean_convolve(half, half)
     assert hh.atoms == ((pytest.approx(0.0, abs=1e-14), pytest.approx(0.25)),)
 
@@ -74,7 +75,8 @@ def test_mass_multiplicative(rng):
 
 
 def test_monotone_examples(bernoulli):
-    d = monotone_convolve(FiniteAtomicMeasure.dirac(1.0), FiniteAtomicMeasure.dirac(2.0))
+    d = monotone_convolve(FiniteAtomicMeasure.from_pairs([(1.0, 1.0)]),
+                          FiniteAtomicMeasure.from_pairs([(2.0, 1.0)]))
     assert d.atoms == ((pytest.approx(3.0), pytest.approx(1.0)),)
 
     # residue oracle on G = w/(w^2-1), w = z - 1/z: atoms at the roots of
@@ -94,7 +96,7 @@ def test_monotone_examples(bernoulli):
 
 
 def test_monotone_non_commutative(bernoulli):
-    d1 = FiniteAtomicMeasure.dirac(1.0)
+    d1 = FiniteAtomicMeasure.from_pairs([(1.0, 1.0)])
     left = monotone_convolve(bernoulli, d1)   # F_b(z - 1): the translate
     right = monotone_convolve(d1, bernoulli)  # F_b(z) - 1: golden-ratio atoms
     assert left.positions == (pytest.approx(0.0, abs=1e-12), pytest.approx(2.0))
@@ -127,7 +129,7 @@ def test_commutativity(rng, bernoulli):
 
 
 def test_free_translation(bernoulli):
-    d = FiniteAtomicMeasure.dirac(0.8)
+    d = FiniteAtomicMeasure.from_pairs([(0.8, 1.0)])
     conv = free_convolve(d, bernoulli)
     fb = f_transform(bernoulli)
     for z, v in zip(conv.points, conv.values):
@@ -152,7 +154,7 @@ def test_free_power_cross_route(bernoulli):
 
 
 def test_free_needs_probability(rng):
-    half = FiniteAtomicMeasure.dirac(0.0, 0.5)
+    half = FiniteAtomicMeasure.from_pairs([(0.0, 0.5)])
     with pytest.raises(ValidationError):
         free_convolve(half, half)
     with pytest.raises(ValidationError):
@@ -316,7 +318,7 @@ def test_boolean_power_examples(bernoulli):
         scaled = boolean_power(bernoulli.dilate(1.0 / math.sqrt(k)), k)
         assert weak_distance(scaled, bernoulli) <= 1e-12
 
-    dk = boolean_power(FiniteAtomicMeasure.dirac(0.3), 7)
+    dk = boolean_power(FiniteAtomicMeasure.from_pairs([(0.3, 1.0)]), 7)
     assert dk.atoms == ((pytest.approx(2.1), pytest.approx(1.0)),)
 
 
@@ -327,7 +329,7 @@ def _monotone_power(mu, k):
 
 
 def test_monotone_power_examples(bernoulli):
-    g = _monotone_power(FiniteAtomicMeasure.dirac(0.5), 6)
+    g = _monotone_power(FiniteAtomicMeasure.from_pairs([(0.5, 1.0)]), 6)
     for z, v in zip(g.points, g.values):
         assert v == pytest.approx(z - 3.0)
 
@@ -354,12 +356,12 @@ def test_monotone_power_matches_repeated_convolve(rng):
 def test_classical_power_cf(bernoulli):
     cf = classical_power_cf(bernoulli, 2)
     assert cf(math.pi) == pytest.approx(1.0)  # cos(pi)^2
-    d = classical_power_cf(FiniteAtomicMeasure.dirac(2.0), 3)
+    d = classical_power_cf(FiniteAtomicMeasure.from_pairs([(2.0, 1.0)]), 3)
     assert d(0.5) == pytest.approx(cmath.exp(3j))
 
 
 def test_free_power_dirac():
-    g = free_power_grid(FiniteAtomicMeasure.dirac(0.4), 5)
+    g = free_power_grid(FiniteAtomicMeasure.from_pairs([(0.4, 1.0)]), 5)
     for z, v in zip(g.points, g.values):
         assert v == pytest.approx(z - 2.0, abs=1e-10)
 

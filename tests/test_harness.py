@@ -20,7 +20,7 @@ from ncprob.harness import (
     run_powers,
     subprobability_equivalence,
 )
-from ncprob.idiv import LevyTriple, flow_map
+from ncprob.idiv import LevyTriple
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import (
     NevanlinnaData,
@@ -68,9 +68,13 @@ def test_condition_e_poisson():
     assert sigma_n.atoms == ((1.0, pytest.approx(0.5, rel=1e-14)),)
 
 
+def _constant_array(mu, n_values, limit):
+    """The array whose every row is mu."""
+    return ArraySpec(name="constant", n_values=n_values, measure_fn=lambda n: mu, limit=limit)
+
+
 def test_condition_e_dirac_array():
-    spec = ArraySpec.custom({n: FiniteAtomicMeasure.dirac(0.0) for n in (2, 4)},
-                            limit=GAUSSIAN)
+    spec = _constant_array(FiniteAtomicMeasure.from_pairs([(0.0, 1.0)]), (2, 4), GAUSSIAN)
     gamma_n, sigma_n = condition_e(spec, 4)
     assert gamma_n == 0.0
     assert sigma_n.is_zero
@@ -152,8 +156,8 @@ def test_chernoff_residual_flow_roots_halve():
 
 
 def test_chernoff_residual_dirac_zero():
-    spec = ArraySpec.custom({n: FiniteAtomicMeasure.dirac(0.0) for n in (8, 16)},
-                            limit=LevyTriple.from_parts(1.0, 0.0, []))
+    spec = _constant_array(FiniteAtomicMeasure.from_pairs([(0.0, 1.0)]), (8, 16),
+                           LevyTriple.from_parts(1.0, 0.0, []))
     assert chernoff_residual(spec, LevyTriple.from_parts(1.0, 0.0, []), 16) <= 1e-14
 
 
@@ -190,9 +194,8 @@ def test_subprobability_mass_one_reduces():
 
 
 def test_subprobability_collapsing_mass_rejected():
-    half = FiniteAtomicMeasure.dirac(0.0, 0.5)
-    spec = ArraySpec.custom({n: half for n in (2, 4, 8)},
-                            limit=LevyTriple.from_parts(0.5, 0.0, []))
+    half = FiniteAtomicMeasure.from_pairs([(0.0, 0.5)])
+    spec = _constant_array(half, (2, 4, 8), LevyTriple.from_parts(0.5, 0.0, []))
     with pytest.raises(ValidationError):
         subprobability_equivalence(spec)
 
@@ -204,22 +207,16 @@ def test_broken_array_both_fail():
     assert not rep["ops"]["monotone"]["converged"]
 
 
-def test_flow_root_power_matches_flow():
-    spec = ArraySpec.flow_root(GAUSSIAN, n_values=(16, 32))
-    rep = run_powers(spec, "monotone", GAUSSIAN)
-    assert rep.converged
-    assert rep.distances[-1] <= 1e-4
-
-
 def test_flow_root_rows_follow_the_k_table():
-    # row n is the limit's flow at t = 1/k_n, so k_n-fold powers land on the time-one map
+    # row n is the limit's flow at t = 1/k_n: with k_n = 2n, row n is row 2n of k_n = n
     damped = LevyTriple.from_parts(0.8, 0.1, [(0.0, 0.5)])
+    plain = ArraySpec.flow_root(damped, n_values=(16, 32, 64))
     spec = dataclasses.replace(ArraySpec.flow_root(damped, n_values=(16, 32)),
                                k_table=((16, 32), (32, 64)))
-    assert spec.mass_of(16) == 0.8 ** (1.0 / 32)
-    rep = run_powers(spec, "monotone", damped)
-    assert rep.ks == (32, 64)
-    assert max(rep.distances) <= 1e-12
+    for n in spec.n_values:
+        assert [spec.f_eval(n)(z) for z in ZR] == [plain.f_eval(2 * n)(z) for z in ZR]
+        assert chernoff_residual(spec, damped, n) == chernoff_residual(plain, damped, 2 * n)
+    assert chernoff_residual(spec, damped, 32) < chernoff_residual(spec, damped, 16)
 
 
 def test_reports_reproducible():
@@ -260,8 +257,8 @@ def _ragged_spec(seed=3):
         ws = rng.uniform(0.2, 1.0, n)
         ws = ws / ws.sum() * rng.uniform(0.9, 1.0)
         rows[n] = FiniteAtomicMeasure.from_pairs(zip(xs.tolist(), ws.tolist()))
-    spec = ArraySpec.custom(rows, limit=GAUSSIAN)
-    return dataclasses.replace(spec, k_table=tuple((n, 3 * n * n) for n in ns))
+    return ArraySpec(name="ragged", n_values=ns, measure_fn=rows.__getitem__,
+                     k_table=tuple((n, 3 * n * n) for n in ns), limit=GAUSSIAN)
 
 
 def _max_rel(got, ref):
@@ -288,21 +285,14 @@ def test_f_powers_match_the_per_point_composition_on_ragged_rows():
         assert abs(dist - weak_distance(ref, target)) <= 1e-15
 
 
-def test_f_powers_run_flow_root_rows_on_the_row_grid():
-    spec = ArraySpec.flow_root(GAUSSIAN, n_values=(8, 16))
-    rows = [(spec.f_eval(n), spec.k_of(n), np.array(ZR), f"row n={n}") for n in spec.n_values]
-    for (f, k, _, _), got in zip(rows, f_powers(rows)):
-        ref = _per_point_power(f, k)
-        assert max(abs(a - b) for a, b in zip(got.tolist(), ref)) <= 1e-13
-
-
 def test_a_tripped_guard_names_its_row_point_and_iteration():
     # the n = 8 row has mass 1e-3, so |F^j(z)| = |z| 1e3^j passes 1e12 at j = 4
     # from the first grid point; the other rows are healthy
     rows = {4: FiniteAtomicMeasure.from_pairs([(-0.5, 0.5), (0.5, 0.5)]),
-            8: FiniteAtomicMeasure.dirac(0.0, 1e-3),
+            8: FiniteAtomicMeasure.from_pairs([(0.0, 1e-3)]),
             16: FiniteAtomicMeasure.from_pairs([(-0.25, 0.5), (0.25, 0.5)])}
-    spec = ArraySpec.custom(rows, limit=GAUSSIAN)
+    spec = ArraySpec(name="sick", n_values=(4, 8, 16), measure_fn=rows.__getitem__,
+                     limit=GAUSSIAN)
     want = (f"iterated F from z0={ZR[0]!r} overflowed at iteration 4 "
             f"(row n=8, k=8) (op=monotone)")
     with pytest.raises(ConvergenceError, match=re.escape(want)):
@@ -317,9 +307,10 @@ def _tiny_poles(m, gamma, poles):
 
 @pytest.mark.parametrize("f, k, what", [
     # a mass of 1 + 5e-10 takes Im F(z) = Im z/m below (1 - 1e-12) Im z at once
-    (f_transform(FiniteAtomicMeasure.dirac(0.25, 1 + 5e-10)), 3, "decreased the imaginary part"),
+    (f_transform(FiniteAtomicMeasure.from_pairs([(0.25, 1 + 5e-10)])), 3,
+     "decreased the imaginary part"),
     # |F(z)| = |z|/1.7e-308 is past the largest float, where a complex abs raises
-    (f_transform(FiniteAtomicMeasure.dirac(0.0, 1.7e-308)), 2, "overflowed"),
+    (f_transform(FiniteAtomicMeasure.from_pairs([(0.0, 1.7e-308)])), 2, "overflowed"),
     # the same guards on the one-pole loop and on the loop over pairs
     (_tiny_poles(1 + 5e-10, 0.25, 1), 3, "decreased the imaginary part"),
     (_tiny_poles(1 + 5e-10, 0.25, 2), 3, "decreased the imaginary part"),
@@ -334,7 +325,7 @@ def test_a_power_guard_names_its_point_at_the_first_iteration(f, k, what):
 
 
 @pytest.mark.parametrize("f", [
-    f_transform(FiniteAtomicMeasure.dirac(0.0, 1e-3)),
+    f_transform(FiniteAtomicMeasure.from_pairs([(0.0, 1e-3)])),
     _tiny_poles(1e-3, 0.0, 1),
     _tiny_poles(1e-3, 0.0, 2),
 ], ids=["no_pole", "one_pole", "two_poles"])
@@ -421,38 +412,29 @@ def test_the_one_pole_loop_matches_the_pair_loop_bit_for_bit(p, c, gamma, m, k, 
     assert got == want
 
 
-def test_a_callable_row_that_overflows_names_its_point_and_iteration():
-    # |F^j(z)| = 1e5^j |z| passes 1e12 at j = 3 from every grid point
-    rows = [(lambda w: 1e5 * w, 4, np.array(ZR), "scaled row")]
-    want = f"iterated F from z0={ZR[0]!r} overflowed at iteration 3 (scaled row)"
-    with pytest.raises(ConvergenceError, match=re.escape(want)):
-        f_powers(rows)
-
-
-def test_a_callable_row_that_fails_names_its_iteration():
-    calls = []
-
-    def f(w):
-        calls.append(w)
-        if len(calls) == 2:
-            raise ConvergenceError("inner solve failed")
-        return w + 1j
-
-    with pytest.raises(ConvergenceError,
-                       match=re.escape("inner solve failed at iteration 2 (flaky row)")):
-        f_powers([(f, 3, np.array(ZR), "flaky row")])
-
-
-@pytest.mark.parametrize("op", ["boolean", "free", "classical"])
+@pytest.mark.parametrize("op", ["boolean", "free", "classical", "monotone"])
 def test_ops_that_need_row_measures_name_the_op(op):
     spec = ArraySpec.flow_root(GAUSSIAN, n_values=(4, 8))
     with pytest.raises(ValidationError, match=f"op {op!r} needs a row measure.*row n=4"):
         run_powers(spec, op, GAUSSIAN)
     with pytest.raises(ValidationError):
         bp_crosscheck(spec)
+    with pytest.raises(ValidationError, match="row n=8 has none"):
+        subprobability_equivalence(spec)
 
 
 def test_monotone_rows_without_measure_or_limit_name_the_op():
     spec = ArraySpec(name="bare", n_values=(4, 8))
-    with pytest.raises(ValidationError, match=r"row n=4 has neither.*\(op=monotone\)"):
+    with pytest.raises(ValidationError, match=r"row n=4 has none \(op=monotone\)"):
         run_powers(spec, "monotone", GAUSSIAN)
+    with pytest.raises(ValidationError, match="row n=4 has neither a measure nor a limit"):
+        chernoff_residual(spec, GAUSSIAN, 4)
+
+
+@pytest.mark.parametrize("n_values", [(0, 16), (-1, 16)])
+def test_array_spec_rejects_rows_below_one(n_values):
+    # unchecked, a k table that gives such a row k >= 1 let the spec through,
+    # and run_powers raised a bare ZeroDivisionError for boolean and monotone
+    with pytest.raises(ValidationError, match="positive and strictly increasing"):
+        dataclasses.replace(ArraySpec.bernoulli_clt((1, 16)), n_values=n_values,
+                            k_table=((n_values[0], 1), (16, 2)))

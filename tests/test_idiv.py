@@ -254,7 +254,7 @@ def test_distance_bound_perturbations():
     assert db.observed <= 2.0 * db.bound
 
     damped = LevyTriple.from_parts(
-        1.0, 0.0, FiniteAtomicMeasure.dirac(0.0, 0.99, role=PARAMETER).atoms)
+        1.0, 0.0, FiniteAtomicMeasure.from_pairs([(0.0, 0.99)], role=PARAMETER).atoms)
     db2 = flow_distance_bound(GAUSSIAN, damped)
     assert db2.observed <= 2.0 * db2.bound
     assert isinstance(db2, DistanceBound)

@@ -86,12 +86,13 @@ def test_real_roots_multiplicity():
 def test_degree_zero_rejected():
     # the zero measure has G = 0 and no F-transform
     with pytest.raises(ValidationError):
-        f_transform(FiniteAtomicMeasure.zero())
+        f_transform(FiniteAtomicMeasure((), (), PARAMETER))
 
 
 def test_compose_linear():
     # (z - 2) o (z - 3) = z - 5
-    d = monotone_convolve(FiniteAtomicMeasure.dirac(2.0), FiniteAtomicMeasure.dirac(3.0))
+    d = monotone_convolve(FiniteAtomicMeasure.from_pairs([(2.0, 1.0)]),
+                          FiniteAtomicMeasure.from_pairs([(3.0, 1.0)]))
     assert d.atoms == ((pytest.approx(5.0), pytest.approx(1.0)),)
 
 
@@ -103,7 +104,7 @@ def test_compose_self_symbolic(bernoulli):
 
 def test_compose_identity(rng):
     # F of delta_0 is the identity on both sides of the composition
-    d0 = FiniteAtomicMeasure.dirac(0.0)
+    d0 = FiniteAtomicMeasure.from_pairs([(0.0, 1.0)])
     for _ in range(10):
         mu = uniform_measure(rng, int(rng.integers(1, 9)))
         assert_g_close(monotone_convolve(d0, mu), lambda z: g_sum(mu.atoms, z))
@@ -176,7 +177,7 @@ def test_partial_fractions_resummation(rng):
 
 
 def test_partial_fractions_rejects_bad_inputs():
-    zero = FiniteAtomicMeasure.zero()
+    zero = FiniteAtomicMeasure((), (), PARAMETER)
     with pytest.raises(ValidationError):
         NevanlinnaData(1.0, math.inf, zero)
     with pytest.raises(ValidationError):

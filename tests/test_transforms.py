@@ -25,9 +25,9 @@ from ncprob.transforms import (
 
 
 def test_cauchy_examples(bernoulli):
-    assert cauchy_G(FiniteAtomicMeasure.dirac(0.0), 1j) == pytest.approx(-1j)
+    assert cauchy_G(FiniteAtomicMeasure.from_pairs([(0.0, 1.0)]), 1j) == pytest.approx(-1j)
     assert cauchy_G(bernoulli, 1j) == pytest.approx(-0.5j)
-    assert cauchy_G(FiniteAtomicMeasure.dirac(0.0, 0.5), 2j) == pytest.approx(-0.25j)
+    assert cauchy_G(FiniteAtomicMeasure.from_pairs([(0.0, 0.5)]), 2j) == pytest.approx(-0.25j)
     with pytest.raises(ValidationError):
         cauchy_G(bernoulli, 1.0 - 0.5j)
 
@@ -42,7 +42,7 @@ def test_cauchy_bound(rng):
 
 
 def test_f_transform_examples(bernoulli):
-    f = f_transform(FiniteAtomicMeasure.dirac(2.0))   # z - 2
+    f = f_transform(FiniteAtomicMeasure.from_pairs([(2.0, 1.0)]))   # z - 2
     assert (f.m, f.gamma) == (1.0, 2.0)
     assert f.sigma.is_zero
     assert f._e(5j) == pytest.approx(2.0)
@@ -52,7 +52,7 @@ def test_f_transform_examples(bernoulli):
         assert fb(z) * cauchy_G(bernoulli, z) == pytest.approx(1.0)
         assert fb._e(z) == pytest.approx(1.0 / z)
 
-    half = FiniteAtomicMeasure.dirac(0.0, 0.5)
+    half = FiniteAtomicMeasure.from_pairs([(0.0, 0.5)])
     assert f_transform(half)(1j) == pytest.approx(2j)
     assert abs(f_transform(half)._e(1j)) <= 1e-15
 
@@ -63,18 +63,18 @@ def test_imaginary_part_growth(rng, bernoulli):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3.0))
         fb = f_transform(bernoulli)(z)
         assert fb.imag > z.imag / bernoulli.mass + 1e-12
-        d = f_transform(FiniteAtomicMeasure.dirac(1.3))(z)
+        d = f_transform(FiniteAtomicMeasure.from_pairs([(1.3, 1.0)]))(z)
         assert d.imag == pytest.approx(z.imag)
 
 
 def test_voiculescu_phi_examples(bernoulli):
-    assert voiculescu_phi(FiniteAtomicMeasure.dirac(0.7), 20j) == pytest.approx(0.7)
+    assert voiculescu_phi(FiniteAtomicMeasure.from_pairs([(0.7, 1.0)]), 20j) == pytest.approx(0.7)
     # closed form for the Bernoulli: phi(z) = (sqrt(z^2+4) - z)/2
     z = 20j
     expected = (cmath.sqrt(z * z + 4.0) - z) / 2.0
     assert voiculescu_phi(bernoulli, z) == pytest.approx(expected, abs=1e-11)
     # translation covariance: phi_{mu + a} = a + phi_mu
-    shifted = bernoulli.translate(2.0)
+    shifted = FiniteAtomicMeasure.from_pairs([(1.0, 0.5), (3.0, 0.5)])
     assert voiculescu_phi(shifted, z) == pytest.approx(2.0 + expected, abs=1e-10)
 
 
@@ -97,11 +97,11 @@ def test_nevanlinna_examples(bernoulli):
     assert nev.gamma == pytest.approx(0.0, abs=1e-14)
     assert nev.sigma.atoms == ((pytest.approx(0.0, abs=1e-14), pytest.approx(1.0)),)
 
-    nev2 = f_transform(FiniteAtomicMeasure.dirac(1.5))
+    nev2 = f_transform(FiniteAtomicMeasure.from_pairs([(1.5, 1.0)]))
     assert nev2.gamma == pytest.approx(1.5)
     assert nev2.sigma.is_zero
 
-    nev3 = f_transform(FiniteAtomicMeasure.dirac(0.0, 0.5))
+    nev3 = f_transform(FiniteAtomicMeasure.from_pairs([(0.0, 0.5)]))
     assert (nev3.m, nev3.gamma) == (0.5, pytest.approx(0.0))
     assert nev3.sigma.is_zero
 
@@ -126,14 +126,15 @@ def test_nevanlinna_rejects_positive_residue():
 
 
 def test_recover_examples(bernoulli):
-    two = FiniteAtomicMeasure.dirac(0.0, 2.0, PARAMETER)
+    two = FiniteAtomicMeasure.from_pairs([(0.0, 2.0)], role=PARAMETER)
     mu = recover_measure(NevanlinnaData(1.0, 0.0, two))   # F = z - 2/z
     r2 = math.sqrt(2.0)
     assert mu.positions == (pytest.approx(-r2), pytest.approx(r2))
     assert mu.weights == (pytest.approx(0.5), pytest.approx(0.5))
-    assert recover_measure(f_transform(FiniteAtomicMeasure.dirac(1.2))).atoms == (
+    assert recover_measure(f_transform(FiniteAtomicMeasure.from_pairs([(1.2, 1.0)]))).atoms == (
         (pytest.approx(1.2), pytest.approx(1.0)),)
-    quarter = recover_measure(NevanlinnaData(0.25, 0.0, FiniteAtomicMeasure.zero()))  # 4z
+    zero = FiniteAtomicMeasure((), (), PARAMETER)
+    quarter = recover_measure(NevanlinnaData(0.25, 0.0, zero))  # F = 4z
     assert quarter.atoms == ((0.0, pytest.approx(0.25)),)
 
 
@@ -149,7 +150,7 @@ def test_recover_roundtrip(rng):
 
 
 def test_recover_rejects_non_transforms(monkeypatch):
-    zero = FiniteAtomicMeasure.zero()
+    zero = FiniteAtomicMeasure((), (), PARAMETER)
     for m in (-1.0, 0.0, 1.5):   # F = z/m needs m in (0, 1]
         with pytest.raises(ValidationError):
             NevanlinnaData(m, 0.0, zero)
@@ -159,7 +160,7 @@ def test_recover_rejects_non_transforms(monkeypatch):
     monkeypatch.setattr(transforms, "spectral_measure",
                         lambda a, b: (np.linalg.eigvalsh(a), np.full(len(a), 0.25)))
     with pytest.raises(RecoveryError):
-        recover_measure(NevanlinnaData(1.0, 0.0, FiniteAtomicMeasure.dirac(0.0, 1.0, PARAMETER)))
+        recover_measure(NevanlinnaData.from_parts(1.0, 0.0, [(0.0, 1.0)]))
 
 
 def _g_arcsine(z):
@@ -227,10 +228,10 @@ def test_line_sums_match_a_30_digit_oracle(seed):
 
 def test_weak_distance_examples(bernoulli):
     assert weak_distance(bernoulli, bernoulli) == 0.0
-    d0 = FiniteAtomicMeasure.dirac(0.0)
-    assert weak_distance(d0, FiniteAtomicMeasure.dirac(0.0, 0.5)) == pytest.approx(1.0)
+    d0 = FiniteAtomicMeasure.from_pairs([(0.0, 1.0)])
+    assert weak_distance(d0, FiniteAtomicMeasure.from_pairs([(0.0, 0.5)])) == pytest.approx(1.0)
     # Lipschitz bound |1/z - 1/(z-h)| <= h/Im(z)^2
-    assert weak_distance(d0, FiniteAtomicMeasure.dirac(0.01)) <= 0.011
+    assert weak_distance(d0, FiniteAtomicMeasure.from_pairs([(0.01, 1.0)])) <= 0.011
 
 
 def test_weak_distance_pseudometric(rng):
