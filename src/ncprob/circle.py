@@ -1,18 +1,20 @@
 """Multiplicative transforms on the unit circle and the disk flow.
 
-psi and eta live on the unit disk: Boolean convolution multiplies eta/z,
-and monotone convolution composes eta.  Weak convergence on the circle is
-decided by the maximum eta-difference over a fixed sixteen-point grid
-inside the disk of radius 0.4: uniform convergence of eta on compacts of
-the disk is equivalent to weak convergence of the measures.
+A measure's psi(z) = integral z zeta/(1 - z zeta) and eta = psi/(1 + psi)
+live on the unit disk: Boolean convolution multiplies eta/z, and monotone
+convolution composes eta.  Weak convergence on the circle is decided by the
+maximum eta-difference over DISK_GRID, a fixed sixteen-point grid inside
+the disk of radius 0.4: uniform convergence of eta on compacts of the disk
+is equivalent to weak convergence of the measures.  Every law compared on
+the circle is an ndarray of eta values on that grid.
 
 Monotone convolution semigroups on the circle solve d eta/dt = A(eta) with
 A(z) = z(i beta - integral (1+zeta z)/(1-zeta z) dsigma); the k_n-th roots
 sampled from such a flow are the arrays whose powers the rotation-correction
 machinery repairs.  Every disk flow is integrated by one RK4 driver, the
-lanes of ``disk_powers``: the flow map, its snapshots and the semigroup
-defect are rows of DiskFlowRoots, and a run's k_n-fold powers and its
-time-one flow are the lanes of one pass.
+lanes of ``disk_powers``: the flow map and the semigroup defect are rows of
+DiskFlowRoots, and a run's k_n-fold powers and its time-one flow are the
+lanes of one pass.
 """
 
 from __future__ import annotations
@@ -37,30 +39,13 @@ DISK_GRID = tuple(
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class DiskGrid:
-    """Sampled eta values on a fixed disk grid."""
-
-    points: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.points) != len(self.values):
-            raise ValidationError("points/values length mismatch")
-        object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-
-
 def eta_distance(a, b):
-    """max |eta_a - eta_b| over a shared grid of at least one point."""
-    pa, va = (a.points, a.values) if isinstance(a, DiskGrid) else (None, a)
-    pb, vb = (b.points, b.values) if isinstance(b, DiskGrid) else (None, b)
-    if pa is not None and pb is not None and pa != pb:
-        raise ValidationError("eta grids sampled on different points")
-    if len(va) != len(vb) or not len(va):
+    """max |eta_a - eta_b| over two samples of one grid of at least one point."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or not a.size:
         raise ValidationError(f"eta distance needs two samples of one non-empty grid; "
-                              f"got {len(va)} and {len(vb)} values")
-    return max(abs(x - y) for x, y in zip(va, vb))
+                              f"got {a.size} and {b.size} values")
+    return max(abs(x - y) for x, y in zip(a.tolist(), b.tolist()))
 
 
 @dataclass(frozen=True)
@@ -113,23 +98,6 @@ def _psi(mu, z):
     return z * _psi_over_z(mu, z)
 
 
-def psi(mu, z):
-    """psi(z) = integral of z zeta/(1 - z zeta) dmu at one point or an ndarray of any shape."""
-    if np.any(abs(z) >= 1.0):
-        raise ValidationError("psi needs |z| < 1")
-    if np.ndim(z) > 1:
-        return _psi(mu, np.ravel(z)).reshape(np.shape(z))
-    return _psi(mu, z)
-
-
-def eta(mu, z):
-    """eta = psi/(1 + psi); |eta(z)| <= |z| on the disk."""
-    p = psi(mu, z)
-    if np.any(abs(1.0 + p) < 1e-300):
-        raise ValidationError("1 + psi vanished (impossible for |z| < 1)")
-    return p / (1.0 + p)
-
-
 def _unit(gamma):
     """gamma as a complex, checked to lie on the unit circle."""
     gamma = complex(gamma)
@@ -147,8 +115,9 @@ def boolean_idiv_eta(gamma, sigma):
     return lambda z: scale * z * np.exp(-2.0 * _psi(sigma, z))
 
 
-def circle_boolean_idiv(gamma, sigma, points=DISK_GRID):
-    return DiskGrid(points, boolean_idiv_eta(gamma, sigma)(np.array(points, dtype=complex)))
+def circle_boolean_idiv(gamma, sigma):
+    """The Boolean law of (gamma, sigma): its eta on DISK_GRID, as an ndarray."""
+    return boolean_idiv_eta(gamma, sigma)(np.array(DISK_GRID))
 
 
 def _disk_points(points):
@@ -171,21 +140,13 @@ def circle_flow_map(gen, t_end, z, step=FLOW_STEP):
     shape = np.shape(z)
     w = _disk_points(z)
     if t_end:
-        root = DiskFlowRoot(gen, (t_end,), step)
+        root = DiskFlowRoot(gen, t_end, step)
         (w,) = disk_powers([(root, 1, w, f"flow to t={t_end!r}", 1.0)])
     return w.reshape(shape) if shape else complex(w[0])
 
 
-@dataclass(frozen=True)
-class CircleFlowResult:
-    times: tuple
-    grids: tuple   # DiskGrid per time
-    means: tuple   # analytically tracked eta_t'(0) per time
-    step_size: float
-
-
-def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
-    """max |eta_t(z) - eta_{t/2}(eta_{t/2}(z))| over the grid.
+def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP):
+    """max |eta_t(z) - eta_{t/2}(eta_{t/2}(z))| over DISK_GRID.
 
     Composed legs run at the stated step, the direct reference at step/2, so
     the defect measures the integrator-limited semigroup deviation.  Both
@@ -193,68 +154,47 @@ def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
     the composition a k = 2 row to t/2.
     """
     t_end = _check_flow_args(t_end, step)
-    z = _disk_points(points)
     if not t_end:
         return 0.0
+    z = np.array(DISK_GRID)
     direct, comp = disk_powers([
-        (DiskFlowRoot(gen, (t_end,), 0.5 * step), 1, z, "direct flow at step/2", 1.0),
-        (DiskFlowRoot(gen, (0.5 * t_end,), step), 2, z, "two half flows", 1.0)])
-    return float(np.abs(direct - comp).max(initial=0.0))
-
-
-def circle_monotone_flow(gen, t_end=1.0, step=FLOW_STEP, points=DISK_GRID):
-    """Integrate the disk flow; the derivative at 0 is tracked analytically.
-
-    The snapshots at t/2 and t are the k = 1 rows of DiskFlowRoots with
-    times (t/2,) and (t/2, t), run in one ``disk_powers`` pass.
-    """
-    t_end = _check_snapshot_step(t_end, step)
-    times = (0.0, 0.5 * t_end, t_end)
-    z = _disk_points(points)
-    half = full = z
-    if t_end:
-        half, full = disk_powers([(DiskFlowRoot(gen, times[1:2], step), 1, z, "flow to t/2", 1.0),
-                                  (DiskFlowRoot(gen, times[1:], step), 1, z, "flow to t", 1.0)])
-    grids = tuple(DiskGrid(tuple(points), v) for v in (z, half, full))
-    means = tuple(cmath.exp(gen.mean_rate * t) for t in times)
-    return CircleFlowResult(times, grids, means, float(step))
+        (DiskFlowRoot(gen, t_end, 0.5 * step), 1, z, "direct flow at step/2", 1.0),
+        (DiskFlowRoot(gen, 0.5 * t_end, step), 2, z, "two half flows", 1.0)])
+    return float(np.abs(direct - comp).max())
 
 
 @dataclass(frozen=True)
 class DiskFlowRoot:
-    """eta = lam * eta_t of gen's flow, by fixed-step RK4 legs from 0 to each of ``times``.
+    """eta = lam * eta_t of gen's flow, by fixed-step RK4 from 0 to the end time t.
 
     It is data, not a callable: ``disk_powers`` runs its step schedule once
     per iteration.  A row of ``CircleArraySpec.semigroup`` is the root at
-    t = 1/n; the time-one target of ``circle_reports`` runs the two legs, to
-    1/2 and to 1, of ``circle_monotone_flow``.
+    t = 1/n; the time-one target of ``circle_reports`` is the root at t = 1.
     """
 
     gen: CircleGenerator
-    times: tuple
+    t: float
     step: float
     lam: complex = 1.0
 
     def __post_init__(self):
-        times = tuple(_check_flow_args(t, self.step) for t in self.times)
-        if not times or times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError(f"flow root times must be strictly increasing and above 0; "
-                                  f"got {self.times!r}")
-        object.__setattr__(self, "times", times)
+        t = _check_flow_args(self.t, self.step)
+        if not t > 0.0:
+            raise ValidationError(f"a flow root's end time must be above 0; got {self.t!r}")
+        object.__setattr__(self, "t", t)
 
     @functools.cached_property
     def schedule(self):
-        """The (h, t) of each RK4 step of one application, leg after leg.
+        """The (h, t) of each RK4 step of one application.
 
-        Each leg steps by h = step from its start, and its last step ends it
-        at its time; a leg of at most 1e-15 takes no step.
+        It steps by h = step from 0, and its last step ends it at t; a root
+        with t at most 1e-15 takes no step.
         """
-        out = []
-        for t, t_to in zip((0.0,) + self.times[:-1], self.times):
-            while t < t_to - 1e-15:
-                h = min(self.step, t_to - t)
-                t += h
-                out.append((h, t))
+        out, t = [], 0.0
+        while t < self.t - 1e-15:
+            h = min(self.step, self.t - t)
+            t += h
+            out.append((h, t))
         return tuple(out)
 
 
@@ -269,8 +209,8 @@ class _DiskLanes:
     with r the modulus at the start of the iteration, and so does each
     iteration's end, which catches a rotation with |lam| > 1; a failure
     raises a FlowError naming the lane's start point, its iteration and its
-    row's where.  A root with no RK4 step (every leg at most 1e-15 long)
-    takes no tick: each of its iterations is the rotation alone.
+    row's where.  A root with no RK4 step (t at most 1e-15) takes no tick:
+    each of its iterations is the rotation alone.
     """
 
     def __init__(self, rows):
@@ -407,7 +347,7 @@ class CircleArraySpec:
 
         def factory(n):
             lam = cmath.exp(2j * math.pi * ell_of(n) / n)
-            return DiskFlowRoot(gen, (1.0 / n,), min(flow_step, 0.5 / n), lam)
+            return DiskFlowRoot(gen, 1.0 / n, min(flow_step, 0.5 / n), lam)
 
         def mean(n):
             return cmath.exp(2j * math.pi * ell_of(n) / n) * cmath.exp(gen.mean_rate / n)
@@ -437,27 +377,27 @@ def beta_condition_check(spec, beta, tol=0.05):
     return ok, rows
 
 
-def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
-                   correct=True):
+def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, correct=True):
     """The Boolean/monotone equivalence and the rotation correction, from one lane pass.
 
     Both compare the rows' k_n-th powers with the laws of gen = (beta,
     sigma): the Boolean powers with the Boolean law of (e^{i beta}, sigma),
-    the monotone powers with gen's time-one flow.  Both powers and that flow
-    are the lanes of one ``disk_powers`` pass.  Row n's grid runs as three
-    lane groups: once (k = 1), whose eta gives the Boolean power
-    z (eta/z)^n; n times with lambda = 1, the monotone row and the
-    uncorrected column; and n times with lambda = e^{2 pi i l/n}, l
-    detected from beta, the corrected column.  The flow runs the two legs of
-    ``circle_monotone_flow``.  With correct False the corrected lanes do not
-    run and the correction report is None.
+    the monotone powers with gen's time-one flow.  All are compared on
+    DISK_GRID.  Both powers and that flow are the lanes of one
+    ``disk_powers`` pass.  Row n's grid runs as three lane groups: once
+    (k = 1), whose eta gives the Boolean power z (eta/z)^n; n times with
+    lambda = 1, the monotone row and the uncorrected column; and n times
+    with lambda = e^{2 pi i l/n}, l detected from beta, the corrected
+    column.  The flow is the DiskFlowRoot at t = 1, so the monotone row
+    n = 1 of a semigroup array is that flow itself.  With correct False the
+    corrected lanes do not run and the correction report is None.
     Returns (equivalence, correction).
     """
     _check_snapshot_step(1.0, flow_step)
-    z = _disk_points(points)
-    bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma, points)
+    z = np.array(DISK_GRID)
+    bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma)
     beta_ok, beta_rows = beta_condition_check(spec, gen.beta, tol)
-    rows = [(DiskFlowRoot(gen, (0.5, 1.0), flow_step), 1, z, "time-one target", 1.0)]
+    rows = [(DiskFlowRoot(gen, 1.0, flow_step), 1, z, "time-one target", 1.0)]
     ells = []
     for n in spec.n_values:
         e = spec.eta_of(n)
@@ -467,17 +407,16 @@ def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, points=DISK_GRID,
             ells.append(detect_rotation(spec, gen.beta, n))
             rows.append((e, n, z, f"row n={n}, k={n}, l={ells[-1]}",
                          cmath.exp(2j * math.pi * ells[-1] / n)))
-    mono_target, *lanes = (tuple(v.tolist()) for v in disk_powers(rows))
+    mono_target, *lanes = disk_powers(rows)
     per_row = 3 if correct else 2
     ns = spec.n_values
     dist_b, dist_m, dist_c = [], [], []
     for i, n in enumerate(ns):
         eta_z, power, *corrected = lanes[per_row * i:per_row * (i + 1)]
-        boolean_power = DiskGrid(points, z * (np.array(eta_z) / z) ** n)
-        dist_b.append(float(eta_distance(boolean_power, bool_target)))
-        dist_m.append(float(eta_distance(power, mono_target)))
+        dist_b.append(eta_distance(z * (eta_z / z) ** n, bool_target))
+        dist_m.append(eta_distance(power, mono_target))
         if correct:
-            dist_c.append(float(eta_distance(corrected[0], mono_target)))
+            dist_c.append(eta_distance(corrected[0], mono_target))
     monotone = column(ns, ns, dist_m, tol)
     report = equivalence(spec.name, column(ns, ns, dist_b, tol), monotone, tol,
                          beta_condition={"holds": beta_ok, "rows": beta_rows})

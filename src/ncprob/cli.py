@@ -175,7 +175,8 @@ def _row_sizes(array, key):
     return tuple(sizes)
 
 
-def _k_table(array, ns):
+def _k_values(array, ns):
+    """array.k_values, checked to align with ns and to increase strictly, or None."""
     if "k_values" not in array:
         return None
     ks = _row_sizes(array, "k_values")
@@ -183,7 +184,7 @@ def _k_table(array, ns):
         raise ValidationError("array.k_values must align with array.n_values")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("array.k_values must be strictly increasing")
-    return tuple(zip(ns, ks))
+    return ks
 
 
 def _real_spec(array):
@@ -204,8 +205,8 @@ def _real_spec(array):
     else:
         raise ValidationError("array.family of a real scenario is one of bernoulli_clt, "
                               f"poisson, damped_poisson, fixed_bernoulli; got {family!r}")
-    table = _k_table(array, ns)
-    return spec if table is None else dataclasses.replace(spec, k_table=table)
+    ks = _k_values(array, ns)
+    return spec if ks is None else dataclasses.replace(spec, ks=ks)
 
 
 def _generator(obj, name):
@@ -268,8 +269,9 @@ def _write_csv(path, header_lines, rows):
         fh.write(text)
 
 
-def _write_svg(path, points, width=640, height=360):
-    """Single-polyline plot, no external renderer."""
+def _write_svg(path, points):
+    """Single-polyline plot on a 640 x 360 view box, no external renderer."""
+    width, height = 640, 360
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x0, x1 = min(xs), max(xs)

@@ -152,10 +152,10 @@ def free_convolve_F(f_mu, f_nu):
     return f_conv
 
 
-def free_convolve(mu, nu, points=ZR):
-    """Free convolution of two probability measures, sampled on a grid."""
+def free_convolve(mu, nu):
+    """Free convolution of two probability measures, sampled on ZR."""
     fn = free_convolve_F(f_transform(mu), f_transform(nu))
-    return TransformGrid.sample(fn, points, "F", mass=1.0)
+    return TransformGrid.sample(fn, ZR, "F", mass=1.0)
 
 
 def boolean_power(mu, k):
@@ -204,11 +204,11 @@ def free_power_eval(mu, k, z):
     return f(upper_root(z, (k - 1) * g, p, (k - 1) * c))
 
 
-def free_power_grid(mu, k, points=ZR):
-    """k-fold free power of a probability measure on a grid."""
+def free_power_grid(mu, k):
+    """k-fold free power of a probability measure on ZR."""
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise ValidationError("free powers need a probability measure")
     if k < 1:
         raise ValidationError("power must be >= 1")
-    values = free_power_eval(mu, k, np.array(points, dtype=complex))
-    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=1.0)
+    values = free_power_eval(mu, k, np.array(ZR))
+    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=1.0)

@@ -62,7 +62,7 @@ class ArraySpec:
     name: str
     n_values: tuple
     measure_fn: object = None      # n -> FiniteAtomicMeasure, or None
-    k_table: tuple = None          # ((n, k), ...) or None for k_n = n
+    ks: tuple = None               # k_n of each row of n_values, or None for k_n = n
     limit: LevyTriple = None       # target triple for this array
 
     def __post_init__(self):
@@ -71,18 +71,19 @@ class ArraySpec:
             raise ValidationError(f"n_values must be positive and strictly increasing; "
                                   f"got {ns!r}")
         object.__setattr__(self, "n_values", ns)
-        ks = [self.k_of(n) for n in ns]
+        if self.ks is None:
+            return
+        ks = tuple(int(k) for k in self.ks)
+        if len(ks) != len(ns):
+            raise ValidationError(f"ks must align with n_values; got {len(ks)} values "
+                                  f"for {len(ns)} rows")
         if any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
             raise ValidationError("k_n must be positive and strictly increasing")
+        object.__setattr__(self, "ks", ks)
 
     def k_of(self, n):
-        """k_n from the ((n, k), ...) table; k_n = n without one."""
-        if self.k_table is None:
-            return int(n)
-        table = dict(self.k_table)
-        if n not in table:
-            raise ValidationError(f"k_n table has no entry for n={n}")
-        return int(table[n])
+        """k_n of row n: its entry in ks, or n without ks."""
+        return int(n) if self.ks is None else self.ks[self.n_values.index(n)]
 
     def measure(self, n):
         if self.measure_fn is None:
@@ -155,15 +156,17 @@ class ArraySpec:
         )
 
     @classmethod
-    def fixed(cls, measure=None, n_values=DEFAULT_NS, limit=None):
-        """mu_n constant in n: the non-infinitesimal divergence witness."""
-        measure = measure if measure is not None else _bernoulli()
-        limit = limit if limit is not None else LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)])
+    def fixed(cls, n_values=DEFAULT_NS):
+        """mu_n = the symmetric Bernoulli law for every n: the non-infinitesimal witness.
+
+        Its target is the Gaussian triple, which its powers do not approach.
+        """
+        measure = _bernoulli()
         return cls(
             name="fixed",
             n_values=tuple(n_values),
             measure_fn=lambda n: measure,
-            limit=limit,
+            limit=LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)]),
         )
 
     @classmethod

@@ -99,22 +99,25 @@ def free_idiv_atom(triple):
     1 + phi'(0) = 1 - sum c/p^2 (Bercovici & Voiculescu, Regularity
     questions for free convolution, 1998).  There is no atom when 0 is a
     pole of phi or that weight is not positive; an empty sigma gives the
-    Dirac mass at gamma'.
+    Dirac mass at gamma'.  A pole so near 0 that c/p^2 overflows (or p^2
+    underflows to 0) makes the weight -inf: no atom.
     """
     if abs(triple.m - 1.0) > MASS_TOL:
         raise ValidationError("the free family needs m = 1")
     if 0.0 in triple.sigma.positions:
         return None
     gamma, p, c = triple._secular
-    weight = 1.0 - float(np.sum(c / (p * p)))
+    with np.errstate(over="ignore", divide="ignore"):
+        weight = 1.0 - float(np.sum(c / (p * p)))
     if not weight > 0.0:
         return None
     return gamma - float(np.sum(c / p)), weight
 
 
-def free_idiv(triple, points=ZR):
-    values = free_idiv_eval(triple, np.array(points, dtype=complex))
-    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=1.0)
+def free_idiv(triple):
+    """The free law on ZR: F from ``free_idiv_eval``, of mass 1."""
+    values = free_idiv_eval(triple, np.array(ZR))
+    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=1.0)
 
 
 #: below this |u| = |tx| the classical integrand sums g(u) = (e^{iu} - 1 - iu)/u^2
@@ -475,10 +478,10 @@ def monotone_idiv_atom(triple):
     return (mid, weight) if weight > 0.0 else None
 
 
-def monotone_idiv(triple, points=ZR):
-    """The monotone law on a grid: F_1 from ``monotone_idiv_eval``, of mass m."""
-    values = monotone_idiv_eval(triple, np.array(points, dtype=complex))
-    return TransformGrid(tuple(points), tuple(values.tolist()), "F", mass=triple.m)
+def monotone_idiv(triple):
+    """The monotone law on ZR: F_1 from ``monotone_idiv_eval``, of mass m."""
+    values = monotone_idiv_eval(triple, np.array(ZR))
+    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=triple.m)
 
 
 def _check_flow_args(t_end, step):
@@ -502,7 +505,10 @@ def _check_flow_args(t_end, step):
 
 
 def _check_snapshot_step(t_end, step):
-    """_check_flow_args for the snapshot flows, line and disk, whose step is at most 1e-2."""
+    """_check_flow_args for the line's snapshot flow and the disk's time-one target.
+
+    Their step is at most 1e-2.
+    """
     t_end = _check_flow_args(t_end, step)
     if step > 1e-2:
         raise ValidationError("flow step must be <= 1e-2")
@@ -518,15 +524,15 @@ def _check_line_points(z):
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Snapshots of the flow at t = 0, t_end/2, t_end on a fixed grid."""
+    """Snapshots of the flow at t = 0, t_end/2, t_end on ZR."""
 
     times: tuple
     grids: tuple  # TransformGrid per time, kind F
     step_size: float
 
 
-def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
-    """Integrate the generator flow; the time-one grid is the monotone law.
+def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP):
+    """Integrate the generator flow from ZR; the time-one grid is the monotone law.
 
     Each point takes ``flow_map`` to t_end/2 and the result ``flow_map``
     for the rest, so the midpoint snapshot is on the way.
@@ -534,27 +540,27 @@ def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
     t_end = _check_snapshot_step(t_end, step)
     times = (0.0, 0.5 * t_end, t_end)
     snapshots = [[], [], []]
-    for z in points:
+    for z in ZR:
         half = flow_map(triple, times[1], z, step)
         snapshots[0].append(complex(z))
         snapshots[1].append(half)
         snapshots[2].append(flow_map(triple, times[1], half, step))
     grids = tuple(
-        TransformGrid(tuple(points), tuple(vals), "F", mass=triple.m**t)
+        TransformGrid(ZR, tuple(vals), "F", mass=triple.m**t)
         for t, vals in zip(times, snapshots)
     )
     return FlowResult(times, grids, float(step))
 
 
-def semigroup_defect(triple, t_end=1.0, step=FLOW_STEP, points=ZR):
-    """max |F_t(z) - F_{t/2}(F_{t/2}(z))| over the grid.
+def semigroup_defect(triple, t_end=1.0, step=FLOW_STEP):
+    """max |F_t(z) - F_{t/2}(F_{t/2}(z))| over ZR.
 
     The composed legs run at the stated step; the direct reference runs at
     step/2, so the defect is a real quantity (integrator-limited semigroup
     deviation) rather than a bit-identical replay.
     """
     worst = 0.0
-    for z in points:
+    for z in ZR:
         direct = flow_map(triple, t_end, z, 0.5 * step)
         comp = flow_map(triple, 0.5 * t_end, flow_map(triple, 0.5 * t_end, z, step), step)
         worst = max(worst, abs(direct - comp))

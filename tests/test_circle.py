@@ -12,26 +12,18 @@ from ncprob.circle import (
     CircleGenerator,
     DISK_GRID,
     DiskFlowRoot,
-    DiskGrid,
     beta_condition_check,
     boolean_idiv_eta,
     circle_boolean_idiv,
     circle_flow_map,
-    circle_monotone_flow,
     circle_reports,
     circle_semigroup_defect,
     detect_rotation,
     disk_powers,
-    eta,
     eta_distance,
-    psi,
 )
 from ncprob.errors import FlowError, ValidationError
 from ncprob.measures import PARAMETER, CircleMeasure
-
-TWO_ATOM = CircleMeasure.from_pairs([(0.0, 0.5), (math.pi, 0.5)])  # eta = z^2
-HAAR4 = CircleMeasure.from_pairs([(k * math.pi / 2.0, 0.25) for k in range(4)])
-
 
 def param(pairs):
     return CircleMeasure.from_pairs(pairs, role=PARAMETER)
@@ -41,60 +33,19 @@ def dirac(angle):
     return CircleMeasure.from_pairs([(angle, 1.0)])
 
 
-def test_eta_examples():
-    d = dirac(0.7)
-    zeta = cmath.exp(0.7j)
-    for z in DISK_GRID:
-        assert eta(d, z) == pytest.approx(zeta * z, abs=1e-14)
-        assert eta(TWO_ATOM, z) == pytest.approx(z * z, abs=1e-14)
-        assert eta(HAAR4, z) == pytest.approx(z ** 4, abs=1e-14)
-
-
-def test_psi_and_eta_take_an_ndarray_of_any_shape():
-    z = np.array(DISK_GRID).reshape(2, 8)
-    mu = CircleMeasure.from_pairs([(0.3, 0.7), (2.0, 0.3)])
-    for f in (psi, eta):
-        assert np.array_equal(f(mu, z), f(mu, z.ravel()).reshape(2, 8))
-
-
-def test_eta_contraction(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        angles = rng.uniform(0, 2 * math.pi, n)
-        ws = rng.uniform(0.05, 1.0, n)
-        mu = CircleMeasure.from_pairs(zip(angles, ws / ws.sum()))
-        for z in DISK_GRID:
-            assert abs(eta(mu, z)) <= abs(z) + 1e-14
-
-
 def test_circle_mean_of_a_dirac():
     assert dirac(0.7).mean == pytest.approx(cmath.exp(0.7j))
-
-
-def test_mean_multiplicativity():
-    a = CircleMeasure.from_pairs([(0.2, 0.6), (1.3, 0.4)])
-    b = CircleMeasure.from_pairs([(5.9, 0.3), (0.4, 0.7)])
-    ea, eb = (lambda z: eta(a, z)), (lambda z: eta(b, z))
-    r = 1e-4
-
-    def mean_of(fn):
-        vals = [fn(r), fn(1j * r), fn(-r), fn(-1j * r)]
-        return (vals[0] - vals[2] - 1j * (vals[1] - vals[3])) / (4.0 * r)
-
-    want = a.mean * b.mean
-    assert mean_of(lambda z: ea(z) * eb(z) / z) == pytest.approx(want, abs=1e-12)
-    assert mean_of(lambda z: ea(eb(z))) == pytest.approx(want, abs=1e-12)
 
 
 def test_boolean_idiv_formulas():
     # sigma = 0: eta = gamma z
     g = circle_boolean_idiv(cmath.exp(0.4j), param([]))
-    for z, v in zip(g.points, g.values):
+    for z, v in zip(DISK_GRID, g):
         assert v == pytest.approx(cmath.exp(0.4j) * z)
     # gamma=1, sigma = s delta_{-1}: eta = z exp(-s (1-z)/(1+z))
     s = 0.6
     g2 = circle_boolean_idiv(1.0, param([(math.pi, s)]))
-    for z, v in zip(g2.points, g2.values):
+    for z, v in zip(DISK_GRID, g2):
         assert v == pytest.approx(z * cmath.exp(-s * (1.0 - z) / (1.0 + z)), abs=1e-13)
 
 
@@ -141,7 +92,7 @@ def test_disk_sums_match_a_30_digit_oracle(seed):
         zeta = np.exp(1j * np.array(mu.angles))
         pts = np.concatenate((radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size)),
                               0.999 * zeta, 0.999 * zeta.conj()))
-        sums = (lambda z: psi(mu, z), gen.a_eval,
+        sums = (lambda z: circle._psi(mu, z), gen.a_eval,
                 circle.boolean_idiv_eta(cmath.exp(1j * beta), mu))
         on_array = [f(pts) for f in sums]
         for i, z in enumerate(pts.tolist()):
@@ -168,9 +119,8 @@ def test_flow_mean_identity():
     vals = circle_flow_map(gen, 1.0, np.array([r, 1j * r, -r, -1j * r]), step=1e-3)
     mean = (vals[0] - vals[2] - 1j * (vals[1] - vals[3])) / (4.0 * r)
     assert mean == pytest.approx(math.exp(-s), abs=1e-8)
-    # tracked analytic mean agrees
-    flow = circle_monotone_flow(gen, 1.0, 1e-3)
-    assert flow.means[-1] == pytest.approx(math.exp(-s))
+    # the analytic mean e^{A'(0) t} agrees
+    assert cmath.exp(gen.mean_rate) == pytest.approx(math.exp(-s))
 
 
 def test_flow_semigroup_defect():
@@ -180,14 +130,12 @@ def test_flow_semigroup_defect():
 
 def test_disk_flows_at_time_zero_keep_the_start_grid():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    flow = circle_monotone_flow(gen, 0.0, 1e-3)
-    assert flow.times == (0.0, 0.0, 0.0)
-    assert all(grid.values == DISK_GRID for grid in flow.grids)
-    assert flow.means == (1.0, 1.0, 1.0)
+    z = np.array(DISK_GRID)
+    assert np.array_equal(circle_flow_map(gen, 0.0, z, step=1e-3), z)
     assert circle_semigroup_defect(gen, 0.0, 1e-3) == 0.0
     # the start points are checked at t = 0 too
     with pytest.raises(ValidationError):
-        circle_semigroup_defect(gen, 0.0, 1e-3, points=(0.1, 1.0))
+        circle_flow_map(gen, 0.0, np.array([0.1, 1.0]), step=1e-3)
 
 
 def test_disk_flows_shorter_than_a_step_schedule_keep_the_start_grid():
@@ -195,23 +143,10 @@ def test_disk_flows_shorter_than_a_step_schedule_keep_the_start_grid():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     z = np.array(DISK_GRID)
     assert np.array_equal(circle_flow_map(gen, 1e-16, z), z)
-    assert all(grid.values == DISK_GRID for grid in circle_monotone_flow(gen, 1.5e-15).grids)
     # a root with no step is its rotation alone, once per iteration
     lam = cmath.exp(0.25j)
-    (got,) = disk_powers([(DiskFlowRoot(gen, (1e-16,), 1e-3, lam), 3, z, "no step", 1j)])
+    (got,) = disk_powers([(DiskFlowRoot(gen, 1e-16, 1e-3, lam), 3, z, "no step", 1j)])
     assert np.allclose(got, (1j * lam) ** 3 * z, rtol=0, atol=1e-15)
-
-
-def test_eta_metric_vs_moments(rng):
-    # equal grids iff equal measures (through their moments) on atomic inputs
-    a = CircleMeasure.from_pairs([(0.4, 0.5), (2.2, 0.5)])
-    b = CircleMeasure.from_pairs([(0.4, 0.5), (2.2, 0.5)])
-    c = CircleMeasure.from_pairs([(0.5, 0.5), (2.2, 0.5)])
-    ga, gb, gc = (DiskGrid(DISK_GRID, eta(mu, np.array(DISK_GRID))) for mu in (a, b, c))
-    assert eta_distance(ga, gb) == 0.0
-    assert all(abs(a.moment(p) - b.moment(p)) <= 1e-9 for p in range(1, 17))
-    assert eta_distance(ga, gc) > 1e-9
-    assert any(abs(a.moment(p) - c.moment(p)) > 1e-9 for p in range(1, 17))
 
 
 def test_rotated_array_fixed_ell():
@@ -263,10 +198,21 @@ def test_circle_equivalence_dirac_array():
     z = np.array(DISK_GRID)
     for n in spec.n_values:
         (got,) = disk_powers([(spec.eta_of(n), 1, z, f"row n={n}, k=1", 1.0)])
-        assert np.allclose(got, eta(dirac(beta / n), z), rtol=0, atol=1e-15)
+        assert np.allclose(got, cmath.exp(1j * beta / n) * z, rtol=0, atol=1e-15)
     rep, _ = circle_reports(spec, gen, correct=False)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
+
+
+def test_monotone_row_one_of_a_semigroup_array_is_the_time_one_target():
+    # row n = 1 is the flow root at t = 1, run once on the target's RK4 schedule
+    rng = np.random.default_rng(4200)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        sigma = param(zip(rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.1, 0.6, n)))
+        gen = CircleGenerator(float(rng.uniform(-1.0, 1.0)), sigma)
+        rep, _ = circle_reports(CircleArraySpec.semigroup(gen, (1, 2)), gen, correct=False)
+        assert rep["ops"]["monotone"]["rows"][0]["distance"] == 0.0
 
 
 def test_rotation_detection_branch():
@@ -277,8 +223,7 @@ def test_rotation_detection_branch():
         assert (ell + n // 2) % n == 0
 
 
-@pytest.mark.parametrize("engine", ["circle_flow_map", "circle_monotone_flow",
-                                    "circle_semigroup_defect"])
+@pytest.mark.parametrize("engine", ["circle_flow_map", "circle_semigroup_defect"])
 @pytest.mark.parametrize("t_end, step", [
     (math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3),
     (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
@@ -288,27 +233,24 @@ def test_disk_flows_reject_non_finite_time_and_bad_step(no_hang, engine, t_end, 
     # z unchanged and step = nan returns a nan grid
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     call = {"circle_flow_map": lambda: circle_flow_map(gen, t_end, 0.2, step=step),
-            "circle_monotone_flow": lambda: circle_monotone_flow(gen, t_end, step),
             "circle_semigroup_defect": lambda: circle_semigroup_defect(gen, t_end, step)}
     with pytest.raises(ValidationError):
         call[engine]()
 
 
-@pytest.mark.parametrize("times, step", [
-    ((0.5,), 0.0), ((0.5,), math.nan), ((math.inf,), 1e-3), ((math.nan,), 1e-3),
-    ((0.0,), 1e-3), ((-0.5, 1.0), 1e-3), ((0.5, 0.2), 1e-3), ((0.5, 0.5), 1e-3), ((), 1e-3),
-], ids=["step_0", "step_nan", "time_inf", "time_nan", "time_0", "time_negative",
-        "times_decreasing", "times_repeated", "no_times"])
-def test_disk_flow_root_rejects_bad_times_and_step(times, step):
-    # unchecked, step 0 grows the step schedule without end, a time of 0
-    # fails inside disk_powers and times (0.5, 0.2) integrate to 0.5
+@pytest.mark.parametrize("t, step", [
+    (0.5, 0.0), (0.5, math.nan), (math.inf, 1e-3), (math.nan, 1e-3), (0.0, 1e-3), (-0.5, 1e-3),
+], ids=["step_0", "step_nan", "time_inf", "time_nan", "time_0", "time_negative"])
+def test_disk_flow_root_rejects_bad_times_and_step(t, step):
+    # unchecked, step 0 grows the step schedule without end and a time of 0
+    # fails inside disk_powers
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     with pytest.raises(ValidationError):
-        DiskFlowRoot(gen, times, step)
+        DiskFlowRoot(gen, t, step)
 
 
 def test_eta_distance_rejects_unequal_and_empty_samples():
-    values = DiskGrid(DISK_GRID, eta(dirac(0.4), np.array(DISK_GRID))).values
+    values = np.array(DISK_GRID)
     with pytest.raises(ValidationError, match="16 and 3"):
         eta_distance(values, values[:3])
     with pytest.raises(ValidationError, match="0 and 0"):
@@ -319,9 +261,7 @@ def test_eta_distance_rejects_unequal_and_empty_samples():
 def test_disk_flows_reject_start_points_off_the_open_disk(no_hang, bad):
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     for call in (lambda: circle_flow_map(gen, 1.0, bad),
-                 lambda: circle_flow_map(gen, 1.0, np.array([0.1, bad])),
-                 lambda: circle_monotone_flow(gen, 1.0, points=(0.1, bad)),
-                 lambda: circle_semigroup_defect(gen, 1.0, points=(0.1, bad))):
+                 lambda: circle_flow_map(gen, 1.0, np.array([0.1, bad]))):
         with pytest.raises(ValidationError):
             call()
 
@@ -344,20 +284,17 @@ def test_disk_flows_on_no_points():
         got = circle_flow_map(gen, t_end, np.array([]))
         assert got.shape == (0,) and got.dtype == complex
         assert circle_flow_map(gen, t_end, np.empty((2, 0))).shape == (2, 0)
-        flow = circle_monotone_flow(gen, t_end, points=())
-        assert all(grid.values == () for grid in flow.grids)
-        assert circle_semigroup_defect(gen, t_end, points=()) == 0.0
 
 
 def test_disk_powers_give_a_row_without_points_an_empty_array():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    root = DiskFlowRoot(gen, (0.25,), 1e-3)
+    root = DiskFlowRoot(gen, 0.25, 1e-3)
     z = np.array(DISK_GRID)
     empty = (root, 2, np.empty((3, 0)), "row n=2, k=2", 1.0)
     (alone,) = disk_powers([empty])
     assert alone.shape == (3, 0) and alone.dtype == complex
     healthy = (root, 2, z, "row n=3, k=2", 1.0)
-    other = DiskFlowRoot(CircleGenerator(-0.7, param([(1.0, 0.4)])), (0.5,), 1e-3)
+    other = DiskFlowRoot(CircleGenerator(-0.7, param([(1.0, 0.4)])), 0.5, 1e-3)
     other_empty = (other, 2, np.array([]), "row n=4, k=2", 1.0)
     got = disk_powers([empty, healthy, other_empty])
     assert [v.shape for v in got] == [(3, 0), (16,), (0,)]
@@ -384,7 +321,7 @@ def test_disk_flow_error_names_start_point():
     # at the largest allowed step a forty times stronger field does the same
     stiff = CircleGenerator(0.0, param([(0.0, 200.0)]))
     with pytest.raises(FlowError, match=re.escape("z0=(0.4+0j)") + ".*t=0.010000"):
-        circle_monotone_flow(stiff, 1.0, 1e-2, points=(0.05, 0.4))
+        circle_flow_map(stiff, 1.0, np.array([0.05, 0.4]), step=1e-2)
 
 
 def test_monotone_power_error_names_start_point_and_iteration():
@@ -392,7 +329,7 @@ def test_monotone_power_error_names_start_point_and_iteration():
     # from the atom at -1, Re H = 0.21, so by 5%, and lam = 1.2 grows the point:
     # each RK4 step passes (the flow alone shrinks) and the iteration's end fails
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    row = (DiskFlowRoot(gen, (0.25,), 1e-2), 5, np.array(DISK_GRID), "row n=5, k=5", 1.2)
+    row = (DiskFlowRoot(gen, 0.25, 1e-2), 5, np.array(DISK_GRID), "row n=5, k=5", 1.2)
     want = "eta iteration from z0=(0.4+0j) grew the modulus at iteration 1 (row n=5, k=5)"
     with pytest.raises(FlowError, match=re.escape(want)):
         disk_powers([row])
@@ -464,22 +401,22 @@ def test_disk_lanes_match_each_row_run_alone():
     # schedules and counts; each row reads as if run by itself
     gen = CircleGenerator(-0.7, param([(1.0, 0.4), (4.0, 0.25)]))
     z = np.array(DISK_GRID)
-    rows = [(DiskFlowRoot(gen, (1.0 / n,), min(1e-3, 0.5 / n), cmath.exp(2j * math.pi / n)),
+    rows = [(DiskFlowRoot(gen, 1.0 / n, min(1e-3, 0.5 / n), cmath.exp(2j * math.pi / n)),
              n, z, f"row n={n}, k={n}", lam)
             for n in (16, 48, 100) for lam in (1.0, cmath.exp(-2j * math.pi / n))]
-    rows.append((DiskFlowRoot(gen, (0.5, 1.0), 1e-3), 1, z, "time-one target", 1.0))
+    rows.append((DiskFlowRoot(gen, 1.0, 1e-3), 1, z, "time-one target", 1.0))
     together = disk_powers(rows)
     for row, got in zip(rows, together):
         assert np.array_equal(got, disk_powers([row])[0])
-    assert np.array_equal(together[-1], circle_monotone_flow(gen, 1.0, 1e-3).grids[-1].values)
+    assert np.array_equal(together[-1], circle_flow_map(gen, 1.0, z, step=1e-3))
 
 
 def test_disk_lane_guard_names_its_row_among_healthy_lanes():
     # a strong field at step 0.3 overshoots past the origin from 0.4 only; the
     # other lanes of its row and the lanes of the fine-step row stay healthy
     gen = CircleGenerator(0.0, param([(0.0, 5.0)]))
-    coarse = (DiskFlowRoot(gen, (0.6,), 0.3), 2, np.array([0.05, 0.4, 0.3]), "row n=2, k=2", 1.0)
-    fine = (DiskFlowRoot(gen, (0.01,), 1e-3), 40, np.array(DISK_GRID), "row n=40, k=40", 1.0)
+    coarse = (DiskFlowRoot(gen, 0.6, 0.3), 2, np.array([0.05, 0.4, 0.3]), "row n=2, k=2", 1.0)
+    fine = (DiskFlowRoot(gen, 0.01, 1e-3), 40, np.array(DISK_GRID), "row n=40, k=40", 1.0)
     disk_powers([fine])
     want = "disk flow from z0=(0.4+0j) violated |eta_t(z)| <= |z| at t=0.300000 of iteration 1"
     with pytest.raises(FlowError, match=re.escape(want + " (row n=2, k=2)")):
@@ -491,8 +428,8 @@ def test_disk_lane_guard_fails_a_nan_lane_among_healthy_lanes(monkeypatch):
     # the guard reads |w| <= lim, which a NaN lane does not pass; lanes run in
     # the order of their tick counts, so lane 1 is the k = 2 row's second point
     gen = CircleGenerator(0.3, param([(1.0, 0.4)]))
-    sick = (DiskFlowRoot(gen, (0.5,), 1e-2), 2, np.array([0.1, 0.2j, -0.3]), "row n=2, k=2", 1.0)
-    healthy = (DiskFlowRoot(gen, (0.5,), 1e-2), 1, np.array(DISK_GRID), "row n=1, k=1", 1.0)
+    sick = (DiskFlowRoot(gen, 0.5, 1e-2), 2, np.array([0.1, 0.2j, -0.3]), "row n=2, k=2", 1.0)
+    healthy = (DiskFlowRoot(gen, 0.5, 1e-2), 1, np.array(DISK_GRID), "row n=1, k=1", 1.0)
     a_eval, calls = CircleGenerator.a_eval, []
 
     def poisoned(self, z):

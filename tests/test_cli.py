@@ -183,6 +183,16 @@ def test_idiv_sweep_writes_the_closed_form_atom(tmp_path, argv, want):
     assert read_json(f"{out}_atoms.json")["atoms"] == [pytest.approx(want, rel=1e-14, abs=1e-15)]
 
 
+@pytest.mark.parametrize("sigma", ["1e-160:1", "-1e-200:1,1:1"], ids=["overflow", "underflow"])
+def test_free_sweep_with_a_pole_near_0_has_no_atom_and_no_warning(tmp_path, sigma):
+    # the weight 1 - sum c/p^2 overflows, or p^2 underflows to 0, and the suite's
+    # filter makes an overflow or a divide warning an error
+    out = tmp_path / "near0"
+    assert run(["idiv", "--op", "free", "--sigma=" + sigma, "--bins", 5,
+                "--output", out]) == EXIT_OK
+    assert read_json(f"{out}_atoms.json")["atoms"] == []
+
+
 @pytest.mark.parametrize("weight, shown", [(0.1, False), (math.nextafter(0.1, 1.0), True)])
 def test_idiv_sweep_atom_threshold(tmp_path, monkeypatch, weight, shown):
     """An atom is written when its weight is above 0.1."""
@@ -708,7 +718,7 @@ ROTATED = {"family": "rotated_semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
 
 def test_circle_run_makes_one_pass_per_row(tmp_path, monkeypatch):
     """One lane pass per run: every row's powers, both sections and the time-one target."""
-    calls = {"circle_monotone_flow": 0, "disk_powers": 0}
+    calls = {"disk_powers": 0}
 
     def counted(name):
         fn = getattr(circle, name)
@@ -723,7 +733,7 @@ def test_circle_run_makes_one_pass_per_row(tmp_path, monkeypatch):
         monkeypatch.setattr(circle, name, counted(name))
     path = circle_scenario(tmp_path, ROTATED)
     assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_OK
-    assert calls == {"circle_monotone_flow": 0, "disk_powers": 1}
+    assert calls == {"disk_powers": 1}
     assert "rotation_correction" in read_json(tmp_path / "rep.json")
 
 

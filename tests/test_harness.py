@@ -48,7 +48,7 @@ def test_spec_validation():
         ArraySpec.bernoulli_clt(n_values=(32, 16))
     with pytest.raises(ValidationError):
         ArraySpec(name="x", n_values=(4, 8), measure_fn=lambda n: None,
-                  k_table=((4, 5), (8, 5)))
+                  ks=(5, 5))
 
 
 def test_condition_e_bernoulli():
@@ -212,7 +212,7 @@ def test_flow_root_rows_follow_the_k_table():
     damped = LevyTriple.from_parts(0.8, 0.1, [(0.0, 0.5)])
     plain = ArraySpec.flow_root(damped, n_values=(16, 32, 64))
     spec = dataclasses.replace(ArraySpec.flow_root(damped, n_values=(16, 32)),
-                               k_table=((16, 32), (32, 64)))
+                               ks=(32, 64))
     for n in spec.n_values:
         assert [spec.f_eval(n)(z) for z in ZR] == [plain.f_eval(2 * n)(z) for z in ZR]
         assert chernoff_residual(spec, damped, n) == chernoff_residual(plain, damped, 2 * n)
@@ -226,12 +226,11 @@ def test_reports_reproducible():
 
 
 def test_k_table_override():
-    table = tuple((n, 2 * n) for n in (4, 8, 16))
     spec = ArraySpec(
         name="bern", n_values=(4, 8, 16),
         measure_fn=lambda n: FiniteAtomicMeasure.from_pairs(
             [(-1.0 / math.sqrt(2 * n), 0.5), (1.0 / math.sqrt(2 * n), 0.5)]),
-        k_table=table, limit=GAUSSIAN)
+        ks=(8, 16, 32), limit=GAUSSIAN)
     rep = run_powers(spec, "boolean", GAUSSIAN)
     assert all(d <= 1e-12 for d in rep.distances)
 
@@ -258,7 +257,7 @@ def _ragged_spec(seed=3):
         ws = ws / ws.sum() * rng.uniform(0.9, 1.0)
         rows[n] = FiniteAtomicMeasure.from_pairs(zip(xs.tolist(), ws.tolist()))
     return ArraySpec(name="ragged", n_values=ns, measure_fn=rows.__getitem__,
-                     k_table=tuple((n, 3 * n * n) for n in ns), limit=GAUSSIAN)
+                     ks=tuple(3 * n * n for n in ns), limit=GAUSSIAN)
 
 
 def _max_rel(got, ref):
@@ -437,4 +436,4 @@ def test_array_spec_rejects_rows_below_one(n_values):
     # and run_powers raised a bare ZeroDivisionError for boolean and monotone
     with pytest.raises(ValidationError, match="positive and strictly increasing"):
         dataclasses.replace(ArraySpec.bernoulli_clt((1, 16)), n_values=n_values,
-                            k_table=((n_values[0], 1), (16, 2)))
+                            ks=(1, 2))

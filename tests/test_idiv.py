@@ -72,8 +72,7 @@ def test_boolean_idiv_examples(bernoulli):
 
 
 def test_free_idiv_semicircle():
-    grid = free_idiv(GAUSSIAN, points=(1j,))
-    g_at_i = 1.0 / grid.values[0]
+    g_at_i = 1.0 / free_idiv_eval(GAUSSIAN, 1j)
     assert g_at_i == pytest.approx(1j * (1.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
     # full grid against the closed form G = (z - sqrt(z^2-4))/2
     grid = free_idiv(GAUSSIAN)
@@ -321,8 +320,8 @@ def test_flows_reject_non_finite_time_and_bad_step(no_hang, engine, t_end, step)
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(0.0, math.inf)])
 def test_flows_reject_non_finite_start_points(no_hang, bad):
-    for call in (lambda: monotone_idiv_flow(GAUSSIAN, 1.0, points=(1j, bad)),
-                 lambda: semigroup_defect(GAUSSIAN, 1.0, points=(1j, bad))):
+    for call in (lambda: flow_map(GAUSSIAN, 1.0, bad),
+                 lambda: flow_map(GAUSSIAN, 1.0, np.array([1j, bad]))):
         with pytest.raises(ValidationError):
             call()
 
