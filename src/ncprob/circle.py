@@ -9,12 +9,14 @@ is equivalent to weak convergence of the measures.  Every law compared on
 the circle is an ndarray of eta values on that grid.
 
 Monotone convolution semigroups on the circle solve d eta/dt = A(eta) with
-A(z) = z(i beta - integral (1+zeta z)/(1-zeta z) dsigma); the k_n-th roots
-sampled from such a flow are the arrays whose powers the rotation-correction
-machinery repairs.  Every disk flow is integrated by one RK4 driver, the
-lanes of ``disk_powers``: the flow map and the semigroup defect are rows of
-DiskFlowRoots, and a run's k_n-fold powers and its time-one flow are the
-lanes of one pass.
+A(z) = z(i beta - integral (1+zeta z)/(1-zeta z) dsigma).  A
+``CircleArraySpec`` samples row n from such a flow at time 1/n and rotates
+it by lambda_n = e^{2 pi i l_n/n}; the rotation correction repairs the
+monotone powers of the rotated arrays.  Every disk flow is integrated by one
+RK4 driver, the lanes of ``disk_powers``: the flow map and the semigroup
+defect are rows of DiskFlowRoots, and a run's k_n-fold powers and its
+time-one flow are the lanes of one pass.  Each row carries one rotation,
+and every rotation of an array is formed from integers.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FlowError, ValidationError
-from .harness import column, equivalence
+from .harness import _check_rows, column, equivalence
 from .idiv import FLOW_STEP, _check_flow_args, _check_snapshot_step, _rk4_step
 from .measures import PARAMETER, CircleMeasure
 
@@ -165,17 +167,17 @@ def circle_semigroup_defect(gen, t_end=1.0, step=FLOW_STEP):
 
 @dataclass(frozen=True)
 class DiskFlowRoot:
-    """eta = lam * eta_t of gen's flow, by fixed-step RK4 from 0 to the end time t.
+    """eta = eta_t of gen's flow, by fixed-step RK4 from 0 to the end time t.
 
     It is data, not a callable: ``disk_powers`` runs its step schedule once
-    per iteration.  A row of ``CircleArraySpec.semigroup`` is the root at
-    t = 1/n; the time-one target of ``circle_reports`` is the root at t = 1.
+    per iteration, and the row that iterates it carries the rotation.  Row n
+    of a ``CircleArraySpec`` is the root at t = 1/n; the time-one target of
+    ``circle_reports`` is the root at t = 1.
     """
 
     gen: CircleGenerator
     t: float
     step: float
-    lam: complex = 1.0
 
     def __post_init__(self):
         t = _check_flow_args(self.t, self.step)
@@ -204,8 +206,8 @@ class _DiskLanes:
     Each point of z iterates w -> lam * eta(w) k times.  The lanes are
     sorted by their tick counts ``ticks``, descending, so the lanes still
     running at tick s are a prefix.  A lane takes one RK4 step a tick on its
-    root's schedule, and each of its iterations ends in lam * (eta.lam * w),
-    the order of the composed maps.  Each RK4 step keeps |w| <= r (1 + 1e-9),
+    root's schedule, and each of its iterations ends in its row's one
+    rotation, lam * w.  Each RK4 step keeps |w| <= r (1 + 1e-9),
     with r the modulus at the start of the iteration, and so does each
     iteration's end, which catches a rotation with |lam| > 1; a failure
     raises a FlowError naming the lane's start point, its iteration and its
@@ -225,7 +227,6 @@ class _DiskLanes:
         self.w = self.z.copy()
         self.lim = np.abs(self.z) * (1.0 + 1e-9)
         lam = np.array([complex(row[4]) for row in rows])[self.row]
-        lam_row = np.array([complex(row[0].lam) for row in rows])[self.row]
         # the h of every row at every tick, and the rows each tick ends an iteration of
         self.h = np.zeros((int(self.ticks[0]), len(rows)))
         self.ends = [[] for _ in range(self.h.shape[0])]
@@ -234,9 +235,9 @@ class _DiskLanes:
             lo, hi = int(lanes[0]), int(lanes[-1]) + 1
             self.h[:row[1] * p, r] = np.tile([h for h, _ in row[0].schedule], row[1])
             if not p:
-                self.w[lo:hi] *= (lam[lo:hi] * lam_row[lo:hi]) ** row[1]
+                self.w[lo:hi] *= lam[lo:hi] ** row[1]
                 continue
-            block = (lo, self.w[lo:hi], lam_row[lo:hi], lam[lo:hi], self.lim[lo:hi])
+            block = (lo, self.w[lo:hi], lam[lo:hi], self.lim[lo:hi])
             for j in range(1, row[1] + 1):
                 self.ends[j * p - 1].append(block)
 
@@ -262,8 +263,8 @@ class _DiskLanes:
             raise FlowError(f"disk flow from z0={complex(self.z[i])!r} violated |eta_t(z)| <= "
                             f"|z| at t={schedule[s % p][1]:.6f} of iteration {s // p + 1} "
                             f"({self.rows[self.row[i]][3]})")
-        for lo, w_g, lam_row, lam_g, lim_g in self.ends[s]:
-            self._end(s, lo, w_g, lam_g * (lam_row * w_g), lim_g)
+        for lo, w_g, lam_g, lim_g in self.ends[s]:
+            self._end(s, lo, w_g, lam_g * w_g, lim_g)
 
     def _end(self, s, lo, w, x, lim):
         """An iteration's end at tick s: w = x, whose modulus may not pass lim."""
@@ -310,51 +311,47 @@ def disk_powers(rows):
 
 @dataclass(frozen=True)
 class CircleArraySpec:
-    """One eta per row n >= 1, with its mean and the target generator.
+    """The semigroup array of a generator, each row rotated by lambda_n.
 
-    Row n's eta is a DiskFlowRoot, raised to the power k_n = n by
-    ``disk_powers`` as RK4 lanes; ``semigroup`` builds the roots at time 1/n.
+    Row n's eta is the DiskFlowRoot of the generator at t = 1/n, with step
+    min(flow_step, 0.5/n), raised to the power k_n = n by ``disk_powers`` as
+    RK4 lanes; each iteration ends in lambda_n = e^{2 pi i l_n/n}.
+    rotation_ell is an integer l (l_n = l) or "half" (l_n = n//2, so
+    lambda_n = -1 for even n); l = 0 is the plain semigroup array.
     """
 
-    name: str
+    generator: CircleGenerator
     n_values: tuple
-    eta_factory: object          # n -> eta_n, a DiskFlowRoot
-    mean_fn: object              # n -> complex mean of row n
-    generator: CircleGenerator   # target (beta, sigma)
+    flow_step: float = FLOW_STEP
+    rotation_ell: object = 0     # an int l, or "half"
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
-        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValidationError(f"n_values must be positive and strictly increasing; "
-                                  f"got {ns!r}")
-        object.__setattr__(self, "n_values", ns)
+        object.__setattr__(self, "n_values", _check_rows(self.n_values))
+        ell = self.rotation_ell
+        if not (type(ell) is int or ell == "half"):
+            raise ValidationError(f'rotation_ell must be an integer or "half"; got {ell!r}')
+        _check_snapshot_step(1.0, self.flow_step)
+
+    @property
+    def name(self):
+        return "semigroup" if self.rotation_ell == 0 else "rotated_semigroup"
 
     def eta_of(self, n):
-        return self.eta_factory(n)
+        """Row n's eta, unrotated: the flow root at t = 1/n."""
+        return DiskFlowRoot(self.generator, 1.0 / n, min(self.flow_step, 0.5 / n))
+
+    def rotation(self, n, ell=0):
+        """e^{2 pi i ((l_n + ell) mod n)/n}: lambda_n, turned further by e^{2 pi i ell/n}.
+
+        The angle is formed from integers, so an ell that cancels l_n mod n
+        gives exactly 1, and a huge l loses none of its angle to rounding.
+        """
+        ell_n = n // 2 if self.rotation_ell == "half" else self.rotation_ell
+        return cmath.exp(2j * math.pi * ((ell_n + ell) % n) / n)
 
     def mean_of(self, n):
-        return complex(self.mean_fn(n))
-
-    @classmethod
-    def semigroup(cls, gen, n_values, flow_step=FLOW_STEP, rotation_ell=0):
-        """Rows eta_n = flow at time 1/n, optionally rotated by e^{2 pi i l/n}.
-
-        rotation_ell is an integer or a per-row callable n -> integer
-        (e.g. n//2 for the lambda_n = -1 witness).
-        """
-        _check_flow_args(1.0, flow_step)
-        ell_of = rotation_ell if callable(rotation_ell) else (lambda n: int(rotation_ell))
-
-        def factory(n):
-            lam = cmath.exp(2j * math.pi * ell_of(n) / n)
-            return DiskFlowRoot(gen, 1.0 / n, min(flow_step, 0.5 / n), lam)
-
-        def mean(n):
-            return cmath.exp(2j * math.pi * ell_of(n) / n) * cmath.exp(gen.mean_rate / n)
-
-        rotated = any(ell_of(n) != 0 for n in n_values)
-        name = "rotated_semigroup" if rotated else "semigroup"
-        return cls(name, tuple(n_values), factory, mean, gen)
+        """Row n's mean, lambda_n e^{A'(0)/n}."""
+        return self.rotation(n) * cmath.exp(self.generator.mean_rate / n)
 
 
 def detect_rotation(spec, beta, n):
@@ -377,36 +374,37 @@ def beta_condition_check(spec, beta, tol=0.05):
     return ok, rows
 
 
-def circle_reports(spec, gen, tol=0.05, flow_step=FLOW_STEP, correct=True):
+def circle_reports(spec, gen, tol=0.05):
     """The Boolean/monotone equivalence and the rotation correction, from one lane pass.
 
     Both compare the rows' k_n-th powers with the laws of gen = (beta,
     sigma): the Boolean powers with the Boolean law of (e^{i beta}, sigma),
-    the monotone powers with gen's time-one flow.  All are compared on
-    DISK_GRID.  Both powers and that flow are the lanes of one
-    ``disk_powers`` pass.  Row n's grid runs as three lane groups: once
-    (k = 1), whose eta gives the Boolean power z (eta/z)^n; n times with
-    lambda = 1, the monotone row and the uncorrected column; and n times
-    with lambda = e^{2 pi i l/n}, l detected from beta, the corrected
-    column.  The flow is the DiskFlowRoot at t = 1, so the monotone row
-    n = 1 of a semigroup array is that flow itself.  With correct False the
-    corrected lanes do not run and the correction report is None.
+    the monotone powers with gen's time-one flow at the array's flow_step.
+    All are compared on DISK_GRID.  Both powers and that flow are the lanes
+    of one ``disk_powers`` pass.  Row n's grid runs as up to three lane
+    groups: once (k = 1), whose eta gives the Boolean power z (eta/z)^n; n
+    times with lambda_n, the monotone row and the uncorrected column; and,
+    for a rotated array (rotation_ell != 0), n times with
+    ``spec.rotation(n, l)``, l detected from beta, the corrected column.
+    The flow is the DiskFlowRoot at t = 1, so the monotone row n = 1 of an
+    unrotated array is that flow itself.  An unrotated array runs no
+    corrected lanes and its correction report is None.
     Returns (equivalence, correction).
     """
-    _check_snapshot_step(1.0, flow_step)
     z = np.array(DISK_GRID)
     bool_target = circle_boolean_idiv(cmath.exp(1j * gen.beta), gen.sigma)
     beta_ok, beta_rows = beta_condition_check(spec, gen.beta, tol)
-    rows = [(DiskFlowRoot(gen, 1.0, flow_step), 1, z, "time-one target", 1.0)]
+    correct = spec.rotation_ell != 0
+    rows = [(DiskFlowRoot(gen, 1.0, spec.flow_step), 1, z, "time-one target", 1.0)]
     ells = []
     for n in spec.n_values:
-        e = spec.eta_of(n)
-        rows.append((e, 1, z, f"row n={n}, k=1", 1.0))
-        rows.append((e, n, z, f"row n={n}, k={n}", 1.0))
+        e, lam = spec.eta_of(n), spec.rotation(n)
+        rows.append((e, 1, z, f"row n={n}, k=1", lam))
+        rows.append((e, n, z, f"row n={n}, k={n}", lam))
         if correct:
             ells.append(detect_rotation(spec, gen.beta, n))
             rows.append((e, n, z, f"row n={n}, k={n}, l={ells[-1]}",
-                         cmath.exp(2j * math.pi * ells[-1] / n)))
+                         spec.rotation(n, ells[-1])))
     mono_target, *lanes = disk_powers(rows)
     per_row = 3 if correct else 2
     ns = spec.n_values

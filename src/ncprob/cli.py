@@ -232,9 +232,7 @@ def _circle_spec(array, flow_step):
     if family == "rotated_semigroup" and ell == 0:
         raise ValidationError("array.rotation_ell must be non-zero: l = 0 leaves "
                               "a rotated_semigroup array unrotated")
-    if ell == "half":
-        ell = lambda n: n // 2
-    return CircleArraySpec.semigroup(gen, ns, flow_step=flow_step, rotation_ell=ell)
+    return CircleArraySpec(gen, ns, flow_step, ell if ell == "half" else int(ell))
 
 
 def parse_sigma_arg(text):
@@ -456,14 +454,12 @@ def cmd_bp_check(args):
 def cmd_circle_run(args):
     scenario = _load_scenario(args.scenario, "circle-run", "circle")
     tol = _setting(scenario, args, "tolerance")
-    step = _setting(scenario, args, "flow_step")
-    spec = _circle_spec(scenario["array"], step)
+    spec = _circle_spec(scenario["array"], _setting(scenario, args, "flow_step"))
     gen = spec.generator
     if "generator" in scenario:
         gen = _generator(_object(scenario["generator"], "generator", ("beta", "sigma")),
                          "generator")
-    rotated = scenario["array"]["family"] == "rotated_semigroup"
-    result, correction = circle_reports(spec, gen, tol, step, correct=rotated)
+    result, correction = circle_reports(spec, gen, tol)
     _write_report(args, scenario, result, correction)
     return EXIT_OK
 

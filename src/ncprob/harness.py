@@ -46,6 +46,14 @@ T_GRID = tuple(s * 0.5 * j for j in range(1, 11) for s in (1, -1))
 OPS = ("classical", "free", "boolean", "monotone")
 
 
+def _check_rows(n_values):
+    """The rows n of an array as a tuple of ints, checked positive and strictly increasing."""
+    ns = tuple(int(n) for n in n_values)
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValidationError(f"n_values must be positive and strictly increasing; got {ns!r}")
+    return ns
+
+
 def _bernoulli():
     return FiniteAtomicMeasure.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
 
@@ -66,10 +74,7 @@ class ArraySpec:
     limit: LevyTriple = None       # target triple for this array
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
-        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValidationError(f"n_values must be positive and strictly increasing; "
-                                  f"got {ns!r}")
+        ns = _check_rows(self.n_values)
         object.__setattr__(self, "n_values", ns)
         if self.ks is None:
             return

@@ -126,10 +126,6 @@ class _AtomicMeasure:
     def mass(self):
         return sum(self.weights)
 
-    @property
-    def mean(self):
-        return self.moment(1)
-
     def with_role(self, role):
         return type(self)(self.positions, self.weights, role)
 
@@ -148,9 +144,6 @@ class FiniteAtomicMeasure(_AtomicMeasure):
             raise ValidationError("state measure must be non-zero")
         if total > 1.0 + MASS_TOL:
             raise ValidationError(f"state measure mass {total} exceeds 1")
-
-    def moment(self, k):
-        return sum(w * x**k for x, w in self.atoms)
 
     def dilate(self, s):
         """Pushforward under x -> s*x.  Mass preserved; s must be non-zero."""
@@ -194,7 +187,3 @@ class CircleMeasure(_AtomicMeasure):
     def disk_poles(self):
         """(conj(e^{i theta}), weight) as complex arrays, built once for ``circle._psi_over_z``."""
         return np.conj(self.points), np.array(self.weights, dtype=complex)
-
-    def moment(self, p):
-        """Integral of zeta^p: sum of w * e^{i p theta}."""
-        return sum(w * cmath.exp(1j * p * t) for t, w in self.atoms)

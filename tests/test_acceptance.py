@@ -218,7 +218,7 @@ def test_criterion_8_circle_mean_lemma():
 def test_criterion_9_rotation_correction():
     gen = CircleGenerator(0.3, CircleMeasure.from_pairs([(0.5, 0.9)], role=PARAMETER))
     ns = (16, 32, 64, 128, 256)
-    spec = CircleArraySpec.semigroup(gen, ns, rotation_ell=lambda n: n // 2)
+    spec = CircleArraySpec(gen, ns, rotation_ell="half")
     _, rep = circle_reports(spec, gen)
     by_n = {row["n"]: row for row in rep["rows"]}
     assert by_n[256]["uncorrected"] >= 0.1
@@ -233,8 +233,8 @@ def test_criterion_9_rotation_correction():
 def test_criterion_10_beta_equivalence():
     sigma = CircleMeasure.from_pairs([(math.pi, 0.5)], role=PARAMETER)
     gen = CircleGenerator(0.3, sigma)
-    spec = CircleArraySpec.semigroup(gen, (16, 32, 64, 128, 256))
-    rep, _ = circle_reports(spec, gen, correct=False)
+    spec = CircleArraySpec(gen, (16, 32, 64, 128, 256))
+    rep, _ = circle_reports(spec, gen)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
     assert rep["ops"]["boolean"]["rows"][-1]["distance"] <= 0.05

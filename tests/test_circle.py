@@ -29,14 +29,6 @@ def param(pairs):
     return CircleMeasure.from_pairs(pairs, role=PARAMETER)
 
 
-def dirac(angle):
-    return CircleMeasure.from_pairs([(angle, 1.0)])
-
-
-def test_circle_mean_of_a_dirac():
-    assert dirac(0.7).mean == pytest.approx(cmath.exp(0.7j))
-
-
 def test_boolean_idiv_formulas():
     # sigma = 0: eta = gamma z
     g = circle_boolean_idiv(cmath.exp(0.4j), param([]))
@@ -143,16 +135,16 @@ def test_disk_flows_shorter_than_a_step_schedule_keep_the_start_grid():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
     z = np.array(DISK_GRID)
     assert np.array_equal(circle_flow_map(gen, 1e-16, z), z)
-    # a root with no step is its rotation alone, once per iteration
+    # a root with no step is its row's rotation alone, once per iteration
     lam = cmath.exp(0.25j)
-    (got,) = disk_powers([(DiskFlowRoot(gen, 1e-16, 1e-3, lam), 3, z, "no step", 1j)])
+    (got,) = disk_powers([(DiskFlowRoot(gen, 1e-16, 1e-3), 3, z, "no step", 1j * lam)])
     assert np.allclose(got, (1j * lam) ** 3 * z, rtol=0, atol=1e-15)
 
 
 def test_rotated_array_fixed_ell():
     # rotate by e^{2 pi i/k}: detect -1, corrected converges, raw stalls
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    spec = CircleArraySpec.semigroup(gen, (16, 32, 64), rotation_ell=1)
+    spec = CircleArraySpec(gen, (16, 32, 64), rotation_ell=1)
     _, rep = circle_reports(spec, gen)
     assert [row["ell"] for row in rep["rows"]] == [-1, -1, -1]
     assert rep["corrected_converged"]
@@ -161,20 +153,37 @@ def test_rotated_array_fixed_ell():
     assert all(row["corrected"] <= 1e-10 for row in rep["rows"])
 
 
-def test_unrotated_array_identity_correction():
+def test_unrotated_array_detects_no_rotation_and_runs_no_correction():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    spec = CircleArraySpec.semigroup(gen, (16, 32))
-    _, rep = circle_reports(spec, gen)
-    assert [row["ell"] for row in rep["rows"]] == [0, 0]
-    assert rep["corrected_converged"] and rep["uncorrected_converged"]
+    spec = CircleArraySpec(gen, (16, 32))
+    assert [detect_rotation(spec, 0.3, n) for n in spec.n_values] == [0, 0]
+    rep, correction = circle_reports(spec, gen)
+    assert correction is None
+    assert rep["array"] == "semigroup" and rep["both_converged"]
+
+
+@pytest.mark.parametrize("ell", [1, -2, "half"])
+def test_an_exact_correction_undoes_the_rotation_bit_for_bit(ell):
+    # when the detected l cancels the array's l_n mod n, the corrected lanes run
+    # with a rotation of exactly 1: the monotone lanes of the unrotated array
+    rng = np.random.default_rng(4300)
+    for _ in range(10):
+        sigma = param(zip(rng.uniform(0.0, 2.0 * math.pi, 2), rng.uniform(0.1, 0.6, 2)))
+        gen = CircleGenerator(float(rng.uniform(-1.0, 1.0)), sigma)
+        spec = CircleArraySpec(gen, (16, 32), rotation_ell=ell)
+        _, fix = circle_reports(spec, gen)
+        plain, _ = circle_reports(CircleArraySpec(gen, (16, 32)), gen)
+        ell_n = [n // 2 if ell == "half" else ell for n in spec.n_values]
+        assert [(row["ell"] + l) % row["n"] for row, l in zip(fix["rows"], ell_n)] == [0, 0]
+        assert ([row["corrected"] for row in fix["rows"]]
+                == [row["distance"] for row in plain["ops"]["monotone"]["rows"]])
 
 
 def test_beta_condition():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    ok, rows = beta_condition_check(CircleArraySpec.semigroup(gen, (16, 32, 64)), 0.3)
+    ok, rows = beta_condition_check(CircleArraySpec(gen, (16, 32, 64)), 0.3)
     assert ok
-    bad, rows = beta_condition_check(
-        CircleArraySpec.semigroup(gen, (16, 32, 64), rotation_ell=1), 0.3)
+    bad, rows = beta_condition_check(CircleArraySpec(gen, (16, 32, 64), rotation_ell=1), 0.3)
     assert not bad
     # the drift is 2 pi ell (1 + o(1))
     assert rows[-1]["gap"] == pytest.approx(2.0 * math.pi, abs=0.1)
@@ -183,8 +192,8 @@ def test_beta_condition():
 def test_circle_equivalence_semigroup():
     sig = param([(math.pi, 0.5)])
     gen = CircleGenerator(0.3, sig)
-    spec = CircleArraySpec.semigroup(gen, (16, 32, 64, 128, 256))
-    rep, _ = circle_reports(spec, gen, correct=False)
+    spec = CircleArraySpec(gen, (16, 32, 64, 128, 256))
+    rep, _ = circle_reports(spec, gen)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
 
@@ -194,12 +203,12 @@ def test_circle_equivalence_dirac_array():
     # of delta_{e^{i beta/n}}, and both sides converge to delta_{e^{i beta}}
     beta = 0.9
     gen = CircleGenerator(beta, param([]))
-    spec = CircleArraySpec.semigroup(gen, (16, 32, 64))
+    spec = CircleArraySpec(gen, (16, 32, 64))
     z = np.array(DISK_GRID)
     for n in spec.n_values:
-        (got,) = disk_powers([(spec.eta_of(n), 1, z, f"row n={n}, k=1", 1.0)])
+        (got,) = disk_powers([(spec.eta_of(n), 1, z, f"row n={n}, k=1", spec.rotation(n))])
         assert np.allclose(got, cmath.exp(1j * beta / n) * z, rtol=0, atol=1e-15)
-    rep, _ = circle_reports(spec, gen, correct=False)
+    rep, _ = circle_reports(spec, gen)
     assert rep["beta_condition"]["holds"]
     assert rep["agreement"] and rep["both_converged"]
 
@@ -211,13 +220,13 @@ def test_monotone_row_one_of_a_semigroup_array_is_the_time_one_target():
         n = int(rng.integers(1, 4))
         sigma = param(zip(rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.1, 0.6, n)))
         gen = CircleGenerator(float(rng.uniform(-1.0, 1.0)), sigma)
-        rep, _ = circle_reports(CircleArraySpec.semigroup(gen, (1, 2)), gen, correct=False)
+        rep, _ = circle_reports(CircleArraySpec(gen, (1, 2)), gen)
         assert rep["ops"]["monotone"]["rows"][0]["distance"] == 0.0
 
 
 def test_rotation_detection_branch():
     gen = CircleGenerator(0.3, param([(0.5, 0.9)]))
-    spec = CircleArraySpec.semigroup(gen, (16, 32), rotation_ell=lambda n: n // 2)
+    spec = CircleArraySpec(gen, (16, 32), rotation_ell="half")
     for n in (16, 32):
         ell = detect_rotation(spec, 0.3, n)
         assert (ell + n // 2) % n == 0
@@ -305,10 +314,24 @@ def test_disk_powers_give_a_row_without_points_an_empty_array():
 def test_circle_array_spec_rejects_rows_below_one(n_values):
     # unchecked, n = 0 divides by zero and n = -1 writes a report row of k = -1
     gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
-    with pytest.raises(ValidationError, match="positive"):
-        CircleArraySpec.semigroup(gen, n_values)
-    with pytest.raises(ValidationError, match="positive"):
-        CircleArraySpec("rows", n_values, lambda n: None, lambda n: 1.0, gen)
+    for ell in (0, 1, "half"):
+        with pytest.raises(ValidationError, match="positive"):
+            CircleArraySpec(gen, n_values, rotation_ell=ell)
+
+
+@pytest.mark.parametrize("ell", [1.0, 1.5, True, "quarter", None, lambda n: n // 2])
+def test_circle_array_spec_takes_an_integer_or_half_rotation(ell):
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    with pytest.raises(ValidationError, match="rotation_ell"):
+        CircleArraySpec(gen, (16, 32), rotation_ell=ell)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.0, math.nan])
+def test_circle_array_spec_checks_its_flow_step(step):
+    # the time-one target runs at flow_step: at most 1e-2, finite and positive
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    with pytest.raises(ValidationError, match="flow step"):
+        CircleArraySpec(gen, (16, 32), flow_step=step)
 
 
 def test_disk_flow_error_names_start_point():
@@ -359,11 +382,12 @@ def test_disk_flow_matches_mpmath_ode_oracle(gen):
         assert abs(w - _mp_flow(gen, z)) <= 1e-12
 
 
-def _per_point_power(e, k, points=DISK_GRID):
+def _per_point_power(e, k, lam, points=DISK_GRID):
     """Reference monotone power: one Python-complex eta per point and iteration.
 
-    A DiskFlowRoot's eta is its own RK4 over the root's schedule, then its
-    lam, so the reference shares no code with the lanes of disk_powers.
+    A DiskFlowRoot's eta is its own RK4 over the root's schedule, then the
+    row's rotation lam, so the reference shares no code with the lanes of
+    disk_powers.
     """
     def flow_root(w):
         a = e.gen.a_eval
@@ -373,7 +397,7 @@ def _per_point_power(e, k, points=DISK_GRID):
             k3 = complex(a(w + 0.5 * h * k2))
             k4 = complex(a(w + h * k3))
             w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return e.lam * w
+        return lam * w
 
     out = []
     for z in points:
@@ -386,14 +410,14 @@ def _per_point_power(e, k, points=DISK_GRID):
 
 def test_monotone_power_array_matches_per_point_iteration():
     gen = CircleGenerator(0.3, param([(math.pi, 0.5), (2.0, 0.2)]))
-    spec = CircleArraySpec.semigroup(gen, (256,), rotation_ell=1)
-    e = spec.eta_of(256)
-    (grid,) = disk_powers([(e, 256, np.array(DISK_GRID), "row n=256, k=256", 1.0)])
-    assert eta_distance(grid, _per_point_power(e, 256)) <= 1e-13
+    spec = CircleArraySpec(gen, (256,), rotation_ell=1)
+    e, lam = spec.eta_of(256), spec.rotation(256)
+    (grid,) = disk_powers([(e, 256, np.array(DISK_GRID), "row n=256, k=256", lam)])
+    assert eta_distance(grid, _per_point_power(e, 256, lam)) <= 1e-13
     other = CircleGenerator(-0.7, param([(0.05, 0.7), (6.2, 0.3)]))
-    e = CircleArraySpec.semigroup(other, (64,)).eta_of(64)
+    e = CircleArraySpec(other, (64,)).eta_of(64)
     (grid,) = disk_powers([(e, 64, np.array(DISK_GRID), "row n=64, k=64", 1.0)])
-    assert eta_distance(grid, _per_point_power(e, 64)) <= 1e-13
+    assert eta_distance(grid, _per_point_power(e, 64, 1.0)) <= 1e-13
 
 
 def test_disk_lanes_match_each_row_run_alone():
@@ -401,9 +425,8 @@ def test_disk_lanes_match_each_row_run_alone():
     # schedules and counts; each row reads as if run by itself
     gen = CircleGenerator(-0.7, param([(1.0, 0.4), (4.0, 0.25)]))
     z = np.array(DISK_GRID)
-    rows = [(DiskFlowRoot(gen, 1.0 / n, min(1e-3, 0.5 / n), cmath.exp(2j * math.pi / n)),
-             n, z, f"row n={n}, k={n}", lam)
-            for n in (16, 48, 100) for lam in (1.0, cmath.exp(-2j * math.pi / n))]
+    rows = [(DiskFlowRoot(gen, 1.0 / n, min(1e-3, 0.5 / n)), n, z, f"row n={n}, k={n}", lam)
+            for n in (16, 48, 100) for lam in (cmath.exp(2j * math.pi / n), 1.0)]
     rows.append((DiskFlowRoot(gen, 1.0, 1e-3), 1, z, "time-one target", 1.0))
     together = disk_powers(rows)
     for row, got in zip(rows, together):

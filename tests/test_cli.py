@@ -753,6 +753,32 @@ def test_circle_run_uncorrected_column_is_the_monotone_row(tmp_path, array, extr
     assert fix["uncorrected_converged"] is mono["converged"]
 
 
+def test_circle_run_rotates_by_a_huge_ell_without_rounding(tmp_path):
+    """l = 2^40 is 0 mod every n here, so the rows are those of the unrotated array.
+
+    An angle of 2 pi l/n formed in floats turned row 16 by 1.7e-5 rad.
+    """
+    reports = []
+    for array in ({**ROTATED, "rotation_ell": 2**40, "n_values": [16, 32, 64]},
+                  {"family": "semigroup", "beta": 0.3, "sigma": [[1.0, 0.5]],
+                   "n_values": [16, 32, 64]}):
+        out = tmp_path / f"rep{len(reports)}.json"
+        assert run(["circle-run", circle_scenario(tmp_path, array), "--output", out]) == EXIT_OK
+        reports.append(read_json(out)["result"])
+    rotated, plain = reports
+    assert rotated["ops"] == plain["ops"]
+    assert rotated["beta_condition"] == plain["beta_condition"]
+
+
+def test_circle_run_names_a_half_array_rotated_on_rows_of_one(tmp_path):
+    # l_1 = 1//2 = 0 leaves row n = 1 unrotated, but the array is still a rotated one
+    out = tmp_path / "rep.json"
+    array = {**ROTATED, "rotation_ell": "half", "n_values": [1]}
+    assert run(["circle-run", circle_scenario(tmp_path, array), "--output", out]) == EXIT_OK
+    rep = read_json(out)
+    assert rep["result"]["array"] == rep["rotation_correction"]["array"] == "rotated_semigroup"
+
+
 def test_circle_run_corrects_towards_the_scenario_generator(tmp_path):
     """Rotation detection and both sections measure against the one named law.
 

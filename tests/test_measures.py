@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 
@@ -57,7 +56,6 @@ def test_zero_and_dirac(cls):
         zero.with_role(STATE)
     d = cls.from_pairs([(0.5, 1.0)])
     assert (d.atoms, d.mass, d.role, d.is_zero) == (((0.5, 1.0),), 1.0, STATE, False)
-    assert d.mean == pytest.approx(0.5 if cls is FiniteAtomicMeasure else cmath.exp(0.5j))
     assert cls.from_pairs([(0.5, 3.0)], role=PARAMETER).mass == 3.0
 
 
@@ -139,17 +137,6 @@ def test_json_roundtrip_exact(rng, cls):
     back = cls.from_pairs(json.loads(blob))
     assert back.positions == mu.positions
     assert back.weights == mu.weights
-
-
-def test_circle_moment_examples():
-    d = CircleMeasure.from_pairs([(math.pi / 2.0, 1.0)])
-    assert d.moment(1) == pytest.approx(1j, abs=1e-15)
-    haar4 = CircleMeasure.from_pairs(
-        [(k * math.pi / 2.0, 0.25) for k in range(4)]
-    )
-    assert abs(haar4.moment(1)) <= 1e-15
-    two = CircleMeasure.from_pairs([(0.0, 0.5), (math.pi, 0.5)])
-    assert two.moment(2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_circle_state_mass_must_be_one():

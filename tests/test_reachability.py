@@ -9,9 +9,10 @@ code or in a string, and every name the acceptance suite imports from the
 package.  A definition is reached when a reached one mentions its name,
 as a variable or as an attribute; a method (a non-dunder function or class
 in a class body) is also reached when the acceptance suite mentions its
-name anywhere, even as a local variable.  A reached class reaches its bases, its decorators, its
-dunder methods and its class-level statements, but not its other methods:
-each of those must be reached by name.  Names are matched without their
+name, as an attribute or as a name it does not bind locally.  A reached
+class reaches its bases, its decorators, its dunder methods and its
+class-level statements, but not its other methods: each of those must be
+reached by name.  Names are matched without their
 module or class, so the walk errs towards keeping a definition.  Inside a
 function, lambda or comprehension a bare name that the scope binds itself
 (a parameter, an assignment, loop or comprehension target, a nested def)
@@ -177,9 +178,7 @@ def _scan(root):
         uses.calls += other.calls
     todo = [entry for name in (uses.names | bench.names | imported) & defs.keys()
             for entry in defs[name]]
-    # a method counts as mentioned by the acceptance suite even as a local variable there
-    mentioned = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(acceptance)}
-    todo += [entry for name in mentioned & defs.keys() for entry in defs[name] if entry[2]]
+    todo += [entry for name in tests.names & defs.keys() for entry in defs[name] if entry[2]]
     reached = set()
     while todo:
         label, node, _ = todo.pop()
@@ -260,7 +259,9 @@ def test_the_scan_names_a_method_nothing_mentions(tmp_path):
                  "        return 4.0 * self.side\n",
                  "from ncprob.shapes import Square\n\n\n"
                  "def test_area():\n"
-                 "    assert Square().area() == 4.0\n")
+                 "    perimeter = 8.0\n"
+                 "    assert Square().area() * perimeter == 32.0\n")
+    # the test's local perimeter is its own variable, not the method
     assert unreached(root) == ["shapes.Square.perimeter"]
 
 
