@@ -8,8 +8,10 @@ n-atom measure has up to n^k atoms, so it is not formed here: the harness
 composes the exact F k times at each grid point through the line's one
 k-fold iterator, ``transforms.f_powers``, which runs every row of a
 triangular array in one call.  Free convolution solves for the subordination
-point at each grid point, one point per call: a short fixed-point warm-up,
-then guarded Newton, with F computed both ways as a cross-check.
+point at each grid point, one point per call, from the two measures'
+carriers (``NevanlinnaData``): a fixed-point warm-up that hands over to
+guarded Newton once a step is within 1e-2, with F computed both ways as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from .transforms import (
     recover_measure,
 )
 
-#: subordination: fixed-point warm-up steps, Newton step budget, halvings
-#: per Newton step, and the undamped step at which a solve stops
+#: subordination: fixed-point warm-up steps, the warm-up step within which
+#: Newton takes over, Newton step budget, halvings per Newton step, and the
+#: undamped step at which a solve stops
 _WARMUP = 20
+_NEWTON_FROM = 1e-2
 _NEWTON_MAX = 100
 _HALVINGS = 40
 _SUBORD_TOL = 1e-13
@@ -71,66 +75,97 @@ def monotone_convolve(mu, nu):
 
 
 def free_convolve_F(f_mu, f_nu):
-    """F of the free convolution of two probability data, by subordination.
+    """F of the free convolution of two probability carriers, by subordination.
 
-    f_mu and f_nu are probability Nevanlinna data (or engines this returns),
-    so h = F - id = -E.  Per point, with u = z - E_nu(omega), the
-    subordination point omega is the root in the upper half-plane of
+    f_mu and f_nu are the ``NevanlinnaData`` of probability measures, so
+    h = F - id = -E.  Per point, with u = z - E_nu(omega), the subordination
+    point omega is the root in the upper half-plane of
     g(omega) = z - E_mu(u) - omega, g' = E_mu'(u) E_nu'(omega) - 1; it
     exists and is unique (Belinschi-Bercovici 2007).  Up to ``_WARMUP``
-    fixed-point steps omega <- omega + g from omega = z, then Newton: a step
-    is halved until Im omega > 0, Im u > 0 and |g| falls, and after
-    ``_HALVINGS`` halvings a fixed-point step is taken instead.  Newton stops
-    when the undamped step is within ``_SUBORD_TOL``; a point that has not
-    stopped after ``_NEWTON_MAX`` steps raises ``ConvergenceError``.  The
-    two expressions F_nu(omega) and F_mu(u) differ by g and are
-    cross-checked.
+    fixed-point steps omega <- omega + g from omega = z, summed inline over
+    both carriers' pairs; a step within ``_SUBORD_TOL`` stops the solve, and
+    one within ``_NEWTON_FROM`` hands over to Newton.  Newton takes E and E'
+    at each trial point in one pass: a step is halved until Im omega > 0,
+    Im u > 0 and |g| falls, and after ``_HALVINGS`` halvings a fixed-point
+    step is taken instead.  Newton stops when the undamped step is within
+    ``_SUBORD_TOL``; a point that has not stopped after ``_NEWTON_MAX``
+    steps raises ``ConvergenceError``.  The two expressions F_nu(omega) and
+    F_mu(u) differ by g and are cross-checked, with the solve's E_nu(omega).
 
-    The returned callable evaluates F at one point.  It carries m = 1 and
-    its own E = z - F and E' = 1 - F', so it can itself be convolved.
+    The returned callable evaluates F at one point.  Its ``steps`` adds up
+    the warm-up and Newton steps of the points it has solved, a work count
+    that is the same on any machine.
     """
     for f in (f_mu, f_nu):
         if abs(f.m - 1.0) > MASS_TOL:
             raise ValidationError("free convolution needs probability measures")
-    e_mu, de_mu, e_nu, de_nu = f_mu._e, f_mu._e_prime, f_nu._e, f_nu._e_prime
+    # the warm-up's coefficients as complex numbers: c / (w - p) then skips
+    # float division's refusal of a complex divisor, with the same quotient
+    g_mu, pairs_mu = f_mu._pairs
+    g_nu, pairs_nu = f_nu._pairs
+    pairs_mu = tuple((p, complex(c)) for p, c in pairs_mu)
+    pairs_nu = tuple((p, complex(c)) for p, c in pairs_nu)
+    e_mu, e_nu = f_mu._e, f_nu._e
+    ee_mu, ee_nu = f_mu._e_and_prime, f_nu._e_and_prime
+    steps = {"warmup": 0, "newton": 0}
 
     def solve(z):
-        """(omega, u) at the root of g."""
+        """(omega, E_nu(omega)) at the root of g."""
         w = z
-        for _ in range(_WARMUP):
-            nxt = z - e_mu(z - e_nu(w))
-            if abs(nxt - w) <= _SUBORD_TOL:
-                return nxt, z - e_nu(nxt)
+        for warm in range(1, _WARMUP + 1):
+            a = g_nu
+            for p, c in pairs_nu:
+                a = a + c / (w - p)
+            u = z - a
+            b = g_mu
+            for p, c in pairs_mu:
+                b = b + c / (u - p)
+            nxt = z - b
+            step = abs(nxt - w)
             w = nxt
-        u = z - e_nu(w)
-        g = z - e_mu(u) - w
-        for _ in range(_NEWTON_MAX):
-            dw = g / (1.0 - de_mu(u) * de_nu(w))
+            if step <= _SUBORD_TOL:
+                steps["warmup"] += warm
+                return w, e_nu(w)
+            if step <= _NEWTON_FROM:
+                break
+        a, da = ee_nu(w)
+        u = z - a
+        b, db = ee_mu(u)
+        g = z - b - w
+        for newton in range(1, _NEWTON_MAX + 1):
+            dw = g / (1.0 - db * da)
             if abs(dw) <= _SUBORD_TOL:
                 w = w + dw
-                return w, z - e_nu(w)
+                steps["warmup"] += warm
+                steps["newton"] += newton
+                return w, e_nu(w)
             for _ in range(_HALVINGS):
                 w1 = w + dw
                 if w1.imag > 0.0:
-                    u1 = z - e_nu(w1)
+                    a1, da1 = ee_nu(w1)
+                    u1 = z - a1
                     if u1.imag > 0.0:
-                        g1 = z - e_mu(u1) - w1
+                        b1, db1 = ee_mu(u1)
+                        g1 = z - b1 - w1
                         if abs(g1) < abs(g):
                             break
                 dw = 0.5 * dw
             else:
                 w1 = w + g
-                u1 = z - e_nu(w1)
-                g1 = z - e_mu(u1) - w1
-            w, u, g = w1, u1, g1
+                a1, da1 = ee_nu(w1)
+                u1 = z - a1
+                b1, db1 = ee_mu(u1)
+                g1 = z - b1 - w1
+            w, g, da, db = w1, g1, da1, db1
         raise ConvergenceError(
             f"subordination Newton did not converge at z={z}: "
             f"{_NEWTON_MAX} steps, |g|={abs(g):.3g}"
         )
 
     def f_conv(z):
-        w, u = solve(z)
-        via_nu = w - e_nu(w)
+        w, a = solve(z)
+        u = z - a
+        via_nu = w - a
         via_mu = u - e_mu(u)
         if abs(via_nu - via_mu) > _CROSS_TOL * max(1.0, abs(via_nu)):
             raise ConvergenceError(
@@ -138,17 +173,7 @@ def free_convolve_F(f_mu, f_nu):
             )
         return 0.5 * (via_nu + via_mu)
 
-    def e_conv(z):
-        return z - f_conv(z)
-
-    def e_conv_prime(z):
-        # with a = E_mu'(u), b = E_nu'(omega): F' = (1 - b) omega' and
-        # omega' = (1 - a)/(1 - a b), so E' = 1 - F' = (a + b - 2ab)/(1 - ab)
-        w, u = solve(z)
-        a, b = de_mu(u), de_nu(w)
-        return (a + b - 2.0 * a * b) / (1.0 - a * b)
-
-    f_conv.m, f_conv._e, f_conv._e_prime = 1.0, e_conv, e_conv_prime
+    f_conv.steps = steps
     return f_conv
 
 

@@ -154,6 +154,13 @@ class FiniteAtomicMeasure(_AtomicMeasure):
             tuple(s * x for x in self.positions), self.weights, self.role
         )
 
+    @cached_property
+    def _nevanlinna(self):
+        """F's Nevanlinna data, built once for ``transforms.f_transform``."""
+        from . import transforms  # which imports this module
+
+        return transforms._f_data(self)
+
     def scale_mass(self, c):
         """Multiply every weight by c > 0 (role preserved)."""
         c = float(c)

@@ -186,6 +186,16 @@ class NevanlinnaData:
             acc = acc - c / (z - p) ** 2
         return acc
 
+    def _e_and_prime(self, z):
+        """(E(z), E'(z)) in one pass over the pairs, bit for bit ``_e`` and ``_e_prime``."""
+        acc, pairs = self._pairs
+        der = 0.0
+        for p, c in pairs:
+            d = z - p
+            acc = acc + c / d
+            der = der - c / d ** 2
+        return acc, der
+
 
 def cauchy_G(mu, z):
     """G(z) = sum of w/(z - x); requires Im z > 0 (accepts numpy arrays)."""
@@ -203,8 +213,14 @@ def f_transform(mu):
 
     The poles p of F are the zeros of G (``cauchy_zeros``); the arrow
     entries c give the residues rho = c^2/m, so s = rho/(1+p^2), and gamma
-    follows from the first moment.
+    follows from the first moment.  The measure is immutable, so the data
+    are built once and cached on it: every call on it returns one object.
     """
+    return mu._nevanlinna
+
+
+def _f_data(mu):
+    """The data ``f_transform`` returns, built anew."""
     if mu.is_zero:
         raise ValidationError("F-transform of the zero measure is undefined")
     m = mu.mass

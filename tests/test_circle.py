@@ -189,15 +189,6 @@ def test_beta_condition():
     assert rows[-1]["gap"] == pytest.approx(2.0 * math.pi, abs=0.1)
 
 
-def test_circle_equivalence_semigroup():
-    sig = param([(math.pi, 0.5)])
-    gen = CircleGenerator(0.3, sig)
-    spec = CircleArraySpec(gen, (16, 32, 64, 128, 256))
-    rep, _ = circle_reports(spec, gen)
-    assert rep["beta_condition"]["holds"]
-    assert rep["agreement"] and rep["both_converged"]
-
-
 def test_circle_equivalence_dirac_array():
     # sigma = 0: the flow root at 1/n is the rotation by e^{i beta/n}, the eta
     # of delta_{e^{i beta/n}}, and both sides converge to delta_{e^{i beta}}

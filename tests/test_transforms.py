@@ -226,6 +226,22 @@ def test_line_sums_match_a_30_digit_oracle(seed):
                 assert abs(arr[i] - want) <= 1e-12 * abs(want), (z, f)
 
 
+def _bits(value):
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def test_e_and_prime_is_e_and_e_prime_bit_for_bit(rng):
+    """The one-pass (E, E') of the subordination Newton gives the floats of _e and _e_prime,
+    at a point and elementwise on an ndarray."""
+    for n in (0, 1, 3, 7):
+        nev = NevanlinnaData.from_parts(1.0, rng.uniform(-1.0, 1.0),
+                                        zip(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 1.5, n)))
+        pts = [complex(x, y) for x, y in zip(rng.uniform(-5.0, 5.0, 8), 10.0 ** rng.uniform(-3, 1, 8))]
+        for z in pts + [np.array(pts)]:
+            e, de = nev._e_and_prime(z)
+            assert _bits(e) == _bits(nev._e(z)) and _bits(de) == _bits(nev._e_prime(z))
+
+
 def test_weak_distance_examples(bernoulli):
     assert weak_distance(bernoulli, bernoulli) == 0.0
     d0 = FiniteAtomicMeasure.from_pairs([(0.0, 1.0)])
