@@ -213,6 +213,12 @@ class _DiskLanes:
     raises a FlowError naming the lane's start point, its iteration and its
     row's where.  A root with no RK4 step (t at most 1e-15) takes no tick:
     each of its iterations is the rotation alone.
+
+    The iteration ends are indexed once: ``ends[s]`` holds the lanes that
+    end an iteration at tick s, row by row in the order the rows are listed,
+    with each lane's lam, and ticks that end the same rows share one index.
+    Each tick's ends are one gather and one scatter over that index, so the
+    first failing lane named is the first of the first failing row.
     """
 
     def __init__(self, rows):
@@ -229,17 +235,23 @@ class _DiskLanes:
         lam = np.array([complex(row[4]) for row in rows])[self.row]
         # the h of every row at every tick, and the rows each tick ends an iteration of
         self.h = np.zeros((int(self.ticks[0]), len(rows)))
-        self.ends = [[] for _ in range(self.h.shape[0])]
+        ending = np.zeros(self.h.shape, dtype=bool)
+        lanes = [np.flatnonzero(self.row == r) for r in range(len(rows))]
         for r, (row, p) in enumerate(zip(rows, period)):
-            lanes = np.flatnonzero(self.row == r)
-            lo, hi = int(lanes[0]), int(lanes[-1]) + 1
-            self.h[:row[1] * p, r] = np.tile([h for h, _ in row[0].schedule], row[1])
             if not p:
-                self.w[lo:hi] *= lam[lo:hi] ** row[1]
+                self.w[lanes[r]] *= lam[lanes[r]] ** row[1]
                 continue
-            block = (lo, self.w[lo:hi], lam[lo:hi], self.lim[lo:hi])
-            for j in range(1, row[1] + 1):
-                self.ends[j * p - 1].append(block)
+            self.h[:row[1] * p, r] = np.tile([h for h, _ in row[0].schedule], row[1])
+            ending[p - 1:row[1] * p:p, r] = True
+        # one index per set of rows that end together (keyed by the tick's packed row
+        # flags): their lanes, row by row
+        bits = np.packbits(ending, axis=1)
+        _, first, which = np.unique(bits.view(f"V{bits.shape[1]}")[:, 0],
+                                    return_index=True, return_inverse=True)
+        index = [np.concatenate([lanes[r] for r in np.flatnonzero(u)]) if u.any() else None
+                 for u in ending[first]]
+        index = [None if i is None else (i, lam[i]) for i in index]
+        self.ends = [index[j] for j in which.tolist()]
 
     def values(self):
         """Each row's lanes in the row's own order, shaped like its z."""
@@ -263,20 +275,21 @@ class _DiskLanes:
             raise FlowError(f"disk flow from z0={complex(self.z[i])!r} violated |eta_t(z)| <= "
                             f"|z| at t={schedule[s % p][1]:.6f} of iteration {s // p + 1} "
                             f"({self.rows[self.row[i]][3]})")
-        for lo, w_g, lam_g, lim_g in self.ends[s]:
-            self._end(s, lo, w_g, lam_g * w_g, lim_g)
+        if self.ends[s] is not None:
+            self._end(s, *self.ends[s])
 
-    def _end(self, s, lo, w, x, lim):
-        """An iteration's end at tick s: w = x, whose modulus may not pass lim."""
+    def _end(self, s, lanes, lam):
+        """The iterations that end at tick s: w = lam * w, whose modulus may not pass lim."""
+        x = lam * self.w[lanes]
         r = np.abs(x)
-        inside = r <= lim
+        inside = r <= self.lim[lanes]
         if not inside.all():
-            i = lo + int(np.argmin(inside))
+            i = int(lanes[np.argmin(inside)])
             p = len(self.rows[self.row[i]][0].schedule)
             raise FlowError(f"eta iteration from z0={complex(self.z[i])!r} grew the modulus "
                             f"at iteration {(s + 1) // p} ({self.rows[self.row[i]][3]})")
-        w[...] = x
-        np.multiply(r, 1.0 + 1e-9, out=lim)
+        self.w[lanes] = x
+        self.lim[lanes] = r * (1.0 + 1e-9)
 
 
 def disk_powers(rows):
@@ -314,7 +327,7 @@ class CircleArraySpec:
     """The semigroup array of a generator, each row rotated by lambda_n.
 
     Row n's eta is the DiskFlowRoot of the generator at t = 1/n, with step
-    min(flow_step, 0.5/n), raised to the power k_n = n by ``disk_powers`` as
+    min(flow_step, 1/n), raised to the power k_n = n by ``disk_powers`` as
     RK4 lanes; each iteration ends in lambda_n = e^{2 pi i l_n/n}.
     rotation_ell is an integer l (l_n = l) or "half" (l_n = n//2, so
     lambda_n = -1 for even n); l = 0 is the plain semigroup array.
@@ -338,7 +351,7 @@ class CircleArraySpec:
 
     def eta_of(self, n):
         """Row n's eta, unrotated: the flow root at t = 1/n."""
-        return DiskFlowRoot(self.generator, 1.0 / n, min(self.flow_step, 0.5 / n))
+        return DiskFlowRoot(self.generator, 1.0 / n, min(self.flow_step, 1.0 / n))
 
     def rotation(self, n, ell=0):
         """e^{2 pi i ((l_n + ell) mod n)/n}: lambda_n, turned further by e^{2 pi i ell/n}.

@@ -349,6 +349,58 @@ def test_monotone_power_error_names_start_point_and_iteration():
         disk_powers([row])
 
 
+def test_a_shared_iteration_end_names_the_first_lane_of_the_first_failing_row():
+    # rows of one root end their iterations on the same ticks, which one gather
+    # per tick runs; lam = 1.2 grows the later row's points (not those near -0.4,
+    # where the flow to t = 1/4 shrinks |z| by a quarter)
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    root, z = DiskFlowRoot(gen, 0.25, 1e-2), np.array(DISK_GRID)
+    healthy = (root, 5, z, "row n=4, k=5", cmath.exp(0.4j))
+    grows = (root, 5, z[::-1], "row n=4, k=5, l=1", 1.2)
+    want = (f"eta iteration from z0={complex(z[-1])!r} grew the modulus at iteration 1 "
+            "(row n=4, k=5, l=1)")
+    with pytest.raises(FlowError, match=re.escape(want)):
+        disk_powers([healthy, grows])
+    # when both rows grow, the row listed first is named, though the lanes of
+    # the longer row run first in the kernel
+    first = (root, 5, z, "row n=4, k=5", 1.2)
+    longer = (root, 6, z[::-1], "row n=4, k=6", 1.3)
+    want = "eta iteration from z0=(0.4+0j) grew the modulus at iteration 1 (row n=4, k=5)"
+    with pytest.raises(FlowError, match=re.escape(want)):
+        disk_powers([first, longer])
+
+
+def test_an_iteration_end_fails_a_nan_lane():
+    # a NaN rotation passes every RK4 step and leaves its lanes NaN at the
+    # iteration's end, which the guard |lam w| <= lim does not pass
+    gen = CircleGenerator(0.3, param([(math.pi, 0.5)]))
+    root, z = DiskFlowRoot(gen, 0.25, 1e-2), np.array(DISK_GRID)
+    healthy = (root, 3, z, "row n=4, k=3", 1.0)
+    sick = (root, 3, z[3:6], "row n=4, k=3, nan", complex(math.nan, 0.0))
+    want = (f"eta iteration from z0={complex(z[3])!r} grew the modulus at iteration 1 "
+            "(row n=4, k=3, nan)")
+    with pytest.raises(FlowError, match=re.escape(want)):
+        disk_powers([healthy, sick])
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-2])
+def test_a_circle_pass_takes_one_tick_per_iteration_of_its_longest_row(monkeypatch, step):
+    # row n steps by min(flow_step, 1/n), so row 1024 takes one RK4 step per
+    # iteration at either step, and the pass lasts its 1,024 iterations; rows
+    # 64-512 and the time-one target take at most as many ticks
+    step_of, ticks = circle._DiskLanes._step, []
+
+    def counted(self, s, a):
+        ticks.append(s)
+        return step_of(self, s, a)
+
+    monkeypatch.setattr(circle._DiskLanes, "_step", counted)
+    gen = CircleGenerator(-0.6, param([(0.8, 0.35), (3.9, 0.2)]))
+    spec = CircleArraySpec(gen, (64, 128, 256, 512, 1024), step, "half")
+    circle_reports(spec, gen)
+    assert ticks == list(range(1024))
+
+
 def _mp_flow(gen, z, t_end=1.0):
     """eta_t(z) of d eta/dt = A(eta) by mpmath's Taylor-series ODE solver at 20 digits."""
     with mpmath.workdps(20):
@@ -416,7 +468,7 @@ def test_disk_lanes_match_each_row_run_alone():
     # schedules and counts; each row reads as if run by itself
     gen = CircleGenerator(-0.7, param([(1.0, 0.4), (4.0, 0.25)]))
     z = np.array(DISK_GRID)
-    rows = [(DiskFlowRoot(gen, 1.0 / n, min(1e-3, 0.5 / n)), n, z, f"row n={n}, k={n}", lam)
+    rows = [(DiskFlowRoot(gen, 1.0 / n, min(1e-3, 1.0 / n)), n, z, f"row n={n}, k={n}", lam)
             for n in (16, 48, 100) for lam in (cmath.exp(2j * math.pi / n), 1.0)]
     rows.append((DiskFlowRoot(gen, 1.0, 1e-3), 1, z, "time-one target", 1.0))
     together = disk_powers(rows)

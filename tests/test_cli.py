@@ -1121,7 +1121,10 @@ def test_array_must_belong_to_the_scenario_space(tmp_path, capsys, command, scen
 #: rotated circle-run with l = n/2, as the scalar k-fold loops computed them;
 #: the free row as Newton on the secular equation computes it.  The circle
 #: rows are as the per-atom psi loop summed them; the one-sum psi moves them by
-#: at most 5.2e-17, within one rounding of the largest |eta| on the grid, 0.4
+#: at most 5.2e-17, within one rounding of the largest |eta| on the grid, 0.4.
+#: Monotone rows n = 512 and 1024 and corrected row n = 1024 are as rows that
+#: take one RK4 step per iteration compute them: they moved by 1.4e-16, 4.4e-16
+#: and 4.7e-16 from two steps per iteration
 PINNED_LINE = {
     "boolean": (0.013001720812336408, 0.006525965174726997, 0.003269115885581087,
                 0.0016360729900097184, 0.0008184129462970711, 0.0004093002955467175,
@@ -1140,9 +1143,9 @@ PINNED_CIRCLE = {
     "boolean": (0.0009502510689380242, 0.00047822937180243334, 0.00023989890038475148,
                 0.00012014654760807973, 6.012267935210651e-05),
     "monotone": (0.02440300661366, 0.02445998835348247, 0.02448850728576634,
-                 0.02450277371575576, 0.024509908665203802),
+                 0.024502773715755904, 0.02450990866520424),
     "corrected": (1.1226435567921847e-15, 1.237704230079e-15, 9.634823471110655e-16,
-                  8.737773046970893e-16, 1.3189010295585304e-15),
+                  8.737773046970893e-16, 8.510829877773609e-16),
 }
 PINNED_CIRCLE_ABS = 0.4 * float(np.finfo(float).eps)
 
@@ -1169,3 +1172,21 @@ def test_scenario_reports_keep_their_pinned_distances(tmp_path):
     assert got.keys() == PINNED_CIRCLE.keys()
     for op, want in PINNED_CIRCLE.items():
         assert got[op] == pytest.approx(want, rel=0.0, abs=PINNED_CIRCLE_ABS), op
+
+
+@pytest.mark.parametrize("ell, ells", [(1, [-1] * 5), ("half", [32, 64, 128, 256, 512])])
+def test_a_coarse_step_circle_run_keeps_its_verdicts(tmp_path, ell, ells):
+    # at flow_step 1e-2 every row from n = 51 up steps by min(1e-2, 1/n): the
+    # raw monotone column stalls (at 0.078 for l = 1, 0.096 for l = n/2), the
+    # corrected one converges
+    array = {**ROTATED, "rotation_ell": ell, "n_values": [64 * 2**j for j in range(5)]}
+    path = circle_scenario(tmp_path, array, flow_step=1e-2)
+    assert run(["circle-run", path, "--output", tmp_path / "rep.json"]) == EXIT_OK
+    report = read_json(tmp_path / "rep.json")
+    result, correction = report["result"], report["rotation_correction"]
+    assert (result["agreement"], result["both_converged"]) == (False, False)
+    assert {op: rep["converged"] for op, rep in result["ops"].items()} == {
+        "boolean": True, "monotone": False}
+    assert not result["beta_condition"]["holds"]
+    assert (correction["uncorrected_converged"], correction["corrected_converged"]) == (False, True)
+    assert [row["ell"] for row in correction["rows"]] == ells
