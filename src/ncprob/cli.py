@@ -370,8 +370,8 @@ def cmd_convolve(args):
                                   "its transform grid is written as JSON only")
         grid = free_convolve(mu, nu)
         _dump_json(
-            {"engine": "free-subordination", "grid": _grid_json(grid.points),
-             "values": _grid_json(grid.values), "kind": grid.kind, "mass": grid.mass},
+            {"engine": "free-subordination", "grid": _grid_json(ZR),
+             "values": _grid_json(grid.values.tolist()), "kind": "F", "mass": grid.mass},
             f"{out}_grid.json",
         )
         return EXIT_OK
@@ -387,7 +387,7 @@ def cmd_flow(args):
     result = monotone_idiv_flow(triple, args.t_end, args.flow_step)
     rows = []
     for t, grid in zip(result.times, result.grids):
-        for z, v in zip(grid.points, grid.values):
+        for z, v in zip(ZR, grid.values.tolist()):
             rows.append((t, z.real, z.imag, v.real, v.imag))
     header = [
         f"ncprob {__version__} flow",
@@ -433,7 +433,7 @@ def cmd_limit_run(args):
     else:
         ops = scenario.get("ops", OPS)
         result = {
-            "ops": {op: run_powers(spec, op, triple, tol).to_dict() for op in ops},
+            "ops": {op: run_powers(spec, op, triple, tol) for op in ops},
             "tolerance": tol,
         }
     _write_report(args, scenario, result)

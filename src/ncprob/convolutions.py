@@ -180,7 +180,7 @@ def free_convolve_F(f_mu, f_nu):
 def free_convolve(mu, nu):
     """Free convolution of two probability measures, sampled on ZR."""
     fn = free_convolve_F(f_transform(mu), f_transform(nu))
-    return TransformGrid.sample(fn, ZR, "F", mass=1.0)
+    return TransformGrid(np.array([fn(z) for z in ZR]), 1.0)
 
 
 def boolean_power(mu, k):
@@ -235,5 +235,4 @@ def free_power_grid(mu, k):
         raise ValidationError("free powers need a probability measure")
     if k < 1:
         raise ValidationError("power must be >= 1")
-    values = free_power_eval(mu, k, np.array(ZR))
-    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=1.0)
+    return TransformGrid(free_power_eval(mu, k, np.array(ZR)), 1.0)

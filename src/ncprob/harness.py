@@ -103,7 +103,7 @@ class ArraySpec:
         if self.limit is None:
             raise ValidationError(f"row n={n} has neither a measure nor a limit triple")
         t = 1.0 / self.k_of(n)
-        return lambda z: flow_map(self.limit, t, z, step=min(FLOW_STEP, 0.5 * t))
+        return lambda z: flow_map(self.limit, t, z, step=min(FLOW_STEP, t))
 
     # --- shipped families -------------------------------------------------
 
@@ -233,22 +233,6 @@ def equivalence(array, boolean, monotone, tol, **condition):
             "agreement": b == m, "both_converged": b and m, "tolerance": tol}
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    op: str
-    ns: tuple
-    ks: tuple
-    distances: tuple
-    tol: float
-
-    @property
-    def converged(self):
-        return _verdict(self.distances, self.tol)
-
-    def to_dict(self):
-        return {"op": self.op, **column(self.ns, self.ks, self.distances, self.tol)}
-
-
 def _resolve_target(op, target):
     if isinstance(target, LevyTriple):
         if op == "boolean":
@@ -278,8 +262,7 @@ def _monotone_powers(ns, rows, ks):
     """The row measures' k_n-fold monotone powers on ZR, all rows in one ``f_powers`` call."""
     values = f_powers((f_transform(mu), k, np.array(ZR), f"row n={n}, k={k}")
                       for mu, k, n in zip(rows, ks, ns))
-    return [TransformGrid(ZR, tuple(v.tolist()), "F", mass=mu.mass ** k)
-            for v, mu, k in zip(values, rows, ks)]
+    return [TransformGrid(v, mu.mass ** k) for v, mu, k in zip(values, rows, ks)]
 
 
 def _power_distance(op, row, k, target):
@@ -294,7 +277,7 @@ def _power_distance(op, row, k, target):
 
 
 def run_powers(spec, op, target, tol=0.05):
-    """Distances of the k_n-fold op-powers of the array to the target law.
+    """The report column of the k_n-fold op-powers' distances to the target law, with its op.
 
     A failure names the op and where it arose: the rows' inputs, the
     target, or the row.
@@ -317,7 +300,7 @@ def run_powers(spec, op, target, tol=0.05):
     except (NumericalError, ValidationError) as exc:
         at = op if where is None else f"{op}, {where}"
         raise type(exc)(f"{exc} (op={at})") from exc
-    return ConvergenceReport(op, ns, ks, tuple(dists), tol)
+    return {"op": op, **column(ns, ks, dists, tol)}
 
 
 def chernoff_residual(spec, triple, n):
@@ -355,11 +338,11 @@ def bp_crosscheck(spec, tol=0.05):
         and cond_rows[-1]["sigma_distance"] <= tol
     )
     reports = {op: run_powers(spec, op, triple, tol) for op in OPS}
-    flags = [r.converged for r in reports.values()] + [cond_converged]
+    flags = [r["converged"] for r in reports.values()] + [cond_converged]
     return {
         "array": spec.name,
         "condition_e": {"rows": cond_rows, "converged": cond_converged},
-        "ops": {op: r.to_dict() for op, r in reports.items()},
+        "ops": reports,
         "agreement": len(set(flags)) == 1,
         "all_converged": all(flags),
         "tolerance": tol,
@@ -383,6 +366,6 @@ def subprobability_equivalence(spec, triple=None, tol=0.05):
         raise ValidationError(
             f"mass^k = {mhat} at the horizon does not approach m = {triple.m}"
         )
-    return equivalence(spec.name, run_powers(spec, "boolean", triple, tol).to_dict(),
-                       run_powers(spec, "monotone", triple, tol).to_dict(), tol,
+    return equivalence(spec.name, run_powers(spec, "boolean", triple, tol),
+                       run_powers(spec, "monotone", triple, tol), tol,
                        mass_limit={"target": triple.m, "observed": mhat})

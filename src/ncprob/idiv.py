@@ -72,7 +72,7 @@ def phi_eval(triple, z):
 
 def phi_deriv(triple, z):
     """Phi'(z) = -E'(z) - log m."""
-    return -triple._e_prime(z) - math.log(triple.m)
+    return -triple._e_and_prime(z)[1] - math.log(triple.m)
 
 
 def boolean_idiv(triple):
@@ -116,8 +116,7 @@ def free_idiv_atom(triple):
 
 def free_idiv(triple):
     """The free law on ZR: F from ``free_idiv_eval``, of mass 1."""
-    values = free_idiv_eval(triple, np.array(ZR))
-    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=1.0)
+    return TransformGrid(free_idiv_eval(triple, np.array(ZR)), 1.0)
 
 
 #: below this |u| = |tx| the classical integrand sums g(u) = (e^{iu} - 1 - iu)/u^2
@@ -480,8 +479,7 @@ def monotone_idiv_atom(triple):
 
 def monotone_idiv(triple):
     """The monotone law on ZR: F_1 from ``monotone_idiv_eval``, of mass m."""
-    values = monotone_idiv_eval(triple, np.array(ZR))
-    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=triple.m)
+    return TransformGrid(monotone_idiv_eval(triple, np.array(ZR)), triple.m)
 
 
 def _check_flow_args(t_end, step):
@@ -527,8 +525,7 @@ class FlowResult:
     """Snapshots of the flow at t = 0, t_end/2, t_end on ZR."""
 
     times: tuple
-    grids: tuple  # TransformGrid per time, kind F
-    step_size: float
+    grids: tuple  # TransformGrid per time
 
 
 def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP):
@@ -545,11 +542,8 @@ def monotone_idiv_flow(triple, t_end=1.0, step=FLOW_STEP):
         snapshots[0].append(complex(z))
         snapshots[1].append(half)
         snapshots[2].append(flow_map(triple, times[1], half, step))
-    grids = tuple(
-        TransformGrid(ZR, tuple(vals), "F", mass=triple.m**t)
-        for t, vals in zip(times, snapshots)
-    )
-    return FlowResult(times, grids, float(step))
+    grids = tuple(TransformGrid(np.array(vals), triple.m**t) for t, vals in zip(times, snapshots))
+    return FlowResult(times, grids)
 
 
 def semigroup_defect(triple, t_end=1.0, step=FLOW_STEP):

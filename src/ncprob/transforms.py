@@ -9,7 +9,9 @@ evaluated pointwise.
 The weak-convergence metric used throughout the package lives here: the
 maximum G-difference over a fixed ten-point grid ZR plus the mass gap.
 Uniform convergence of Cauchy transforms on compacts metrizes vague
-convergence, and the mass term upgrades it to weak convergence.
+convergence, and the mass term upgrades it to weak convergence.  Every law
+the metric compares is an atomic measure or a ``TransformGrid``: its F on
+ZR and its mass.
 """
 
 from __future__ import annotations
@@ -43,41 +45,25 @@ def eps_line_grid(x_window, n_points, eps):
     return z
 
 
-#: lowest imaginary part of a TransformGrid point; keeps metric evaluations
-#: well-conditioned
-GRID_FLOOR = 0.25
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformGrid:
-    """Sampled transform values on a fixed complex grid with Im z >= GRID_FLOOR."""
+    """A law on the line as ``weak_distance`` compares it: its F on ZR and its mass.
 
-    points: tuple
-    values: tuple
-    kind: str  # "G" | "F"
-    mass: float | None = None
+    values is the ndarray of F at the points of ZR, in order.
+    """
+
+    points = ZR
+    values: np.ndarray
+    mass: float
 
     def __post_init__(self):
-        if self.kind not in ("G", "F"):
-            raise ValidationError(f"unknown grid kind {self.kind!r}")
-        if len(self.points) != len(self.values):
-            raise ValidationError("points/values length mismatch")
-        object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        if any(p.imag < GRID_FLOOR for p in self.points):
-            raise ValidationError(
-                f"grid point below the imaginary-part floor {GRID_FLOOR}")
-        if any(not (abs(v) < math.inf) for v in self.values):
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (len(ZR),):
+            raise ValidationError(f"a transform grid holds F at the {len(ZR)} points of ZR; "
+                                  f"got shape {values.shape}")
+        if not np.isfinite(values).all():
             raise ValidationError("non-finite grid value")
-
-    @classmethod
-    def sample(cls, fn, points, kind, mass=None):
-        return cls(tuple(points), tuple(fn(z) for z in points), kind, mass)
-
-    def g_values(self):
-        if self.kind == "G":
-            return self.values
-        return tuple(1.0 / v for v in self.values)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -168,9 +154,10 @@ class NevanlinnaData:
             if gamma != 0.0:
                 q = np.append(q, a - s / gamma)
         for _ in range(2):
-            q = q - (lam * q - self._e(q)) / (lam - self._e_prime(q))
+            e, de = self._e_and_prime(q)
+            q = q - (lam * q - e) / (lam - de)
         k = 0.5 / s if lam == 0.0 and gamma == 0.0 else 0.0
-        return q.tolist(), (1.0 / (lam - self._e_prime(q))).tolist(), k
+        return q.tolist(), (1.0 / (lam - self._e_and_prime(q)[1])).tolist(), k
 
     def _e(self, z):
         """E(z) = gamma' + sum c/(z - p) at one point or, elementwise, an ndarray."""
@@ -179,15 +166,11 @@ class NevanlinnaData:
             acc = acc + c / (z - p)
         return acc
 
-    def _e_prime(self, z):
-        """E'(z) = -sum c/(z - p)^2."""
-        acc = 0.0
-        for p, c in self._pairs[1]:
-            acc = acc - c / (z - p) ** 2
-        return acc
-
     def _e_and_prime(self, z):
-        """(E(z), E'(z)) in one pass over the pairs, bit for bit ``_e`` and ``_e_prime``."""
+        """(E(z), E'(z)) in one pass over the pairs, E bit for bit ``_e``.
+
+        E'(z) = -sum c/(z - p)^2.
+        """
         acc, pairs = self._pairs
         der = 0.0
         for p, c in pairs:
@@ -239,7 +222,7 @@ def voiculescu_phi(mu, z):
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise ValidationError("voiculescu_phi needs a probability measure")
     f = f_transform(mu)
-    w = newton(lambda w: f(w) - z, lambda w: 1.0 / f.m - f._e_prime(w), z,
+    w = newton(lambda w: f(w) - z, lambda w: 1.0 / f.m - f._e_and_prime(w)[1], z,
                lambda w: w.imag > 0.0, label="voiculescu_phi")
     return w - z
 
@@ -290,13 +273,10 @@ def line_density(g, eps, x_window, n_bins):
 
 def _resolve_g_and_mass(obj):
     if isinstance(obj, FiniteAtomicMeasure):
-        return tuple(cauchy_G(obj, np.array(ZR)).tolist()), obj.mass
+        return cauchy_G(obj, np.array(ZR)).tolist(), obj.mass
     if isinstance(obj, TransformGrid):
-        if obj.points != ZR:
-            raise ValidationError("weak_distance grids must be sampled on ZR")
-        if obj.mass is None:
-            raise ValidationError("weak_distance needs the grid's mass")
-        return obj.g_values(), obj.mass
+        # G = 1/F in Python complex arithmetic: numpy's reciprocal differs in the last bit
+        return [1.0 / v for v in obj.values.tolist()], obj.mass
     raise ValidationError(f"cannot compute weak distance for {type(obj)!r}")
 
 

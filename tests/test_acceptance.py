@@ -70,25 +70,28 @@ def test_criterion_1_bp_quadruple():
     n, k = 256, 256
 
     rep_b = run_powers(spec, "boolean", GAUSSIAN)
-    assert rep_b.distances[-1] <= 1e-12
+    d_b = rep_b["rows"][-1]["distance"]
+    assert d_b <= 1e-12
 
-    arcsine = TransformGrid.sample(lambda z: 1.0 / sqrt_up(z * z - 2.0), ZR, "G", mass=1.0)
+    arcsine = TransformGrid(np.array([sqrt_up(z * z - 2.0) for z in ZR]), 1.0)
     rep_m = run_powers(spec, "monotone", arcsine)
-    assert rep_m.distances[-1] <= 0.05
+    d_m = rep_m["rows"][-1]["distance"]
+    assert d_m <= 0.05
 
-    semicircle = TransformGrid.sample(
-        lambda z: (z - sqrt_up(z * z - 4.0)) / 2.0, ZR, "G", mass=1.0)
+    semicircle = TransformGrid(np.array([2.0 / (z - sqrt_up(z * z - 4.0)) for z in ZR]), 1.0)
     rep_f = run_powers(spec, "free", semicircle)
-    assert rep_f.distances[-1] <= 0.05
+    d_f = rep_f["rows"][-1]["distance"]
+    assert d_f <= 0.05
 
     rep_c = run_powers(spec, "classical", lambda t: math.exp(-t * t / 2.0))
-    assert rep_c.distances[-1] <= 0.05
+    d_c = rep_c["rows"][-1]["distance"]
+    assert d_c <= 0.05
 
     elapsed = time.monotonic() - t0
     assert elapsed <= 30.0
     report(1, f"Bernoulli quadruple at n=256 "
-              f"(boolean {rep_b.distances[-1]:.1e}, monotone {rep_m.distances[-1]:.3f}, "
-              f"free {rep_f.distances[-1]:.4f}, classical {rep_c.distances[-1]:.4f}; "
+              f"(boolean {d_b:.1e}, monotone {d_m:.3f}, "
+              f"free {d_f:.4f}, classical {d_c:.4f}; "
               f"{elapsed:.1f}s)")
 
 

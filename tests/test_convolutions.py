@@ -33,8 +33,8 @@ from ncprob.transforms import (
 )
 
 
-def grid_of(fn, mass=1.0, kind="F"):
-    return TransformGrid.sample(fn, ZR, kind, mass=mass)
+def grid_of(fn, mass=1.0):
+    return TransformGrid(np.array([fn(z) for z in ZR]), mass)
 
 
 def f_sqrt_branch(z, shift):
@@ -359,7 +359,7 @@ def test_boolean_power_examples(bernoulli):
 def _monotone_power(mu, k):
     """mu's k-fold monotone power on ZR: its exact F composed k times by f_powers."""
     (values,) = f_powers([(f_transform(mu), k, np.array(ZR), f"k={k}")])
-    return TransformGrid(ZR, tuple(values.tolist()), "F", mass=mu.mass ** k)
+    return TransformGrid(values, mu.mass ** k)
 
 
 def test_monotone_power_examples(bernoulli):
@@ -376,6 +376,15 @@ def test_monotone_power_examples(bernoulli):
     assert weak_distance(clt, target) <= 0.05
 
 
+def test_free_convolve_is_f_on_zr(rng):
+    """The benchmark's contract: the grid's points are ZR and its values carry .imag."""
+    mu, nu = random_probability_measure(rng, 3), random_probability_measure(rng, 2)
+    conv = free_convolve(mu, nu)
+    assert conv.points == ZR and conv.mass == 1.0
+    for z, v in zip(conv.points, conv.values):
+        assert v.imag >= z.imag * (1.0 - 1e-12)
+
+
 def test_monotone_power_matches_repeated_convolve(rng):
     for _ in range(5):
         mu = random_state_measure(rng, 2)
@@ -383,7 +392,7 @@ def test_monotone_power_matches_repeated_convolve(rng):
         for k in range(2, 5):
             exact = monotone_convolve(exact, mu)
             grid = _monotone_power(mu, k)
-            ge = TransformGrid.sample(f_transform(exact), ZR, "F", mass=exact.mass)
+            ge = grid_of(f_transform(exact), exact.mass)
             assert max(abs(a - b) for a, b in zip(grid.values, ge.values)) <= 1e-10
 
 

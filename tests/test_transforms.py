@@ -83,7 +83,7 @@ def test_voiculescu_phi_halves_a_step_that_leaves_the_half_plane(bernoulli):
     # at Im w ~ -2.2e15; halved back into C+, Newton reaches the root
     # (-sqrt(3) + i)/2 of F(w) = i, and unhalved it does not converge
     f, z = f_transform(bernoulli), 1j
-    fw, d = f(z) - z, 1.0 - f._e_prime(z)
+    fw, d = f(z) - z, 1.0 - f._e_and_prime(z)[1]
     assert (z - fw / d).imag < -1e15
     w = z + voiculescu_phi(bernoulli, z)
     assert w.imag > 0.0
@@ -218,7 +218,8 @@ def test_line_sums_match_a_30_digit_oracle(seed):
         pts += [complex(x, y)
                 for x, y in zip(rng.uniform(-5.0, 5.0, 6), 10.0 ** rng.uniform(-1, 1, 6))]
         pts += [1e3j, complex(1e3, 1.0), complex(-700.0, 700.0)]
-        sums = (nev, nev._e, nev._e_prime, lambda z: phi_eval(nev, z), lambda z: phi_deriv(nev, z))
+        sums = (nev, nev._e, lambda z: nev._e_and_prime(z)[1], lambda z: phi_eval(nev, z),
+                lambda z: phi_deriv(nev, z))
         on_array = [f(np.array(pts)) for f in sums]
         for i, z in enumerate(pts):
             for f, arr, want in zip(sums, on_array, _mp_line_sums(nev, z)):
@@ -230,8 +231,16 @@ def _bits(value):
     return np.asarray(value, dtype=complex).tobytes()
 
 
+def _e_prime(nev, z):
+    """E'(z) = -sum c/(z - p)^2, summed on its own."""
+    acc = 0.0
+    for p, c in nev._pairs[1]:
+        acc = acc - c / (z - p) ** 2
+    return acc
+
+
 def test_e_and_prime_is_e_and_e_prime_bit_for_bit(rng):
-    """The one-pass (E, E') of the subordination Newton gives the floats of _e and _e_prime,
+    """The one-pass (E, E') gives the floats of _e and of E' summed on its own,
     at a point and elementwise on an ndarray."""
     for n in (0, 1, 3, 7):
         nev = NevanlinnaData.from_parts(1.0, rng.uniform(-1.0, 1.0),
@@ -239,7 +248,7 @@ def test_e_and_prime_is_e_and_e_prime_bit_for_bit(rng):
         pts = [complex(x, y) for x, y in zip(rng.uniform(-5.0, 5.0, 8), 10.0 ** rng.uniform(-3, 1, 8))]
         for z in pts + [np.array(pts)]:
             e, de = nev._e_and_prime(z)
-            assert _bits(e) == _bits(nev._e(z)) and _bits(de) == _bits(nev._e_prime(z))
+            assert _bits(e) == _bits(nev._e(z)) and _bits(de) == _bits(_e_prime(nev, z))
 
 
 def test_weak_distance_examples(bernoulli):
@@ -261,15 +270,26 @@ def test_weak_distance_pseudometric(rng):
                 )
 
 
-def test_grid_floor_invariant(bernoulli):
-    low = (complex(0.0, 0.1),)
-    with pytest.raises(ValidationError):
-        TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), low, "G")
+def test_weak_distance_of_a_grid_is_the_python_complex_formula_bit_for_bit(rng):
+    """G = 1/F and |G_a - G_b| in Python complex arithmetic, point by point over ZR."""
+    for _ in range(5):
+        mu, nu = random_state_measure(rng), random_state_measure(rng)
+        f = f_transform(nu)
+        grid = TransformGrid(np.array([f(z) for z in ZR]), nu.mass)
+        g_mu = cauchy_G(mu, np.array(ZR)).tolist()
+        want = max(abs(1.0 / v - g) for v, g in zip(grid.values.tolist(), g_mu))
+        assert weak_distance(grid, mu) == want + abs(nu.mass - mu.mass)
+        assert weak_distance(grid, nu) <= 1e-14
 
 
-def test_weak_distance_grid_needs_zr(bernoulli):
-    grid = TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), (3j,), "G", mass=1.0)
-    with pytest.raises(ValidationError):
-        weak_distance(grid, bernoulli)
-    good = TransformGrid.sample(lambda z: cauchy_G(bernoulli, z), ZR, "G", mass=1.0)
-    assert weak_distance(good, bernoulli) <= 1e-15
+def test_transform_grid_holds_finite_f_on_zr():
+    f = np.array(ZR)
+    assert TransformGrid(f, 1.0).points == ZR
+    for bad in (f[:-1], np.append(f, 1j), f.reshape(2, 5)):
+        with pytest.raises(ValidationError, match="points of ZR"):
+            TransformGrid(bad, 1.0)
+    for value in (complex(math.inf, 1.0), complex(0.0, math.nan)):
+        g = f.copy()
+        g[3] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            TransformGrid(g, 1.0)
