@@ -403,6 +403,10 @@ def test_log1p_minus_x_branches_per_element():
     both = np.where(small, idiv._series(np.where(small, x, 0.0)), np.log(1.0 + x) - x)
     got = idiv._log1p_minus_x(x)
     assert got.tobytes() == both.tobytes()
+    # an array that takes one branch only, and the corrector's lanes x zeros shape
+    for part in (small, ~small):
+        assert idiv._log1p_minus_x(x[part]).tobytes() == got[part].tobytes()
+    assert idiv._log1p_minus_x(x.reshape(3, 3)).tobytes() == got.tobytes()
     for xi, gi in zip(x[:-1].tolist(), got[:-1].tolist()):
         assert abs(gi - idiv._log1p_minus_x(xi)) <= 1e-15 * max(abs(gi), 1e-300)
 
@@ -424,7 +428,7 @@ def _seeded_triple(seed, n_atoms):
 def test_monotone_idiv_eval_matches_50_digit_oracle(seed):
     """From Im z = 1e-3 beside each atom out to |z| = 10, as an ndarray and point by point.
 
-    Measured: at most 2.9e-16 relative.
+    Measured: at most 5.2e-16 relative.
     """
     m, gamma, sigma = _seeded_triple(seed, seed)
     triple = LevyTriple.from_parts(m, gamma, sigma)
@@ -444,7 +448,7 @@ def test_monotone_idiv_eval_near_the_far_zero_limit(m, gamma):
 
     sum s p = 0 exactly, so gamma' = gamma.  1e-17 is the size of a gamma'
     that rounding leaves where it should cancel; there the eigen-solve alone
-    lands nowhere near the zeros.  Measured: at most 2.5e-16 relative
+    lands nowhere near the zeros.  Measured: at most 3.4e-16 relative
     against the 50-digit oracle.
     """
     sigma = [(-1.0, 0.25), (0.5, 0.5)]
@@ -461,7 +465,7 @@ def test_monotone_idiv_eval_arcsine(v):
 
     Near x^2 = 2v that root is ill-conditioned: a rounding of z moves it by
     |z|^2/|z^2 - 2v| relative, up to 1.2e-14 on this grid.  So the gap is
-    measured against max(|z|, |F_1|): at most 8.5e-16.
+    measured against max(|z|, |F_1|): at most 1.1e-15.
     """
     triple = LevyTriple.from_parts(1.0, 0.0, [(0.0, v)])
     z = np.concatenate((EPS_LINE, ZR))
@@ -505,6 +509,108 @@ def test_monotone_idiv_eval_edge_triples():
     for bad in (0.5 + 0.0j, 0.5 - 1e-3j, complex(math.nan, 1.0)):
         with pytest.raises(ValidationError):
             monotone_idiv_eval(GAUSSIAN, np.append(z, bad))
+
+
+def _per_zero_correction(triple, z, w, t):
+    """ABEL_CORRECTIONS Newton steps on d(w) = t with d summed zero by zero."""
+    q, r, k = triple._abel
+    phi = idiv._phi(triple)
+    phi_z = phi(z)
+
+    def d(w):
+        u = w - z
+        acc = u / phi_z - k * u * u
+        for qj, rj in zip(q, r):
+            acc = acc + rj * idiv._log1p_minus_x(u / (z - qj))
+        return acc
+
+    for _ in range(idiv.ABEL_CORRECTIONS):
+        w = w - (d(w) - t) * phi(w)
+    return w, d
+
+
+@pytest.mark.parametrize("triple", [
+    *(LevyTriple.from_parts(*_seeded_triple(seed, 1 + seed % 3)) for seed in range(1, 7)),
+    GAUSSIAN,
+    LevyTriple.from_parts(0.7, 0.3, []),
+    LevyTriple.from_parts(1.0, 0.3, []),
+], ids=[*(f"seed_{seed}" for seed in range(1, 7)), "gaussian", "empty_m_below_1", "empty_m_1"])
+def test_the_batched_abel_correction_is_the_per_zero_loop(triple):
+    """One lanes x zeros pass per correction, bit for bit the sum zero by zero.
+
+    m = 1 for odd seeds and m < 1 for even ones, with 1-3 atoms; the Gaussian
+    has k != 0; an empty sigma has one zero at m < 1 and none at m = 1.  The
+    predictor is one RK4 step of 0.2 from the eps line and ZR, and every
+    other lane is corrected, as a lockstep tick gathers its running lanes.
+    """
+    z = np.concatenate((EPS_LINE, ZR))
+    phi = idiv._phi(triple)
+    w = idiv._rk4_step(phi, z, 1e-3, phi(z))
+    correct, d = idiv._abel_corrector(triple, z)
+    i = np.arange(0, z.size, 2)
+    want = _per_zero_correction(triple, z[i], w[i], 1e-3)[0]
+    assert correct(w[i], 1e-3, i).tobytes() == want.tobytes()
+    # + 0.0 turns -0 into +0: at k = 0 the batched d drops the -0 u^2 term, which
+    # can flip the sign of a zero part of d (the drift's real d), and of nothing else
+    d_loop = _per_zero_correction(triple, z, w, 1e-3)[1]
+    assert (d(w) + 0.0).tobytes() == (d_loop(w) + 0.0).tobytes()
+
+
+def test_phi_at_mass_one_drops_its_zero_z_term():
+    """-E alone is -E - 0 z bit for bit; an empty sigma keeps z's shape."""
+    z = np.concatenate((EPS_LINE, ZR))
+    for triple in (GAUSSIAN, POISSON_TYPE, LevyTriple.from_parts(1.0, -0.2, [(-1.0, 0.3),
+                                                                            (0.5, 0.4)])):
+        assert idiv._phi(triple)(z).tobytes() == (-triple._e(z) - 0.0 * z).tobytes()
+    drift = idiv._phi(LevyTriple.from_parts(1.0, 0.4, []))(z)
+    assert drift.shape == z.shape and np.all(drift == -0.4)
+
+
+def test_an_abel_sweep_makes_two_one_pass_corrections_per_tick(monkeypatch):
+    """The work of the 301-bin sweeps, counted: a change that adds corrector work fails here.
+
+    The arcsine law's sweep takes 47 ticks (test_rk4_legs_stay_within_their
+    _tick_budget), and each tick makes one ``correct`` call of two Newton
+    steps: 4 Phi evaluations per tick in the RK4 leg, and 2 per tick plus
+    Phi(z) in the corrector.  A three-atom sweep at m < 1 takes 42 ticks;
+    its Phi has four zeros, and each correction and the final residual
+    check make one ``_log1p_minus_x`` pass over all of them.
+    """
+    abel_corrector, phi_of, log1p_minus_x = idiv._abel_corrector, idiv._phi, idiv._log1p_minus_x
+    corrections, phi_calls, passes = [], [], []
+
+    def counted_corrector(triple, z):
+        correct, d = abel_corrector(triple, z)
+        return (lambda w, t, i: corrections.append(i.size) or correct(w, t, i)), d
+
+    def counted_phi(triple):
+        phi, calls = phi_of(triple), [0]
+        phi_calls.append(calls)
+
+        def counted(z):
+            calls[0] += 1
+            return phi(z)
+
+        return counted
+
+    def counted_log1p_minus_x(x):
+        passes.append(np.shape(x))
+        return log1p_minus_x(x)
+
+    monkeypatch.setattr(idiv, "_abel_corrector", counted_corrector)
+    monkeypatch.setattr(idiv, "_phi", counted_phi)
+    monkeypatch.setattr(idiv, "_log1p_minus_x", counted_log1p_minus_x)
+    monotone_idiv_eval(GAUSSIAN, EPS_LINE)
+    assert idiv.ABEL_CORRECTIONS == 2 and len(corrections) == 47
+    assert [calls for calls, in phi_calls] == [1 + 2 * 47, 4 * 47]  # corrector, leg
+    assert passes == []  # Phi = -v/z has no zero
+    corrections.clear()
+    three_atoms = LevyTriple.from_parts(0.8, 0.1, [(-1.5, 0.3), (0.1, 0.3), (1.5, 0.3)])
+    monotone_idiv_eval(three_atoms, EPS_LINE)
+    assert len(corrections) == 42
+    assert len(passes) == 2 * 42 + 1
+    assert {shape[1] for shape in passes} == {4}
+    assert passes[-1] == (EPS_LINE.size, 4)
 
 
 def test_monotone_idiv_eval_raises_when_the_corrector_cannot_settle(no_hang, monkeypatch):
