@@ -40,6 +40,7 @@ from .harness import (
 )
 from .idiv import (
     FLOW_STEP,
+    MAX_SNAPSHOT_STEP,
     LevyTriple,
     boolean_idiv,
     classical_idiv_density,
@@ -60,12 +61,11 @@ EXIT_DISAGREEMENT = 4
 #: work caps on the arguments, each far above every shipped scenario: density
 #: bins, an array's row sizes n and powers k, its number of rows, and the
 #: smallest flow step of a circle scenario (its table of RK4 steps holds
-#: 1/flow_step entries a row); the largest step is the disk flow's own bound
+#: 1/flow_step entries a row); the largest is the disk flow's own, MAX_SNAPSHOT_STEP
 MAX_BINS = 10**5
 MAX_ROW_SIZE = 2**16
 MAX_ROWS = 32
 MIN_CIRCLE_FLOW_STEP = 1e-5
-MAX_CIRCLE_FLOW_STEP = 1e-2
 
 #: the keys a scenario of each space may set besides space and array; any other is refused
 _SCENARIO_KEYS = {"real": ("triple", "ops", "tolerance"),
@@ -75,9 +75,18 @@ _SCENARIO_KEYS = {"real": ("triple", "ops", "tolerance"),
 #: words and as a test, holds for the flag's value too
 _SETTINGS = {
     "tolerance": ("finite and above 0", lambda v: 0 < v < math.inf),
-    "flow_step": (f"at least {MIN_CIRCLE_FLOW_STEP} and at most {MAX_CIRCLE_FLOW_STEP}",
-                  lambda v: MIN_CIRCLE_FLOW_STEP <= v <= MAX_CIRCLE_FLOW_STEP),
+    "flow_step": (f"at least {MIN_CIRCLE_FLOW_STEP} and at most {MAX_SNAPSHOT_STEP}",
+                  lambda v: MIN_CIRCLE_FLOW_STEP <= v <= MAX_SNAPSHOT_STEP),
 }
+
+#: each array family of a space: the keys it reads besides the space's own, and
+#: its constructor, whose signature gives each of those keys its default
+_REAL_FAMILIES = {"bernoulli_clt": ((), ArraySpec.bernoulli_clt),
+                  "poisson": (("lam",), ArraySpec.poisson),
+                  "damped_poisson": (("lam", "c", "shift_scale"), ArraySpec.damped_poisson),
+                  "fixed_bernoulli": ((), ArraySpec.fixed)}
+_CIRCLE_FAMILIES = {"semigroup": ((), CircleArraySpec),
+                    "rotated_semigroup": (("rotation_ell",), CircleArraySpec)}
 
 
 def _load_json(path, kind):
@@ -157,9 +166,9 @@ def _load_scenario(path, command, space):
                               f"{scenario.get('space')!r}")
     _object(scenario, f"a {space} scenario", ("space", "array"), _SCENARIO_KEYS[space])
     # only limit-run on a probability limit reads ops, but bp-check refuses bad ones too
-    ops = scenario.get("ops", [])
-    if not isinstance(ops, list) or any(op not in OPS for op in ops):
-        raise ValidationError(f"ops must be a list of {', '.join(OPS)}; got {ops!r}")
+    ops = scenario.get("ops", list(OPS))
+    if not isinstance(ops, list) or not ops or any(op not in OPS for op in ops):
+        raise ValidationError(f"ops must be a non-empty list of {', '.join(OPS)}; got {ops!r}")
     return scenario
 
 
@@ -187,24 +196,26 @@ def _k_values(array, ns):
     return ks
 
 
-def _real_spec(array):
-    _object(array, "array", ("family",), ("lam", "c", "shift_scale", "n_values", "k_values"))
-    ns = _row_sizes(array, "n_values")
-    lam = _number(array.get("lam", 1.0), "array.lam")
-    c = _number(array.get("c", 1.0), "array.c")
-    shift_scale = _number(array.get("shift_scale", 0.0), "array.shift_scale")
+def _family(array, space, families, required, optional):
+    """(family, constructor, the keys it reads that array sets): the family checked
+    first, then array's keys, the space's required and optional plus the family's."""
+    if not isinstance(array, dict) or "family" not in array:
+        _object(array, "array", ("family",))  # refuses a non-object or a missing family
     family = array["family"]
-    if family == "bernoulli_clt":
-        spec = ArraySpec.bernoulli_clt(ns)
-    elif family == "poisson":
-        spec = ArraySpec.poisson(lam, ns)
-    elif family == "damped_poisson":
-        spec = ArraySpec.damped_poisson(lam, c, shift_scale, ns)
-    elif family == "fixed_bernoulli":
-        spec = ArraySpec.fixed(n_values=ns)
-    else:
-        raise ValidationError("array.family of a real scenario is one of bernoulli_clt, "
-                              f"poisson, damped_poisson, fixed_bernoulli; got {family!r}")
+    if family not in tuple(families):  # by ==, so a list family is refused, not raised
+        raise ValidationError(f"array.family of a {space} scenario is one of "
+                              f"{', '.join(families)}; got {family!r}")
+    keys, constructor = families[family]
+    _object(array, f"a {family} array", required, optional + keys)
+    return family, constructor, {key: array[key] for key in keys if key in array}
+
+
+def _real_spec(array):
+    _, constructor, given = _family(array, "real", _REAL_FAMILIES, ("family",),
+                                    ("n_values", "k_values"))
+    ns = _row_sizes(array, "n_values")
+    spec = constructor(n_values=ns, **{key: _number(value, f"array.{key}")
+                                       for key, value in given.items()})
     ks = _k_values(array, ns)
     return spec if ks is None else dataclasses.replace(spec, ks=ks)
 
@@ -216,23 +227,20 @@ def _generator(obj, name):
 
 
 def _circle_spec(array, flow_step):
-    _object(array, "array", ("family", "beta", "sigma"), ("rotation_ell", "n_values"))
-    family = array["family"]
-    if family not in ("semigroup", "rotated_semigroup"):
-        raise ValidationError("array.family of a circle scenario is semigroup or "
-                              f"rotated_semigroup; got {family!r}")
+    family, constructor, given = _family(array, "circle", _CIRCLE_FAMILIES,
+                                         ("family", "beta", "sigma"), ("n_values",))
     ns = _row_sizes(array, "n_values")
     gen = _generator(array, "array")
-    ell = array.get("rotation_ell", 0)
-    if not (ell == "half" or _is_integer(ell)):
-        raise ValidationError(f'array.rotation_ell must be an integer or "half"; got {ell!r}')
-    if family == "semigroup" and "rotation_ell" in array:
-        raise ValidationError("array.rotation_ell belongs to rotated_semigroup; "
-                              "a semigroup array is not rotated")
-    if family == "rotated_semigroup" and ell == 0:
+    if "rotation_ell" in given:
+        ell = given["rotation_ell"]
+        if not (ell == "half" or _is_integer(ell)):
+            raise ValidationError(f'array.rotation_ell must be an integer or "half"; got {ell!r}')
+        given["rotation_ell"] = ell if ell == "half" else int(ell)
+    spec = constructor(gen, ns, flow_step, **given)
+    if spec.name != family:  # a spec with l = 0 names itself semigroup
         raise ValidationError("array.rotation_ell must be non-zero: l = 0 leaves "
                               "a rotated_semigroup array unrotated")
-    return CircleArraySpec(gen, ns, flow_step, ell if ell == "half" else int(ell))
+    return spec
 
 
 def parse_sigma_arg(text):

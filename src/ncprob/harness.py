@@ -13,7 +13,7 @@ distance increase above 10% over the last three horizon points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,20 +120,9 @@ class ArraySpec:
 
     @classmethod
     def poisson(cls, lam=1.0, n_values=DEFAULT_NS):
-        """mu_n = (1 - lam/n) delta_0 + (lam/n) delta_1."""
-        lam = float(lam)
-
-        def mk(n):
-            return FiniteAtomicMeasure.from_pairs(
-                [(0.0, 1.0 - lam / n), (1.0, lam / n)]
-            )
-
-        return cls(
-            name=f"poisson({lam})",
-            n_values=tuple(n_values),
-            measure_fn=mk,
-            limit=LevyTriple.from_parts(1.0, lam / 2.0, [(1.0, lam / 2.0)]),
-        )
+        """mu_n = (1 - lam/n) delta_0 + (lam/n) delta_1: the damped array at c = 0, bit for
+        bit, since 1 - 0/n, 0/sqrt(n) and exp(-0) are exact."""
+        return replace(cls.damped_poisson(lam, 0.0, 0.0, n_values), name=f"poisson({float(lam)})")
 
     @classmethod
     def damped_poisson(cls, lam=1.0, c=1.0, shift_scale=0.0, n_values=DEFAULT_NS):

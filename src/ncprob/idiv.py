@@ -42,8 +42,10 @@ ABEL_CORRECTIONS = 2
 #: flows end within 3.1e-13 on the 301-bin monotone sweeps of density seeds 1-10
 ABEL_RESIDUAL = 1e-9
 
-#: most RK4 steps, t_end/step, that a flow's arguments may ask for
+#: most RK4 steps, t_end/step, that a flow's arguments may ask for, and the
+#: largest step of the line's snapshot flow and of the disk's time-one target
 MAX_FLOW_STEPS = 10**5
+MAX_SNAPSHOT_STEP = 1e-2
 
 #: RK4 steps a leg may take beyond t_end/step, where the sub-step cap shortens
 #: steps near a pole or at a large |Phi|; the density sweeps' and the test
@@ -548,10 +550,10 @@ def _check_flow_args(t_end, step):
 def _check_snapshot_step(t_end, step):
     """_check_flow_args for the line's snapshot flow and the disk's time-one target.
 
-    Their step is at most 1e-2.
+    Their step is at most MAX_SNAPSHOT_STEP.
     """
     t_end = _check_flow_args(t_end, step)
-    if step > 1e-2:
+    if step > MAX_SNAPSHOT_STEP:
         raise ValidationError("flow step must be <= 1e-2")
     return t_end
 

@@ -160,11 +160,18 @@ def draw_flow(rng, tmp):
     return argv + ["--output", str(tmp / "flow.csv")]
 
 
+#: the array keys each real family reads besides n_values and k_values
+REAL_FAMILY_KEYS = {"bernoulli_clt": (), "poisson": ("lam",),
+                    "damped_poisson": ("lam", "c", "shift_scale"), "fixed_bernoulli": ()}
+
+
 def real_scenario(rng):
-    array = {"family": rng.choice(("bernoulli_clt", "poisson", "damped_poisson",
-                                   "fixed_bernoulli"))}
+    family = rng.choice(tuple(REAL_FAMILY_KEYS))
+    array = {"family": family}
+    # a key the family does not read is refused, so it is drawn only now and then
     for key in ("lam", "c", "shift_scale"):
-        maybe(rng, array, key, pick(rng, WEIGHTS + POSITIONS, BAD_NUMBERS), 0.3)
+        p = 0.3 if key in REAL_FAMILY_KEYS[family] else 0.03
+        maybe(rng, array, key, pick(rng, WEIGHTS + POSITIONS, BAD_NUMBERS), p)
     array["n_values"] = ns = sizes(rng)
     maybe(rng, array, "k_values", [2 * n for n in ns] if rng.random() < 0.7 else sizes(rng), 0.2)
     scenario = {"space": "real", "array": array}

@@ -73,6 +73,25 @@ def test_condition_e_poisson():
     assert sigma_n.atoms == ((1.0, pytest.approx(0.5, rel=1e-14)),)
 
 
+def _hex(pairs):
+    return [(x.hex(), w.hex()) for x, w in pairs]
+
+
+@pytest.mark.parametrize("lam", [1, 1.7, 2.0])
+def test_poisson_is_its_closed_form_bit_for_bit(lam):
+    """The damped array at c = 0 and shift 0 is (1 - lam/n) delta_0 + (lam/n) delta_1 exactly."""
+    ns = (3, 5, 7) + DEFAULT_NS + (1000, 4096)
+    spec = ArraySpec.poisson(lam, ns)
+    lam = float(lam)
+    assert spec.name == f"poisson({lam})"
+    for n in ns:
+        row = FiniteAtomicMeasure.from_pairs([(0.0, 1.0 - lam / n), (1.0, lam / n)])
+        assert _hex(spec.measure(n).atoms) == _hex(row.atoms)
+    limit = LevyTriple.from_parts(1.0, lam / 2.0, [(1.0, lam / 2.0)])
+    assert (spec.limit.m.hex(), spec.limit.gamma.hex()) == (limit.m.hex(), limit.gamma.hex())
+    assert _hex(spec.limit.sigma.atoms) == _hex(limit.sigma.atoms)
+
+
 def _constant_array(mu, n_values, limit):
     """The array whose every row is mu."""
     return ArraySpec(name="constant", n_values=n_values, measure_fn=lambda n: mu, limit=limit)
