@@ -67,9 +67,11 @@ MAX_ROW_SIZE = 2**16
 MAX_ROWS = 32
 MIN_CIRCLE_FLOW_STEP = 1e-5
 
-#: the keys a scenario of each space may set besides space and array; any other is refused
-_SCENARIO_KEYS = {"real": ("triple", "ops", "tolerance"),
-                  "circle": ("generator", "flow_step", "tolerance")}
+#: the keys a scenario of each command may set besides space and array; any other is
+#: refused, so bp-check, which runs all four ops, refuses ops
+_SCENARIO_KEYS = {"limit-run": ("triple", "ops", "tolerance"),
+                  "bp-check": ("triple", "tolerance"),
+                  "circle-run": ("generator", "flow_step", "tolerance")}
 
 #: the scenario keys that a flag of the same name stands in for: each one's rule, in
 #: words and as a test, holds for the flag's value too
@@ -164,12 +166,7 @@ def _load_scenario(path, command, space):
     if isinstance(scenario, dict) and scenario.get("space") != space:
         raise ValidationError(f"{command} reads {space} scenarios; got space "
                               f"{scenario.get('space')!r}")
-    _object(scenario, f"a {space} scenario", ("space", "array"), _SCENARIO_KEYS[space])
-    # only limit-run on a probability limit reads ops, but bp-check refuses bad ones too
-    ops = scenario.get("ops", list(OPS))
-    if not isinstance(ops, list) or not ops or any(op not in OPS for op in ops):
-        raise ValidationError(f"ops must be a non-empty list of {', '.join(OPS)}; got {ops!r}")
-    return scenario
+    return _object(scenario, f"a {space} scenario", ("space", "array"), _SCENARIO_KEYS[command])
 
 
 def _row_sizes(array, key):
@@ -182,18 +179,6 @@ def _row_sizes(array, key):
         raise ValidationError(f"array.{key} takes at most {MAX_ROWS} values, "
                               f"each at most {MAX_ROW_SIZE}")
     return tuple(sizes)
-
-
-def _k_values(array, ns):
-    """array.k_values, checked to align with ns and to increase strictly, or None."""
-    if "k_values" not in array:
-        return None
-    ks = _row_sizes(array, "k_values")
-    if len(ks) != len(ns):
-        raise ValidationError("array.k_values must align with array.n_values")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValidationError("array.k_values must be strictly increasing")
-    return ks
 
 
 def _family(array, space, families, required, optional):
@@ -214,9 +199,9 @@ def _real_spec(array):
     _, constructor, given = _family(array, "real", _REAL_FAMILIES, ("family",),
                                     ("n_values", "k_values"))
     ns = _row_sizes(array, "n_values")
+    ks = _row_sizes(array, "k_values") if "k_values" in array else None
     spec = constructor(n_values=ns, **{key: _number(value, f"array.{key}")
                                        for key, value in given.items()})
-    ks = _k_values(array, ns)
     return spec if ks is None else dataclasses.replace(spec, ks=ks)
 
 
@@ -434,12 +419,17 @@ def _triple(obj):
 def cmd_limit_run(args):
     scenario = _load_scenario(args.scenario, "limit-run", "real")
     tol = _setting(scenario, args, "tolerance")
+    ops = scenario.get("ops", list(OPS))
+    if not isinstance(ops, list) or not ops or any(op not in OPS for op in ops):
+        raise ValidationError(f"ops must be a non-empty list of {', '.join(OPS)}; got {ops!r}")
     spec = _real_spec(scenario["array"])
     triple = _triple(scenario["triple"]) if "triple" in scenario else spec.limit
     if triple.m < 1.0 - MASS_TOL:
+        if "ops" in scenario:
+            raise ValidationError(f"ops is read only for a probability limit; a limit of mass "
+                                  f"m = {triple.m!r} runs boolean and monotone alone")
         result = subprobability_equivalence(spec, triple, tol)
     else:
-        ops = scenario.get("ops", OPS)
         result = {
             "ops": {op: run_powers(spec, op, triple, tol) for op in ops},
             "tolerance": tol,

@@ -20,11 +20,9 @@ import numpy as np
 from .convolutions import boolean_power, classical_power_cf, free_power_grid
 from .errors import NumericalError, ValidationError
 from .idiv import (
-    FLOW_STEP,
     LevyTriple,
     boolean_idiv,
     classical_idiv_cf,
-    flow_map,
     free_idiv,
     monotone_idiv,
     phi_eval,
@@ -60,63 +58,42 @@ def _bernoulli():
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """One measure per row n >= 1, plus the power rule k_n and the target triple.
+    """An array as plain data: one measure and one power k_n per row n >= 1, and its target.
 
-    A row without a measure is the target's flow root: the generator flow
-    of ``limit`` at t = 1/k_n.  Only ``f_eval`` reads it; every op's power
-    needs the row's measure.
+    rows holds the row measures and ks the powers, both aligned with
+    n_values; ks left out is k_n = n.  The constructor is the one place
+    that checks them.
     """
 
     name: str
     n_values: tuple
-    measure_fn: object = None      # n -> FiniteAtomicMeasure, or None
-    ks: tuple = None               # k_n of each row of n_values, or None for k_n = n
+    rows: tuple                    # the measure of each row of n_values
+    ks: tuple = None               # k_n of each row of n_values; None for k_n = n
     limit: LevyTriple = None       # target triple for this array
 
     def __post_init__(self):
-        ns = _check_rows(self.n_values)
-        object.__setattr__(self, "n_values", ns)
-        if self.ks is None:
-            return
-        ks = tuple(int(k) for k in self.ks)
-        if len(ks) != len(ns):
-            raise ValidationError(f"ks must align with n_values; got {len(ks)} values "
+        ns, rows = _check_rows(self.n_values), tuple(self.rows)
+        if len(rows) != len(ns):
+            raise ValidationError(f"rows must align with n_values; got {len(rows)} measures "
                                   f"for {len(ns)} rows")
-        if any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
-            raise ValidationError("k_n must be positive and strictly increasing")
-        object.__setattr__(self, "ks", ks)
+        ks = ns if self.ks is None else tuple(int(k) for k in self.ks)
+        if len(ks) != len(ns):
+            raise ValidationError(f"k_values must align with n_values; got {len(ks)} values "
+                                  f"for {len(ns)} rows")
+        if ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValidationError(f"k_values must be positive and strictly increasing; "
+                                  f"got {ks!r}")
+        for key, value in (("n_values", ns), ("rows", rows), ("ks", ks)):
+            object.__setattr__(self, key, value)
 
-    def k_of(self, n):
-        """k_n of row n: its entry in ks, or n without ks."""
-        return int(n) if self.ks is None else self.ks[self.n_values.index(n)]
-
-    def measure(self, n):
-        if self.measure_fn is None:
-            return None
-        return self.measure_fn(n)
-
-    def f_eval(self, n):
-        """F of row n: of its measure, or the limit's flow at t = 1/k_n."""
-        mu = self.measure(n)
-        if mu is not None:
-            return f_transform(mu)
-        if self.limit is None:
-            raise ValidationError(f"row n={n} has neither a measure nor a limit triple")
-        t = 1.0 / self.k_of(n)
-        return lambda z: flow_map(self.limit, t, z, step=min(FLOW_STEP, t))
-
-    # --- shipped families -------------------------------------------------
+    # --- shipped families: each checks its rows n, then builds their measures once
 
     @classmethod
     def bernoulli_clt(cls, n_values=DEFAULT_NS):
         """mu_n = symmetric Bernoulli dilated by 1/sqrt(n)."""
-        base = _bernoulli()
-        return cls(
-            name="bernoulli_clt",
-            n_values=tuple(n_values),
-            measure_fn=lambda n: base.dilate(1.0 / math.sqrt(n)),
-            limit=LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)]),
-        )
+        ns, base = _check_rows(n_values), _bernoulli()
+        return cls("bernoulli_clt", ns, tuple(base.dilate(1.0 / math.sqrt(n)) for n in ns),
+                   limit=LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)]))
 
     @classmethod
     def poisson(cls, lam=1.0, n_values=DEFAULT_NS):
@@ -135,19 +112,14 @@ class ArraySpec:
         if not c >= 0.0:  # the rows' mass 1 - c/n would pass 1, and exp(-c) may overflow
             raise ValidationError(f"a damped Poisson array needs c >= 0; got {c!r}")
 
-        def mk(n):
+        def row(n):
             a = shift / math.sqrt(n)
             return FiniteAtomicMeasure.from_pairs(
-                [(a, (1.0 - c / n) * (1.0 - lam / n)),
-                 (1.0 + a, (1.0 - c / n) * (lam / n))]
-            )
+                [(a, (1.0 - c / n) * (1.0 - lam / n)), (1.0 + a, (1.0 - c / n) * (lam / n))])
 
-        return cls(
-            name=f"damped_poisson(lam={lam},c={c},shift={shift})",
-            n_values=tuple(n_values),
-            measure_fn=mk,
-            limit=LevyTriple.from_parts(math.exp(-c), lam / 2.0, [(1.0, lam / 2.0)]),
-        )
+        ns = _check_rows(n_values)
+        return cls(f"damped_poisson(lam={lam},c={c},shift={shift})", ns, tuple(map(row, ns)),
+                   limit=LevyTriple.from_parts(math.exp(-c), lam / 2.0, [(1.0, lam / 2.0)]))
 
     @classmethod
     def fixed(cls, n_values=DEFAULT_NS):
@@ -155,33 +127,17 @@ class ArraySpec:
 
         Its target is the Gaussian triple, which its powers do not approach.
         """
-        measure = _bernoulli()
-        return cls(
-            name="fixed",
-            n_values=tuple(n_values),
-            measure_fn=lambda n: measure,
-            limit=LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)]),
-        )
-
-    @classmethod
-    def flow_root(cls, triple, n_values=DEFAULT_NS):
-        """Rows given by the flow map g_n = F_{1/k_n} of a generator triple.
-
-        These rows have no atomic representation, so no op's power applies
-        (``run_powers`` raises a ValidationError); ``f_eval`` and the
-        generator diagnostic ``chernoff_residual`` read them.
-        """
-        return cls(name="flow_root", n_values=tuple(n_values), limit=triple)
+        ns = _check_rows(n_values)
+        return cls("fixed", ns, (_bernoulli(),) * len(ns),
+                   limit=LevyTriple.from_parts(1.0, 0.0, [(0.0, 1.0)]))
 
 
-def condition_e(spec, n):
-    """The moment-condition data of row n: (gamma_n, sigma_n), both exact.
+def condition_e(mu, k):
+    """The moment-condition data of a row mu with power k: (gamma_n, sigma_n), both exact.
 
-    sigma_n reweights each atom by k_n w x^2/(x^2+1); gamma_n is
-    k_n * sum of w x/(x^2+1).
+    sigma_n reweights each atom by k w x^2/(x^2+1); gamma_n is
+    k * sum of w x/(x^2+1).
     """
-    mu = _row_measure(spec, n, "condition_e")
-    k = spec.k_of(n)
     gamma_n = k * sum(w * x / (x * x + 1.0) for x, w in mu.atoms)
     sigma_n = FiniteAtomicMeasure.from_pairs(
         ((x, k * w * x * x / (x * x + 1.0)) for x, w in mu.atoms),
@@ -239,14 +195,6 @@ def _cf_distance(cf_a, cf_b):
     return max(abs(cf_a(t) - cf_b(t)) for t in T_GRID)
 
 
-def _row_measure(spec, n, what):
-    """Row n's measure; a row without one raises a ValidationError naming what needed it."""
-    mu = spec.measure(n)
-    if mu is None:
-        raise ValidationError(f"{what} needs a row measure, and row n={n} has none")
-    return mu
-
-
 def _monotone_powers(ns, rows, ks):
     """The row measures' k_n-fold monotone powers on ZR, all rows in one ``f_powers`` call."""
     values = f_powers((f_transform(mu), k, np.array(ZR), f"row n={n}, k={k}")
@@ -268,17 +216,13 @@ def _power_distance(op, row, k, target):
 def run_powers(spec, op, target, tol=0.05):
     """The report column of the k_n-fold op-powers' distances to the target law, with its op.
 
-    A failure names the op and where it arose: the rows' inputs, the
-    target, or the row.
+    A failure names the op and where it arose: the target or the row.
     """
     if op not in OPS:
         raise ValidationError(f"unknown convolution {op!r}")
-    ns = spec.n_values
-    ks = tuple(spec.k_of(n) for n in ns)
-    where, dists = None, []
+    ns, ks, rows = spec.n_values, spec.ks, spec.rows
+    where, dists = "target", []
     try:
-        rows = [_row_measure(spec, n, f"op {op!r}") for n in ns]
-        where = "target"
         target = _resolve_target(op, target)
         where = None  # the monotone pass names its own row
         if op == "monotone":
@@ -292,11 +236,9 @@ def run_powers(spec, op, target, tol=0.05):
     return {"op": op, **column(ns, ks, dists, tol)}
 
 
-def chernoff_residual(spec, triple, n):
-    """max over ZR of |k_n (F_{mu_n}(z) - z) - Phi(z)|: generator convergence."""
-    k = spec.k_of(n)
-    fe = spec.f_eval(n)
-    return max(abs(k * (fe(z) - z) - phi_eval(triple, z)) for z in ZR)
+def chernoff_residual(f, k, triple):
+    """max over ZR of |k (F(z) - z) - Phi(z)| for a row's F and power k: generator convergence."""
+    return max(abs(k * (f(z) - z) - phi_eval(triple, z)) for z in ZR)
 
 
 def bp_crosscheck(spec, tol=0.05):
@@ -313,14 +255,14 @@ def bp_crosscheck(spec, tol=0.05):
     if abs(triple.m - 1.0) > MASS_TOL:
         raise ValidationError("bp_crosscheck needs a mass-1 triple")
     cond_rows = []
-    for n in spec.n_values:
-        gamma_n, sigma_n = condition_e(spec, n)
+    for n, k, mu in zip(spec.n_values, spec.ks, spec.rows):
+        gamma_n, sigma_n = condition_e(mu, k)
         cond_rows.append({
             "n": n,
             "gamma_n": gamma_n,
             "gamma_gap": abs(gamma_n - triple.gamma),
             "sigma_distance": weak_distance(sigma_n, triple.sigma),
-            "chernoff_residual": chernoff_residual(spec, triple, n),
+            "chernoff_residual": chernoff_residual(f_transform(mu), k, triple),
         })
     cond_converged = (
         cond_rows[-1]["gamma_gap"] <= tol
@@ -347,8 +289,7 @@ def subprobability_equivalence(spec, triple=None, tol=0.05):
     triple = triple if triple is not None else spec.limit
     if triple is None:
         raise ValidationError("subprobability_equivalence needs a target triple")
-    n_last = spec.n_values[-1]
-    mhat = _row_measure(spec, n_last, "subprobability_equivalence").mass ** spec.k_of(n_last)
+    mhat = spec.rows[-1].mass ** spec.ks[-1]
     if mhat < 0.01:
         raise ValidationError("row masses collapse: mass^{k_n} -> 0")
     if abs(mhat - triple.m) > 0.05:

@@ -859,12 +859,13 @@ def _with(scenario, key, value):
     return scenario
 
 
-def _rule(name, scenario, key, value, named):
-    return pytest.param(scenario, key, value, named, id=name)
+def _rule(name, scenario, key, value, named, commands=None):
+    """A case run by commands, by default every command that reads the scenario's space."""
+    return pytest.param(scenario, key, value, named, commands, id=name)
 
 
 #: one case per rule a scenario value must keep, each named in the error by its key path
-@pytest.mark.parametrize("scenario, key, value, named", [
+@pytest.mark.parametrize("scenario, key, value, named, commands", [
     _rule("array_not_an_object", _REAL, "array", [1], "array must be a JSON object"),
     _rule("triple_not_an_object", _REAL, "triple", 5, "triple must be a JSON object"),
     _rule("generator_not_an_object", _CIRCLE, "generator", "x",
@@ -892,9 +893,15 @@ def _rule(name, scenario, key, value, named):
     _rule("space_outside_the_enum", _REAL, "space", "line", "got space 'line'"),
     _rule("real_family_outside_the_enum", _REAL, "array.family", "semigroup", "array.family"),
     _rule("circle_family_outside_the_enum", _CIRCLE, "array.family", "rotated", "array.family"),
-    _rule("ops_entry_outside_the_four", _REAL, "ops", ["free", "cyclic"], "ops must be"),
-    _rule("ops_not_a_list", _REAL, "ops", "free", "ops must be"),
-    _rule("ops_empty", _REAL, "ops", [], "ops must be a non-empty list"),
+    # only limit-run reads ops, and only for a probability limit
+    _rule("ops_entry_outside_the_four", _REAL, "ops", ["free", "cyclic"], "ops must be",
+          ("limit-run",)),
+    _rule("ops_not_a_list", _REAL, "ops", "free", "ops must be", ("limit-run",)),
+    _rule("ops_empty", _REAL, "ops", [], "ops must be a non-empty list", ("limit-run",)),
+    _rule("bp_check_ops", _REAL, "ops", ["free"], "a real scenario takes no key 'ops'",
+          ("bp-check",)),
+    _rule("ops_of_a_damped_limit", _with(_DAMPED, "triple", _DROP), "ops", ["free"],
+          "ops is read only for a probability limit", ("limit-run",)),
     _rule("lam_a_string", _DAMPED, "array.lam", "1.5", "array.lam must be a number"),
     _rule("c_true", _DAMPED, "array.c", True, "array.c must be a number"),
     _rule("shift_scale_false", _DAMPED, "array.shift_scale", False,
@@ -950,11 +957,12 @@ def _rule(name, scenario, key, value, named):
           "a semigroup array takes no key 'rotation_ell'"),
 ])
 def test_scenario_values_keep_their_rules(tmp_path, capsys, monkeypatch, scenario, key, value,
-                                          named):
+                                          named, commands):
     _refuse_work(monkeypatch, *_SCENARIO_ENGINES)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_with(scenario, key, value)))
-    commands = ("circle-run",) if scenario["space"] == "circle" else ("limit-run", "bp-check")
+    if commands is None:
+        commands = ("circle-run",) if scenario["space"] == "circle" else ("limit-run", "bp-check")
     for command in commands:
         assert run([command, path, "--output", tmp_path / "rep.json"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
@@ -1142,8 +1150,8 @@ def test_a_failing_target_names_its_op(tmp_path, capsys, no_hang, monkeypatch):
     abel_corrector = idiv._abel_corrector
 
     def unsettled(triple, z):
-        correct, d = abel_corrector(triple, z)
-        return (lambda w, t, i=None: correct(w, t, i) + 1e-6), d
+        correct, *rest = abel_corrector(triple, z)
+        return (lambda w, t, i=None: correct(w, t, i) + 1e-6), *rest
 
     monkeypatch.setattr(idiv, "_abel_corrector", unsettled)
     scenario = bernoulli_scenario(tmp_path)

@@ -496,11 +496,11 @@ def _mp_free_power_f(mu, k, z):
 
 def test_free_power_large_k(bernoulli):
     # rows k = n = 2048, 4096 of the fixed Bernoulli and poisson(1.0) arrays
-    for k in (2048, 4096):
-        grid = free_power_grid(ArraySpec.fixed().measure(k), k)
+    fixed, poisson = ArraySpec.fixed((2048, 4096)), ArraySpec.poisson(1.0, (2048, 4096))
+    for k, mu, row in zip(fixed.ks, fixed.rows, poisson.rows):
+        grid = free_power_grid(mu, k)
         for z, v in zip(grid.points, grid.values):
             assert abs(1.0 / v - _kesten_mckay_g(z, k)) <= 1e-10 * abs(_kesten_mckay_g(z, k))
-        row = ArraySpec.poisson(1.0).measure(k)
         grid = free_power_grid(row, k)
         for z, v in zip(grid.points, grid.values):
             assert abs(v - _mp_free_power_f(row, k, z)) <= 1e-10 * abs(v)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mp_power, mp_time_one
+from ncprob import transforms
 from ncprob.errors import ConvergenceError, ValidationError
 from ncprob.harness import (
     ArraySpec,
@@ -20,7 +21,7 @@ from ncprob.harness import (
     run_powers,
     subprobability_equivalence,
 )
-from ncprob.idiv import LevyTriple
+from ncprob.idiv import FLOW_STEP, LevyTriple, flow_map
 from ncprob.measures import FiniteAtomicMeasure
 from ncprob.transforms import (
     NevanlinnaData,
@@ -49,17 +50,33 @@ def distances(rep):
 
 
 def test_spec_validation():
+    mu = FiniteAtomicMeasure.from_pairs([(0.0, 1.0)])
     with pytest.raises(ValidationError):
         ArraySpec.bernoulli_clt(n_values=(32, 16))
-    with pytest.raises(ValidationError):
-        ArraySpec(name="x", n_values=(4, 8), measure_fn=lambda n: None,
-                  ks=(5, 5))
+    with pytest.raises(ValidationError, match="k_values must be positive and strictly"):
+        ArraySpec(name="x", n_values=(4, 8), rows=(mu, mu), ks=(5, 5))
+    with pytest.raises(ValidationError, match="k_values must align with n_values"):
+        ArraySpec(name="x", n_values=(4, 8), rows=(mu, mu), ks=(5,))
+    with pytest.raises(ValidationError, match="rows must align with n_values"):
+        ArraySpec(name="x", n_values=(4, 8), rows=(mu,))
+
+
+def test_left_out_ks_are_the_rows_n():
+    spec = ArraySpec.bernoulli_clt((4, 8, 16))
+    assert spec.ks == (4, 8, 16) and len(spec.rows) == 3
+    assert dataclasses.replace(spec, ks=(8.0, 16, 32)).ks == (8, 16, 32)
+
+
+def test_a_row_that_cannot_be_built_fails_with_the_spec():
+    # lam > n gives row n a negative weight
+    with pytest.raises(ValidationError, match="negative weight"):
+        ArraySpec.poisson(20.0, (16, 32))
 
 
 def test_condition_e_bernoulli():
-    spec = ArraySpec.bernoulli_clt()
-    for n in (16, 256):
-        gamma_n, sigma_n = condition_e(spec, n)
+    spec = ArraySpec.bernoulli_clt((16, 256))
+    for n, k, mu in zip(spec.n_values, spec.ks, spec.rows):
+        gamma_n, sigma_n = condition_e(mu, k)
         assert gamma_n == pytest.approx(0.0, abs=1e-15)
         assert sigma_n.mass == pytest.approx(n / (n + 1.0), rel=1e-14)
         assert sigma_n.positions == (
@@ -67,8 +84,8 @@ def test_condition_e_bernoulli():
 
 
 def test_condition_e_poisson():
-    spec = ArraySpec.poisson(1.0)
-    gamma_n, sigma_n = condition_e(spec, 64)
+    spec = ArraySpec.poisson(1.0, (64,))
+    gamma_n, sigma_n = condition_e(spec.rows[0], spec.ks[0])
     assert gamma_n == pytest.approx(0.5, rel=1e-14)  # exactly n (1/n) (1/2)
     assert sigma_n.atoms == ((1.0, pytest.approx(0.5, rel=1e-14)),)
 
@@ -84,9 +101,9 @@ def test_poisson_is_its_closed_form_bit_for_bit(lam):
     spec = ArraySpec.poisson(lam, ns)
     lam = float(lam)
     assert spec.name == f"poisson({lam})"
-    for n in ns:
+    for n, mu in zip(ns, spec.rows):
         row = FiniteAtomicMeasure.from_pairs([(0.0, 1.0 - lam / n), (1.0, lam / n)])
-        assert _hex(spec.measure(n).atoms) == _hex(row.atoms)
+        assert _hex(mu.atoms) == _hex(row.atoms)
     limit = LevyTriple.from_parts(1.0, lam / 2.0, [(1.0, lam / 2.0)])
     assert (spec.limit.m.hex(), spec.limit.gamma.hex()) == (limit.m.hex(), limit.gamma.hex())
     assert _hex(spec.limit.sigma.atoms) == _hex(limit.sigma.atoms)
@@ -94,12 +111,13 @@ def test_poisson_is_its_closed_form_bit_for_bit(lam):
 
 def _constant_array(mu, n_values, limit):
     """The array whose every row is mu."""
-    return ArraySpec(name="constant", n_values=n_values, measure_fn=lambda n: mu, limit=limit)
+    return ArraySpec(name="constant", n_values=n_values, rows=(mu,) * len(n_values),
+                     limit=limit)
 
 
 def test_condition_e_dirac_array():
     spec = _constant_array(FiniteAtomicMeasure.from_pairs([(0.0, 1.0)]), (2, 4), GAUSSIAN)
-    gamma_n, sigma_n = condition_e(spec, 4)
+    gamma_n, sigma_n = condition_e(spec.rows[1], spec.ks[1])
     assert gamma_n == 0.0
     assert sigma_n.is_zero
 
@@ -169,22 +187,27 @@ def test_poisson_boolean_power_converges():
         assert b < a
 
 
+def _flow_root(triple, k):
+    """F of the row whose k-fold monotone power is the triple's time-one flow."""
+    return lambda z: flow_map(triple, 1.0 / k, z, step=min(FLOW_STEP, 1.0 / k))
+
+
 def test_chernoff_residual_bernoulli():
-    spec = ArraySpec.bernoulli_clt()
-    assert chernoff_residual(spec, GAUSSIAN, 256) <= 0.01
+    spec = ArraySpec.bernoulli_clt((256,))
+    assert chernoff_residual(f_transform(spec.rows[0]), spec.ks[0], GAUSSIAN) <= 0.01
 
 
 def test_chernoff_residual_flow_roots_halve():
-    spec = ArraySpec.flow_root(GAUSSIAN, n_values=(32, 64, 128, 256))
-    res = {n: chernoff_residual(spec, GAUSSIAN, n) for n in spec.n_values}
-    for n in (32, 64, 128):
-        assert 0.4 <= res[2 * n] / res[n] <= 0.6
+    res = {k: chernoff_residual(_flow_root(GAUSSIAN, k), k, GAUSSIAN) for k in (32, 64, 128, 256)}
+    for k in (32, 64, 128):
+        assert 0.4 <= res[2 * k] / res[k] <= 0.6
 
 
 def test_chernoff_residual_dirac_zero():
     spec = _constant_array(FiniteAtomicMeasure.from_pairs([(0.0, 1.0)]), (8, 16),
                            LevyTriple.from_parts(1.0, 0.0, []))
-    assert chernoff_residual(spec, LevyTriple.from_parts(1.0, 0.0, []), 16) <= 1e-14
+    assert chernoff_residual(f_transform(spec.rows[1]), spec.ks[1],
+                             LevyTriple.from_parts(1.0, 0.0, [])) <= 1e-14
 
 
 def test_bp_crosscheck_bernoulli():
@@ -233,29 +256,27 @@ def test_broken_array_both_fail():
     assert not rep["ops"]["monotone"]["converged"]
 
 
-def test_flow_root_rows_follow_the_k_table():
-    # row n is the limit's flow at t = 1/k_n: with k_n = 2n, row n is row 2n of k_n = n
-    damped = LevyTriple.from_parts(0.8, 0.1, [(0.0, 0.5)])
-    plain = ArraySpec.flow_root(damped, n_values=(16, 32, 64))
-    spec = dataclasses.replace(ArraySpec.flow_root(damped, n_values=(16, 32)),
-                               ks=(32, 64))
-    for n in spec.n_values:
-        assert [spec.f_eval(n)(z) for z in ZR] == [plain.f_eval(2 * n)(z) for z in ZR]
-        assert chernoff_residual(spec, damped, n) == chernoff_residual(plain, damped, 2 * n)
-    assert chernoff_residual(spec, damped, 32) < chernoff_residual(spec, damped, 16)
-
-
 def test_reports_reproducible():
     a = bp_crosscheck(ArraySpec.poisson(1.0))
     b = bp_crosscheck(ArraySpec.poisson(1.0))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_bp_crosscheck_builds_each_rows_f_data_once(monkeypatch):
+    """The rows are built once, with the spec, and each measure caches its F-data, so
+    the Chernoff residual and the four ops share one build per row."""
+    spec = ArraySpec.poisson(1.3, tuple(64 * 2**j for j in range(7)))
+    built, f_data = [], transforms._f_data
+    monkeypatch.setattr(transforms, "_f_data", lambda mu: built.append(mu) or f_data(mu))
+    bp_crosscheck(spec)
+    assert len(built) == 7
+
+
 def test_k_table_override():
     spec = ArraySpec(
         name="bern", n_values=(4, 8, 16),
-        measure_fn=lambda n: FiniteAtomicMeasure.from_pairs(
-            [(-1.0 / math.sqrt(2 * n), 0.5), (1.0 / math.sqrt(2 * n), 0.5)]),
+        rows=tuple(FiniteAtomicMeasure.from_pairs(
+            [(-1.0 / math.sqrt(2 * n), 0.5), (1.0 / math.sqrt(2 * n), 0.5)]) for n in (4, 8, 16)),
         ks=(8, 16, 32), limit=GAUSSIAN)
     rep = run_powers(spec, "boolean", GAUSSIAN)
     assert all(d <= 1e-12 for d in distances(rep))
@@ -282,7 +303,7 @@ def _ragged_spec(seed=3):
         ws = rng.uniform(0.2, 1.0, n)
         ws = ws / ws.sum() * rng.uniform(0.9, 1.0)
         rows[n] = FiniteAtomicMeasure.from_pairs(zip(xs.tolist(), ws.tolist()))
-    return ArraySpec(name="ragged", n_values=ns, measure_fn=rows.__getitem__,
+    return ArraySpec(name="ragged", n_values=ns, rows=tuple(rows[n] for n in ns),
                      ks=tuple(3 * n * n for n in ns), limit=GAUSSIAN)
 
 
@@ -295,7 +316,8 @@ def test_f_powers_match_the_per_point_composition_on_ragged_rows():
     # arithmetic; measured: at most 1.8e-15 relative from the 40-digit
     # oracle and 9e-16 from the composition, over 1 to 6 poles and m = 0.5
     spec = _ragged_spec()
-    rows = [(spec.f_eval(n), spec.k_of(n), np.array(ZR), f"row n={n}") for n in spec.n_values]
+    rows = [(f_transform(mu), k, np.array(ZR), f"row n={n}")
+            for n, k, mu in zip(spec.n_values, spec.ks, spec.rows)]
     half = NevanlinnaData.from_parts(0.5, 0.3, [(-1.0, 0.4), (0.5, 0.2)])
     rows.append((half, 20, np.array(ZR), "m=0.5"))
     for (f, k, _, _), got in zip(rows, f_powers(rows)):
@@ -303,10 +325,8 @@ def test_f_powers_match_the_per_point_composition_on_ragged_rows():
         assert _max_rel(got.tolist(), _per_point_power(f, k)) <= 2e-15
     rep = run_powers(spec, "monotone", GAUSSIAN)
     target = _resolve_target("monotone", GAUSSIAN)
-    for n, dist in zip(spec.n_values, distances(rep)):
-        mu = spec.measure(n)
-        ref = TransformGrid(np.array(_per_point_power(f_transform(mu), spec.k_of(n))),
-                            mu.mass ** spec.k_of(n))
+    for k, mu, dist in zip(spec.ks, spec.rows, distances(rep)):
+        ref = TransformGrid(np.array(_per_point_power(f_transform(mu), k)), mu.mass ** k)
         assert abs(dist - weak_distance(ref, target)) <= 1e-15
 
 
@@ -316,7 +336,7 @@ def test_a_tripped_guard_names_its_row_point_and_iteration():
     rows = {4: FiniteAtomicMeasure.from_pairs([(-0.5, 0.5), (0.5, 0.5)]),
             8: FiniteAtomicMeasure.from_pairs([(0.0, 1e-3)]),
             16: FiniteAtomicMeasure.from_pairs([(-0.25, 0.5), (0.25, 0.5)])}
-    spec = ArraySpec(name="sick", n_values=(4, 8, 16), measure_fn=rows.__getitem__,
+    spec = ArraySpec(name="sick", n_values=(4, 8, 16), rows=tuple(rows.values()),
                      limit=GAUSSIAN)
     want = (f"iterated F from z0={ZR[0]!r} overflowed at iteration 4 "
             f"(row n=8, k=8) (op=monotone)")
@@ -435,25 +455,6 @@ def test_the_one_pole_loop_matches_the_pair_loop_bit_for_bit(p, c, gamma, m, k, 
     except ConvergenceError as exc:
         got = str(exc)
     assert got == want
-
-
-@pytest.mark.parametrize("op", ["boolean", "free", "classical", "monotone"])
-def test_ops_that_need_row_measures_name_the_op(op):
-    spec = ArraySpec.flow_root(GAUSSIAN, n_values=(4, 8))
-    with pytest.raises(ValidationError, match=f"op {op!r} needs a row measure.*row n=4"):
-        run_powers(spec, op, GAUSSIAN)
-    with pytest.raises(ValidationError):
-        bp_crosscheck(spec)
-    with pytest.raises(ValidationError, match="row n=8 has none"):
-        subprobability_equivalence(spec)
-
-
-def test_monotone_rows_without_measure_or_limit_name_the_op():
-    spec = ArraySpec(name="bare", n_values=(4, 8))
-    with pytest.raises(ValidationError, match=r"row n=4 has none \(op=monotone\)"):
-        run_powers(spec, "monotone", GAUSSIAN)
-    with pytest.raises(ValidationError, match="row n=4 has neither a measure nor a limit"):
-        chernoff_residual(spec, GAUSSIAN, 4)
 
 
 @pytest.mark.parametrize("n_values", [(0, 16), (-1, 16)])

@@ -459,6 +459,27 @@ def test_monotone_idiv_eval_near_the_far_zero_limit(m, gamma):
         assert abs(w - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("m, gamma, sigma", [
+    (1.0, 0.0, [(0.0, s)]) for s in (1e-6, 1e-8, 1e-10, 1e-12)
+] + [(1.0, lam / 2.0, [(1.0, lam / 2.0)]) for lam in (1e-7, 1e-9)],
+    ids=["sigma_1e-6", "sigma_1e-8", "sigma_1e-10", "sigma_1e-12", "poisson_1e-7",
+         "poisson_1e-9"])
+def test_monotone_idiv_eval_accepts_the_rounding_floor_of_a_small_phi(m, gamma, sigma):
+    """Triples whose Phi is small: d(F_1) - 1 carries the rounding of (w - z)/Phi(z),
+    about eps max(|z|, |F_1|)/|Phi(z)|, which passes ABEL_RESIDUAL (1.06e-9 at
+    sigma = 1e-6 delta_0 on Im z = 1e-3), and the check accepts that floor.
+
+    The values are right: measured, at most 1.3e-16 relative from the 50-digit
+    oracle on ZR and 61 points of Im z = 1e-3.
+    """
+    triple = LevyTriple.from_parts(m, gamma, sigma)
+    points = np.concatenate((np.array(ZR), eps_line_grid((-6.0, 6.0), 61, 1e-3)))
+    phi = idiv._phi(triple)
+    for z, w in zip(points.tolist(), monotone_idiv_eval(triple, points).tolist()):
+        ref = mp_time_one(m, gamma, sigma, z, z + phi(z))
+        assert abs(w - ref) <= 4e-16 * abs(ref)
+
+
 @pytest.mark.parametrize("v", [0.5, 1.0, 1.7])
 def test_monotone_idiv_eval_arcsine(v):
     """(1, 0, v delta_0): Phi = -v/z, so F_1(z) = sqrt(z^2 - 2v), taken at 30 digits.
@@ -546,7 +567,7 @@ def test_the_batched_abel_correction_is_the_per_zero_loop(triple):
     z = np.concatenate((EPS_LINE, ZR))
     phi = idiv._phi(triple)
     w = idiv._rk4_step(phi, z, 1e-3, phi(z))
-    correct, d = idiv._abel_corrector(triple, z)
+    correct, d, _ = idiv._abel_corrector(triple, z)
     i = np.arange(0, z.size, 2)
     want = _per_zero_correction(triple, z[i], w[i], 1e-3)[0]
     assert correct(w[i], 1e-3, i).tobytes() == want.tobytes()
@@ -580,8 +601,8 @@ def test_an_abel_sweep_makes_two_one_pass_corrections_per_tick(monkeypatch):
     corrections, phi_calls, passes = [], [], []
 
     def counted_corrector(triple, z):
-        correct, d = abel_corrector(triple, z)
-        return (lambda w, t, i: corrections.append(i.size) or correct(w, t, i)), d
+        correct, *rest = abel_corrector(triple, z)
+        return (lambda w, t, i: corrections.append(i.size) or correct(w, t, i)), *rest
 
     def counted_phi(triple):
         phi, calls = phi_of(triple), [0]
@@ -617,8 +638,8 @@ def test_monotone_idiv_eval_raises_when_the_corrector_cannot_settle(no_hang, mon
     abel_corrector = idiv._abel_corrector
 
     def unsettled(triple, z):
-        correct, d = abel_corrector(triple, z)
-        return (lambda w, t, i=None: correct(w, t, i) + 1e-6), d
+        correct, *rest = abel_corrector(triple, z)
+        return (lambda w, t, i=None: correct(w, t, i) + 1e-6), *rest
 
     monkeypatch.setattr(idiv, "_abel_corrector", unsettled)
     with pytest.raises(FlowError, match=re.escape("z0=(0.3+0.001j)")):
