@@ -111,13 +111,19 @@ class ArraySpec:
         lam, c, shift = float(lam), float(c), float(shift_scale)
         if not c >= 0.0:  # the rows' mass 1 - c/n would pass 1, and exp(-c) may overflow
             raise ValidationError(f"a damped Poisson array needs c >= 0; got {c!r}")
+        ns = _check_rows(n_values)
+        if not 0.0 <= lam <= ns[0]:
+            raise ValidationError(f"a Poisson array needs 0 <= lam <= n at its first row, "
+                                  f"n = {ns[0]}; got lam = {lam!r}")
+        if not c < ns[0]:
+            raise ValidationError(f"a damped Poisson array needs c < n at its first row, "
+                                  f"n = {ns[0]}; got c = {c!r}")
 
         def row(n):
             a = shift / math.sqrt(n)
             return FiniteAtomicMeasure.from_pairs(
                 [(a, (1.0 - c / n) * (1.0 - lam / n)), (1.0 + a, (1.0 - c / n) * (lam / n))])
 
-        ns = _check_rows(n_values)
         return cls(f"damped_poisson(lam={lam},c={c},shift={shift})", ns, tuple(map(row, ns)),
                    limit=LevyTriple.from_parts(math.exp(-c), lam / 2.0, [(1.0, lam / 2.0)]))
 

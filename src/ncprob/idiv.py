@@ -32,9 +32,9 @@ FLOW_STEP = 1e-3
 
 #: RK4 step of the Abel-corrected flow, and Newton corrections after each step.
 #: On the 50 monotone sweeps of density seeds 1-10 a step misses Psi(z) + t by
-#: 8e-8 in the median, the first correction by 6e-14 and the second by 1e-16;
-#: a lane next to a pole can stay 5e-9 off before t = 0.4, which later ticks
-#: remove.  A third correction leaves the final residual where it is.
+#: 8e-8 in the median and 1.8e-5 at worst, the first correction by 7e-14 and the
+#: second by 1e-16; a lane can stay 3.7e-13 off, which later ticks remove.  A
+#: third correction leaves the final residual where it is.
 ABEL_STEP = 0.2
 ABEL_CORRECTIONS = 2
 
@@ -57,12 +57,12 @@ ABEL_ROUNDING = 2.0
 MAX_FLOW_STEPS = 10**5
 MAX_SNAPSHOT_STEP = 1e-2
 
-#: RK4 steps a leg may take beyond t_end/step, where the sub-step cap shortens
-#: steps near a pole or at a large |Phi|; the density sweeps' and the test
-#: suite's legs take at most 47
+#: RK4 steps a leg may take beyond t_end/step, where the step caps bind; the
+#: density sweeps take at most 46, and the test suite's stiff random triples 74
+#: at eps = 1e-5 and 108 at eps = 1e-8
 SUBSTEP_TICKS = 2000
 
-#: smallest RK4 step a leg takes: a point whose sub-step cap asks for less has
+#: smallest RK4 step a leg takes: a point whose step caps ask for less has
 #: stalled (a |Phi| of 1e300 caps h at 1e-301) and fails at that tick; the density
 #: sweeps' steps stay above 1.1e-7 and the test suite's finished legs above 5e-14
 MIN_RK4_STEP = 1e-200
@@ -85,6 +85,18 @@ def _phi(triple):
     return lambda z: -e(z) - log_m * z
 
 
+def _phi_and_prime(triple):
+    """(Phi(z), Phi'(z)) as a closure, from one ``_e_and_prime`` pass; Phi bit for bit ``_phi``."""
+    e_and_prime, log_m = triple._e_and_prime, math.log(triple.m)
+    drop_z = log_m == 0.0 and triple.sigma.positions
+
+    def both(z):
+        e, de = e_and_prime(z)
+        return (-e if drop_z else -e - log_m * z), -de - log_m
+
+    return both
+
+
 def phi_eval(triple, z):
     """Phi(z) = -gamma - log(m) z + sum s (1+pz)/(p-z)."""
     return _phi(triple)(z)
@@ -92,7 +104,7 @@ def phi_eval(triple, z):
 
 def phi_deriv(triple, z):
     """Phi'(z) = -E'(z) - log m."""
-    return -triple._e_and_prime(z)[1] - math.log(triple.m)
+    return _phi_and_prime(triple)(z)[1]
 
 
 def boolean_idiv(triple):
@@ -197,15 +209,6 @@ def classical_idiv_density(triple):
     return xs, dens
 
 
-def _pole_distance(poles, w):
-    near = math.inf
-    for p in poles:
-        d = abs(w - p)
-        if d < near:
-            near = d
-    return near
-
-
 def _rk4_step(phi, w, h, k1):
     """One RK4 step of dF/dt = phi(F) from w, given k1 = phi(w); h may be per point."""
     half = 0.5 * h
@@ -245,28 +248,27 @@ def _not_finite(z0, t):
 def _rk4_leg(triple, z, t_end, step, hook=None):
     """Integrate dF/dt = Phi(F) from F_0 = z to t_end.
 
-    Fixed RK4 step, with a deterministic sub-step cap keeping each move well
-    inside the distance to Phi's real poles (only relevant when starting
-    near the real axis, e.g. on a density grid).  A leg that needs more
-    than SUBSTEP_TICKS steps beyond t_end/step, whose step falls below
-    MIN_RK4_STEP, or whose state is not finite raises FlowError.  hook(w, t),
-    when given, sees each step's end and returns the point to go on from
-    (``flow_distance_bound`` collects the states).
+    Fixed RK4 step, capped by h |Phi'(w)| <= 0.2 and h |Phi(w)| <= 0.1 max(1, |w|),
+    with k1 and Phi'(w) from one pass.  Near a pole p, Phi' ~ c/(w - p)^2 makes
+    the first cap one by the distance to p; beside a zero of Phi between close
+    poles it keeps the step within the rate the flow leaves that zero at.  A
+    leg that needs more than SUBSTEP_TICKS steps beyond t_end/step, whose step
+    falls below MIN_RK4_STEP, or whose state is not finite raises FlowError.
+    hook(w, t), when given, sees each step's end and returns the point to go
+    on from (``flow_distance_bound`` collects the states).
     """
-    phi = _phi(triple)
+    phi, phi_and_prime = _phi(triple), _phi_and_prime(triple)
     log_m = math.log(triple.m)
-    poles = triple.sigma.positions
     w, t, ticks, budget = z, 0.0, 0, _tick_budget(t_end, step)
     while t < t_end - 1e-15:
         if ticks == budget:
             raise _out_of_ticks(z, t_end, t, ticks)
         ticks += 1
-        k1 = phi(w)
+        k1, slope = phi_and_prime(w)
         speed = abs(k1)
         h = min(step, t_end - t)
         if speed > 0.0:
-            h = min(h,
-                    0.2 * _pole_distance(poles, w) / speed,
+            h = min(h, 0.2 / abs(slope) if slope else math.inf,
                     0.1 * max(1.0, abs(w)) / speed)
         if not h >= MIN_RK4_STEP:
             raise _stalled(z, t, h)
@@ -284,20 +286,19 @@ def _rk4_leg(triple, z, t_end, step, hook=None):
 def _rk4_leg_array(triple, z, t_end, step, hook=None):
     """_rk4_leg for a 1-d array of start points, run in lockstep.
 
-    Each point keeps its own time, sub-step cap, step floor and checks, and
+    Each point keeps its own time, step caps, step floor and checks, and
     leaves the active set once it reaches t_end; the tick budget counts the
     lockstep's steps, and its FlowError names the point furthest behind.
     hook(w, t, i) is called with the indices i into z of the points still
     running.
     """
-    phi = _phi(triple)
+    phi, phi_and_prime = _phi(triple), _phi_and_prime(triple)
     log_m = math.log(triple.m)
-    poles = np.array(triple.sigma.positions)
     out = np.empty_like(z)
     active = np.arange(z.size)
     w, t, im0 = z, np.zeros(z.size), z.imag
     ticks, budget = 0, _tick_budget(t_end, step)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the cap at speed 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # the caps at Phi = 0 or Phi' = 0
         while True:
             done = t >= t_end - 1e-15
             if done.any():
@@ -310,11 +311,10 @@ def _rk4_leg_array(triple, z, t_end, step, hook=None):
                 i = np.argmin(t)
                 raise _out_of_ticks(complex(z[active[i]]), t_end, t[i], ticks)
             ticks += 1
-            k1 = phi(w)
+            k1, slope = phi_and_prime(w)
             speed = np.abs(k1)
             h = np.minimum(step, t_end - t)
-            near = np.abs(w[:, None] - poles).min(axis=1, initial=np.inf)
-            cap = np.minimum(0.2 * near, 0.1 * np.maximum(1.0, np.abs(w))) / speed
+            cap = np.minimum(0.2 / np.abs(slope), 0.1 * np.maximum(1.0, np.abs(w)) / speed)
             h = np.where(speed > 0.0, np.minimum(h, cap), h)
             if not h.min() >= MIN_RK4_STEP:
                 i = int(np.argmin(h >= MIN_RK4_STEP))
@@ -339,8 +339,8 @@ def flow_map(triple, t_end, z, step=FLOW_STEP):
     z is one point or an ndarray of points.  An ndarray is integrated in
     lockstep by array arithmetic, which beats one scalar flow per point
     beyond about a dozen points (a density grid, not ZR); a single point
-    takes the scalar leg.  Both legs share Phi, the RK4 step and the floor
-    check, and agree to rounding.
+    takes the scalar leg.  Both legs share Phi, the two step caps, the RK4
+    step and the floor check, and agree to rounding.
     """
     t_end = _check_flow_args(t_end, step)
     if isinstance(z, np.ndarray):
@@ -449,7 +449,7 @@ def _abel_d(triple, z):
 def monotone_idiv_eval(triple, z):
     """F of the monotone law at z, a point or an ndarray: the time-one flow from z.
 
-    RK4 legs at ABEL_STEP predict, with their pole cap and floor check, and
+    RK4 legs at ABEL_STEP predict, with their step caps and floor check, and
     after each step ``_abel_corrector``'s ABEL_CORRECTIONS Newton steps move
     every point onto the exact flow: the first takes the predictor's miss of
     Psi from about 1e-7 to 1e-13 (medians), the second to rounding.  A single

@@ -176,7 +176,7 @@ class NevanlinnaData:
         for p, c in pairs:
             d = z - p
             acc = acc + c / d
-            der = der - c / d ** 2
+            der = der - c / (d * d)
         return acc, der
 
 

@@ -236,10 +236,9 @@ def test_idiv_sweep_evaluates_g_on_the_grid_only(tmp_path, monkeypatch, op):
     assert len(calls) == 1 and isinstance(calls[0], np.ndarray) and calls[0].shape == (301,)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: without a stiffness cap the Abel sweep "
-                   "leaves C+ at z0 = -1.8195 + 1e-5i, next to a real zero of Phi between "
-                   "two close poles, and exits 3")
 def test_idiv_monotone_holds_next_to_a_zero_of_phi_between_close_poles(tmp_path):
+    """At z0 = -1.8195 + 1e-5i, beside a real zero of Phi between two close poles, Phi'
+    is large; without the h |Phi'| <= 0.2 cap the sweep left C+ there and exited 3."""
     assert run(["idiv", "--op", "monotone", "--m", "0.6394739112389496",
                 "--gamma=0.17824700746451128",
                 "--sigma=-2.0944745652533463:0.2174068420658518,"
@@ -561,7 +560,8 @@ def test_flow_rejects_unending_arguments(tmp_path, capsys, no_hang, flag):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e300 inputs overflow on the way
 @pytest.mark.parametrize("argv, code, named", [
-    # the sub-step cap asks for steps near 1e-301: the step floor stops the flow
+    # the cap h |Phi| <= 0.1 max(1, |w|) asks for steps near 1e-301: the step floor
+    # stops the flow
     (["idiv", "--op", "monotone", "--m", 0.5, "--gamma=1e300", "--sigma=0.3:1", "--bins", 5,
       "--grid-eps", 0.5], EXIT_NUMERICAL, "RK4 steps"),
     (["flow", "--sigma", "0:1", "--t-end", 1, "--flow-step", 1e-300], EXIT_VALIDATION,

@@ -68,9 +68,20 @@ def test_left_out_ks_are_the_rows_n():
 
 
 def test_a_row_that_cannot_be_built_fails_with_the_spec():
-    # lam > n gives row n a negative weight
-    with pytest.raises(ValidationError, match="negative weight"):
-        ArraySpec.poisson(20.0, (16, 32))
+    """lam > n or lam < 0 gives row n a negative weight and c >= n a mass of at most 0:
+    each is refused naming its key and the first row n, the smallest.  lam = n (one
+    atom) and c just below n are built."""
+    lam_rule, c_rule = "0 <= lam <= n at its first row, n = 16", "c < n at its first row, n = 16"
+    for build, named in [
+        (lambda: ArraySpec.poisson(20.0, (16, 32)), f"{lam_rule}; got lam = 20.0"),
+        (lambda: ArraySpec.poisson(-1.0, (16, 32)), f"{lam_rule}; got lam = -1.0"),
+        (lambda: ArraySpec.damped_poisson(1.0, 16.0, 0.0, (16, 32)), f"{c_rule}; got c = 16.0"),
+        (lambda: ArraySpec.damped_poisson(1.0, 40.0, 0.0, (16, 32)), f"{c_rule}; got c = 40.0"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            build()
+    assert ArraySpec.poisson(16.0, (16, 32)).rows[0].atoms == ((1.0, 1.0),)
+    assert ArraySpec.damped_poisson(1.0, 15.5, 0.0, (16, 32)).rows[0].mass > 0.0
 
 
 def test_condition_e_bernoulli():
